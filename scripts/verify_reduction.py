@@ -49,8 +49,8 @@ def main() -> int:
                 pairs += star.pairs_checked
                 found_here += len(star.violations)
                 if not args.skip_mirror:
-                    gb, tm = beta_recurrent(game, beta, s0)
-                    star2 = verify_star2(gb, tm)
+                    gb, reduction = beta_recurrent(game, beta, s0)
+                    star2 = verify_star2(gb, reduction)
                     pairs += star2.pairs_checked
                     found_here += len(star2.violations)
         violations += found_here

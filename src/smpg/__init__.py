@@ -60,10 +60,7 @@ from .solvers import (
     verify_star2,
 )
 from .transforms import (
-    BETA_RECURRENT,
-    MIRROR,
-    TransformMap,
-    TransitionSplit,
+    Reduction,
     beta_recurrent,
     compose_mirror_strategies,
     decompose_mirror_strategies,

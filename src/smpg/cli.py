@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import GameError, ParseError
+from .errors import GameError, MissingKindAnnotation, ParseError
 from .evaluate import simulate_mean_payoff
 from .game import DEFAULT_ENUMERATION_CAP, game_to_json_dict, parse_rational
 from .generate import config_from_json_dict, generate_game
@@ -20,14 +20,15 @@ from .serialize import (
     canonical_dumps,
     load_game,
     load_json,
+    mirror_map_to_json_dict,
+    reduction_from_json_dict,
     report_to_json_dict,
+    reset_map_to_json_dict,
     save_game,
     simulation_to_json_dict,
     solution_to_json_dict,
     strategy_pair_from_json_dict,
     strategy_pair_to_json_dict,
-    transform_map_from_json_dict,
-    transform_map_to_json_dict,
     values_from_json_dict,
     values_to_json_dict,
     write_json,
@@ -44,7 +45,7 @@ from .solvers import (
     verify_star,
     verify_star2,
 )
-from .transforms import BETA_RECURRENT, beta_recurrent, mirror
+from .transforms import beta_recurrent, mirror
 
 
 class UsageError(Exception):
@@ -89,21 +90,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_transform_beta_recurrent(args) -> int:
     game = load_game(args.game)
-    transformed, tm = beta_recurrent(game, args.beta, args.start)
+    transformed, reduction = beta_recurrent(game, args.beta, args.start)
     map_out = args.map_out or _default_map_path(args.out)
     save_game(args.out, transformed)
-    write_json(map_out, transform_map_to_json_dict(tm))
+    write_json(map_out, reset_map_to_json_dict(reduction))
     _emit({"written": {"game": args.out, "map": map_out}})
     return 0
 
 
 def _cmd_transform_mirror(args) -> int:
     game = load_game(args.game)
-    tm = transform_map_from_json_dict(load_json(args.map))
-    doubled, mirror_map = mirror(game, tm)
+    doubled, reduction = mirror(game, reduction_from_json_dict(load_json(args.map), game))
     map_out = args.map_out or _default_map_path(args.out)
     save_game(args.out, doubled)
-    write_json(map_out, transform_map_to_json_dict(mirror_map))
+    write_json(map_out, mirror_map_to_json_dict(reduction))
     _emit({"written": {"game": args.out, "map": map_out}})
     return 0
 
@@ -144,15 +144,18 @@ def _cmd_verify_star2(args) -> int:
     if args.map is not None:
         if args.beta is not None or args.start is not None:
             raise UsageError("give either --map or --beta/--start, not both")
-        tm = transform_map_from_json_dict(load_json(args.map))
-        if tm.kind != BETA_RECURRENT:
-            raise UsageError("star2 needs a reset-transform map")
+        try:
+            reduction = reduction_from_json_dict(load_json(args.map), game)
+        except MissingKindAnnotation as exc:
+            if "kind" in exc.payload:  # a mirror map, not a reset map
+                raise UsageError("star2 needs a reset-transform map") from exc
+            raise
         reset_game = game
     else:
         if args.beta is None or args.start is None:
             raise UsageError("star2 needs --map, or --beta and --start")
-        reset_game, tm = beta_recurrent(game, args.beta, args.start)
-    report = verify_star2(reset_game, tm, cap=args.cap)
+        reset_game, reduction = beta_recurrent(game, args.beta, args.start)
+    report = verify_star2(reset_game, reduction, cap=args.cap)
     _emit(report_to_json_dict(report))
     return 0 if report.ok else 1
 
@@ -163,11 +166,11 @@ def _cmd_pipeline(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     recovered = {}
 
-    def on_stage(state, reset_game, reset_map, doubled, mirror_map, witness, value):
-        save_game(out_dir / f"reset_{state}.json", reset_game)
-        write_json(out_dir / f"reset_{state}.map.json", transform_map_to_json_dict(reset_map))
-        save_game(out_dir / f"mirror_{state}.json", doubled)
-        write_json(out_dir / f"mirror_{state}.map.json", transform_map_to_json_dict(mirror_map))
+    def on_stage(state, reduction, witness, value):
+        save_game(out_dir / f"reset_{state}.json", reduction.reset_game)
+        write_json(out_dir / f"reset_{state}.map.json", reset_map_to_json_dict(reduction))
+        save_game(out_dir / f"mirror_{state}.json", reduction.doubled)
+        write_json(out_dir / f"mirror_{state}.map.json", mirror_map_to_json_dict(reduction))
         write_json(out_dir / f"witness_{state}.json", strategy_pair_to_json_dict(witness))
         recovered[state] = str(value)
 

@@ -72,8 +72,9 @@ class NotUnichain(GameError):
 
 
 class MissingKindAnnotation(GameError):
-    """The mirror construction needs the per-transition split record emitted
-    by the reset transform; it was absent or does not describe the game."""
+    """A transform map that cannot drive the mirror construction: a mirror
+    map given where a reset map is needed, a start state missing from the
+    game, or a split record that does not describe the reset game."""
 
 
 class SingularSystem(GameError):

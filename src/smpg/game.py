@@ -39,8 +39,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "n" (decimal integers only) into a Fraction."""
-    if isinstance(text, int):
+    """Parse "p/q" or "n" (decimal integers only) into a Fraction.  JSON
+    booleans are not rationals."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not a rational literal: {text!r}", value=repr(text))

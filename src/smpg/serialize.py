@@ -8,24 +8,28 @@ identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
-from .errors import ParseError
-from .evaluate import Distribution, SimulationResult, ValueVector
+from .errors import GameError, MissingKindAnnotation, ParseError
+from .evaluate import SimulationResult, ValueVector
 from .game import (
     MAX,
     MIN,
     Game,
     PositionalStrategy,
     StrategyPair,
+    build_game,
     format_rational,
     game_to_json_dict,
     parse_rational,
     validate_game,
 )
 from .solvers import Solution, VerificationReport
-from .transforms import BETA_RECURRENT, MIRROR, TransformMap, TransitionSplit
+from .transforms import Reduction
+
+# the "kind" tag of the two map files
+RESET_KIND = "beta-recurrent"
+MIRROR_KIND = "mirror"
 
 
 def canonical_dumps(obj) -> str:
@@ -38,6 +42,8 @@ def load_json(path) -> dict:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}", path=str(path)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
 
 
 def write_json(path, obj) -> None:
@@ -85,67 +91,97 @@ def values_from_json_dict(raw: dict, game: Game) -> ValueVector:
     return ValueVector(game.state_order, tuple(parsed[s] for s in game.state_order))
 
 
-def distribution_to_json_dict(dist: Distribution) -> dict:
-    return {s: format_rational(p) for s, p in zip(dist.state_order, dist.mass)}
-
-
-def transform_map_to_json_dict(tm: TransformMap) -> dict:
-    out = {
-        "kind": tm.kind,
-        "beta": format_rational(tm.beta),
-        "s0": tm.s0,
-    }
-    if tm.kind == BETA_RECURRENT:
-        out["state_map"] = dict(tm.state_map)
-        out["action_map"] = dict(tm.action_map)
-        out["splits"] = [
+def reset_map_to_json_dict(reduction: Reduction) -> dict:
+    """The reset transform's map file.  Its ``splits`` list every source
+    transition with its first-kind and second-kind mass."""
+    beta = reduction.beta
+    return {
+        "kind": RESET_KIND,
+        "beta": format_rational(beta),
+        "s0": reduction.s0,
+        "state_map": {s: s for s in reduction.game.state_order},
+        "action_map": {a: a for a in reduction.game.actions},
+        "splits": [
             {
-                "index": sp.index,
-                "from": sp.source,
-                "action": sp.action,
-                "to": sp.target,
-                "first_mass": format_rational(sp.first_mass),
-                "second_mass": format_rational(sp.second_mass),
+                "index": index,
+                "from": t.source,
+                "action": t.action,
+                "to": t.target,
+                "first_mass": format_rational(beta * t.prob),
+                "second_mass": format_rational((1 - beta) * t.prob),
             }
-            for sp in tm.splits
-        ]
-    else:
-        out["state_map"] = {s: list(pair) for s, pair in tm.state_map.items()}
-        out["action_map"] = {a: list(pair) for a, pair in tm.action_map.items()}
-    return out
+            for index, t in enumerate(reduction.game.transitions)
+        ],
+    }
 
 
-def transform_map_from_json_dict(raw: dict) -> TransformMap:
+def mirror_map_to_json_dict(reduction: Reduction) -> dict:
+    """The mirror's map file, for inspection: state and action ids of the
+    two copies.  No command reads it back."""
+    return {
+        "kind": MIRROR_KIND,
+        "beta": format_rational(reduction.beta),
+        "s0": reduction.s0,
+        "state_map": {s: list(ids) for s, ids in reduction.state_map.items()},
+        "action_map": {a: list(ids) for a, ids in reduction.action_map.items()},
+    }
+
+
+_JSON_TYPES = {str: "a string", int: "an integer", dict: "an object", list: "an array"}
+
+
+def _field(raw: dict, key: str, kind: type, where: str):
+    value = raw.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f'{where} "{key}" must be {_JSON_TYPES[kind]}', field=key)
+    return value
+
+
+def reduction_from_json_dict(raw, reset_game: Game) -> Reduction:
+    """Read a reset map and check it against the reset game it belongs to.
+
+    The source game is rebuilt from the splits with p = first + second, and
+    every split must carry exactly beta * p and (1 - beta) * p.  A mirror
+    map, a start state outside the game, splits that do not assemble into
+    a game and masses off that ratio raise MissingKindAnnotation; any
+    malformed shape raises ParseError.  Whether the reduction reproduces
+    ``reset_game`` is left to ``mirror``.
+    """
+    if not isinstance(raw, dict):
+        raise ParseError("transform map must be a JSON object")
+    kind = _field(raw, "kind", str, "transform map")
+    if kind == MIRROR_KIND:
+        raise MissingKindAnnotation(
+            "mirror needs the split record of a reset transform", kind=kind)
+    if kind != RESET_KIND:
+        raise ParseError(f"unknown transform kind {kind!r}", kind=kind)
+    beta = parse_rational(raw.get("beta"))
+    s0 = _field(raw, "s0", str, "transform map")
+    for key in ("state_map", "action_map"):
+        ids = _field(raw, key, dict, "transform map")
+        if not all(isinstance(v, str) for v in ids.values()):
+            raise ParseError(f'transform map "{key}" must map ids to ids', field=key)
+    splits = []
+    for split in _field(raw, "splits", list, "transform map"):
+        if not isinstance(split, dict):
+            raise ParseError("each split must be an object")
+        _field(split, "index", int, "split")
+        ends = tuple(_field(split, key, str, "split") for key in ("from", "action", "to"))
+        splits.append((ends, parse_rational(split.get("first_mass")),
+                       parse_rational(split.get("second_mass"))))
+
+    if s0 not in reset_game.state_index:
+        raise MissingKindAnnotation(f"reset state {s0!r} missing from the game", s0=s0)
     try:
-        kind = raw["kind"]
-        beta = parse_rational(raw["beta"])
-        s0 = str(raw["s0"])
-        if kind == BETA_RECURRENT:
-            splits = tuple(
-                TransitionSplit(
-                    index=int(sp["index"]),
-                    source=str(sp["from"]),
-                    action=str(sp["action"]),
-                    target=str(sp["to"]),
-                    first_mass=parse_rational(sp["first_mass"]),
-                    second_mass=parse_rational(sp["second_mass"]),
-                )
-                for sp in raw["splits"]
-            )
-            return TransformMap(
-                kind=kind,
-                state_map={str(k): str(v) for k, v in raw["state_map"].items()},
-                action_map={str(k): str(v) for k, v in raw["action_map"].items()},
-                beta=beta, s0=s0, splits=splits)
-        if kind == MIRROR:
-            return TransformMap(
-                kind=kind,
-                state_map={str(k): (str(v[0]), str(v[1])) for k, v in raw["state_map"].items()},
-                action_map={str(k): (str(v[0]), str(v[1])) for k, v in raw["action_map"].items()},
-                beta=beta, s0=s0)
-        raise ParseError(f"unknown transform kind {kind!r}", kind=str(kind))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"malformed transform map: {exc!r}") from exc
+        source = build_game(reset_game.states, reset_game.actions,
+                            [(*ends, first + second) for ends, first, second in splits])
+    except GameError as exc:
+        raise MissingKindAnnotation(
+            f"split record does not assemble into a game: {exc}") from exc
+    reduction = Reduction(source, beta, s0)
+    if any(first != reduction.beta * (first + second) for _, first, second in splits):
+        raise MissingKindAnnotation("split record does not describe this game")
+    return reduction
 
 
 def report_to_json_dict(report: VerificationReport) -> dict:

@@ -41,7 +41,7 @@ from .game import (
     induced_chain,
     strategy_count,
 )
-from .transforms import TransformMap, beta_recurrent, decompose_mirror_strategies, mirror
+from .transforms import Reduction, beta_recurrent, decompose_mirror_strategies, mirror
 
 MEAN = "mean"
 DISCOUNTED = "discounted"
@@ -122,14 +122,24 @@ def _strategy_lists(game: Game, cap: int):
             list(enumerate_strategies(game, MIN, cap)))
 
 
+def _pair_table(game: Game, cap: int, entry: Callable[[StrategyPair], object]):
+    """entry(pair) for every positional strategy pair of the game: one row
+    per maximizer strategy, one column per minimizer strategy."""
+    max_strats, min_strats = _strategy_lists(game, cap)
+    table = [[entry(StrategyPair(sigma, tau)) for tau in min_strats] for sigma in max_strats]
+    return max_strats, min_strats, table
+
+
+def _max_min_report(table, violations) -> VerificationReport:
+    """A verification report whose value is the max-min of ``table``."""
+    value = max(min(row) for row in table)
+    return VerificationReport(sum(len(row) for row in table), tuple(violations), value)
+
+
 def _value_tables(game: Game, criterion: str, beta, cap: int):
     """Value matrix over all strategy pairs plus row-min and col-max tables."""
-    max_strats, min_strats = _strategy_lists(game, cap)
-    matrix = [
-        [evaluate_pair(game, StrategyPair(sigma, tau), criterion, beta).values
-         for tau in min_strats]
-        for sigma in max_strats
-    ]
+    max_strats, min_strats, matrix = _pair_table(
+        game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta).values)
     n = len(game.states)
     row_min = [tuple(min(row[j][s] for j in range(len(min_strats))) for s in range(n))
                for row in matrix]
@@ -313,22 +323,22 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     exactly with the brute-force mean-payoff solution.
 
     ``on_stage``, if given, is called once per start state with
-    (state, reset_game, reset_map, doubled, mirror_map, witness, value);
-    the pipeline subcommand uses it to write per-stage artifacts.
+    (state, reduction, witness, value); the pipeline subcommand uses it to
+    write per-stage artifacts.
     """
     beta = check_beta(beta)
     assembled = []
     for s in game.state_order:
-        reset_game, reset_map = beta_recurrent(game, beta, s)
-        doubled, mirror_map = mirror(reset_game, reset_map)
+        reduction = Reduction(game, beta, s)
+        doubled = reduction.doubled
         zero = ValueVector(doubled.state_order,
                            tuple(Fraction(0) for _ in doubled.state_order))
         witness = oracle(doubled, zero)
-        pair_one, _pair_two = decompose_mirror_strategies(witness, mirror_map)
-        value_at_s = mean_values(induced_chain(reset_game, pair_one)).at(s)
+        pair_one, _pair_two = decompose_mirror_strategies(witness, reduction)
+        value_at_s = mean_values(induced_chain(reduction.reset_game, pair_one)).at(s)
         assembled.append(value_at_s)
         if on_stage is not None:
-            on_stage(s, reset_game, reset_map, doubled, mirror_map, witness, value_at_s)
+            on_stage(s, reduction, witness, value_at_s)
 
     discounted_vector = ValueVector(game.state_order, tuple(assembled))
     pair = greedy_recovery_discounted(game, beta, discounted_vector)
@@ -344,34 +354,27 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     The reported value is the exact optimal discounted value at s0,
     computed as max-min over the enumerated pairs.
     """
-    beta = check_beta(beta)
-    if s0 not in game.state_index:
-        raise UnknownState(f"no state {s0!r} in game", state=s0)
-    reset_game, _ = beta_recurrent(game, beta, s0)
-    max_strats, min_strats = _strategy_lists(game, cap)
+    reset_game, reduction = beta_recurrent(game, beta, s0)
     violations = []
-    discounted_at_start = []
-    for sigma in max_strats:
-        row = []
-        for tau in min_strats:
-            pair = StrategyPair(sigma, tau)
-            mean_side = mean_values(induced_chain(reset_game, pair)).at(s0)
-            disc_side = discounted_values(induced_chain(game, pair), beta).at(s0)
-            if mean_side != disc_side:
-                violations.append({
-                    "kind": "reset-identity",
-                    "max": dict(sigma.choices),
-                    "min": dict(tau.choices),
-                    "mean_at_start": str(mean_side),
-                    "discounted_at_start": str(disc_side),
-                })
-            row.append(disc_side)
-        discounted_at_start.append(row)
-    value = max(min(row) for row in discounted_at_start)
-    return VerificationReport(len(max_strats) * len(min_strats), tuple(violations), value)
+
+    def entry(pair: StrategyPair) -> Fraction:
+        mean_side = mean_values(induced_chain(reset_game, pair)).at(s0)
+        disc_side = discounted_values(induced_chain(game, pair), reduction.beta).at(s0)
+        if mean_side != disc_side:
+            violations.append({
+                "kind": "reset-identity",
+                "max": dict(pair.max_strategy.choices),
+                "min": dict(pair.min_strategy.choices),
+                "mean_at_start": str(mean_side),
+                "discounted_at_start": str(disc_side),
+            })
+        return disc_side
+
+    _, _, table = _pair_table(game, cap, entry)
+    return _max_min_report(table, violations)
 
 
-def verify_star2(gb: Game, tm: TransformMap,
+def verify_star2(gb: Game, reduction: Reduction,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """Check the mirrored double game against its reset transform.
 
@@ -380,54 +383,53 @@ def verify_star2(gb: Game, tm: TransformMap,
     restriction's value; the stationary distribution weighs each copy
     exactly one half; and scaling a copy's stationary mass by two
     reproduces the stationary distribution its restricted pair induces on
-    the reset-transformed game.
+    the reset-transformed game.  The reported value is the max-min of the
+    double game's value at its first state.
     """
-    doubled, mirror_map = mirror(gb, tm)
-    max_strats, min_strats = _strategy_lists(doubled, cap)
+    doubled, reduction = mirror(gb, reduction)
+    copy_ids = {copy: [reduction.state_map[s][copy - 1] for s in gb.state_order]
+                for copy in (1, 2)}
     violations = []
-    value_at_first = []
-    for sigma in max_strats:
-        row = []
-        for tau in min_strats:
-            pair = StrategyPair(sigma, tau)
-            described = {"max": dict(sigma.choices), "min": dict(tau.choices)}
-            chain = induced_chain(doubled, pair)
-            doubled_values = mean_values(chain)
-            row.append(doubled_values.values[0])
-            pair_one, pair_two = decompose_mirror_strategies(pair, mirror_map)
-            copy_values = []
-            for copy, source_pair in ((1, pair_one), (2, pair_two)):
-                vector = mean_values(induced_chain(gb, source_pair))
-                if any(v != vector.values[0] for v in vector.values):
-                    violations.append({
-                        "kind": "nonconstant-copy-value", "copy": copy, **described})
-                copy_values.append(vector.values[0])
-            expected = Fraction(1, 2) * copy_values[0] - Fraction(1, 2) * copy_values[1]
-            for state in doubled.state_order:
-                if doubled_values.at(state) != expected:
-                    violations.append({
-                        "kind": "mirror-identity", "state": state,
-                        "lhs": str(doubled_values.at(state)), "rhs": str(expected),
-                        **described})
 
-            occupation = unichain_stationary(chain)
-            for copy in (1, 2):
-                copy_mass = sum(
-                    (occupation.at(mirror_map.state_map[s][copy - 1])
-                     for s in gb.state_order), Fraction(0))
-                if copy_mass != Fraction(1, 2):
+    def entry(pair: StrategyPair) -> Fraction:
+        described = {"max": dict(pair.max_strategy.choices),
+                     "min": dict(pair.min_strategy.choices)}
+        chain = induced_chain(doubled, pair)
+        doubled_values = mean_values(chain)
+        pair_one, pair_two = decompose_mirror_strategies(pair, reduction)
+        source_pairs = {1: pair_one, 2: pair_two}
+        copy_values = []
+        for copy, source_pair in source_pairs.items():
+            vector = mean_values(induced_chain(gb, source_pair))
+            if any(v != vector.values[0] for v in vector.values):
+                violations.append({
+                    "kind": "nonconstant-copy-value", "copy": copy, **described})
+            copy_values.append(vector.values[0])
+        expected = Fraction(1, 2) * copy_values[0] - Fraction(1, 2) * copy_values[1]
+        for state in doubled.state_order:
+            if doubled_values.at(state) != expected:
+                violations.append({
+                    "kind": "mirror-identity", "state": state,
+                    "lhs": str(doubled_values.at(state)), "rhs": str(expected),
+                    **described})
+
+        occupation = unichain_stationary(chain)
+        for copy, ids in copy_ids.items():
+            copy_mass = sum((occupation.at(i) for i in ids), Fraction(0))
+            if copy_mass != Fraction(1, 2):
+                violations.append({
+                    "kind": "component-mass", "copy": copy,
+                    "mass": str(copy_mass), **described})
+        for copy, source_pair in source_pairs.items():
+            reference = unichain_stationary(induced_chain(gb, source_pair))
+            for s, i in zip(gb.state_order, copy_ids[copy]):
+                scaled = 2 * occupation.at(i)
+                if scaled != reference.at(s):
                     violations.append({
-                        "kind": "component-mass", "copy": copy,
-                        "mass": str(copy_mass), **described})
-            for copy, source_pair in ((1, pair_one), (2, pair_two)):
-                reference = unichain_stationary(induced_chain(gb, source_pair))
-                for s in gb.state_order:
-                    scaled = 2 * occupation.at(mirror_map.state_map[s][copy - 1])
-                    if scaled != reference.at(s):
-                        violations.append({
-                            "kind": "copy-stationary", "copy": copy, "state": s,
-                            "scaled": str(scaled), "stationary": str(reference.at(s)),
-                            **described})
-        value_at_first.append(row)
-    value = max(min(row) for row in value_at_first)
-    return VerificationReport(len(max_strats) * len(min_strats), tuple(violations), value)
+                        "kind": "copy-stationary", "copy": copy, "state": s,
+                        "scaled": str(scaled), "stationary": str(reference.at(s)),
+                        **described})
+        return doubled_values.values[0]
+
+    _, _, table = _pair_table(doubled, cap, entry)
+    return _max_min_report(table, violations)

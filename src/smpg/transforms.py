@@ -1,17 +1,18 @@
 """Game transforms: the reset transform and the mirrored double game.
 
-The reset transform splits every transition of a game into a scaled copy
-(first kind, probability beta * p) and a reset edge to a chosen start state
-(second kind, probability (1 - beta) * p).  Validation merges parallel
-edges, so the transform also emits a per-transition split record; without
-it the two kinds cannot be told apart again, and the mirror construction
-below needs exactly that distinction.
+Both are functions of the same three things, a source game, a discount
+beta and a start state s0, so one ``Reduction`` object holds those and
+derives everything else.  The reset transform splits every source
+transition of probability p into a scaled copy (first kind, mass beta * p,
+same target) and a reset edge to s0 (second kind, mass (1 - beta) * p).
 
-The mirrored double game chains two copies of a reset-transformed game:
+The mirrored double game chains two copies of the reset-transformed game:
 first-kind transitions stay inside their copy, second-kind transitions are
-redirected to the other copy's start state.  The second copy swaps the two
-players' roles: state owners are switched and every action is replaced by a
-primed twin whose reward is negated.
+redirected to the other copy's start state.  The reset game merges
+parallel edges, so it alone no longer tells the two kinds apart; the
+double game is therefore built from the source transitions.  The second
+copy swaps the two players' roles: state owners are switched and every
+action is replaced by a primed twin whose reward is negated.
 """
 
 from __future__ import annotations
@@ -32,169 +33,112 @@ from .game import (
     build_game,
 )
 
-BETA_RECURRENT = "beta-recurrent"
-MIRROR = "mirror"
-
 
 @dataclass(frozen=True)
-class TransitionSplit:
-    """How one source transition (index into the source game's transition
-    tuple) splits: first_mass stays on the original target, second_mass is
-    redirected to the reset state."""
+class Reduction:
+    """The reduction of ``game`` at discount ``beta`` from start state ``s0``.
 
-    index: int
-    source: str
-    action: str
-    target: str
-    first_mass: Fraction
-    second_mass: Fraction
-
-
-@dataclass(frozen=True)
-class TransformMap:
-    """Bidirectional bookkeeping for a transform.
-
-    For the reset transform the state and action maps are identities and
-    ``splits`` records the per-transition masses.  For the mirror, states
-    map to (copy-1 id, copy-2 id) and actions to (plain id, primed id);
-    ``splits`` is absent.
+    ``state_map`` sends each source state to its (copy-1, copy-2) ids in the
+    double game, ``action_map`` each source action to its (plain, primed)
+    ids.  The reset game and the double game are built on first use.
     """
 
-    kind: str
-    state_map: dict
-    action_map: dict
+    game: Game
     beta: Fraction
     s0: str
-    splits: tuple[TransitionSplit, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "beta", check_beta(self.beta))
+        if self.s0 not in self.game.state_index:
+            raise UnknownState(f"no state {self.s0!r} in game", state=self.s0)
+
+    @cached_property
+    def reset_game(self) -> Game:
+        """Same states, owners, actions and rewards; every transition split
+        into its two kinds.  Zero-mass first-kind edges (beta = 0) are
+        dropped."""
+        raw = []
+        for t in self.game.transitions:
+            if self.beta > 0:
+                raw.append((t.source, t.action, t.target, self.beta * t.prob))
+            raw.append((t.source, t.action, self.s0, (1 - self.beta) * t.prob))
+        return build_game(self.game.states, self.game.actions, raw)
+
+    @cached_property
+    def state_map(self) -> dict[str, tuple[str, str]]:
+        return {s.id: (s.id + "1", s.id + "2") for s in self.game.states}
+
+    @cached_property
+    def action_map(self) -> dict[str, tuple[str, str]]:
+        used = set(self.game.actions)
+        out = {}
+        for a in self.game.actions:
+            primed = a + "'"
+            while primed in used:
+                primed += "'"
+            used.add(primed)
+            out[a] = (a, primed)
+        return out
 
     @cached_property
     def inverse_states(self) -> dict[str, tuple[str, int]]:
-        assert self.kind == MIRROR
-        out = {}
-        for source, (one, two) in self.state_map.items():
-            out[one] = (source, 1)
-            out[two] = (source, 2)
-        return out
+        """Double-game state id -> (source state, copy)."""
+        return {ids[copy - 1]: (source, copy)
+                for source, ids in self.state_map.items() for copy in (1, 2)}
 
     @cached_property
     def inverse_actions(self) -> dict[str, tuple[str, int]]:
-        assert self.kind == MIRROR
-        out = {}
-        for source, (plain, primed) in self.action_map.items():
-            out[plain] = (source, 1)
-            out[primed] = (source, 2)
-        return out
+        """Double-game action id -> (source action, copy)."""
+        return {ids[copy - 1]: (source, copy)
+                for source, ids in self.action_map.items() for copy in (1, 2)}
+
+    @cached_property
+    def doubled(self) -> Game:
+        """The mirrored double game of ``reset_game``."""
+        state_map, action_map = self.state_map, self.action_map
+        states = [State(state_map[s.id][0], s.owner) for s in self.game.states]
+        states += [State(state_map[s.id][1], MIN if s.owner == MAX else MAX)
+                   for s in self.game.states]
+        actions = dict(self.game.actions)
+        for a, reward in self.game.actions.items():
+            actions[action_map[a][1]] = -reward
+
+        start_one, start_two = state_map[self.s0]
+        raw = []
+        for t in self.game.transitions:
+            (one, two), (plain, primed) = state_map[t.source], action_map[t.action]
+            if self.beta > 0:
+                first = self.beta * t.prob
+                raw.append((one, plain, state_map[t.target][0], first))
+                raw.append((two, primed, state_map[t.target][1], first))
+            second = (1 - self.beta) * t.prob
+            raw.append((one, plain, start_two, second))
+            raw.append((two, primed, start_one, second))
+        return build_game(states, actions, raw)
 
 
-def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, TransformMap]:
-    """The reset transform: same states, owners, actions and rewards; every
-    transition splits into a beta-scaled copy and a reset edge to s0.
-
-    Returns the transformed game (parallel edges merged) and the map whose
-    split record preserves the pre-merge picture.  Zero-mass first-kind
-    edges (beta = 0) exist only in the record, never in the game.
-    """
-    beta = check_beta(beta)
-    if s0 not in game.state_index:
-        raise UnknownState(f"no state {s0!r} in game", state=s0)
-
-    splits = []
-    raw_transitions = []
-    for index, t in enumerate(game.transitions):
-        first = beta * t.prob
-        second = (1 - beta) * t.prob
-        splits.append(TransitionSplit(index, t.source, t.action, t.target, first, second))
-        if first > 0:
-            raw_transitions.append((t.source, t.action, t.target, first))
-        raw_transitions.append((t.source, t.action, s0, second))
-
-    transformed = build_game(game.states, game.actions, raw_transitions)
-    tm = TransformMap(
-        kind=BETA_RECURRENT,
-        state_map={s.id: s.id for s in game.states},
-        action_map={a: a for a in game.actions},
-        beta=beta,
-        s0=s0,
-        splits=tuple(splits),
-    )
-    return transformed, tm
+def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:
+    """The reset transform of ``game`` at ``beta`` from ``s0``, and the
+    reduction it belongs to."""
+    reduction = Reduction(game, beta, s0)
+    return reduction.reset_game, reduction
 
 
-def _rebuild_from_splits(states, actions, tm: TransformMap) -> Game:
-    raw = []
-    for sp in tm.splits:
-        if sp.first_mass > 0:
-            raw.append((sp.source, sp.action, sp.target, sp.first_mass))
-        raw.append((sp.source, sp.action, tm.s0, sp.second_mass))
-    return build_game(states, actions, raw)
-
-
-def _primed_names(action_ids) -> dict[str, str]:
-    used = set(action_ids)
-    out = {}
-    for a in action_ids:
-        candidate = a + "'"
-        while candidate in used:
-            candidate += "'"
-        used.add(candidate)
-        out[a] = candidate
-    return out
-
-
-def mirror(gb: Game, tm: TransformMap) -> tuple[Game, TransformMap]:
+def mirror(gb: Game, reduction: Reduction) -> tuple[Game, Reduction]:
     """Chain two copies of a reset-transformed game into one zero-sum whole.
 
     Copy 1 replays gb with first-kind transitions intact; its second-kind
     mass is redirected to the copy-2 start state.  Copy 2 does the same in
     the other direction, with state owners switched and every action
-    replaced by its primed twin carrying the negated reward.  Requires the
-    split record produced by beta_recurrent; MissingKindAnnotation
-    otherwise.
+    replaced by its primed twin carrying the negated reward.  ``gb`` must be
+    the reduction's reset game; MissingKindAnnotation otherwise.
     """
-    if tm.kind != BETA_RECURRENT or tm.splits is None:
-        raise MissingKindAnnotation(
-            "mirror needs the split record of a reset transform", kind=tm.kind)
-    if tm.s0 not in gb.state_index:
-        raise MissingKindAnnotation(
-            f"reset state {tm.s0!r} missing from the game", s0=tm.s0)
-    try:
-        rebuilt = _rebuild_from_splits(gb.states, gb.actions, tm)
-    except Exception as exc:
-        raise MissingKindAnnotation(
-            f"split record does not assemble into a game: {exc}") from exc
-    if rebuilt != gb:
+    if gb != reduction.reset_game:
         raise MissingKindAnnotation("split record does not describe this game")
-
-    state_map = {s.id: (s.id + "1", s.id + "2") for s in gb.states}
-    primed = _primed_names(list(gb.actions))
-
-    states = [State(state_map[s.id][0], s.owner) for s in gb.states]
-    states += [State(state_map[s.id][1], MIN if s.owner == MAX else MAX) for s in gb.states]
-    actions = dict(gb.actions)
-    for a, reward in gb.actions.items():
-        actions[primed[a]] = -reward
-
-    start_one, start_two = state_map[tm.s0]
-    raw = []
-    for sp in tm.splits:
-        if sp.first_mass > 0:
-            raw.append((state_map[sp.source][0], sp.action, state_map[sp.target][0], sp.first_mass))
-            raw.append((state_map[sp.source][1], primed[sp.action], state_map[sp.target][1], sp.first_mass))
-        raw.append((state_map[sp.source][0], sp.action, start_two, sp.second_mass))
-        raw.append((state_map[sp.source][1], primed[sp.action], start_one, sp.second_mass))
-
-    doubled = build_game(states, actions, raw)
-    out_map = TransformMap(
-        kind=MIRROR,
-        state_map=state_map,
-        action_map={a: (a, primed[a]) for a in gb.actions},
-        beta=tm.beta,
-        s0=tm.s0,
-    )
-    return doubled, out_map
+    return reduction.doubled, reduction
 
 
-def decompose_mirror_strategies(pair: StrategyPair, tm: TransformMap
+def decompose_mirror_strategies(pair: StrategyPair, reduction: Reduction
                                 ) -> tuple[StrategyPair, StrategyPair]:
     """Split a strategy pair of the mirrored game into two source pairs.
 
@@ -203,21 +147,18 @@ def decompose_mirror_strategies(pair: StrategyPair, tm: TransformMap
     the players' roles swapped: the mirrored game's minimizer acts as
     maximizer there, and vice versa.
     """
-    if tm.kind != MIRROR:
-        raise MissingKindAnnotation("decompose needs a mirror map", kind=tm.kind)
-
     copy1 = {MAX: {}, MIN: {}}
     copy2 = {MAX: {}, MIN: {}}
     for player, strategy in ((MAX, pair.max_strategy), (MIN, pair.min_strategy)):
         for state, action in strategy.choices.items():
-            if state not in tm.inverse_states:
+            if state not in reduction.inverse_states:
                 raise StrategyDomainMismatch(
                     f"state {state!r} is not a mirror state", state=state)
-            source_state, copy = tm.inverse_states[state]
-            if action not in tm.inverse_actions:
+            source_state, copy = reduction.inverse_states[state]
+            if action not in reduction.inverse_actions:
                 raise StrategyDomainMismatch(
                     f"action {action!r} is not a mirror action", action=action)
-            source_action, action_copy = tm.inverse_actions[action]
+            source_action, action_copy = reduction.inverse_actions[action]
             if action_copy != copy:
                 raise StrategyDomainMismatch(
                     f"copy-{copy} state {state!r} plays copy-{action_copy} action {action!r}",
@@ -233,19 +174,18 @@ def decompose_mirror_strategies(pair: StrategyPair, tm: TransformMap
 
 
 def compose_mirror_strategies(pair_one: StrategyPair, pair_two: StrategyPair,
-                              tm: TransformMap) -> StrategyPair:
+                              reduction: Reduction) -> StrategyPair:
     """Inverse of decompose_mirror_strategies."""
-    if tm.kind != MIRROR:
-        raise MissingKindAnnotation("compose needs a mirror map", kind=tm.kind)
+    state_map, action_map = reduction.state_map, reduction.action_map
     max_choices = {}
     min_choices = {}
     for state, action in pair_one.max_strategy.choices.items():
-        max_choices[tm.state_map[state][0]] = action
+        max_choices[state_map[state][0]] = action
     for state, action in pair_one.min_strategy.choices.items():
-        min_choices[tm.state_map[state][0]] = action
+        min_choices[state_map[state][0]] = action
     for state, action in pair_two.min_strategy.choices.items():
-        max_choices[tm.state_map[state][1]] = tm.action_map[action][1]
+        max_choices[state_map[state][1]] = action_map[action][1]
     for state, action in pair_two.max_strategy.choices.items():
-        min_choices[tm.state_map[state][1]] = tm.action_map[action][1]
+        min_choices[state_map[state][1]] = action_map[action][1]
     return StrategyPair(PositionalStrategy(MAX, max_choices),
                         PositionalStrategy(MIN, min_choices))

@@ -54,6 +54,28 @@ def test_validate_rejects_sink_with_json_error(capsys, tmp_path):
     assert payload["state"] == "b"
 
 
+def test_validate_rejects_boolean_rationals(capsys, tmp_path):
+    raw = raw_g2()
+    raw["actions"][0]["reward"] = True
+    raw["transitions"][0]["prob"] = True
+    code, out, err = run(capsys, "validate", write(tmp_path / "bool.json", raw))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["value"] == "True"
+
+
+def test_unreadable_input_ends_in_json_error(capsys, tmp_path):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"states": "\xe9"}')
+    for path in (tmp_path / "missing.json", tmp_path, undecodable):
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["path"] == str(path)
+
+
 def test_eval_discounted_golden_bytes(capsys, g2_file, g2_pair_file):
     code, out, _ = run(capsys, "eval", g2_file, "--strategy", g2_pair_file,
                        "--criterion", "discounted", "--beta", "1/2")

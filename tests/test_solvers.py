@@ -203,8 +203,8 @@ def test_strategic_via_recovery_on_fixtures(g1b, g2):
 def test_strategic_via_recovery_reports_each_stage(g2):
     seen = []
 
-    def spy(state, reset_game, reset_map, doubled, mirror_map, witness, value):
-        seen.append((state, len(doubled.state_order), value))
+    def spy(state, reduction, witness, value):
+        seen.append((state, len(reduction.doubled.state_order), value))
 
     strategic_via_recovery(g2, F(1, 2), reference_recovery_oracle,
                            on_stage=spy)

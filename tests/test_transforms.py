@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from smpg.errors import (
     InvalidBeta,
     MissingKindAnnotation,
+    ParseError,
     StrategyDomainMismatch,
     UnknownState,
 )
@@ -21,9 +22,9 @@ from smpg.game import (
     validate_game,
 )
 from smpg.generate import GeneratorConfig, generate_game
+from smpg.serialize import reduction_from_json_dict, reset_map_to_json_dict
 from smpg.transforms import (
-    BETA_RECURRENT,
-    TransformMap,
+    Reduction,
     beta_recurrent,
     compose_mirror_strategies,
     decompose_mirror_strategies,
@@ -62,15 +63,15 @@ def test_restart_two_cycle_frozen(g2):
         ("a", "X", "b"): F(1, 2),
         ("b", "Y", "a"): F(1),
     }
-    assert tm.kind == BETA_RECURRENT
+    assert tm == Reduction(g2, F(1, 2), "a")
     assert tm.beta == F(1, 2) and tm.s0 == "a"
     got = [
-        (s.source, s.action, s.target, s.first_mass, s.second_mass)
-        for s in tm.splits
+        (s["from"], s["action"], s["to"], s["first_mass"], s["second_mass"])
+        for s in reset_map_to_json_dict(tm)["splits"]
     ]
     assert got == [
-        ("a", "X", "b", F(1, 2), F(1, 2)),
-        ("b", "Y", "a", F(1, 2), F(1, 2)),
+        ("a", "X", "b", "1/2", "1/2"),
+        ("b", "Y", "a", "1/2", "1/2"),
     ]
 
 
@@ -85,8 +86,8 @@ def test_restart_beta_zero_sends_everything_home(g2):
         ("a", "X", "a"): F(1),
         ("b", "Y", "a"): F(1),
     }
-    # zero-mass first parts are dropped from the game but kept in the record
-    assert all(s.first_mass == 0 for s in tm.splits)
+    # zero-mass first parts are dropped from the game but kept in the map file
+    assert all(s["first_mass"] == "0" for s in reset_map_to_json_dict(tm)["splits"])
 
 
 def test_restart_rejects_bad_inputs(g2):
@@ -144,7 +145,7 @@ def test_mirror_two_cycle_frozen(g2):
         ("b2", "Y'", "a2"): F(1, 2),
         ("b2", "Y'", "a1"): F(1, 2),
     }
-    assert mm.kind == "mirror"
+    assert mm is tm
     assert mm.state_map == {"a": ("a1", "a2"), "b": ("b1", "b2")}
     assert mm.action_map == {"X": ("X", "X'"), "Y": ("Y", "Y'")}
 
@@ -187,23 +188,25 @@ def test_mirror_cross_copy_mass_is_restart_mass(seed, beta):
 
 def test_mirror_requires_restart_annotations(g2):
     gb, tm = beta_recurrent(g2, F(1, 2), "a")
+    raw = reset_map_to_json_dict(tm)
     with pytest.raises(MissingKindAnnotation):
-        mirror(gb, TransformMap("mirror", tm.state_map, tm.action_map,
-                                tm.beta, tm.s0, tm.splits))
+        mirror(gb, reduction_from_json_dict(dict(raw, kind="mirror"), gb))
+    # an empty split record does not assemble; a missing one does not parse
     with pytest.raises(MissingKindAnnotation):
-        mirror(gb, TransformMap(BETA_RECURRENT, tm.state_map, tm.action_map,
-                                tm.beta, tm.s0, None))
+        mirror(gb, reduction_from_json_dict(dict(raw, splits=[]), gb))
+    with pytest.raises(ParseError):
+        reduction_from_json_dict({k: v for k, v in raw.items() if k != "splits"}, gb)
     # tampered masses no longer rebuild the given game; beta 1/3 keeps the
     # two halves unequal so the swap actually changes them
     gb3, tm3 = beta_recurrent(g2, F(1, 3), "a")
-    bad = tuple(
-        s.__class__(s.index, s.source, s.action, s.target,
-                    s.second_mass, s.first_mass)
-        for s in tm3.splits
-    )
+    raw3 = reset_map_to_json_dict(tm3)
+    for split in raw3["splits"]:
+        split["first_mass"], split["second_mass"] = split["second_mass"], split["first_mass"]
     with pytest.raises(MissingKindAnnotation):
-        mirror(gb3, TransformMap(BETA_RECURRENT, tm3.state_map, tm3.action_map,
-                                 tm3.beta, tm3.s0, bad))
+        mirror(gb3, reduction_from_json_dict(raw3, gb3))
+    # a reduction of another reset game does not describe this one
+    with pytest.raises(MissingKindAnnotation):
+        mirror(gb3, tm)
 
 
 # ------------------------------------------------- strategy correspondence
