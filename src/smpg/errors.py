@@ -81,6 +81,12 @@ class SingularSystem(GameError):
     """An exact linear solve hit a singular matrix."""
 
 
+class InexactDivision(GameError):
+    """An integer division that exact elimination guarantees to be exact
+    left a remainder.  A broken solver invariant, never a property of the
+    input; raised instead of asserted so that it also holds under -O."""
+
+
 class DeterminacyViolation(GameError):
     """Lower and upper values disagree somewhere, or an optimality
     certificate failed.  Always a hard error: it falsifies positional

@@ -194,9 +194,18 @@ def recurrent_stationary(chain: InducedChain) -> RecurrentDecomposition:
         tuple(sorted(transient)), tuple(stationary))
 
 
+def _decomposition(chain: InducedChain) -> RecurrentDecomposition:
+    """recurrent_stationary(chain), computed once per chain object and kept
+    on the chain, the way Game keeps its derived properties."""
+    cached = chain.__dict__.get("_decomposition")
+    if cached is None:
+        cached = chain.__dict__["_decomposition"] = recurrent_stationary(chain)
+    return cached
+
+
 def mean_values(chain: InducedChain) -> ValueVector:
     """Exact long-run average reward from every start state."""
-    decomposition = recurrent_stationary(chain)
+    decomposition = _decomposition(chain)
     n = len(chain.state_order)
     gains: list[Fraction | None] = [None] * n
     for members, dist in zip(decomposition.classes, decomposition.stationary):
@@ -236,7 +245,7 @@ def mean_values(chain: InducedChain) -> ValueVector:
 def unichain_stationary(chain: InducedChain) -> Distribution:
     """Stationary distribution over the full state order of a unichain,
     zero on transient states.  Raises NotUnichain otherwise."""
-    decomposition = recurrent_stationary(chain)
+    decomposition = _decomposition(chain)
     if len(decomposition.classes) != 1:
         raise NotUnichain(
             f"chain has {len(decomposition.classes)} recurrent classes",

@@ -1,9 +1,12 @@
 """Exact linear solves over the rationals.
 
 Rows are scaled to integers, eliminated with Bareiss one-step fraction-free
-pivoting, then back-substituted with exact rational division.  Intermediate
-entries stay integers (they are minors of the scaled matrix), so the only
-divisions are the provably exact Bareiss ones plus the final substitution.
+pivoting, then back-substituted in integers.  Intermediate entries stay
+integers (they are minors of the scaled matrix), and so does y = det * x,
+by Cramer's rule, where det is the last Bareiss pivot.  Every division is
+therefore an exact integer division, checked as such; Fractions appear only
+at the edges: entries are read as numerator/denominator pairs, and each
+output entry is built once as y / det.
 """
 
 from __future__ import annotations
@@ -11,25 +14,39 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import SingularSystem
+from .errors import InexactDivision, SingularSystem
+
+
+def _scaled_row(entries) -> list[int]:
+    """The row times the lcm of its denominators, as integers."""
+    nums = []
+    dens = []
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        nums.append(x.numerator)
+        dens.append(x.denominator)
+    scale = lcm(*dens)
+    return [num * (scale // den) for num, den in zip(nums, dens)]
+
+
+def _inexact(where: str) -> InexactDivision:
+    return InexactDivision(f"{where} division left a remainder", where=where)
 
 
 def solve_columns(matrix, rhs_rows):
     """Solve A x = b for every right-hand-side column at once.
 
-    ``matrix`` is an n x n sequence of Fraction rows, ``rhs_rows`` an n x m
-    sequence whose row i holds the i-th entry of each of the m right-hand
-    sides.  Returns an n x m list of Fractions.  Raises SingularSystem.
+    ``matrix`` is an n x n sequence of rational rows (ints, Fractions, or
+    anything ``Fraction`` accepts), ``rhs_rows`` an n x m sequence whose row
+    i holds the i-th entry of each of the m right-hand sides.  Returns an
+    n x m list of Fractions.  Raises SingularSystem.
     """
     n = len(matrix)
     if n == 0:
         return []
     m = len(rhs_rows[0])
-    aug = []
-    for i in range(n):
-        row = [Fraction(x) for x in matrix[i]] + [Fraction(x) for x in rhs_rows[i]]
-        scale = lcm(*(f.denominator for f in row))
-        aug.append([int(f * scale) for f in row])
+    aug = [_scaled_row([*matrix[i], *rhs_rows[i]]) for i in range(n)]
 
     prev = 1
     for col in range(n):
@@ -44,22 +61,28 @@ def solve_columns(matrix, rhs_rows):
             row = aug[r]
             top = aug[col]
             for c in range(col + 1, n + m):
-                num = pivot * row[c] - factor * top[c]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact-division invariant broken"
+                q, rem = divmod(pivot * row[c] - factor * top[c], prev)
+                if rem:
+                    raise _inexact("Bareiss")
                 row[c] = q
             row[col] = 0
         prev = pivot
 
-    solution = [[Fraction(0)] * m for _ in range(n)]
+    # back-substitute y = det * x, which is integral
+    det = prev
+    y = [[0] * m for _ in range(n)]
     for i in range(n - 1, -1, -1):
+        row = aug[i]
         for k in range(m):
-            acc = Fraction(aug[i][n + k])
+            acc = det * row[n + k]
             for j in range(i + 1, n):
-                if aug[i][j]:
-                    acc -= aug[i][j] * solution[j][k]
-            solution[i][k] = acc / aug[i][i]
-    return solution
+                if row[j]:
+                    acc -= row[j] * y[j][k]
+            q, rem = divmod(acc, row[i])
+            if rem:
+                raise _inexact("back-substitution")
+            y[i][k] = q
+    return [[Fraction(entry, det) for entry in y_row] for y_row in y]
 
 
 def solve(matrix, rhs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
     UnknownState,
 )
 from .evaluate import (
+    Distribution,
     ValueVector,
     check_beta,
     discounted_values,
@@ -35,6 +37,7 @@ from .game import (
     MAX,
     MIN,
     Game,
+    InducedChain,
     PositionalStrategy,
     StrategyPair,
     enumerate_strategies,
@@ -157,7 +160,9 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
     state.  DeterminacyViolation is a hard error.
     """
     if criterion == DISCOUNTED:
-        beta = check_beta(beta if beta is not None else -1)
+        if beta is None:
+            raise InvalidBeta("discounted criterion needs a beta", beta=None)
+        beta = check_beta(beta)
     max_strats, min_strats, matrix, row_min, col_max = _value_tables(game, criterion, beta, cap)
     n = len(game.states)
     lower = tuple(max(row_min[i][s] for i in range(len(max_strats))) for s in range(n))
@@ -374,6 +379,22 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _max_min_report(table, violations)
 
 
+class _SourceChain:
+    """The chain a source pair induces on the reset game, with its mean
+    values and stationary distribution computed on first use."""
+
+    def __init__(self, chain: InducedChain):
+        self.chain = chain
+
+    @cached_property
+    def values(self) -> ValueVector:
+        return mean_values(self.chain)
+
+    @cached_property
+    def stationary(self) -> Distribution:
+        return unichain_stationary(self.chain)
+
+
 def verify_star2(gb: Game, reduction: Reduction,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """Check the mirrored double game against its reset transform.
@@ -390,6 +411,16 @@ def verify_star2(gb: Game, reduction: Reduction,
     copy_ids = {copy: [reduction.state_map[s][copy - 1] for s in gb.state_order]
                 for copy in (1, 2)}
     violations = []
+    # one _SourceChain per source pair: each of the N source pairs recurs in
+    # about N of the N^2 doubled pairs
+    sources: dict[tuple, _SourceChain] = {}
+
+    def source(pair: StrategyPair) -> _SourceChain:
+        key = (tuple(sorted(pair.max_strategy.choices.items())),
+               tuple(sorted(pair.min_strategy.choices.items())))
+        if key not in sources:
+            sources[key] = _SourceChain(induced_chain(gb, pair))
+        return sources[key]
 
     def entry(pair: StrategyPair) -> Fraction:
         described = {"max": dict(pair.max_strategy.choices),
@@ -397,10 +428,10 @@ def verify_star2(gb: Game, reduction: Reduction,
         chain = induced_chain(doubled, pair)
         doubled_values = mean_values(chain)
         pair_one, pair_two = decompose_mirror_strategies(pair, reduction)
-        source_pairs = {1: pair_one, 2: pair_two}
+        source_pairs = {1: source(pair_one), 2: source(pair_two)}
         copy_values = []
-        for copy, source_pair in source_pairs.items():
-            vector = mean_values(induced_chain(gb, source_pair))
+        for copy, source_chain in source_pairs.items():
+            vector = source_chain.values
             if any(v != vector.values[0] for v in vector.values):
                 violations.append({
                     "kind": "nonconstant-copy-value", "copy": copy, **described})
@@ -420,8 +451,8 @@ def verify_star2(gb: Game, reduction: Reduction,
                 violations.append({
                     "kind": "component-mass", "copy": copy,
                     "mass": str(copy_mass), **described})
-        for copy, source_pair in source_pairs.items():
-            reference = unichain_stationary(induced_chain(gb, source_pair))
+        for copy, source_chain in source_pairs.items():
+            reference = source_chain.stationary
             for s, i in zip(gb.state_order, copy_ids[copy]):
                 scaled = 2 * occupation.at(i)
                 if scaled != reference.at(s):

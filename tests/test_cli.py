@@ -346,3 +346,15 @@ def test_installed_smpg_script_matches_module():
     module = run_module("validate", g2)
     assert script.returncode == module.returncode == 0
     assert script.stdout == module.stdout
+
+
+def test_solve_bytes_survive_optimize_flag():
+    """Exactness checks raise rather than assert, so -O changes no byte."""
+    argv = ["-m", "smpg.cli", "solve", str(REPO / "games" / "g2.json"),
+            "--method", "si", "--criterion", "discounted", "--beta", "1/2"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv],
+                                       capture_output=True, text=True, env=checkout_env())
+                        for flags in ((), ("-O",)))
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["values"] == {"a": "1/3", "b": "-1/3"}

@@ -2,7 +2,9 @@
 
 The golden files under ``golden/g2_beta_1_3`` are the restart transform of
 ``games/g2.json`` at beta 1/3 from state ``a`` and its mirrored double game,
-each with the map file written beside it.
+each with the map file written beside it, plus the stdout of ``verify star``
+from each state, of ``verify star2`` and of ``pipeline`` on the same game and
+beta (``*.out``), and the ``discounted_values.json`` the pipeline writes.
 """
 
 import json
@@ -156,3 +158,33 @@ def test_malformed_map_ends_in_parse_error(capsys, tmp_path, case):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "ParseError"
+
+
+# (golden file, argv) of report commands on g2 at beta 1/3; both verify star2
+# routes print the same report
+REPORTS = {
+    "star-a": ("verify_star_a.out",
+               ("verify", "star", G2, "--beta", "1/3", "--start", "a")),
+    "star-b": ("verify_star_b.out",
+               ("verify", "star", G2, "--beta", "1/3", "--start", "b")),
+    "star2-beta": ("verify_star2.out",
+                   ("verify", "star2", G2, "--beta", "1/3", "--start", "a")),
+    "star2-map": ("verify_star2.out",
+                  ("verify", "star2", str(GOLDEN / "reset.json"),
+                   "--map", str(GOLDEN / "reset.map.json"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_report_golden_bytes_g2_beta_1_3(capsys, case):
+    golden, argv = REPORTS[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, (GOLDEN / golden).read_text(), "")
+
+
+def test_pipeline_golden_bytes_g2_beta_1_3(capsys, tmp_path):
+    code, out, err = run(capsys, "pipeline", G2, "--beta", "1/3",
+                         "--out-dir", str(tmp_path))
+    assert (code, out, err) == (0, (GOLDEN / "pipeline.out").read_text(), "")
+    assert ((tmp_path / "discounted_values.json").read_bytes()
+            == (GOLDEN / "pipeline_discounted_values.json").read_bytes())

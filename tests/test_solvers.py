@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import smpg.evaluate
+import smpg.solvers
 from smpg.errors import (
     CombinatorialLimitExceeded,
     DeterminacyViolation,
@@ -29,7 +31,7 @@ from smpg.solvers import (
     verify_star,
     verify_star2,
 )
-from smpg.transforms import beta_recurrent, mirror
+from smpg.transforms import beta_recurrent, decompose_mirror_strategies, mirror
 
 from .conftest import pair_of
 
@@ -210,3 +212,61 @@ def test_strategic_via_recovery_reports_each_stage(g2):
                            on_stage=spy)
     assert [(s, n) for s, n, _ in seen] == [("a", 4), ("b", 4)]
     assert [v for _, _, v in seen] == [F(1, 3), F(-1, 3)]
+
+
+def test_brute_force_missing_beta_says_so(g2):
+    with pytest.raises(InvalidBeta) as info:
+        brute_force_solve(g2, DISCOUNTED)
+    assert str(info.value) == "discounted criterion needs a beta"
+    assert info.value.payload == {"beta": None}
+
+
+def _choices_key(pair):
+    return (tuple(sorted(pair.max_strategy.choices.items())),
+            tuple(sorted(pair.min_strategy.choices.items())))
+
+
+def _three_state_game():
+    return generate_game(GeneratorConfig(
+        states=3, actions_per_state=(2, 2), transitions_per_action=(1, 3),
+        reward_bound=5, denominator_bound=6, max_states_fraction=F(1, 2), seed=7))
+
+
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda g2: g2, id="g2"),
+    pytest.param(lambda g2: _three_state_game(), id="three-states"),
+])
+def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, make_game):
+    game = make_game(g2)
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    expected = verify_star2(gb, reduction)
+
+    built = []  # (game, pair, chain); holding the chains keeps their ids unique
+    decomposed = []
+    real_chain = smpg.solvers.induced_chain
+    real_decompose = smpg.evaluate.recurrent_stationary
+
+    def spy_chain(on, pair):
+        chain = real_chain(on, pair)
+        built.append((on, pair, chain))
+        return chain
+
+    def spy_decompose(chain):
+        decomposed.append(chain)
+        return real_decompose(chain)
+
+    monkeypatch.setattr(smpg.solvers, "induced_chain", spy_chain)
+    monkeypatch.setattr(smpg.evaluate, "recurrent_stationary", spy_decompose)
+    report = verify_star2(gb, reduction)
+    assert report == expected
+
+    doubled_pairs = [pair for on, pair, _ in built if on is reduction.doubled]
+    source_pairs = [pair for on, pair, _ in built if on is gb]
+    assert len(doubled_pairs) + len(source_pairs) == len(built)
+    assert len(doubled_pairs) == report.pairs_checked
+    # one gb chain per distinct source pair the doubled pairs restrict to
+    restricted = {_choices_key(half) for pair in doubled_pairs
+                  for half in decompose_mirror_strategies(pair, reduction)}
+    assert sorted(_choices_key(p) for p in source_pairs) == sorted(restricted)
+    # every chain built is decomposed, and exactly once
+    assert sorted(map(id, decomposed)) == sorted(id(chain) for _, _, chain in built)
