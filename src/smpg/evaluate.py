@@ -20,7 +20,14 @@ from functools import cached_property
 from math import sqrt
 
 from . import linalg
-from .errors import InvalidBeta, NotUnichain, UnknownState
+from .errors import (
+    InvalidBeta,
+    NotUnichain,
+    ParseError,
+    ProbabilityOutOfRange,
+    ProbabilitySumMismatch,
+    UnknownState,
+)
 from .game import Game, InducedChain, StrategyPair, check_pair
 
 
@@ -56,8 +63,13 @@ class Distribution:
 
     def __post_init__(self):
         assert len(self.state_order) == len(self.mass)
-        assert all(0 <= p <= 1 for p in self.mass), "mass outside [0, 1]"
-        assert sum(self.mass) == 1, "mass does not sum to 1"
+        for state, p in zip(self.state_order, self.mass):
+            if not 0 <= p <= 1:
+                raise ProbabilityOutOfRange(f"mass {p} at {state!r} outside [0, 1]",
+                                            state=state, prob=p)
+        total = sum(self.mass)
+        if total != 1:
+            raise ProbabilitySumMismatch(f"mass sums to {total}, not 1", total=total)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -207,9 +219,12 @@ def mean_values(chain: InducedChain) -> ValueVector:
     """Exact long-run average reward from every start state."""
     decomposition = _decomposition(chain)
     n = len(chain.state_order)
+    class_gains = [
+        sum((p * chain.rewards[i] for i, p in zip(members, dist.mass)), Fraction(0))
+        for members, dist in zip(decomposition.classes, decomposition.stationary)
+    ]
     gains: list[Fraction | None] = [None] * n
-    for members, dist in zip(decomposition.classes, decomposition.stationary):
-        gain = sum((p * chain.rewards[i] for i, p in zip(members, dist.mass)), Fraction(0))
+    for members, gain in zip(decomposition.classes, class_gains):
         for i in members:
             gains[i] = gain
 
@@ -229,10 +244,6 @@ def mean_values(chain: InducedChain) -> ValueVector:
                 row.append(sum((chain.matrix[i][j] for j in members), Fraction(0)))
             rhs_rows.append(row)
         absorb = linalg.solve_columns(matrix, rhs_rows)
-        class_gains = [
-            sum((p * chain.rewards[i] for i, p in zip(members, dist.mass)), Fraction(0))
-            for members, dist in zip(decomposition.classes, decomposition.stationary)
-        ]
         for i in transient:
             probs = absorb[pos[i]]
             assert sum(probs) == 1
@@ -330,7 +341,7 @@ def simulate_mean_payoff(game: Game, pair: StrategyPair, start: str,
     if start not in game.state_index:
         raise UnknownState(f"no state {start!r} in game", state=start)
     if horizon < 1 or plays < 1:
-        raise ValueError("horizon and plays must be positive")
+        raise ParseError("horizon and plays must be positive", horizon=horizon, plays=plays)
 
     n = len(game.states)
     reward_of: list[float] = [0.0] * n

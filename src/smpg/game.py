@@ -147,10 +147,18 @@ class InducedChain:
     def __post_init__(self):
         n = len(self.state_order)
         assert len(self.matrix) == n and len(self.rewards) == n
-        for i, row in enumerate(self.matrix):
-            assert len(row) == n
-            assert all(p >= 0 for p in row), f"negative probability in row {i}"
-            assert sum(row) == 1, f"row {i} sums to {sum(row)}, not 1"
+        for state, row in zip(self.state_order, self.matrix):
+            if len(row) != n:
+                raise ProbabilitySumMismatch(
+                    f"row {state!r} has {len(row)} entries for {n} states",
+                    state=state, entries=len(row))
+            if not all(p >= 0 for p in row):
+                raise ProbabilityOutOfRange(f"negative probability in row {state!r}",
+                                            state=state, prob=min(row))
+            total = sum(row)
+            if total != 1:
+                raise ProbabilitySumMismatch(f"row {state!r} sums to {total}, not 1",
+                                             state=state, total=total)
 
     @cached_property
     def state_index(self) -> dict[str, int]:

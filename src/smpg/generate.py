@@ -42,18 +42,28 @@ class GeneratorConfig:
 
 
 def config_from_json_dict(raw: dict) -> GeneratorConfig:
+    def integer(field: str, *index: int) -> int:
+        value = raw[field]
+        for k in index:
+            value = value[k]
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ParseError(f"{field} must be a JSON integer, not {value!r}",
+                         field=field, value=repr(value))
+
     try:
         return GeneratorConfig(
-            states=int(raw["states"]),
-            actions_per_state=(int(raw["actions_per_state"][0]), int(raw["actions_per_state"][1])),
-            transitions_per_action=(int(raw["transitions_per_action"][0]),
-                                    int(raw["transitions_per_action"][1])),
-            reward_bound=int(raw["reward_bound"]),
-            denominator_bound=int(raw["denominator_bound"]),
+            states=integer("states"),
+            actions_per_state=(integer("actions_per_state", 0),
+                               integer("actions_per_state", 1)),
+            transitions_per_action=(integer("transitions_per_action", 0),
+                                    integer("transitions_per_action", 1)),
+            reward_bound=integer("reward_bound"),
+            denominator_bound=integer("denominator_bound"),
             max_states_fraction=parse_rational(raw["max_states_fraction"]),
-            seed=int(raw["seed"]),
+            seed=integer("seed"),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ParseError(f"malformed generator config: {exc!r}") from exc
 
 

@@ -115,40 +115,43 @@ def _aligned(game: Game, claimed: ValueVector) -> tuple[Fraction, ...]:
     return tuple(claimed.at(s) for s in game.state_order)
 
 
-def _strategy_lists(game: Game, cap: int):
-    if strategy_count(game, MAX) * strategy_count(game, MIN) > cap:
-        raise CombinatorialLimitExceeded(
-            f"{strategy_count(game, MAX)} x {strategy_count(game, MIN)} "
-            f"strategy pairs exceed cap {cap}",
-            count=strategy_count(game, MAX) * strategy_count(game, MIN), cap=cap)
-    return (list(enumerate_strategies(game, MAX, cap)),
-            list(enumerate_strategies(game, MIN, cap)))
+class _PairScan:
+    """One pass over every positional strategy pair, a row per maximizer
+    strategy and a column per minimizer strategy.  ``entry(pair)`` is a
+    per-state value tuple; the scan holds one row at a time and keeps only
+    the componentwise row minima and running column maxima."""
 
+    def __init__(self, game: Game, cap: int,
+                 entry: Callable[[StrategyPair], tuple[Fraction, ...]]):
+        max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
+        if max_count * min_count > cap:
+            raise CombinatorialLimitExceeded(
+                f"{max_count} x {min_count} strategy pairs exceed cap {cap}",
+                count=max_count * min_count, cap=cap)
+        self.max_strats = list(enumerate_strategies(game, MAX, cap))
+        self.min_strats = list(enumerate_strategies(game, MIN, cap))
+        self.row_min, self.col_max = [], []
+        for sigma in self.max_strats:
+            row = [entry(StrategyPair(sigma, tau)) for tau in self.min_strats]
+            self.row_min.append(tuple(map(min, zip(*row))))
+            self.col_max = [tuple(map(max, col, values))
+                            for col, values in zip(self.col_max or row, row)]
 
-def _pair_table(game: Game, cap: int, entry: Callable[[StrategyPair], object]):
-    """entry(pair) for every positional strategy pair of the game: one row
-    per maximizer strategy, one column per minimizer strategy."""
-    max_strats, min_strats = _strategy_lists(game, cap)
-    table = [[entry(StrategyPair(sigma, tau)) for tau in min_strats] for sigma in max_strats]
-    return max_strats, min_strats, table
+    def first_saddle(self, target: tuple[Fraction, ...]) -> StrategyPair | None:
+        """The first pair in row order that is a saddle point with value
+        ``target`` at every state, or None.  Componentwise row_min[i] <=
+        entry(i, j) <= col_max[j], so (i, j) qualifies exactly when
+        row_min[i] == target == col_max[j]."""
+        i = next((i for i, row in enumerate(self.row_min) if row == target), None)
+        j = next((j for j, col in enumerate(self.col_max) if col == target), None)
+        if i is None or j is None:
+            return None
+        return StrategyPair(self.max_strats[i], self.min_strats[j])
 
-
-def _max_min_report(table, violations) -> VerificationReport:
-    """A verification report whose value is the max-min of ``table``."""
-    value = max(min(row) for row in table)
-    return VerificationReport(sum(len(row) for row in table), tuple(violations), value)
-
-
-def _value_tables(game: Game, criterion: str, beta, cap: int):
-    """Value matrix over all strategy pairs plus row-min and col-max tables."""
-    max_strats, min_strats, matrix = _pair_table(
-        game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta).values)
-    n = len(game.states)
-    row_min = [tuple(min(row[j][s] for j in range(len(min_strats))) for s in range(n))
-               for row in matrix]
-    col_max = [tuple(max(matrix[i][j][s] for i in range(len(max_strats))) for s in range(n))
-               for j in range(len(min_strats))]
-    return max_strats, min_strats, matrix, row_min, col_max
+    def report(self, violations, index: int) -> VerificationReport:
+        """A report valued at the max-min of the entries' component ``index``."""
+        return VerificationReport(len(self.max_strats) * len(self.min_strats),
+                                  tuple(violations), max(row[index] for row in self.row_min))
 
 
 def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
@@ -163,26 +166,23 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
         if beta is None:
             raise InvalidBeta("discounted criterion needs a beta", beta=None)
         beta = check_beta(beta)
-    max_strats, min_strats, matrix, row_min, col_max = _value_tables(game, criterion, beta, cap)
-    n = len(game.states)
-    lower = tuple(max(row_min[i][s] for i in range(len(max_strats))) for s in range(n))
-    upper = tuple(min(col_max[j][s] for j in range(len(min_strats))) for s in range(n))
+    scan = _PairScan(game, cap,
+                     lambda pair: evaluate_pair(game, pair, criterion, beta).values)
+    lower = tuple(map(max, zip(*scan.row_min)))
+    upper = tuple(map(min, zip(*scan.col_max)))
     if lower != upper:
-        state = next(s for s in range(n) if lower[s] != upper[s])
+        state = next(s for s in range(len(lower)) if lower[s] != upper[s])
         raise DeterminacyViolation(
             f"lower {lower[state]} != upper {upper[state]} at state "
             f"{game.state_order[state]}",
             state=game.state_order[state], lower=lower[state], upper=upper[state])
 
-    best_max = next((i for i in range(len(max_strats)) if row_min[i] == lower), None)
-    best_min = next((j for j in range(len(min_strats)) if col_max[j] == upper), None)
-    if best_max is None or best_min is None:
+    pair = scan.first_saddle(lower)
+    if pair is None:
         raise DeterminacyViolation("no uniformly optimal strategy exists")
 
-    values = ValueVector(game.state_order, lower)
-    pair = StrategyPair(max_strats[best_max], min_strats[best_min])
-    certificate = Certificate(game.state_order, lower, upper)
-    return Solution(criterion, beta, values, pair, certificate)
+    return Solution(criterion, beta, ValueVector(game.state_order, lower), pair,
+                    Certificate(game.state_order, lower, upper))
 
 
 def _one_step(game: Game, state: str, action: str, beta: Fraction,
@@ -302,16 +302,13 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
     NoConsistentStrategy when no pair qualifies.
     """
     target = _aligned(game, claimed)
-    max_strats, min_strats, matrix, row_min, col_max = _value_tables(game, MEAN, None, cap)
-    for i in range(len(max_strats)):
-        for j in range(len(min_strats)):
-            entry = matrix[i][j]
-            # saddle: best for max against tau_j, best for min against sigma_i
-            if entry == target and entry == row_min[i] and entry == col_max[j]:
-                return StrategyPair(max_strats[i], min_strats[j])
-    raise NoConsistentStrategy(
-        "no strategy pair attains the claimed values as a saddle point",
-        claimed=[str(x) for x in target])
+    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, MEAN).values)
+    pair = scan.first_saddle(target)
+    if pair is None:
+        raise NoConsistentStrategy(
+            "no strategy pair attains the claimed values as a saddle point",
+            claimed=[str(x) for x in target])
+    return pair
 
 
 def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
@@ -362,21 +359,20 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     reset_game, reduction = beta_recurrent(game, beta, s0)
     violations = []
 
-    def entry(pair: StrategyPair) -> Fraction:
+    def entry(pair: StrategyPair) -> tuple[Fraction, ...]:
         mean_side = mean_values(induced_chain(reset_game, pair)).at(s0)
-        disc_side = discounted_values(induced_chain(game, pair), reduction.beta).at(s0)
-        if mean_side != disc_side:
+        disc = discounted_values(induced_chain(game, pair), reduction.beta)
+        if mean_side != disc.at(s0):
             violations.append({
                 "kind": "reset-identity",
                 "max": dict(pair.max_strategy.choices),
                 "min": dict(pair.min_strategy.choices),
                 "mean_at_start": str(mean_side),
-                "discounted_at_start": str(disc_side),
+                "discounted_at_start": str(disc.at(s0)),
             })
-        return disc_side
+        return disc.values
 
-    _, _, table = _pair_table(game, cap, entry)
-    return _max_min_report(table, violations)
+    return _PairScan(game, cap, entry).report(violations, game.state_index[s0])
 
 
 class _SourceChain:
@@ -422,7 +418,7 @@ def verify_star2(gb: Game, reduction: Reduction,
             sources[key] = _SourceChain(induced_chain(gb, pair))
         return sources[key]
 
-    def entry(pair: StrategyPair) -> Fraction:
+    def entry(pair: StrategyPair) -> tuple[Fraction, ...]:
         described = {"max": dict(pair.max_strategy.choices),
                      "min": dict(pair.min_strategy.choices)}
         chain = induced_chain(doubled, pair)
@@ -460,7 +456,6 @@ def verify_star2(gb: Game, reduction: Reduction,
                         "kind": "copy-stationary", "copy": copy, "state": s,
                         "scaled": str(scaled), "stationary": str(reference.at(s)),
                         **described})
-        return doubled_values.values[0]
+        return doubled_values.values
 
-    _, _, table = _pair_table(doubled, cap, entry)
-    return _max_min_report(table, violations)
+    return _PairScan(doubled, cap, entry).report(violations, 0)

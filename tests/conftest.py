@@ -1,7 +1,10 @@
+import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import smpg
 from smpg.game import MAX, MIN, PositionalStrategy, StrategyPair, validate_game
 
 
@@ -55,3 +58,12 @@ def pair_of(max_choices: dict, min_choices: dict) -> StrategyPair:
 @pytest.fixture
 def g2_pair():
     return pair_of({"a": "X"}, {"b": "Y"})
+
+
+def checkout_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(smpg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part)
+    return env

@@ -1,7 +1,6 @@
 """Command line surface: exit codes, canonical output, artifact files."""
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -10,11 +9,10 @@ from pathlib import Path
 
 import pytest
 
-import smpg
 from smpg.cli import main
 from smpg.serialize import canonical_dumps
 
-from .conftest import raw_g1, raw_g2
+from .conftest import checkout_env, raw_g1, raw_g2
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -281,6 +279,45 @@ def test_simulate_golden_bytes(capsys, tmp_path):
     assert out == '{\n  "estimate": 4.0,\n  "stderr": 0.0\n}\n'
 
 
+@pytest.mark.parametrize("horizon, plays", [("0", "5"), ("100", "0")])
+def test_simulate_rejects_nonpositive_counts_with_json_error(capsys, tmp_path, horizon, plays):
+    g1 = write(tmp_path / "g1.json", raw_g1())
+    pair = write(tmp_path / "pair.json", {"max": {"s0": "A"}, "min": {}})
+    code, out, err = run(capsys, "simulate", g1, "--strategy", pair, "--start", "s0",
+                         "--horizon", horizon, "--plays", plays, "--seed", "0")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert (payload["horizon"], payload["plays"]) == (int(horizon), int(plays))
+
+
+def test_generate_small_config_golden_bytes(capsys, tmp_path):
+    out = tmp_path / "game.json"
+    code, _, _ = run(capsys, "generate", "--config",
+                     str(REPO / "games" / "generator_small.json"), "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (REPO / "tests" / "golden" / "generator_small_game.json").read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("states", 2.9),
+    ("actions_per_state", [True, 2]),
+    ("states", "1"),
+    ("seed", 1.5),
+])
+def test_generate_rejects_non_integer_config_fields(capsys, tmp_path, field, value):
+    raw = json.loads((REPO / "games" / "generator_small.json").read_text())
+    raw[field] = value
+    cfg = write(tmp_path / "cfg.json", raw)
+    code, out, err = run(capsys, "generate", "--config", cfg,
+                         "--out", str(tmp_path / "game.json"))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["field"] == field
+    assert not (tmp_path / "game.json").exists()
+
+
 # What the wrapper that installers generate for a console script does:
 # import the declared object, name the program, exit with its return value.
 # The entry-point value is the first argument; the CLI arguments follow it.
@@ -292,15 +329,6 @@ main = EntryPoint(name="smpg", value=value, group="console_scripts").load()
 sys.argv[0] = "smpg"
 sys.exit(main())
 """
-
-
-def checkout_env():
-    """The environment with this checkout's package first on PYTHONPATH."""
-    env = dict(os.environ)
-    src = str(Path(smpg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (src, env.get("PYTHONPATH")) if part)
-    return env
 
 
 def run_module(*argv):

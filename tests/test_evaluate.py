@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smpg.errors import InvalidBeta, NotUnichain, UnknownState
+from smpg.errors import InvalidBeta, NotUnichain, ParseError, UnknownState
 from smpg.evaluate import (
     InducedChain,
     discounted_values,
@@ -291,6 +291,13 @@ def test_simulate_is_deterministic_per_seed(g2, g2_pair):
 def test_simulate_rejects_unknown_start(g1):
     with pytest.raises(UnknownState):
         simulate_mean_payoff(g1, pair_of({"s0": "A"}, {}), "zz", 10, 1, 0)
+
+
+@pytest.mark.parametrize("horizon, plays", [(0, 1), (10, 0), (-1, -1)])
+def test_simulate_rejects_nonpositive_counts(g1, horizon, plays):
+    with pytest.raises(ParseError) as info:
+        simulate_mean_payoff(g1, pair_of({"s0": "A"}, {}), "s0", horizon, plays, 0)
+    assert info.value.payload == {"horizon": horizon, "plays": plays}
 
 
 def test_simulate_tracks_exact_mean_on_stochastic_chains():

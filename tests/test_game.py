@@ -1,5 +1,7 @@
 """Data model: parsing, validation, merging, induced chains, enumeration."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +30,8 @@ from smpg.game import (
     strategy_count,
     validate_game,
 )
+
+from .conftest import checkout_env
 from smpg.generate import GeneratorConfig, generate_game
 
 from .conftest import pair_of, raw_g1, raw_g2
@@ -233,3 +237,39 @@ def test_strategy_count_matches_enumeration(g1b):
 def test_enumeration_cap_enforced(g1b):
     with pytest.raises(CombinatorialLimitExceeded):
         list(enumerate_strategies(g1b, MAX, cap=1))
+
+
+# Hand-built chains and distributions that break the probability
+# invariants; each line prints the error raised, or "accepted".
+BROKEN_DISTRIBUTIONS = """\
+from fractions import Fraction as F
+from smpg.evaluate import Distribution
+from smpg.game import InducedChain
+
+rewards = (F(0), F(0))
+for build in (
+    lambda: InducedChain(("a", "b"), ((F(1), F(1)), (F(0), F(1))), rewards),
+    lambda: InducedChain(("a", "b"), ((F(2), F(-1)), (F(0), F(1))), rewards),
+    lambda: InducedChain(("a", "b"), ((F(1),), (F(0), F(1))), rewards),
+    lambda: Distribution(("a", "b"), (F(1), F(1))),
+    lambda: Distribution(("a", "b"), (F(2), F(-1))),
+):
+    try:
+        build()
+        print("accepted")
+    except Exception as exc:
+        print(type(exc).__name__)
+print(__debug__)
+"""
+
+
+@pytest.mark.parametrize("flags, debug", [((), "True"), (("-O",), "False")])
+def test_probability_guards_survive_optimize_flag(flags, debug):
+    """A row summing to 2, a negative entry, a short row and the same faults
+    in a distribution raise domain errors, also with asserts stripped."""
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_DISTRIBUTIONS],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "ProbabilitySumMismatch", "ProbabilityOutOfRange", "ProbabilitySumMismatch",
+        "ProbabilitySumMismatch", "ProbabilityOutOfRange", debug]

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smpg.evaluate
 import smpg.solvers
@@ -15,7 +17,7 @@ from smpg.errors import (
     UnknownState,
 )
 from smpg.evaluate import ValueVector, mean_values
-from smpg.game import MAX, MIN, induced_chain
+from smpg.game import MAX, MIN, StrategyPair, enumerate_strategies, induced_chain
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.solvers import (
     Certificate,
@@ -270,3 +272,72 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
     assert sorted(_choices_key(p) for p in source_pairs) == sorted(restricted)
     # every chain built is decomposed, and exactly once
     assert sorted(map(id, decomposed)) == sorted(id(chain) for _, _, chain in built)
+
+
+def _full_table_selection(game, criterion, beta):
+    """Reference for the pair scan, computed from the whole value table and
+    its row minima and column maxima: brute force's pair (first row at the
+    lower value, first column at the upper value) and the oracle's rule
+    (first pair in row order with entry == claim == row_min[i] == col_max[j]).
+    None stands for the error each solver raises."""
+    max_strats = list(enumerate_strategies(game, MAX))
+    min_strats = list(enumerate_strategies(game, MIN))
+    table = [[evaluate_pair(game, StrategyPair(sigma, tau), criterion, beta).values
+              for tau in min_strats] for sigma in max_strats]
+    n = len(game.states)
+    row_min = [tuple(min(entry[s] for entry in row) for s in range(n)) for row in table]
+    col_max = [tuple(max(row[j][s] for row in table) for s in range(n))
+               for j in range(len(min_strats))]
+
+    lower = tuple(max(row[s] for row in row_min) for s in range(n))
+    upper = tuple(min(col[s] for col in col_max) for s in range(n))
+    best_max = next((i for i, row in enumerate(row_min) if row == lower), None)
+    best_min = next((j for j, col in enumerate(col_max) if col == upper), None)
+    brute_force = None
+    if lower == upper and best_max is not None and best_min is not None:
+        brute_force = (lower, StrategyPair(max_strats[best_max], min_strats[best_min]))
+
+    def oracle(claim):
+        for i, row in enumerate(table):
+            for j, entry in enumerate(row):
+                if entry == claim and entry == row_min[i] and entry == col_max[j]:
+                    return StrategyPair(max_strats[i], min_strats[j])
+        return None
+
+    return brute_force, table[0][0], oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=1, max_value=3),
+    doubled=st.booleans(),
+    discounted=st.sampled_from([None, F(1, 2), F(9, 10)]),
+)
+def test_pair_scan_selects_as_the_full_table(seed, states, doubled, discounted):
+    game = generate_game(GeneratorConfig(
+        states=states, actions_per_state=(1, 3), transitions_per_action=(1, 3),
+        reward_bound=4, denominator_bound=4, max_states_fraction=F(1, 2), seed=seed))
+    if doubled and states < 3:
+        # the kind of game the pipeline hands its oracle
+        game, _ = mirror(*beta_recurrent(game, F(1, 2), game.state_order[0]))
+
+    criterion = MEAN if discounted is None else DISCOUNTED
+    expected, first_values, oracle = _full_table_selection(game, criterion, discounted)
+    try:
+        solution = brute_force_solve(game, criterion, discounted)
+        got = (solution.values.values, solution.optimal_pair)
+    except DeterminacyViolation:
+        got = None
+    assert got == expected
+
+    if criterion == DISCOUNTED:
+        _, first_values, oracle = _full_table_selection(game, MEAN, None)
+    truth = brute_force_solve(game, MEAN).values.values
+    perturbed = (truth[0] + F(1, 7),) + truth[1:]
+    for claim in (truth, perturbed, first_values):
+        try:
+            got = reference_recovery_oracle(game, ValueVector(game.state_order, claim))
+        except NoConsistentStrategy:
+            got = None
+        assert got == oracle(claim)
