@@ -1,0 +1,93 @@
+"""Run the command line over a fixed set of games and record every answer.
+
+For seeded 1-4-state games plus games/g1.json and games/g2.json, at beta in
+{0, 1/3, 1/2, 9/10}, the sweep records the exit code, stdout and stderr of
+`eval` on the first strategy pair (both criteria), `solve` by brute force
+(both criteria) and by strategy iteration, `verify star` and `verify star2`
+from every start state, and `pipeline`, with the files the pipeline writes.
+Each game's runs go to their own directory under --out, one `<run>.txt` per
+run.  Two checkouts give the same answers exactly when `diff -r` finds no
+difference between their output directories:
+
+    PYTHONPATH=src python scripts/sweep.py --out /tmp/sweep
+"""
+
+import argparse
+import contextlib
+import io
+import time
+from fractions import Fraction
+from pathlib import Path
+
+from smpg.cli import main as smpg
+from smpg.game import MAX, MIN, Game, StrategyPair, enumerate_strategies
+from smpg.generate import GeneratorConfig, generate_game
+from smpg.serialize import load_game, save_game, strategy_pair_to_json_dict, write_json
+
+REPO = Path(__file__).resolve().parents[1]
+BETAS = ("0", "1/3", "1/2", "9/10")
+SEEDS = range(8)  # seeded games per state count
+
+
+def run(out: Path, name: str, argv: list[str]):
+    """Run the command line in-process and write out/<name>.txt; returns the
+    exit code, or "traceback" when the run raised."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = smpg(argv)
+        except Exception as exc:  # a crash is an answer too; record it and go on
+            code = "traceback"
+            stderr.write(f"{type(exc).__name__}: {exc}\n")
+    text = f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
+    (out / f"{name}.txt").write_text(text.replace(str(out), "OUT"))
+    return code
+
+
+def sweep_game(name: str, game: Game, out: Path) -> dict:
+    """Every run on one game, written under out/<name>; returns the exit code
+    of each run by run name."""
+    out = out / name
+    out.mkdir(parents=True)
+    save_game(out / "game.json", game)
+    first = StrategyPair(next(enumerate_strategies(game, MAX)), next(enumerate_strategies(game, MIN)))
+    write_json(out / "pair.json", strategy_pair_to_json_dict(first))
+    g, pair = str(out / "game.json"), str(out / "pair.json")
+    runs = [("eval-mean", ["eval", g, "--strategy", pair, "--criterion", "mean"]),
+            ("solve-oracle-mean", ["solve", g, "--criterion", "mean"])]
+    for beta in BETAS:
+        b = "b" + beta.replace("/", "_")
+        runs += [
+            (f"eval-discounted-{b}",
+             ["eval", g, "--strategy", pair, "--criterion", "discounted", "--beta", beta]),
+            (f"solve-oracle-discounted-{b}", ["solve", g, "--criterion", "discounted", "--beta", beta]),
+            (f"solve-si-{b}", ["solve", g, "--method", "si", "--criterion", "discounted", "--beta", beta]),
+            (f"pipeline-{b}", ["pipeline", g, "--beta", beta, "--out-dir", str(out / f"pipeline-{b}")]),
+        ]
+        for s in game.state_order:
+            runs += [(f"verify-star-{b}-from-{s}", ["verify", "star", g, "--beta", beta, "--start", s]),
+                     (f"verify-star2-{b}-from-{s}", ["verify", "star2", g, "--beta", beta, "--start", s])]
+    return {run_name: run(out, run_name, argv) for run_name, argv in runs}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path, required=True, help="a directory that does not exist yet")
+    args = parser.parse_args()
+    start = time.perf_counter()
+    games = {name: load_game(REPO / "games" / f"{name}.json") for name in ("g1", "g2")}
+    for states in range(1, 5):
+        for seed in SEEDS:
+            games[f"n{states}-seed{seed}"] = generate_game(GeneratorConfig(
+                states=states, actions_per_state=(1, 2), transitions_per_action=(1, 3),
+                reward_bound=4, denominator_bound=4, max_states_fraction=Fraction(1, 2), seed=seed))
+    codes = [code for name, game in games.items() for code in sweep_game(name, game, args.out).values()]
+    nonzero = sum(code != 0 for code in codes)
+    print(f"{len(codes)} runs on {len(games)} games ({nonzero} with a nonzero exit) "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

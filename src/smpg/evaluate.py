@@ -4,7 +4,8 @@ Discounted values solve (I - beta P) v = (1 - beta) r directly.  Mean
 payoffs are true long-run averages: the chain is decomposed into recurrent
 classes and transient states, each class gets the gain of its exact
 stationary distribution, and transient states mix class gains by exact
-absorption probabilities.  The Monte Carlo simulator at the bottom is the
+absorption probabilities.  Every system is built in integers from the
+chain's rows, each row scaled by the denominators it reads.  The Monte Carlo simulator at the bottom is the
 single floating-point component of the package and is never consulted by
 any exactness check.
 """
@@ -17,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import sqrt
 
 from . import linalg
@@ -28,7 +30,7 @@ from .errors import (
     ProbabilitySumMismatch,
     UnknownState,
 )
-from .game import Game, InducedChain, StrategyPair, check_pair
+from .game import Game, InducedChain, StrategyPair, induced_chain
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,17 @@ def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
     Solves the fixed point v = (1 - beta) r + beta P v.
     """
     beta = check_beta(beta)
-    n = len(chain.state_order)
-    matrix = [
-        [(1 if i == j else 0) - beta * chain.matrix[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    rhs = [(1 - beta) * r for r in chain.rewards]
+    # with beta = b/c, row i of I - beta P times c * den_i is integral
+    b, c = beta.numerator, beta.denominator
+    matrix = []
+    rhs = []
+    for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
+        row = [0] * len(chain.rows)
+        for j, num in entries:
+            row[j] = -b * num
+        row[i] += c * den
+        matrix.append(row)
+        rhs.append((c - b) * den * r)
     return ValueVector(chain.state_order, tuple(linalg.solve(matrix, rhs)))
 
 
@@ -123,16 +130,15 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if visited[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
         visited[root] = True
+        stack = [(root, iter(succ[root]))]
         while stack:
-            node, ptr = stack[-1]
-            if ptr < len(succ[node]):
-                stack[-1] = (node, ptr + 1)
-                nxt = succ[node][ptr]
+            node, todo = stack[-1]
+            for nxt in todo:
                 if not visited[nxt]:
                     visited[nxt] = True
-                    stack.append((nxt, 0))
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
             else:
                 finish_order.append(node)
                 stack.pop()
@@ -147,35 +153,33 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
             continue
         component = [node]
         assigned[node] = True
-        todo = [node]
-        while todo:
-            cur = todo.pop()
+        for cur in component:  # also visits the members appended below
             for nxt in pred[cur]:
                 if not assigned[nxt]:
                     assigned[nxt] = True
                     component.append(nxt)
-                    todo.append(nxt)
         components.append(component)
     return components
 
 
-def _class_stationary(chain: InducedChain, members: list[int]) -> list[Fraction]:
+def _class_stationary(chain: InducedChain, members: list[int]) -> tuple[Fraction, ...]:
     """Stationary distribution of one closed irreducible class.
 
     Solves pi^T P = pi^T with the last balance row replaced by the
     normalisation sum(pi) = 1; any single row is redundant because the
-    balance rows always sum to zero.
+    balance rows always sum to zero.  The unknowns are x_i = pi_i / den_i,
+    which make every balance row integral.
     """
-    k = len(members)
-    matrix = [
-        [chain.matrix[members[j]][members[i]] - (1 if i == j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-    matrix[k - 1] = [Fraction(1)] * k
-    rhs = [Fraction(0)] * (k - 1) + [Fraction(1)]
-    pi = linalg.solve(matrix, rhs)
-    assert all(p >= 0 for p in pi)
-    return pi
+    pos = {i: a for a, i in enumerate(members)}
+    dens = [chain.rows[i][0] for i in members]
+    matrix = [[0] * len(members) for _ in members]
+    for a, i in enumerate(members):
+        matrix[a][a] = -dens[a]
+        for j, num in chain.rows[i][1]:
+            matrix[pos[j]][a] += num
+    matrix[-1] = dens
+    x = linalg.solve(matrix, [0] * (len(members) - 1) + [1])
+    return tuple(den * xi for den, xi in zip(dens, x))
 
 
 def recurrent_stationary(chain: InducedChain) -> RecurrentDecomposition:
@@ -184,8 +188,7 @@ def recurrent_stationary(chain: InducedChain) -> RecurrentDecomposition:
     A strongly connected component of the support digraph is recurrent
     exactly when no edge leaves it.
     """
-    n = len(chain.state_order)
-    succ = [[j for j in range(n) if chain.matrix[i][j] > 0] for i in range(n)]
+    succ = [[j for j, _ in entries] for _, entries in chain.rows]
     components = _strongly_connected_components(succ)
     closed = []
     transient: list[int] = []
@@ -196,14 +199,11 @@ def recurrent_stationary(chain: InducedChain) -> RecurrentDecomposition:
         else:
             transient.extend(component)
     closed.sort(key=lambda c: c[0])
-    stationary = []
-    for members in closed:
-        pi = _class_stationary(chain, members)
-        order = tuple(chain.state_order[i] for i in members)
-        stationary.append(Distribution(order, tuple(pi)))
+    stationary = tuple(
+        Distribution(tuple(chain.state_order[i] for i in members), _class_stationary(chain, members))
+        for members in closed)
     return RecurrentDecomposition(
-        chain.state_order, tuple(tuple(c) for c in closed),
-        tuple(sorted(transient)), tuple(stationary))
+        chain.state_order, tuple(tuple(c) for c in closed), tuple(sorted(transient)), stationary)
 
 
 def _decomposition(chain: InducedChain) -> RecurrentDecomposition:
@@ -218,38 +218,47 @@ def _decomposition(chain: InducedChain) -> RecurrentDecomposition:
 def mean_values(chain: InducedChain) -> ValueVector:
     """Exact long-run average reward from every start state."""
     decomposition = _decomposition(chain)
-    n = len(chain.state_order)
     class_gains = [
         sum((p * chain.rewards[i] for i, p in zip(members, dist.mass)), Fraction(0))
         for members, dist in zip(decomposition.classes, decomposition.stationary)
     ]
-    gains: list[Fraction | None] = [None] * n
-    for members, gain in zip(decomposition.classes, class_gains):
+    gains: list[Fraction | None] = [None] * len(chain.state_order)
+    home = {}
+    for c, (members, gain) in enumerate(zip(decomposition.classes, class_gains)):
         for i in members:
             gains[i] = gain
+            home[i] = c
 
-    transient = list(decomposition.transient)
+    transient = decomposition.transient
     if transient:
-        # absorption probabilities: (I - P_TT) X = B, one column per class
-        pos = {i: t for t, i in enumerate(transient)}
-        k = len(transient)
-        matrix = [
-            [(1 if a == b else 0) - chain.matrix[transient[a]][transient[b]] for b in range(k)]
-            for a in range(k)
-        ]
+        # absorption probabilities: (I - P_TT) X = B, one column per class,
+        # each row times its denominator
+        pos = {i: a for a, i in enumerate(transient)}
+        matrix = []
         rhs_rows = []
-        for i in transient:
-            row = []
-            for members in decomposition.classes:
-                row.append(sum((chain.matrix[i][j] for j in members), Fraction(0)))
-            rhs_rows.append(row)
-        absorb = linalg.solve_columns(matrix, rhs_rows)
-        for i in transient:
-            probs = absorb[pos[i]]
-            assert sum(probs) == 1
+        for a, i in enumerate(transient):
+            den, entries = chain.rows[i]
+            row = [0] * len(transient)
+            row[a] = den
+            into = [0] * len(class_gains)
+            for j, num in entries:
+                if j in pos:
+                    row[pos[j]] -= num
+                else:
+                    into[home[j]] += num
+            matrix.append(row)
+            rhs_rows.append(into)
+        for i, probs in zip(transient, linalg.solve_columns(matrix, rhs_rows)):
+            total = sum(probs)
+            if total != 1:
+                raise ProbabilitySumMismatch(
+                    f"absorption from {chain.state_order[i]!r} sums to {total}, not 1",
+                    state=chain.state_order[i], total=total)
             gains[i] = sum((p * g for p, g in zip(probs, class_gains)), Fraction(0))
 
-    assert all(g is not None for g in gains)
+    if None in gains:
+        state = chain.state_order[gains.index(None)]
+        raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
     return ValueVector(chain.state_order, tuple(gains))
 
 
@@ -282,35 +291,18 @@ def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) ->
         raise UnknownState(f"no state {s0!r} in chain", state=s0)
     n = len(chain.state_order)
     origin = chain.state_index[s0]
-
-    if beta == 0:
-        for i in range(n):
-            for j in range(n):
-                expected = Fraction(1 if j == origin else 0)
-                if chain.matrix[i][j] != expected:
-                    raise NotUnichain(
-                        "chain is not the image of a reset transform with beta = 0",
-                        state=chain.state_order[i])
-        mu = [Fraction(1 if i == origin else 0) for i in range(n)]
-    else:
-        source = [
-            [(chain.matrix[i][j] - (1 - beta) * (1 if j == origin else 0)) / beta
-             for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                if source[i][j] < 0:
-                    raise NotUnichain(
-                        "chain is not the image of a reset transform: "
-                        f"row {chain.state_order[i]} lacks the reset mass",
-                        state=chain.state_order[i])
-        matrix = [
-            [(1 if i == j else 0) - beta * source[j][i] for j in range(n)]
-            for i in range(n)
-        ]
-        rhs = [(1 - beta) * (1 if i == origin else 0) for i in range(n)]
-        mu = linalg.solve(matrix, rhs)
+    # beta Q = P - (1 - beta) 1 e0^T is non-negative exactly when the reset
+    # mass is there; at beta = 0 that puts every row on s0
+    reset = [[p - (1 - beta) * (1 if j == origin else 0) for j, p in enumerate(row)]
+             for row in chain.matrix]
+    for state, row in zip(chain.state_order, reset):
+        if min(row) < 0:
+            raise NotUnichain(
+                f"chain is not the image of a reset transform: row {state} lacks the reset mass",
+                state=state)
+    matrix = [[(1 if i == j else 0) - reset[j][i] for j in range(n)] for i in range(n)]
+    rhs = [(1 - beta) * (1 if i == origin else 0) for i in range(n)]
+    mu = linalg.solve(matrix, rhs)
 
     stationary = unichain_stationary(chain)
     if tuple(mu) != stationary.mass:
@@ -337,25 +329,17 @@ def simulate_mean_payoff(game: Game, pair: StrategyPair, start: str,
     per-play averages and its standard error (sample stdev / sqrt(plays),
     zero for a single play).
     """
-    check_pair(game, pair)
+    chain = induced_chain(game, pair)
     if start not in game.state_index:
         raise UnknownState(f"no state {start!r} in game", state=start)
     if horizon < 1 or plays < 1:
         raise ParseError("horizon and plays must be positive", horizon=horizon, plays=plays)
 
-    n = len(game.states)
-    reward_of: list[float] = [0.0] * n
-    cumulative: list[list[float]] = [[] for _ in range(n)]
-    targets: list[list[int]] = [[] for _ in range(n)]
-    for i, s in enumerate(game.states):
-        action = pair.action_at(game, s.id)
-        reward_of[i] = float(game.actions[action])
-        acc = 0.0
-        for target, prob in game.outgoing[(s.id, action)]:
-            acc += float(prob)
-            targets[i].append(game.state_index[target])
-            cumulative[i].append(acc)
-        cumulative[i][-1] = 1.0  # guard against float round-off at the top
+    reward_of = [float(r) for r in chain.rewards]
+    targets = [[j for j, _ in entries] for _, entries in chain.rows]
+    # each row ends at 1.0 exactly, a guard against float round-off at the top
+    cumulative = [[*accumulate(num / den for _, num in entries[:-1]), 1.0]
+                  for den, entries in chain.rows]
 
     rng = random.Random(seed)
     averages = []

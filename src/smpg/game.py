@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator
 
 from .errors import (
@@ -45,7 +46,10 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not a rational literal: {text!r}", value=repr(text))
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise ParseError(f"rational literal too long: {exc}", length=len(text)) from exc
 
 
 def format_rational(value) -> str:
@@ -136,33 +140,43 @@ class StrategyPair:
 class InducedChain:
     """The Markov chain a fixed strategy pair induces on a game.
 
-    Row i of ``matrix`` is the distribution over successors of state i;
-    ``rewards[i]`` is the reward of the action chosen at state i.
+    Each row is stored once, in integers: ``rows[i] = (den, ((j, num), ...))``
+    with targets j ascending and distinct and every num positive, so that
+    P_ij = num / den.  ``rewards[i]`` is the reward of the action chosen at
+    state i.
     """
 
     state_order: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     rewards: tuple[Fraction, ...]
 
     def __post_init__(self):
         n = len(self.state_order)
-        assert len(self.matrix) == n and len(self.rewards) == n
-        for state, row in zip(self.state_order, self.matrix):
-            if len(row) != n:
-                raise ProbabilitySumMismatch(
-                    f"row {state!r} has {len(row)} entries for {n} states",
-                    state=state, entries=len(row))
-            if not all(p >= 0 for p in row):
-                raise ProbabilityOutOfRange(f"negative probability in row {state!r}",
-                                            state=state, prob=min(row))
-            total = sum(row)
-            if total != 1:
-                raise ProbabilitySumMismatch(f"row {state!r} sums to {total}, not 1",
-                                             state=state, total=total)
+        if len(self.rows) != n or len(self.rewards) != n:
+            raise ProbabilitySumMismatch(f"{len(self.rows)} rows and {len(self.rewards)} "
+                                         f"rewards for {n} states", states=n)
+        for state, (den, entries) in zip(self.state_order, self.rows):
+            if den <= 0 or any(num <= 0 for _, num in entries):
+                raise ProbabilityOutOfRange(f"non-positive integer in row {state!r}", state=state)
+            bounds = [-1, *(j for j, _ in entries), n]
+            if (any(a >= b for a, b in zip(bounds, bounds[1:]))
+                    or sum(num for _, num in entries) != den):
+                raise ProbabilitySumMismatch(f"row {state!r} is not one distribution over "
+                                             "ascending, distinct states", state=state)
 
     @cached_property
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.state_order)}
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense transition matrix, built on first read."""
+        n = len(self.rows)
+        dense = [[Fraction(0)] * n for _ in range(n)]
+        for row, (den, entries) in zip(dense, self.rows):
+            for j, num in entries:
+                row[j] = Fraction(num, den)
+        return tuple(map(tuple, dense))
 
 
 def build_game(states, actions, transitions) -> Game:
@@ -273,17 +287,17 @@ def check_pair(game: Game, pair: StrategyPair) -> None:
 def induced_chain(game: Game, pair: StrategyPair) -> InducedChain:
     """The Markov chain obtained by fixing both players' choices."""
     check_pair(game, pair)
-    n = len(game.states)
-    matrix = []
+    rows = []
     rewards = []
     for s in game.states:
         action = pair.action_at(game, s.id)
-        row = [Fraction(0)] * n
-        for target, prob in game.outgoing[(s.id, action)]:
-            row[game.state_index[target]] += prob
-        matrix.append(tuple(row))
+        # targets of an action are merged and ascending (build_game)
+        out = game.outgoing[(s.id, action)]
+        den = lcm(*(p.denominator for _, p in out))
+        rows.append((den, tuple((game.state_index[t], p.numerator * (den // p.denominator))
+                                for t, p in out)))
         rewards.append(game.actions[action])
-    return InducedChain(game.state_order, tuple(matrix), tuple(rewards))
+    return InducedChain(game.state_order, tuple(rows), tuple(rewards))
 
 
 def strategy_count(game: Game, player: str) -> int:

@@ -10,7 +10,7 @@ to one by construction and generated games always validate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import ParseError
@@ -51,19 +51,29 @@ def config_from_json_dict(raw: dict) -> GeneratorConfig:
         raise ParseError(f"{field} must be a JSON integer, not {value!r}",
                          field=field, value=repr(value))
 
+    def pair(field: str) -> tuple[int, int]:
+        value = raw[field]
+        if not isinstance(value, list) or len(value) != 2:
+            raise ParseError(f"{field} must be a list of two integers, not {value!r}",
+                             field=field, value=repr(value))
+        return integer(field, 0), integer(field, 1)
+
+    if not isinstance(raw, dict):
+        raise ParseError("generator config must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(GeneratorConfig)})
+    if unknown:
+        raise ParseError(f"unknown generator config field {unknown[0]!r}", field=unknown[0])
     try:
         return GeneratorConfig(
             states=integer("states"),
-            actions_per_state=(integer("actions_per_state", 0),
-                               integer("actions_per_state", 1)),
-            transitions_per_action=(integer("transitions_per_action", 0),
-                                    integer("transitions_per_action", 1)),
+            actions_per_state=pair("actions_per_state"),
+            transitions_per_action=pair("transitions_per_action"),
             reward_bound=integer("reward_bound"),
             denominator_bound=integer("denominator_bound"),
             max_states_fraction=parse_rational(raw["max_states_fraction"]),
             seed=integer("seed"),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed generator config: {exc!r}") from exc
 
 

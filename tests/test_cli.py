@@ -78,6 +78,21 @@ def test_unreadable_input_ends_in_json_error(capsys, tmp_path):
         assert payload["path"] == str(path)
 
 
+@pytest.mark.parametrize("literal", ['"' + "7" * 5000 + '"', "7" * 5000],
+                         ids=["string", "integer"])
+def test_overlong_rational_ends_in_json_error(tmp_path, literal):
+    """A reward past the interpreter's 4,300-digit int-string limit, written
+    as a string or as a JSON integer, ends in a ParseError report."""
+    raw = raw_g2()
+    raw["actions"][0]["reward"] = "REWARD"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw).replace('"REWARD"', literal))
+    proc = run_module("validate", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "ParseError"
+
+
 def test_eval_discounted_golden_bytes(capsys, g2_file, g2_pair_file):
     code, out, _ = run(capsys, "eval", g2_file, "--strategy", g2_pair_file,
                        "--criterion", "discounted", "--beta", "1/2")
@@ -304,6 +319,9 @@ def test_generate_small_config_golden_bytes(capsys, tmp_path):
     ("actions_per_state", [True, 2]),
     ("states", "1"),
     ("seed", 1.5),
+    ("actions_per_state", [1, 2, 99]),
+    ("transitions_per_action", [1]),
+    ("extra", 1),
 ])
 def test_generate_rejects_non_integer_config_fields(capsys, tmp_path, field, value):
     raw = json.loads((REPO / "games" / "generator_small.json").read_text())

@@ -4,6 +4,9 @@ Oracles here are computed independently of the implementation: closed-form
 geometric sums, tiny stationary systems solved by hand, and Monte Carlo runs.
 """
 
+import dataclasses
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +15,6 @@ from hypothesis import strategies as st
 
 from smpg.errors import InvalidBeta, NotUnichain, ParseError, UnknownState
 from smpg.evaluate import (
-    InducedChain,
     discounted_values,
     mean_values,
     recurrent_stationary,
@@ -25,7 +27,7 @@ from smpg.generate import GeneratorConfig, generate_game
 from smpg.solvers import brute_force_solve, MEAN
 from smpg.transforms import beta_recurrent
 
-from .conftest import pair_of
+from .conftest import checkout_env, pair_of
 
 
 def small_config(seed, states_mod=3, fanout=(1, 3)):
@@ -166,6 +168,54 @@ def test_recurrent_decomposition_two_loops():
         unichain_stationary(chain)
 
 
+# Corrupts one exact result on the mean path at a time and prints the error
+# mean_values ends in, or "accepted".
+CORRUPTED_SOLVES = """\
+import dataclasses, types
+from fractions import Fraction as F
+from smpg import evaluate, linalg
+from smpg.game import InducedChain
+
+# t moves to u and to w with mass 1/2 each; u and w are absorbing
+rows = ((2, ((1, 1), (2, 1))), (1, ((1, 1),)), (1, ((2, 1),)))
+
+def attempt(stage):
+    try:
+        evaluate.mean_values(InducedChain(("t", "u", "w"), rows, (F(0), F(1), F(2))))
+        print(stage, "accepted")
+    except Exception as exc:
+        print(stage, type(exc).__name__, str(exc))
+
+evaluate.linalg = types.SimpleNamespace(
+    solve=lambda m, b: [-x for x in linalg.solve(m, b)], solve_columns=linalg.solve_columns)
+attempt("stationary")
+evaluate.linalg = types.SimpleNamespace(
+    solve=linalg.solve,
+    solve_columns=lambda m, b: [[2 * x for x in row] for row in linalg.solve_columns(m, b)])
+attempt("absorption")
+evaluate.linalg = linalg
+decompose = evaluate.recurrent_stationary
+evaluate.recurrent_stationary = lambda chain: dataclasses.replace(decompose(chain), transient=())
+attempt("gain")
+print(__debug__)
+"""
+
+
+@pytest.mark.parametrize("flags, debug", [((), "True"), (("-O",), "False")])
+def test_mean_invariants_survive_optimize_flag(flags, debug):
+    """A negative stationary mass, absorption probabilities that do not sum
+    to one and a state left without a gain raise domain errors, also with
+    asserts stripped."""
+    proc = subprocess.run([sys.executable, *flags, "-c", CORRUPTED_SOLVES],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "stationary ProbabilityOutOfRange mass -1 at 'u' outside [0, 1]",
+        "absorption ProbabilitySumMismatch absorption from 't' sums to 2, not 1",
+        "gain ProbabilitySumMismatch state 't' reaches no recurrent class",
+        debug]
+
+
 def test_unichain_stationary_zeroes_transient_states():
     raw = {
         "states": [{"id": "t", "owner": "max"}, {"id": "u", "owner": "max"}],
@@ -188,11 +238,7 @@ def test_unichain_stationary_zeroes_transient_states():
 def test_mean_shifts_with_constant_reward_offset(seed, shift):
     g = generate_game(small_config(seed))
     chain = induced_chain(g, first_pair(g))
-    shifted = InducedChain(
-        chain.state_order,
-        chain.matrix,
-        tuple(r + shift for r in chain.rewards),
-    )
+    shifted = dataclasses.replace(chain, rewards=tuple(r + shift for r in chain.rewards))
     base = mean_values(chain).values
     moved = mean_values(shifted).values
     assert moved == tuple(x + shift for x in base)

@@ -178,6 +178,25 @@ def test_induced_chain_rows_sum_to_one(seed):
                 assert sum(row) == 1
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_chain_matrix_is_the_dense_outgoing_rows(seed):
+    """The dense view of every induced chain equals the matrix built here
+    straight from the game's outgoing transitions."""
+    g = generate_game(GeneratorConfig(
+        states=(seed % 4) + 1, actions_per_state=(1, 2), transitions_per_action=(1, 3),
+        reward_bound=3, denominator_bound=4, max_states_fraction=F(1, 2), seed=seed))
+    n = len(g.states)
+    for smax in enumerate_strategies(g, MAX):
+        for smin in enumerate_strategies(g, MIN):
+            pair = pair_of(smax.choices, smin.choices)
+            dense = [[F(0)] * n for _ in range(n)]
+            for i, s in enumerate(g.state_order):
+                for target, prob in g.outgoing[(s, pair.action_at(g, s))]:
+                    dense[i][g.state_index[target]] += prob
+            assert induced_chain(g, pair).matrix == tuple(map(tuple, dense))
+
+
 def test_check_pair_rejects_wrong_player_label(g2):
     pair = pair_of({"a": "X"}, {"b": "Y"})
     bad = pair.__class__(pair.min_strategy, pair.max_strategy)
@@ -240,17 +259,23 @@ def test_enumeration_cap_enforced(g1b):
 
 
 # Hand-built chains and distributions that break the probability
-# invariants; each line prints the error raised, or "accepted".
+# invariants; each line prints the error raised, or "accepted".  A chain row
+# is (den, ((target, num), ...)) with P[target] = num / den.
 BROKEN_DISTRIBUTIONS = """\
 from fractions import Fraction as F
 from smpg.evaluate import Distribution
 from smpg.game import InducedChain
 
 rewards = (F(0), F(0))
+last = (1, ((1, 1),))
 for build in (
-    lambda: InducedChain(("a", "b"), ((F(1), F(1)), (F(0), F(1))), rewards),
-    lambda: InducedChain(("a", "b"), ((F(2), F(-1)), (F(0), F(1))), rewards),
-    lambda: InducedChain(("a", "b"), ((F(1),), (F(0), F(1))), rewards),
+    lambda: InducedChain(("a", "b"), ((1, ((0, 1), (1, 1))), last), rewards),
+    lambda: InducedChain(("a", "b"), ((1, ((0, 2), (1, -1))), last), rewards),
+    lambda: InducedChain(("a", "b"), ((2, ((0, 1),)), last), rewards),
+    lambda: InducedChain(("a", "b"), ((0, ()), last), rewards),
+    lambda: InducedChain(("a", "b"), ((2, ((0, 1), (0, 1))), last), rewards),
+    lambda: InducedChain(("a", "b"), ((1, ((2, 1),)), last), rewards),
+    lambda: InducedChain(("a", "b"), (last,), rewards),
     lambda: Distribution(("a", "b"), (F(1), F(1))),
     lambda: Distribution(("a", "b"), (F(2), F(-1))),
 ):
@@ -265,11 +290,15 @@ print(__debug__)
 
 @pytest.mark.parametrize("flags, debug", [((), "True"), (("-O",), "False")])
 def test_probability_guards_survive_optimize_flag(flags, debug):
-    """A row summing to 2, a negative entry, a short row and the same faults
-    in a distribution raise domain errors, also with asserts stripped."""
+    """A chain row summing to 2, a negative entry, a row with mass missing, a
+    zero denominator, a repeated target, a target past the last state, a
+    missing row, and a distribution summing to 2 or with a negative entry
+    raise domain errors, also with asserts stripped."""
     proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_DISTRIBUTIONS],
                           capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "ProbabilitySumMismatch", "ProbabilityOutOfRange", "ProbabilitySumMismatch",
+        "ProbabilityOutOfRange", "ProbabilitySumMismatch", "ProbabilitySumMismatch",
+        "ProbabilitySumMismatch",
         "ProbabilitySumMismatch", "ProbabilityOutOfRange", debug]
