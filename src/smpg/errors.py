@@ -34,6 +34,11 @@ class ParseError(GameError):
     """Structurally malformed input: bad JSON shape, bad rational string."""
 
 
+class RationalTooLong(GameError):
+    """A rational to be written out whose numerator or denominator has more
+    decimal digits than the interpreter converts to a string."""
+
+
 class SinkState(GameError):
     """A state with no outgoing action."""
 
@@ -51,7 +56,8 @@ class UnknownReference(GameError):
 
 
 class UnknownState(GameError):
-    """A state id that does not exist in the game at hand."""
+    """A state id that does not exist in the game at hand, or a state that
+    a value vector holds no value for."""
 
 
 class StrategyDomainMismatch(GameError):

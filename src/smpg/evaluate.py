@@ -41,7 +41,9 @@ class ValueVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert len(self.state_order) == len(self.values)
+        if len(self.state_order) != len(self.values):
+            raise UnknownState(f"{len(self.values)} values for {len(self.state_order)} states",
+                               states=len(self.state_order))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -64,7 +66,10 @@ class Distribution:
     mass: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert len(self.state_order) == len(self.mass)
+        if len(self.state_order) != len(self.mass):
+            raise ProbabilitySumMismatch(f"{len(self.mass)} masses for "
+                                         f"{len(self.state_order)} states",
+                                         states=len(self.state_order))
         for state, p in zip(self.state_order, self.mass):
             if not 0 <= p <= 1:
                 raise ProbabilityOutOfRange(f"mass {p} at {state!r} outside [0, 1]",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,6 +24,7 @@ from .errors import (
     ParseError,
     ProbabilityOutOfRange,
     ProbabilitySumMismatch,
+    RationalTooLong,
     SinkState,
     StrategyDomainMismatch,
     UnknownReference,
@@ -53,8 +55,27 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Lowest-terms "p/q", or "n" when the denominator is one."""
-    return str(Fraction(value))
+    """Lowest-terms "p/q", or "n" when the denominator is one.  Past the
+    interpreter's int-string digit limit, raises RationalTooLong with the
+    digit count, not the value."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        raise RationalTooLong(f"a rational with {digits} digits is too long to write",
+                              digits=digits, limit=sys.get_int_max_str_digits()) from exc
+
+
+def _decimal_digits(k: int) -> int:
+    """The number of decimal digits of |k|, without converting it to a string."""
+    k = abs(k)
+    digits = max(1, int(k.bit_length() * 0.30102999566398120))  # log10(2)
+    while 10 ** digits <= k:
+        digits += 1
+    while digits > 1 and 10 ** (digits - 1) > k:
+        digits -= 1
+    return digits
 
 
 @dataclass(frozen=True)

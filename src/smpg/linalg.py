@@ -3,10 +3,19 @@
 Rows are scaled to integers, eliminated with Bareiss one-step fraction-free
 pivoting, then back-substituted in integers.  Intermediate entries stay
 integers (they are minors of the scaled matrix), and so does y = det * x,
-by Cramer's rule, where det is the last Bareiss pivot.  Every division is
-therefore an exact integer division, checked as such; Fractions appear only
-at the edges: entries are read as numerator/denominator pairs, and each
-output entry is built once as y / det.
+by Cramer's rule, where det is the last Bareiss pivot.
+
+The elimination scales rows lazily.  A Bareiss step multiplies a row whose
+entry in the pivot column is 0 by pivot / previous pivot and changes it in
+no other way, and a run of such steps telescopes into one ratio (Bareiss
+1968).  So such a row is left as it is, together with the pivot it was last
+divided by; when it is next updated, that pivot is the divisor, and when it
+becomes a pivot row it is first brought up to date.  Every quotient is then
+the same minor as in the plain elimination, so the results do not change.
+
+Every division is an exact integer division, checked as such; Fractions
+appear only at the edges: entries are read as numerator/denominator pairs,
+and each output entry is built once as y / det.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ def solve_columns(matrix, rhs_rows):
     m = len(rhs_rows[0])
     aug = [_scaled_row([*matrix[i], *rhs_rows[i]]) for i in range(n)]
 
+    # since[r] is the pivot row r was last divided by; the Bareiss row is
+    # aug[r] * prev / since[r]
+    since = [1] * n
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -55,17 +67,29 @@ def solve_columns(matrix, rhs_rows):
             raise SingularSystem(f"singular {n}x{n} system at column {col}", size=n)
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
+            since[col], since[pivot_row] = since[pivot_row], since[col]
+        top = aug[col]
+        stale = since[col]
+        if stale != prev:
+            for c in range(col, n + m):
+                q, rem = divmod(top[c] * prev, stale)
+                if rem:
+                    raise _inexact("Bareiss catch-up")
+                top[c] = q
+        pivot = top[col]
         for r in range(col + 1, n):
-            factor = aug[r][col]
             row = aug[r]
-            top = aug[col]
+            factor = row[col]
+            if factor == 0:
+                continue
+            last = since[r]
             for c in range(col + 1, n + m):
-                q, rem = divmod(pivot * row[c] - factor * top[c], prev)
+                q, rem = divmod(pivot * row[c] - factor * top[c], last)
                 if rem:
                     raise _inexact("Bareiss")
                 row[c] = q
             row[col] = 0
+            since[r] = pivot
         prev = pivot
 
     # back-substitute y = det * x, which is integral

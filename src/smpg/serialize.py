@@ -46,6 +46,8 @@ def load_json(path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
     except ValueError as exc:  # an integer past the int-string digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}", path=str(path)) from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON in {path} is nested too deeply", path=str(path)) from exc
 
 
 def write_json(path, obj) -> None:

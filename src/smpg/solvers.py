@@ -22,6 +22,7 @@ from .errors import (
     InconsistentValues,
     InvalidBeta,
     NoConsistentStrategy,
+    RationalTooLong,
     UnknownState,
 )
 from .evaluate import (
@@ -41,6 +42,7 @@ from .game import (
     PositionalStrategy,
     StrategyPair,
     enumerate_strategies,
+    format_rational,
     induced_chain,
     strategy_count,
 )
@@ -75,10 +77,13 @@ class Solution:
     def __post_init__(self):
         if self.certificate is not None:
             if not (self.certificate.lower == self.certificate.upper == self.values.values):
-                raise DeterminacyViolation(
-                    "certificate disagrees with the solution values",
-                    lower=[str(x) for x in self.certificate.lower],
-                    upper=[str(x) for x in self.certificate.upper])
+                message = "certificate disagrees with the solution values"
+                try:
+                    payload = {"lower": [format_rational(x) for x in self.certificate.lower],
+                               "upper": [format_rational(x) for x in self.certificate.upper]}
+                except RationalTooLong as exc:  # report the violation, not the length
+                    raise DeterminacyViolation(message, **exc.payload) from exc
+                raise DeterminacyViolation(message, **payload)
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,7 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
     if pair is None:
         raise NoConsistentStrategy(
             "no strategy pair attains the claimed values as a saddle point",
-            claimed=[str(x) for x in target])
+            claimed=[format_rational(x) for x in target])
     return pair
 
 
@@ -367,8 +372,8 @@ def verify_star(game: Game, beta: Fraction, s0: str,
                 "kind": "reset-identity",
                 "max": dict(pair.max_strategy.choices),
                 "min": dict(pair.min_strategy.choices),
-                "mean_at_start": str(mean_side),
-                "discounted_at_start": str(disc.at(s0)),
+                "mean_at_start": format_rational(mean_side),
+                "discounted_at_start": format_rational(disc.at(s0)),
             })
         return disc.values
 
@@ -437,7 +442,8 @@ def verify_star2(gb: Game, reduction: Reduction,
             if doubled_values.at(state) != expected:
                 violations.append({
                     "kind": "mirror-identity", "state": state,
-                    "lhs": str(doubled_values.at(state)), "rhs": str(expected),
+                    "lhs": format_rational(doubled_values.at(state)),
+                    "rhs": format_rational(expected),
                     **described})
 
         occupation = unichain_stationary(chain)
@@ -446,7 +452,7 @@ def verify_star2(gb: Game, reduction: Reduction,
             if copy_mass != Fraction(1, 2):
                 violations.append({
                     "kind": "component-mass", "copy": copy,
-                    "mass": str(copy_mass), **described})
+                    "mass": format_rational(copy_mass), **described})
         for copy, source_chain in source_pairs.items():
             reference = source_chain.stationary
             for s, i in zip(gb.state_order, copy_ids[copy]):
@@ -454,7 +460,8 @@ def verify_star2(gb: Game, reduction: Reduction,
                 if scaled != reference.at(s):
                     violations.append({
                         "kind": "copy-stationary", "copy": copy, "state": s,
-                        "scaled": str(scaled), "stationary": str(reference.at(s)),
+                        "scaled": format_rational(scaled),
+                        "stationary": format_rational(reference.at(s)),
                         **described})
         return doubled_values.values
 

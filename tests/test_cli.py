@@ -93,6 +93,33 @@ def test_overlong_rational_ends_in_json_error(tmp_path, literal):
     assert json.loads(proc.stderr)["error"] == "ParseError"
 
 
+def test_deeply_nested_json_ends_in_json_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_module("validate", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "ParseError"
+    assert payload["path"] == str(path)
+
+
+def test_value_past_digit_limit_ends_in_json_error(tmp_path, g2_pair_file):
+    """Rewards of 3,000 digits are read, but the mean value of the two-cycle
+    has about 6,000 and cannot be written out: a report, not a traceback."""
+    raw = raw_g2()
+    raw["actions"][0]["reward"] = "1" + "3" * 2999 + "/7"
+    raw["actions"][1]["reward"] = "1/2" + "9" * 2999
+    proc = run_module("eval", write(tmp_path / "long.json", raw),
+                      "--strategy", g2_pair_file, "--criterion", "mean")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "RationalTooLong"
+    assert payload["digits"] > payload["limit"]
+    assert "3333" not in proc.stderr
+
+
 def test_eval_discounted_golden_bytes(capsys, g2_file, g2_pair_file):
     code, out, _ = run(capsys, "eval", g2_file, "--strategy", g2_pair_file,
                        "--criterion", "discounted", "--beta", "1/2")

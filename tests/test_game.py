@@ -13,6 +13,7 @@ from smpg.errors import (
     ParseError,
     ProbabilityOutOfRange,
     ProbabilitySumMismatch,
+    RationalTooLong,
     SinkState,
     StrategyDomainMismatch,
     UnknownReference,
@@ -55,6 +56,17 @@ def test_parse_rational_rejects_non_rational_text(text):
 def test_format_rational_round_trips():
     for q in (F(1, 2), F(-3), F(0), F(22, 7)):
         assert parse_rational(format_rational(q)) == q
+
+
+def test_format_rational_reports_digit_count_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int-string digit limit in this interpreter")
+    longest = -(10**limit - 1)
+    assert format_rational(F(longest, 7)) == f"{longest}/7"
+    with pytest.raises(RationalTooLong) as info:
+        format_rational(F(1, 10**limit))
+    assert info.value.payload == {"digits": limit + 1, "limit": limit}
 
 
 def test_validate_g2_shape(g2):
@@ -263,7 +275,7 @@ def test_enumeration_cap_enforced(g1b):
 # is (den, ((target, num), ...)) with P[target] = num / den.
 BROKEN_DISTRIBUTIONS = """\
 from fractions import Fraction as F
-from smpg.evaluate import Distribution
+from smpg.evaluate import Distribution, ValueVector
 from smpg.game import InducedChain
 
 rewards = (F(0), F(0))
@@ -278,6 +290,8 @@ for build in (
     lambda: InducedChain(("a", "b"), (last,), rewards),
     lambda: Distribution(("a", "b"), (F(1), F(1))),
     lambda: Distribution(("a", "b"), (F(2), F(-1))),
+    lambda: Distribution(("a", "b"), (F(1),)),
+    lambda: ValueVector(("a", "b"), (F(0),)),
 ):
     try:
         build()
@@ -292,8 +306,9 @@ print(__debug__)
 def test_probability_guards_survive_optimize_flag(flags, debug):
     """A chain row summing to 2, a negative entry, a row with mass missing, a
     zero denominator, a repeated target, a target past the last state, a
-    missing row, and a distribution summing to 2 or with a negative entry
-    raise domain errors, also with asserts stripped."""
+    missing row, a distribution summing to 2, with a negative entry or with
+    a mass missing, and a value vector with a value missing raise domain
+    errors, also with asserts stripped."""
     proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_DISTRIBUTIONS],
                           capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
@@ -301,4 +316,5 @@ def test_probability_guards_survive_optimize_flag(flags, debug):
         "ProbabilitySumMismatch", "ProbabilityOutOfRange", "ProbabilitySumMismatch",
         "ProbabilityOutOfRange", "ProbabilitySumMismatch", "ProbabilitySumMismatch",
         "ProbabilitySumMismatch",
-        "ProbabilitySumMismatch", "ProbabilityOutOfRange", debug]
+        "ProbabilitySumMismatch", "ProbabilityOutOfRange", "ProbabilitySumMismatch",
+        "UnknownState", debug]

@@ -75,6 +75,18 @@ def test_solution_rejects_mismatched_certificate(g1b):
         Solution(MEAN, None, values, pair, cert)
 
 
+def test_mismatched_certificate_past_digit_limit_is_still_a_violation(g1b):
+    # a value too long to write out must not turn the violation into a
+    # formatting error; the payload carries the digit count instead
+    huge = F(10**5000 + 1, 3)
+    values = ValueVector(("s0",), (huge,))
+    pair = pair_of({"s0": "A"}, {})
+    cert = Certificate(("s0",), (F(3),), (huge,))
+    with pytest.raises(DeterminacyViolation) as info:
+        Solution(MEAN, None, values, pair, cert)
+    assert info.value.payload["digits"] == 5001
+
+
 def test_evaluate_pair_dispatches_and_validates(g1b):
     pair = pair_of({"s0": "B"}, {})
     assert evaluate_pair(g1b, pair, MEAN).values == (F(0),)
