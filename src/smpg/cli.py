@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import GameError, MissingKindAnnotation, ParseError
 from .evaluate import simulate_mean_payoff
-from .game import DEFAULT_ENUMERATION_CAP, game_to_json_dict, parse_rational
+from .game import DEFAULT_ENUMERATION_CAP, format_rational, game_to_json_dict, parse_rational
 from .generate import config_from_json_dict, generate_game
 from .serialize import (
     canonical_dumps,
@@ -172,7 +172,7 @@ def _cmd_pipeline(args) -> int:
         save_game(out_dir / f"mirror_{state}.json", reduction.doubled)
         write_json(out_dir / f"mirror_{state}.map.json", mirror_map_to_json_dict(reduction))
         write_json(out_dir / f"witness_{state}.json", strategy_pair_to_json_dict(witness))
-        recovered[state] = str(value)
+        recovered[state] = format_rational(value)
 
     oracle = lambda g, claimed: reference_recovery_oracle(g, claimed, cap=args.cap)
     solution = strategic_via_recovery(game, args.beta, oracle, on_stage=on_stage)
