@@ -3,8 +3,10 @@
 For seeded 1-4-state games plus games/g1.json and games/g2.json, at beta in
 {0, 1/3, 1/2, 9/10}, the sweep records the exit code, stdout and stderr of
 `eval` on the first strategy pair (both criteria), `solve` by brute force
-(both criteria) and by strategy iteration, `verify star` and `verify star2`
-from every start state, and `pipeline`, with the files the pipeline writes.
+(both criteria) and by strategy iteration, `recover` from the brute-force
+discounted values and from the same values with 1 added at the first state,
+`verify star` and `verify star2` from every start state, and `pipeline`,
+with the files the pipeline writes.
 Each game's runs go to their own directory under --out, one `<run>.txt` per
 run.  Two checkouts give the same answers exactly when `diff -r` finds no
 difference between their output directories:
@@ -22,7 +24,14 @@ from pathlib import Path
 from smpg.cli import main as smpg
 from smpg.game import MAX, MIN, Game, StrategyPair, enumerate_strategies
 from smpg.generate import GeneratorConfig, generate_game
-from smpg.serialize import load_game, save_game, strategy_pair_to_json_dict, write_json
+from smpg.serialize import (
+    load_game,
+    save_game,
+    strategy_pair_to_json_dict,
+    values_to_json_dict,
+    write_json,
+)
+from smpg.solvers import DISCOUNTED, brute_force_solve
 
 REPO = Path(__file__).resolve().parents[1]
 BETAS = ("0", "1/3", "1/2", "9/10")
@@ -57,11 +66,19 @@ def sweep_game(name: str, game: Game, out: Path) -> dict:
             ("solve-oracle-mean", ["solve", g, "--criterion", "mean"])]
     for beta in BETAS:
         b = "b" + beta.replace("/", "_")
+        claims = values_to_json_dict(brute_force_solve(game, DISCOUNTED, Fraction(beta)).values)
+        write_json(out / f"values-{b}.json", claims)
+        first_state = game.state_order[0]
+        claims[first_state] = str(Fraction(claims[first_state]) + 1)
+        write_json(out / f"values-{b}-perturbed.json", claims)
         runs += [
             (f"eval-discounted-{b}",
              ["eval", g, "--strategy", pair, "--criterion", "discounted", "--beta", beta]),
             (f"solve-oracle-discounted-{b}", ["solve", g, "--criterion", "discounted", "--beta", beta]),
             (f"solve-si-{b}", ["solve", g, "--method", "si", "--criterion", "discounted", "--beta", beta]),
+            (f"recover-{b}", ["recover", g, "--values", str(out / f"values-{b}.json"), "--beta", beta]),
+            (f"recover-perturbed-{b}",
+             ["recover", g, "--values", str(out / f"values-{b}-perturbed.json"), "--beta", beta]),
             (f"pipeline-{b}", ["pipeline", g, "--beta", beta, "--out-dir", str(out / f"pipeline-{b}")]),
         ]
         for s in game.state_order:
@@ -70,18 +87,24 @@ def sweep_game(name: str, game: Game, out: Path) -> dict:
     return {run_name: run(out, run_name, argv) for run_name, argv in runs}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", type=Path, required=True, help="a directory that does not exist yet")
-    args = parser.parse_args()
-    start = time.perf_counter()
+def sweep_games() -> dict[str, Game]:
+    """g1, g2 and the seeded games, by the name of their output directory."""
     games = {name: load_game(REPO / "games" / f"{name}.json") for name in ("g1", "g2")}
     for states in range(1, 5):
         for seed in SEEDS:
             games[f"n{states}-seed{seed}"] = generate_game(GeneratorConfig(
                 states=states, actions_per_state=(1, 2), transitions_per_action=(1, 3),
                 reward_bound=4, denominator_bound=4, max_states_fraction=Fraction(1, 2), seed=seed))
+    return games
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path, required=True, help="a directory that does not exist yet")
+    args = parser.parse_args()
+    start = time.perf_counter()
+    games = sweep_games()
     codes = [code for name, game in games.items() for code in sweep_game(name, game, args.out).values()]
     nonzero = sum(code != 0 for code in codes)
     print(f"{len(codes)} runs on {len(games)} games ({nonzero} with a nonzero exit) "

@@ -10,6 +10,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _decimal_digits(k: int) -> int:
+    """The number of decimal digits of |k|, without converting it to a string."""
+    k = abs(k)
+    digits = max(1, int(k.bit_length() * 0.30102999566398120))  # log10(2)
+    while 10 ** digits <= k:
+        digits += 1
+    while digits > 1 and 10 ** (digits - 1) > k:
+        digits -= 1
+    return digits
+
+
+def rational_digits(value: Fraction) -> int:
+    """The decimal digits of the longer of a rational's numerator and denominator."""
+    return max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+
+
+def rational_text(value: Fraction) -> str:
+    """``str(value)``, or past the interpreter's int-string digit limit a
+    note of the digit count instead of the value.  It never raises, so every
+    rational in an error message or payload is written through it."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a rational with {rational_digits(value)} digits>"
+
+
 class GameError(Exception):
     """Base class for every domain error in this package."""
 
@@ -25,7 +51,7 @@ class GameError(Exception):
         out = {"error": self.kind, "message": str(self)}
         for key, value in self.payload.items():
             if isinstance(value, Fraction):
-                value = str(value)
+                value = rational_text(value)
             out[key] = value
         return out
 

@@ -29,6 +29,7 @@ from .errors import (
     ProbabilityOutOfRange,
     ProbabilitySumMismatch,
     UnknownState,
+    rational_text,
 )
 from .game import Game, InducedChain, StrategyPair, induced_chain
 
@@ -72,11 +73,11 @@ class Distribution:
                                          states=len(self.state_order))
         for state, p in zip(self.state_order, self.mass):
             if not 0 <= p <= 1:
-                raise ProbabilityOutOfRange(f"mass {p} at {state!r} outside [0, 1]",
+                raise ProbabilityOutOfRange(f"mass {rational_text(p)} at {state!r} outside [0, 1]",
                                             state=state, prob=p)
         total = sum(self.mass)
         if total != 1:
-            raise ProbabilitySumMismatch(f"mass sums to {total}, not 1", total=total)
+            raise ProbabilitySumMismatch(f"mass sums to {rational_text(total)}, not 1", total=total)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -103,7 +104,7 @@ class RecurrentDecomposition:
 def check_beta(beta: Fraction) -> Fraction:
     beta = Fraction(beta)
     if not 0 <= beta < 1:
-        raise InvalidBeta(f"discount factor {beta} outside [0, 1)", beta=beta)
+        raise InvalidBeta(f"discount factor {rational_text(beta)} outside [0, 1)", beta=beta)
     return beta
 
 
@@ -257,7 +258,7 @@ def mean_values(chain: InducedChain) -> ValueVector:
             total = sum(probs)
             if total != 1:
                 raise ProbabilitySumMismatch(
-                    f"absorption from {chain.state_order[i]!r} sums to {total}, not 1",
+                    f"absorption from {chain.state_order[i]!r} sums to {rational_text(total)}, not 1",
                     state=chain.state_order[i], total=total)
             gains[i] = sum((p * g for p, g in zip(probs, class_gains)), Fraction(0))
 

@@ -28,6 +28,8 @@ from .errors import (
     SinkState,
     StrategyDomainMismatch,
     UnknownReference,
+    rational_digits,
+    rational_text,
 )
 
 MAX = "max"
@@ -62,20 +64,9 @@ def format_rational(value) -> str:
     try:
         return str(value)
     except ValueError as exc:
-        digits = max(_decimal_digits(value.numerator), _decimal_digits(value.denominator))
+        digits = rational_digits(value)
         raise RationalTooLong(f"a rational with {digits} digits is too long to write",
                               digits=digits, limit=sys.get_int_max_str_digits()) from exc
-
-
-def _decimal_digits(k: int) -> int:
-    """The number of decimal digits of |k|, without converting it to a string."""
-    k = abs(k)
-    digits = max(1, int(k.bit_length() * 0.30102999566398120))  # log10(2)
-    while 10 ** digits <= k:
-        digits += 1
-    while digits > 1 and 10 ** (digits - 1) > k:
-        digits -= 1
-    return digits
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,7 @@ def build_game(states, actions, transitions) -> Game:
         prob = Fraction(prob)
         if not 0 < prob <= 1:
             raise ProbabilityOutOfRange(
-                f"probability {prob} of {source}-{action}->{target} outside (0, 1]",
+                f"probability {rational_text(prob)} of {source}-{action}->{target} outside (0, 1]",
                 source=source, action=action, target=target, prob=prob)
         key = (source, action, target)
         merged[key] = merged.get(key, Fraction(0)) + prob
@@ -241,7 +232,7 @@ def build_game(states, actions, transitions) -> Game:
     for (source, action), total in sums.items():
         if total != 1:
             raise ProbabilitySumMismatch(
-                f"probabilities of action {action!r} at state {source!r} sum to {total}",
+                f"probabilities of action {action!r} at state {source!r} sum to {rational_text(total)}",
                 state=source, action=action, total=total)
 
     has_action = {source for source, _ in sums}

@@ -3,10 +3,15 @@
 Everything here is exact.  The brute-force solver enumerates positional
 strategies outright and certifies determinacy (lower value = upper value,
 asserted, never assumed).  Strategy iteration is the scalable alternative
-for the discounted criterion.  Recovery turns a claimed value vector back
-into an optimal strategy pair, and ``strategic_via_recovery`` runs the full
-reduction chain: reset transform, mirrored double game, a recovery oracle
-invoked with the all-zero claim, restriction back to the source game.
+for the discounted criterion; it evaluates each strategy pair once.
+Recovery turns a claimed value vector back into an optimal strategy pair,
+and ``strategic_via_recovery`` runs the full reduction chain: reset
+transform, mirrored double game, a recovery oracle invoked with the
+all-zero claim, restriction back to the source game.
+
+Strategy iteration and greedy recovery compare one-step lookaheads as
+integers over one positive denominator per state (``_Lookahead``), so no
+Fraction arithmetic runs per action.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable
 
 from .errors import (
@@ -24,6 +30,7 @@ from .errors import (
     NoConsistentStrategy,
     RationalTooLong,
     UnknownState,
+    rational_text,
 )
 from .evaluate import (
     Distribution,
@@ -178,7 +185,7 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
     if lower != upper:
         state = next(s for s in range(len(lower)) if lower[s] != upper[s])
         raise DeterminacyViolation(
-            f"lower {lower[state]} != upper {upper[state]} at state "
+            f"lower {rational_text(lower[state])} != upper {rational_text(upper[state])} at state "
             f"{game.state_order[state]}",
             state=game.state_order[state], lower=lower[state], upper=upper[state])
 
@@ -190,23 +197,57 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
                     Certificate(game.state_order, lower, upper))
 
 
-def _one_step(game: Game, state: str, action: str, beta: Fraction,
-              values: dict[str, Fraction]) -> Fraction:
-    total = (1 - beta) * game.actions[action]
-    for target, prob in game.outgoing[(state, action)]:
-        total += beta * prob * values[target]
-    return total
+class _Lookahead:
+    """The one-step lookahead q(a) = (1 - beta) r_a + beta * sum_j p_j v_j of
+    every action, in integers.
+
+    With beta = b/c, each state s has one positive integer L_s, the lcm of
+    the reward and probability denominators of its actions, so R_a = L_s r_a
+    and w_j = L_s p_j are integers.  ``scale`` turns a value vector into
+    D, the lcm of its denominators, and the integers y_j = D v_j.  Then
+    c L_s D q(a) = (c - b) D R_a + b sum_j w_j y_j is an integer, so at one
+    state these integers compare exactly as the q values do, and the state's
+    own value scales to c L_s y_s.
+    """
+
+    def __init__(self, game: Game, beta: Fraction):
+        b, c = beta.numerator, beta.denominator
+        index = game.state_index
+        self.unit: dict[str, int] = {}  # s -> c L_s
+        # s -> ((action, (c - b) R_a, ((j, b w_j), ...)), ...) in sorted action order
+        self.rows: dict[str, tuple] = {}
+        for s in game.state_order:
+            available = game.available_actions[s]
+            scale = lcm(*(game.actions[a].denominator for a in available),
+                        *(p.denominator for a in available for _, p in game.outgoing[(s, a)]))
+            self.unit[s] = c * scale
+            self.rows[s] = tuple(
+                (a, (c - b) * _times(scale, game.actions[a]),
+                 tuple((index[t], b * _times(scale, p)) for t, p in game.outgoing[(s, a)]))
+                for a in available)
+
+    @staticmethod
+    def scale(values: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+        """D and the integers y = D v, for values in the game's state order."""
+        d = lcm(*(v.denominator for v in values))
+        return d, [_times(d, v) for v in values]
+
+    def q(self, s: str, scaled: tuple[int, list[int]]) -> dict[str, int]:
+        """c L_s D q(a) for every action available at s, in sorted order."""
+        d, y = scaled
+        return {a: d * reward + sum(w * y[j] for j, w in successors)
+                for a, reward, successors in self.rows[s]}
 
 
-def _greedy_action(game: Game, state: str, beta: Fraction,
-                   values: dict[str, Fraction], maximize: bool) -> tuple[str, Fraction]:
-    best_action = None
-    best_value = None
-    for action in game.available_actions[state]:  # sorted: lexicographic ties
-        q = _one_step(game, state, action, beta, values)
-        if best_value is None or (q > best_value if maximize else q < best_value):
-            best_action, best_value = action, q
-    return best_action, best_value
+def _times(multiple: int, x: Fraction) -> int:
+    """multiple * x, for a multiple of x's denominator."""
+    return x.numerator * (multiple // x.denominator)
+
+
+def _first_extreme(q: dict[str, int], maximize: bool) -> str:
+    """The first action in sorted order whose q is the largest (maximize)
+    or the smallest: lexicographic ties."""
+    return (max if maximize else min)(q, key=q.__getitem__)
 
 
 def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
@@ -218,53 +259,47 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
     switch every state with a strictly improving action.  Stops when the
     minimizer has none; the final values then satisfy the one-step
     optimality equations, which is checked and returned as the certificate.
+    Each strategy pair is evaluated once: the evaluation at which the
+    maximizer stops switching is the one the minimizer improves on.
     """
     beta = check_beta(beta)
+    lookahead = _Lookahead(game, beta)
     sigma = {s: game.available_actions[s][0] for s in game.states_of(MAX)}
     tau = {s: game.available_actions[s][0] for s in game.states_of(MIN)}
 
-    def current_values() -> dict[str, Fraction]:
-        pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
-                            PositionalStrategy(MIN, dict(tau)))
-        return discounted_values(induced_chain(game, pair), beta).as_dict()
+    def switch(choices: dict[str, str], maximize: bool, scaled) -> bool:
+        """Move every state to its first extreme action where that is a
+        strict improvement on the current one; whether any state moved."""
+        switched = False
+        for s in choices:
+            q = lookahead.q(s, scaled)
+            best = _first_extreme(q, maximize)
+            if q[best] != q[choices[s]]:
+                choices[s] = best
+                switched = True
+        return switched
 
     while True:
-        # maximizer best response against tau
-        while True:
-            values = current_values()
-            improved = False
-            for s in sigma:
-                best_action, best_q = _greedy_action(game, s, beta, values, maximize=True)
-                if best_q > _one_step(game, s, sigma[s], beta, values):
-                    sigma[s] = best_action
-                    improved = True
-            if not improved:
-                break
-        values = current_values()
-        improved = False
-        for s in tau:
-            best_action, best_q = _greedy_action(game, s, beta, values, maximize=False)
-            if best_q < _one_step(game, s, tau[s], beta, values):
-                tau[s] = best_action
-                improved = True
-        if not improved:
+        pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
+                            PositionalStrategy(MIN, dict(tau)))
+        values = discounted_values(induced_chain(game, pair), beta)
+        scaled = lookahead.scale(values.values)
+        # the minimizer moves only once the maximizer has stopped switching
+        if not switch(sigma, True, scaled) and not switch(tau, False, scaled):
             break
 
     # the one-step optimality equations are the certificate; re-check them
-    for s in game.state_order:
-        maximize = game.owner[s] == MAX
-        _, extreme = _greedy_action(game, s, beta, values, maximize)
-        if extreme != values[s]:
+    d, y = scaled
+    for s, v, ys in zip(game.state_order, values.values, y):
+        q = lookahead.q(s, scaled)
+        extreme = q[_first_extreme(q, game.owner[s] == MAX)]
+        if extreme != lookahead.unit[s] * ys:
             raise DeterminacyViolation(
                 f"strategy iteration stopped at a non-equilibrium: state {s!r}",
-                state=s, value=values[s], one_step=extreme)
+                state=s, value=v, one_step=Fraction(extreme, lookahead.unit[s] * d))
 
-    pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
-                        PositionalStrategy(MIN, dict(tau)))
-    ordered = tuple(values[s] for s in game.state_order)
-    vector = ValueVector(game.state_order, ordered)
-    certificate = Certificate(game.state_order, ordered, ordered)
-    return Solution(DISCOUNTED, beta, vector, pair, certificate)
+    certificate = Certificate(game.state_order, values.values, values.values)
+    return Solution(DISCOUNTED, beta, values, pair, certificate)
 
 
 def greedy_recovery_discounted(game: Game, beta: Fraction,
@@ -279,21 +314,22 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
     InconsistentValues.
     """
     beta = check_beta(beta)
-    aligned = dict(zip(game.state_order, _aligned(game, values)))
+    claimed = _aligned(game, values)
+    lookahead = _Lookahead(game, beta)
+    scaled = lookahead.scale(claimed)
     sigma = {}
     tau = {}
     for s in game.state_order:
         maximize = game.owner[s] == MAX
-        action, _ = _greedy_action(game, s, beta, aligned, maximize)
-        (sigma if maximize else tau)[s] = action
+        (sigma if maximize else tau)[s] = _first_extreme(lookahead.q(s, scaled), maximize)
     pair = StrategyPair(PositionalStrategy(MAX, sigma), PositionalStrategy(MIN, tau))
     check = discounted_values(induced_chain(game, pair), beta)
-    for s in game.state_order:
-        if check.at(s) != aligned[s]:
+    for s, v in zip(game.state_order, claimed):
+        if check.at(s) != v:
             raise InconsistentValues(
-                f"greedy pair re-evaluates to {check.at(s)} at {s!r}, "
-                f"claimed {aligned[s]}",
-                state=s, claimed=aligned[s], reevaluated=check.at(s))
+                f"greedy pair re-evaluates to {rational_text(check.at(s))} at {s!r}, "
+                f"claimed {rational_text(v)}",
+                state=s, claimed=v, reevaluated=check.at(s))
     return pair
 
 
@@ -312,7 +348,7 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
     if pair is None:
         raise NoConsistentStrategy(
             "no strategy pair attains the claimed values as a saddle point",
-            claimed=[format_rational(x) for x in target])
+            claimed=[rational_text(x) for x in target])
     return pair
 
 

@@ -120,6 +120,22 @@ def test_value_past_digit_limit_ends_in_json_error(tmp_path, g2_pair_file):
     assert "3333" not in proc.stderr
 
 
+def test_error_message_past_digit_limit_ends_in_json_error(tmp_path):
+    """Two self-loops of probability 1/(10^3000 + 1) and 1/(10^3000 + 3) are
+    read, but their sum has about 6,000 digits: the ProbabilitySumMismatch
+    report gives its digit count in the message and the payload."""
+    raw = raw_g1()
+    raw["transitions"] = [
+        {"from": "s0", "action": "A", "to": "s0", "prob": f"1/{10**3000 + k}"} for k in (1, 3)]
+    proc = run_module("validate", write(tmp_path / "long.json", raw))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "ProbabilitySumMismatch"
+    assert payload["total"] == "<a rational with 6001 digits>"
+    assert payload["message"].endswith("sum to <a rational with 6001 digits>")
+
+
 def test_eval_discounted_golden_bytes(capsys, g2_file, g2_pair_file):
     code, out, _ = run(capsys, "eval", g2_file, "--strategy", g2_pair_file,
                        "--criterion", "discounted", "--beta", "1/2")

@@ -81,6 +81,15 @@ def test_discounted_rejects_bad_beta(g1):
             discounted_values(chain, beta)
 
 
+def test_bad_beta_past_digit_limit_reports_its_digit_count(g1):
+    chain = induced_chain(g1, pair_of({"s0": "A"}, {}))
+    with pytest.raises(InvalidBeta) as info:
+        discounted_values(chain, F(10**5000 + 1, 7))
+    report = info.value.to_json_dict()
+    assert report["beta"] == "<a rational with 5001 digits>"
+    assert report["message"] == "discount factor <a rational with 5001 digits> outside [0, 1)"
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),

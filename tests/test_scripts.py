@@ -1,7 +1,9 @@
 """The experiment scripts, run as a user runs them, with default arguments,
-and one game of the parent-vs-change sweep."""
+and a slice of the parent-vs-change sweep."""
 
+import hashlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,15 +36,24 @@ def test_blackwell_sweep_golden_stdout():
     assert proc.stdout == (REPO / "tests" / "golden" / "blackwell_sweep.out").read_text()
 
 
-def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
-    """The parent-vs-change sweep, on g2 only: every run exits 0, and its
-    records at beta 1/3 carry the pinned verify and pipeline bytes."""
+def load_sweep():
     spec = importlib.util.spec_from_file_location("sweep", REPO / "scripts" / "sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
+    """The parent-vs-change sweep, on g2 only: every run exits 0 but the
+    recoveries from perturbed values, which exit 1, and its records at
+    beta 1/3 carry the pinned verify and pipeline bytes."""
+    sweep = load_sweep()
     codes = sweep.sweep_game("g2", load_game(REPO / "games" / "g2.json"), tmp_path)
-    assert len(codes) == 2 + 4 * (4 + 2 * 2)
-    assert set(codes.values()) == {0}
+    assert len(codes) == 2 + 4 * (6 + 2 * 2)
+    perturbed = {run for run in codes if run.startswith("recover-perturbed-")}
+    assert len(perturbed) == 4
+    assert {codes[run] for run in perturbed} == {1}
+    assert {code for run, code in codes.items() if run not in perturbed} == {0}
 
     golden = REPO / "tests" / "golden" / "g2_beta_1_3"
     out = tmp_path / "g2"
@@ -54,3 +65,28 @@ def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
         assert record == f"exit 0\n--- stdout\n{(golden / pinned).read_text()}--- stderr\n", run
     assert ((out / "pipeline-b1_3" / "discounted_values.json").read_bytes()
             == (golden / "pipeline_discounted_values.json").read_bytes())
+
+
+def directory_digest(root: Path) -> str:
+    """sha256 over every file under root: its relative path and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def test_sweep_slice_matches_the_committed_digests(tmp_path):
+    """Six games of the sweep, every run on each (brute force, strategy
+    iteration, recovery, both checks, the pipeline), hashed per game and
+    compared with digests recorded before the integer one-step lookahead
+    replaced the Fraction one.  A mismatch means some CLI byte changed:
+    rerun scripts/sweep.py in both checkouts and diff -r the outputs."""
+    sweep = load_sweep()
+    pinned = json.loads((REPO / "tests" / "golden" / "sweep_slice.json").read_text())
+    games = sweep.sweep_games()
+    digests = {}
+    for name in pinned:
+        sweep.sweep_game(name, games[name], tmp_path)
+        digests[name] = directory_digest(tmp_path / name)
+    assert digests == pinned

@@ -17,7 +17,15 @@ from smpg.errors import (
     UnknownState,
 )
 from smpg.evaluate import ValueVector, mean_values
-from smpg.game import MAX, MIN, StrategyPair, enumerate_strategies, induced_chain
+from smpg.game import (
+    MAX,
+    MIN,
+    StrategyPair,
+    enumerate_strategies,
+    game_to_json_dict,
+    induced_chain,
+    validate_game,
+)
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.solvers import (
     Certificate,
@@ -32,6 +40,8 @@ from smpg.solvers import (
     strategy_iteration_discounted,
     verify_star,
     verify_star2,
+    _first_extreme,
+    _Lookahead,
 )
 from smpg.transforms import beta_recurrent, decompose_mirror_strategies, mirror
 
@@ -133,6 +143,12 @@ def test_greedy_recovery_picks_improving_loop(g1b):
 def test_greedy_recovery_rejects_wrong_values(g1b):
     with pytest.raises(InconsistentValues):
         greedy_recovery_discounted(g1b, F(1, 2), ValueVector(("s0",), (F(3),)))
+    with pytest.raises(InconsistentValues) as info:
+        greedy_recovery_discounted(g1b, F(1, 2), ValueVector(("s0",), (F(10**5000 + 1, 3),)))
+    report = info.value.to_json_dict()
+    assert report["claimed"] == "<a rational with 5001 digits>"
+    assert report["message"] == ("greedy pair re-evaluates to 4 at 's0', "
+                                 "claimed <a rational with 5001 digits>")
 
 
 def test_greedy_recovery_rejects_unknown_state(g1b):
@@ -166,6 +182,10 @@ def test_reference_oracle_finds_first_consistent_pair(g1b):
 def test_reference_oracle_rejects_unattained_values(g1b):
     with pytest.raises(NoConsistentStrategy):
         reference_recovery_oracle(g1b, ValueVector(("s0",), (F(7),)))
+    # a claim too long to write out is still reported as unattained
+    with pytest.raises(NoConsistentStrategy) as info:
+        reference_recovery_oracle(g1b, ValueVector(("s0",), (F(1, 10**5000),)))
+    assert info.value.payload == {"claimed": ["<a rational with 5001 digits>"]}
 
 
 def test_reference_oracle_requires_a_saddle_point(g1b):
@@ -353,3 +373,112 @@ def test_pair_scan_selects_as_the_full_table(seed, states, doubled, discounted):
         except NoConsistentStrategy:
             got = None
         assert got == oracle(claim)
+
+
+def _with_tied_copies(game):
+    """The game with a copy of every action under the id ``<id>~``: the same
+    reward and transitions, so every action ties with its copy, and the two
+    sit apart in sorted order when other actions come between them."""
+    raw = game_to_json_dict(game)
+    raw["actions"] += [{**a, "id": a["id"] + "~"} for a in raw["actions"]]
+    raw["transitions"] += [{**t, "action": t["action"] + "~"} for t in raw["transitions"]]
+    return validate_game(raw)
+
+
+def _reference_lookahead(game, beta, values, state, maximize):
+    """The first action in sorted order with the extreme Fraction q, and q."""
+    best = None
+    for action in game.available_actions[state]:
+        q = (1 - beta) * game.actions[action] + beta * sum(
+            (p * values[game.state_index[t]] for t, p in game.outgoing[(state, action)]), F(0))
+        if best is None or (q > best[1] if maximize else q < best[1]):
+            best = (action, q)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=1, max_value=6),
+    beta=st.sampled_from([F(0), F(1, 2), F(99, 100)]),
+    ties=st.booleans(),
+    data=st.data(),
+)
+def test_integer_lookahead_matches_fraction_reference(seed, states, beta, ties, data):
+    game = generate_game(GeneratorConfig(
+        states=states, actions_per_state=(1, 3), transitions_per_action=(1, 3),
+        reward_bound=5, denominator_bound=6, max_states_fraction=F(1, 2), seed=seed))
+    if ties:
+        game = _with_tied_copies(game)
+    values = tuple(data.draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=10**12),
+        min_size=states, max_size=states)))
+    lookahead = _Lookahead(game, beta)
+    d, y = lookahead.scale(values)
+    assert [F(yj, d) for yj in y] == list(values)
+    for state in game.state_order:
+        q = lookahead.q(state, (d, y))
+        unit = lookahead.unit[state] * d
+        assert list(q) == list(game.available_actions[state])
+        for maximize in (True, False):
+            action, reference_q = _reference_lookahead(game, beta, values, state, maximize)
+            chosen = _first_extreme(q, maximize)
+            assert (chosen, F(q[chosen], unit)) == (action, reference_q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=1, max_value=4),
+    beta=st.sampled_from([F(0), F(1, 3), F(9, 10), F(99, 100)]),
+)
+def test_strategy_iteration_values_equal_brute_force(seed, states, beta):
+    game = generate_game(GeneratorConfig(
+        states=states, actions_per_state=(1, 3), transitions_per_action=(1, 3),
+        reward_bound=5, denominator_bound=6, max_states_fraction=F(1, 2), seed=seed))
+    si = strategy_iteration_discounted(game, beta)
+    assert si.values == brute_force_solve(game, DISCOUNTED, beta).values
+    assert evaluate_pair(game, si.optimal_pair, DISCOUNTED, beta) == si.values
+
+
+def test_strategy_iteration_certificate_catches_shifted_values(monkeypatch, g2):
+    """Values shifted by a constant k move every q by beta k, so strategy
+    iteration switches as before; the one-step equations v = q no longer
+    hold (v moves by k), and the certificate must say so."""
+    real = smpg.solvers.discounted_values
+    monkeypatch.setattr(
+        smpg.solvers, "discounted_values",
+        lambda chain, beta: ValueVector(chain.state_order,
+                                        tuple(v + 1 for v in real(chain, beta).values)))
+    with pytest.raises(DeterminacyViolation) as info:
+        strategy_iteration_discounted(g2, F(1, 2))
+    # true values 1/3 at a, -1/3 at b; q(X) = 1/2 * 1 + 1/2 * (-1/3 + 1)
+    assert info.value.payload == {"state": "a", "value": F(4, 3), "one_step": F(5, 6)}
+
+
+def _seeded_40_state_game():
+    return generate_game(GeneratorConfig(
+        states=40, actions_per_state=(2, 3), transitions_per_action=(2, 4),
+        reward_bound=5, denominator_bound=6, max_states_fraction=F(1, 2), seed=0))
+
+
+@pytest.mark.parametrize("make_game, beta, evaluations", [
+    pytest.param(lambda g2: g2, F(1, 2), 1, id="g2"),
+    # the evaluation count before each pair was evaluated once: 12
+    pytest.param(lambda g2: _seeded_40_state_game(), F(99, 100), 9, id="40-states"),
+])
+def test_strategy_iteration_evaluates_each_pair_once(monkeypatch, g2, make_game, beta,
+                                                     evaluations):
+    game = make_game(g2)
+    rows = []
+    real = smpg.solvers.discounted_values
+
+    def spy(chain, beta):
+        rows.append(chain.rows)
+        return real(chain, beta)
+
+    monkeypatch.setattr(smpg.solvers, "discounted_values", spy)
+    solution = strategy_iteration_discounted(game, beta)
+    assert all(before != after for before, after in zip(rows, rows[1:]))
+    assert len(rows) == evaluations
+    assert rows[-1] == induced_chain(game, solution.optimal_pair).rows
