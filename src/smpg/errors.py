@@ -115,8 +115,10 @@ class SingularSystem(GameError):
 
 class InexactDivision(GameError):
     """An integer division that exact elimination guarantees to be exact
-    left a remainder.  A broken solver invariant, never a property of the
-    input; raised instead of asserted so that it also holds under -O."""
+    left a remainder.  On integer rows, a broken solver invariant, never a
+    property of the input; raised instead of asserted so that it also holds
+    under -O.  A non-integer entry handed to ``linalg`` ends here or in the
+    exact answer."""
 
 
 class DeterminacyViolation(GameError):

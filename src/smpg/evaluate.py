@@ -4,10 +4,12 @@ Discounted values solve (I - beta P) v = (1 - beta) r directly.  Mean
 payoffs are true long-run averages: the chain is decomposed into recurrent
 classes and transient states, each class gets the gain of its exact
 stationary distribution, and transient states mix class gains by exact
-absorption probabilities.  Every system is built in integers from the
-chain's rows, each row scaled by the denominators it reads.  The Monte Carlo simulator at the bottom is the
-single floating-point component of the package and is never consulted by
-any exactness check.
+absorption probabilities.  The restart-occupation recursion is one more
+system.  Each of them is built in integers straight from the chain's rows,
+every row scaled by the denominators it reads, so ``linalg`` gets integer
+rows in and hands Fractions back only as the solution.  The Monte Carlo
+simulator at the bottom is the single floating-point component of the
+package and is never consulted by any exactness check.
 """
 
 from __future__ import annotations
@@ -114,17 +116,19 @@ def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
     Solves the fixed point v = (1 - beta) r + beta P v.
     """
     beta = check_beta(beta)
-    # with beta = b/c, row i of I - beta P times c * den_i is integral
+    # with beta = b/c, row i of I - beta P times c * den_i is integral, and
+    # times the denominator of its right-hand side t = (c - b) den_i r_i too
     b, c = beta.numerator, beta.denominator
     matrix = []
     rhs = []
     for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
+        t = (c - b) * den * r
         row = [0] * len(chain.rows)
         for j, num in entries:
-            row[j] = -b * num
-        row[i] += c * den
+            row[j] = -b * num * t.denominator
+        row[i] += c * den * t.denominator
         matrix.append(row)
-        rhs.append((c - b) * den * r)
+        rhs.append(t.numerator)
     return ValueVector(chain.state_order, tuple(linalg.solve(matrix, rhs)))
 
 
@@ -290,33 +294,37 @@ def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) ->
     unique solution of mu = (1 - beta) e0 + beta Q^T mu must then equal the
     chain's stationary distribution.  Solves that fixed point exactly and
     asserts the match; raises NotUnichain when the chain cannot have come
-    from the reset transform.
+    from the reset transform.  With beta = b/c, the system it solves is
+    c (I - P^T + (1 - beta) e0 1^T) mu = (c - b) e0 in x_j = mu_j / den_j.
     """
     beta = check_beta(beta)
     if s0 not in chain.state_index:
         raise UnknownState(f"no state {s0!r} in chain", state=s0)
+    b, c = beta.numerator, beta.denominator
     n = len(chain.state_order)
     origin = chain.state_index[s0]
-    # beta Q = P - (1 - beta) 1 e0^T is non-negative exactly when the reset
-    # mass is there; at beta = 0 that puts every row on s0
-    reset = [[p - (1 - beta) * (1 if j == origin else 0) for j, p in enumerate(row)]
-             for row in chain.matrix]
-    for state, row in zip(chain.state_order, reset):
-        if min(row) < 0:
+    matrix = [[0] * n for _ in range(n)]
+    for j, (state, (den, entries)) in enumerate(zip(chain.state_order, chain.rows)):
+        # beta Q = P - (1 - beta) 1 e0^T is non-negative exactly when the
+        # reset mass is there; at beta = 0 that puts every row on s0
+        if c * dict(entries).get(origin, 0) < (c - b) * den:
             raise NotUnichain(
                 f"chain is not the image of a reset transform: row {state} lacks the reset mass",
                 state=state)
-    matrix = [[(1 if i == j else 0) - reset[j][i] for j in range(n)] for i in range(n)]
-    rhs = [(1 - beta) * (1 if i == origin else 0) for i in range(n)]
-    mu = linalg.solve(matrix, rhs)
+        matrix[j][j] += c * den
+        matrix[origin][j] += (c - b) * den
+        for i, num in entries:
+            matrix[i][j] -= c * num
+    x = linalg.solve(matrix, [(c - b) * (i == origin) for i in range(n)])
+    mu = tuple(den * xj for (den, _), xj in zip(chain.rows, x))
 
     stationary = unichain_stationary(chain)
-    if tuple(mu) != stationary.mass:
+    if mu != stationary.mass:
         raise NotUnichain(
             "occupation recursion disagrees with the stationary distribution; "
             "the chain did not come from a reset transform",
             s0=s0)
-    return Distribution(chain.state_order, tuple(mu))
+    return Distribution(chain.state_order, mu)
 
 
 @dataclass(frozen=True)

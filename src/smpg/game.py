@@ -182,7 +182,8 @@ class InducedChain:
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense transition matrix, built on first read."""
+        """The dense transition matrix, built on first read.  No evaluation
+        reads it; it stays as a view for tests and the benchmark's tracing."""
         n = len(self.rows)
         dense = [[Fraction(0)] * n for _ in range(n)]
         for row, (den, entries) in zip(dense, self.rows):

@@ -1,9 +1,11 @@
-"""Exact linear solves over the rationals.
+"""Exact linear solves over the rationals, from integer rows.
 
-Rows are scaled to integers, eliminated with Bareiss one-step fraction-free
-pivoting, then back-substituted in integers.  Intermediate entries stay
-integers (they are minors of the scaled matrix), and so does y = det * x,
-by Cramer's rule, where det is the last Bareiss pivot.
+The matrix and the right-hand sides are integers; callers scale each row by
+the denominators it reads before they hand it over.  The rows are eliminated
+with Bareiss one-step fraction-free pivoting, then back-substituted in
+integers.  Intermediate entries stay integers (they are minors of the
+augmented matrix), and so does y = det * x, by Cramer's rule, where det is
+the last Bareiss pivot.
 
 The elimination scales rows lazily.  A Bareiss step multiplies a row whose
 entry in the pivot column is 0 by pivot / previous pivot and changes it in
@@ -13,30 +15,17 @@ divided by; when it is next updated, that pivot is the divisor, and when it
 becomes a pivot row it is first brought up to date.  Every quotient is then
 the same minor as in the plain elimination, so the results do not change.
 
-Every division is an exact integer division, checked as such; Fractions
-appear only at the edges: entries are read as numerator/denominator pairs,
-and each output entry is built once as y / det.
+Every division is an exact integer division, checked as such, so a rational
+entry that is not an integer ends in InexactDivision or in the exact answer,
+never in a wrong one.  Fractions appear only in the output: each entry is built
+once as y / det.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import InexactDivision, SingularSystem
-
-
-def _scaled_row(entries) -> list[int]:
-    """The row times the lcm of its denominators, as integers."""
-    nums = []
-    dens = []
-    for x in entries:
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        nums.append(x.numerator)
-        dens.append(x.denominator)
-    scale = lcm(*dens)
-    return [num * (scale // den) for num, den in zip(nums, dens)]
 
 
 def _inexact(where: str) -> InexactDivision:
@@ -46,16 +35,16 @@ def _inexact(where: str) -> InexactDivision:
 def solve_columns(matrix, rhs_rows):
     """Solve A x = b for every right-hand-side column at once.
 
-    ``matrix`` is an n x n sequence of rational rows (ints, Fractions, or
-    anything ``Fraction`` accepts), ``rhs_rows`` an n x m sequence whose row
-    i holds the i-th entry of each of the m right-hand sides.  Returns an
-    n x m list of Fractions.  Raises SingularSystem.
+    ``matrix`` is an n x n sequence of integer rows, ``rhs_rows`` an n x m
+    sequence of integer rows whose row i holds the i-th entry of each of the
+    m right-hand sides.  Returns an n x m list of Fractions.  Raises
+    SingularSystem.
     """
     n = len(matrix)
     if n == 0:
         return []
     m = len(rhs_rows[0])
-    aug = [_scaled_row([*matrix[i], *rhs_rows[i]]) for i in range(n)]
+    aug = [[*matrix[i], *rhs_rows[i]] for i in range(n)]
 
     # since[r] is the pivot row r was last divided by; the Bareiss row is
     # aug[r] * prev / since[r]

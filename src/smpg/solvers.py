@@ -260,7 +260,9 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
     minimizer has none; the final values then satisfy the one-step
     optimality equations, which is checked and returned as the certificate.
     Each strategy pair is evaluated once: the evaluation at which the
-    maximizer stops switching is the one the minimizer improves on.
+    maximizer stops switching is the one the minimizer improves on.  Exact
+    switching never returns to a pair, so a pair that comes back means a
+    faulty evaluation or lookahead and raises DeterminacyViolation.
     """
     beta = check_beta(beta)
     lookahead = _Lookahead(game, beta)
@@ -279,7 +281,13 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
                 switched = True
         return switched
 
+    seen = set()
     while True:
+        key = (tuple(sigma.values()), tuple(tau.values()))
+        if key in seen:
+            raise DeterminacyViolation("strategy iteration came back to a strategy pair",
+                                       max=dict(sigma), min=dict(tau))
+        seen.add(key)
         pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
                             PositionalStrategy(MIN, dict(tau)))
         values = discounted_values(induced_chain(game, pair), beta)

@@ -22,9 +22,9 @@ from smpg.evaluate import (
     unichain_stationary,
     verify_stationary_recursion,
 )
-from smpg.game import MAX, MIN, enumerate_strategies, induced_chain, validate_game
+from smpg.game import MAX, MIN, InducedChain, enumerate_strategies, induced_chain, validate_game
 from smpg.generate import GeneratorConfig, generate_game
-from smpg.solvers import brute_force_solve, MEAN
+from smpg.solvers import brute_force_solve, MEAN, strategy_iteration_discounted, verify_star2
 from smpg.transforms import beta_recurrent
 
 from .conftest import checkout_env, pair_of
@@ -316,6 +316,30 @@ def test_stationary_recursion_matches_direct_stationary(seed, beta):
     chain = induced_chain(gb, first_pair(gb))
     mu = verify_stationary_recursion(chain, beta, s0)
     assert mu.mass == unichain_stationary(chain).mass
+
+
+def _g2_evaluations(g2, g2_pair):
+    """Every evaluation path on g2 at beta = 1/2, each from fresh chains."""
+    beta = F(1, 2)
+    gb, reduction = beta_recurrent(g2, beta, "a")
+    return (discounted_values(induced_chain(g2, g2_pair), beta),
+            mean_values(induced_chain(g2, g2_pair)),
+            unichain_stationary(induced_chain(g2, g2_pair)),
+            verify_stationary_recursion(induced_chain(gb, g2_pair), beta, "a"),
+            strategy_iteration_discounted(g2, beta),
+            verify_star2(gb, reduction))
+
+
+def test_evaluation_never_reads_the_dense_matrix(monkeypatch, g2, g2_pair):
+    expected = _g2_evaluations(g2, g2_pair)
+
+    def refuse(chain):
+        raise AssertionError("the dense transition matrix was read")
+
+    monkeypatch.setattr(InducedChain, "matrix", property(refuse))
+    with pytest.raises(AssertionError):
+        induced_chain(g2, g2_pair).matrix
+    assert _g2_evaluations(g2, g2_pair) == expected
 
 
 # ------------------------------------------------------------- simulation

@@ -1,4 +1,4 @@
-"""Exact rational linear solves."""
+"""Exact rational linear solves from integer rows."""
 
 from fractions import Fraction as F
 
@@ -11,60 +11,63 @@ from smpg.game import MAX, MIN, PositionalStrategy, StrategyPair, induced_chain
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.linalg import solve, solve_columns
 
-rationals = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6
-)
+# the entries of rational rows with denominators up to 6, scaled to integers
+small = st.integers(min_value=-60, max_value=60)
 
 
 def test_known_2x2():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    b = [F(5), F(10)]
+    a = [[2, 1], [1, 3]]
+    b = [5, 10]
     assert solve(a, b) == [F(1), F(3)]
 
 
 def test_known_3x3_with_fractions():
+    # the rows [1/2, 0, 1/2], [1, -1, 0] and [0, 1/3, 2/3] times 8, 5 and 30,
+    # which makes b = A x integral as well
     a = [
-        [F(1, 2), F(0), F(1, 2)],
-        [F(1), F(-1), F(0)],
-        [F(0), F(1, 3), F(2, 3)],
+        [4, 0, 4],
+        [5, -5, 0],
+        [0, 10, 20],
     ]
     x = [F(3), F(-2, 5), F(7, 4)]
-    b = [sum(row[j] * x[j] for j in range(3)) for row in a]
+    b = [19, 17, 31]
+    assert [sum(row[j] * x[j] for j in range(3)) for row in a] == b
     assert solve(a, b) == x
 
 
 def test_identity_returns_rhs():
-    a = [[F(1), F(0)], [F(0), F(1)]]
-    assert solve(a, [F(-7, 3), F(4)]) == [F(-7, 3), F(4)]
+    a = [[1, 0], [0, 1]]
+    assert solve(a, [-7, 4]) == [F(-7), F(4)]
+    # x = (-7/3, 4) with its first row times 3
+    assert solve([[3, 0], [0, 1]], [-7, 4]) == [F(-7, 3), F(4)]
 
 
 def test_multiple_right_hand_sides():
     # row i of the result carries entry i of each solution, mirroring the
     # row-wise right-hand-side layout
-    a = [[F(2), F(0)], [F(0), F(4)]]
-    rhs_rows = [[F(2), F(8)], [F(6), F(0)]]
+    a = [[2, 0], [0, 4]]
+    rhs_rows = [[2, 8], [6, 0]]
     assert solve_columns(a, rhs_rows) == [[F(1), F(4)], [F(3, 2), F(0)]]
 
 
 def test_singular_matrix_raises():
-    a = [[F(1), F(2)], [F(2), F(4)]]
+    a = [[1, 2], [2, 4]]
     with pytest.raises(SingularSystem):
-        solve(a, [F(1), F(1)])
+        solve(a, [1, 1])
 
 
 def test_zero_pivot_needs_row_swap():
-    a = [[F(0), F(1)], [F(1), F(0)]]
-    assert solve(a, [F(2), F(3)]) == [F(3), F(2)]
+    a = [[0, 1], [1, 0]]
+    assert solve(a, [2, 3]) == [F(3), F(2)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    entries=st.lists(rationals, min_size=9, max_size=9),
-    x=st.lists(rationals, min_size=3, max_size=3),
+    entries=st.lists(small, min_size=9, max_size=9),
+    b=st.lists(small, min_size=3, max_size=3),
 )
-def test_solution_reconstructs_rhs(entries, x):
+def test_solution_reconstructs_rhs(entries, b):
     a = [entries[0:3], entries[3:6], entries[6:9]]
-    b = [sum(a[i][j] * x[j] for j in range(3)) for i in range(3)]
     try:
         got = solve(a, b)
     except SingularSystem:
@@ -91,13 +94,14 @@ def gauss_jordan(a, rhs_rows):
     return [row[n:] for row in rows]
 
 
-mixed_entries = st.one_of(st.just(0), st.integers(-1000, 1000), rationals)
+mixed_entries = st.one_of(st.just(0), st.integers(-1000, 1000), small,
+                          st.integers(-10**40, 10**40))
 
 
 @st.composite
 def systems(draw):
     """An n x n matrix (n <= 6) and n x m right-hand sides (1 <= m <= 3) of
-    mixed int and Fraction entries.  For n >= 2 the first rows start with a
+    integer entries, small and large.  For n >= 2 the first rows start with a
     zero, so the first pivot always needs a row swap."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 3))
@@ -146,9 +150,19 @@ def test_solve_columns_on_chain_systems(seed, n, beta, data):
                                     for s in game.states_of(player)})
         for player in (MAX, MIN)))
     chain = induced_chain(game, pair)
-    a = [[int(i == j) - beta * p for j, p in enumerate(row)]
-         for i, row in enumerate(chain.matrix)]
-    rhs_rows = [[r, 1] for r in chain.rewards]
+    # as discounted_values builds it: row i of I - beta P times c den_i and
+    # times the denominator of t = (c - b) den_i r_i, beta being b/c
+    b, c = beta.numerator, beta.denominator
+    a = []
+    rhs_rows = []
+    for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
+        t = (c - b) * den * r
+        row = [0] * n
+        for j, num in entries:
+            row[j] = -b * num * t.denominator
+        row[i] += c * den * t.denominator
+        a.append(row)
+        rhs_rows.append([t.numerator, c * den * t.denominator])
     assert_matches_gauss_jordan(a, rhs_rows)
 
 
@@ -164,7 +178,7 @@ def sparse_systems(draw):
     lose a whole column and are singular."""
     n = draw(st.integers(6, 10))
     m = draw(st.integers(1, 3))
-    nonzero = st.one_of(st.integers(-9, 9).filter(bool), rationals.filter(bool))
+    nonzero = st.one_of(st.integers(-9, 9).filter(bool), small.filter(bool))
     a = [[0] * n for _ in range(n)]
     a[0][0] = draw(st.sampled_from([-3, -2, 2, 3, 5]))
     a[0][1] = draw(st.one_of(st.just(0), nonzero))
@@ -197,13 +211,14 @@ def test_solve_columns_on_sparse_systems(system):
 def test_stale_row_swapped_in_as_pivot_row():
     # row 2 skips the first step; after it, row 1 is 0 in column 1, so row 2
     # is swapped in as the second pivot row and must first be scaled by the
-    # first pivot, 2
+    # first pivot, 2; rows 1 and 3 are times 3, so that b = A x is integral
     a = [[2, 1, 0, 0],
-         [4, 2, 1, 0],
+         [12, 6, 3, 0],
          [0, 3, 0, 1],
-         [0, 0, 1, 1]]
+         [0, 0, 3, 3]]
     x = [F(1), F(-2), F(1, 3), F(5)]
-    b = [sum(a[i][j] * x[j] for j in range(4)) for i in range(4)]
+    b = [0, 1, -1, 16]
+    assert [sum(a[i][j] * x[j] for j in range(4)) for i in range(4)] == b
     assert solve(a, b) == x
 
 

@@ -1,6 +1,7 @@
 """Solving, recovery, and the two verification drivers."""
 
 from fractions import Fraction as F
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -482,3 +483,68 @@ def test_strategy_iteration_evaluates_each_pair_once(monkeypatch, g2, make_game,
     assert all(before != after for before, after in zip(rows, rows[1:]))
     assert len(rows) == evaluations
     assert rows[-1] == induced_chain(game, solution.optimal_pair).rows
+
+
+def test_strategy_iteration_raises_on_a_repeated_pair(monkeypatch):
+    """A lookahead that alternates between the two loops of a one-state game
+    makes the switch rule cycle; strategy iteration must raise, not hang."""
+    game = validate_game({
+        "states": [{"id": "s", "owner": "max"}],
+        "actions": [{"id": "A", "reward": "0"}, {"id": "B", "reward": "1"}],
+        "transitions": [{"from": "s", "action": "A", "to": "s", "prob": "1"},
+                        {"from": "s", "action": "B", "to": "s", "prob": "1"}],
+    })
+    picks = cycle(["B", "A"])
+    calls = []
+
+    def alternate(q, maximize):
+        calls.append(q)
+        if len(calls) > 10:  # fail the test rather than hang it
+            raise AssertionError("strategy iteration kept switching")
+        return next(picks)
+
+    monkeypatch.setattr(smpg.solvers, "_first_extreme", alternate)
+    with pytest.raises(DeterminacyViolation) as info:
+        strategy_iteration_discounted(game, F(1, 2))
+    assert info.value.payload == {"max": {"s": "A"}, "min": {}}
+    assert len(calls) == 2
+
+
+def _small_generated_game(seed, states):
+    return generate_game(GeneratorConfig(
+        states=states, actions_per_state=(1, 2), transitions_per_action=(1, 3),
+        reward_bound=4, denominator_bound=4, max_states_fraction=F(1, 2), seed=seed))
+
+
+small_reductions = given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=1, max_value=3),
+    beta=st.sampled_from([F(0), F(1, 3), F(9, 10)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@small_reductions
+def test_verify_star_holds_from_every_start(seed, states, beta):
+    game = _small_generated_game(seed, states)
+    for s0 in game.state_order:
+        assert verify_star(game, beta, s0).violations == ()
+
+
+@settings(max_examples=40, deadline=None)
+@small_reductions
+def test_verify_star2_holds_on_every_reset_game(seed, states, beta):
+    game = _small_generated_game(seed, states)
+    for s0 in game.state_order:
+        assert verify_star2(*beta_recurrent(game, beta, s0)).violations == ()
+
+
+@settings(max_examples=40, deadline=None)
+@small_reductions
+def test_pipeline_assembles_the_brute_force_discounted_values(seed, states, beta):
+    game = _small_generated_game(seed, states)
+    assembled = []
+    strategic_via_recovery(game, beta, reference_recovery_oracle,
+                           on_stage=lambda state, reduction, witness, value:
+                           assembled.append(value))
+    assert tuple(assembled) == brute_force_solve(game, DISCOUNTED, beta).values.values
