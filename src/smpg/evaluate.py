@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import sqrt
+from math import lcm, sqrt
 
 from . import linalg
 from .errors import (
@@ -228,10 +228,14 @@ def _decomposition(chain: InducedChain) -> RecurrentDecomposition:
 def mean_values(chain: InducedChain) -> ValueVector:
     """Exact long-run average reward from every start state."""
     decomposition = _decomposition(chain)
-    class_gains = [
-        sum((p * chain.rewards[i] for i, p in zip(members, dist.mass)), Fraction(0))
-        for members, dist in zip(decomposition.classes, decomposition.stationary)
-    ]
+    class_gains = []
+    for members, dist in zip(decomposition.classes, decomposition.stationary):
+        # sum(p_i r_i) as one integer sum over the lcm of the p_i r_i denominators
+        rewards = [chain.rewards[i] for i in members]
+        terms = [(p.numerator * r.numerator, p.denominator * r.denominator)
+                 for p, r in zip(dist.mass, rewards)]
+        common = lcm(*(den for _, den in terms))
+        class_gains.append(Fraction(sum(num * (common // den) for num, den in terms), common))
     gains: list[Fraction | None] = [None] * len(chain.state_order)
     home = {}
     for c, (members, gain) in enumerate(zip(decomposition.classes, class_gains)):

@@ -7,6 +7,16 @@ integers.  Intermediate entries stay integers (they are minors of the
 augmented matrix), and so does y = det * x, by Cramer's rule, where det is
 the last Bareiss pivot.
 
+The unknowns are eliminated in a static fill-reducing order, fewest
+nonzeros in their row and column first (Markowitz 1957), and each row and
+column moves with its unknown.  A symmetric permutation P turns A x = b
+into (P A P^T)(P x) = P b, a system with the same unique solution read in
+another order; the Bareiss quotients are then minors of the permuted
+matrix, integers as before (Bareiss 1968).  So every order gives the same
+output, and the order only decides how much fill the elimination makes: a
+dense row and column eliminated first fill the whole matrix, eliminated
+last they fill nothing.
+
 The elimination scales rows lazily.  A Bareiss step multiplies a row whose
 entry in the pivot column is 0 by pivot / previous pivot and changes it in
 no other way, and a run of such steps telescopes into one ratio (Bareiss
@@ -24,6 +34,7 @@ once as y / det.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InexactDivision, SingularSystem
 
@@ -38,13 +49,31 @@ def solve_columns(matrix, rhs_rows):
     ``matrix`` is an n x n sequence of integer rows, ``rhs_rows`` an n x m
     sequence of integer rows whose row i holds the i-th entry of each of the
     m right-hand sides.  Returns an n x m list of Fractions.  Raises
-    SingularSystem.
+    SingularSystem, naming the caller's column.
+
+    The unknowns are eliminated fewest nonzeros first: unknown i counts the
+    nonzeros in row i plus those in column i, and ties go by index.  Row i
+    moves with unknown i, so the system solved is P A P^T (P x) = P b for a
+    permutation P.  Its solution is P x, and x is unique, so writing each
+    row back to its caller's index gives the same output in every order.
     """
     n = len(matrix)
     if n == 0:
         return []
     m = len(rhs_rows[0])
-    aug = [[*matrix[i], *rhs_rows[i]] for i in range(n)]
+    natural = list(range(n))
+    order = natural
+    if n > 2:  # on one or two unknowns every order does the same work
+        # nonzeros in row i plus nonzeros in column i
+        degree = [2 * n - row.count(0) for row in matrix]
+        for j, column in enumerate(zip(*matrix)):
+            degree[j] -= column.count(0)
+        order = sorted(natural, key=degree.__getitem__)
+    if order == natural:
+        aug = [[*matrix[i], *rhs_rows[i]] for i in natural]
+    else:
+        pick = itemgetter(*order)
+        aug = [[*pick(matrix[i]), *rhs_rows[i]] for i in order]
 
     # since[r] is the pivot row r was last divided by; the Bareiss row is
     # aug[r] * prev / since[r]
@@ -53,7 +82,8 @@ def solve_columns(matrix, rhs_rows):
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot_row is None:
-            raise SingularSystem(f"singular {n}x{n} system at column {col}", size=n)
+            raise SingularSystem(f"singular {n}x{n} system at column {order[col]}",
+                                 size=n, column=order[col])
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
             since[col], since[pivot_row] = since[pivot_row], since[col]
@@ -95,7 +125,10 @@ def solve_columns(matrix, rhs_rows):
             if rem:
                 raise _inexact("back-substitution")
             y[i][k] = q
-    return [[Fraction(entry, det) for entry in y_row] for y_row in y]
+    x = [None] * n
+    for i, y_row in zip(order, y):
+        x[i] = [Fraction(entry, det) for entry in y_row]
+    return x
 
 
 def solve(matrix, rhs):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smpg import linalg
 from smpg.errors import SingularSystem
 from smpg.game import MAX, MIN, PositionalStrategy, StrategyPair, induced_chain
 from smpg.generate import GeneratorConfig, generate_game
@@ -136,17 +137,18 @@ def assert_matches_gauss_jordan(a, rhs_rows):
         assert solve_columns(a, rhs_rows) == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 12),
-       beta=st.sampled_from([F(0), F(1, 2), F(99, 100)]), data=st.data())
-def test_solve_columns_on_chain_systems(seed, n, beta, data):
+@st.composite
+def chain_systems(draw):
     """I - beta P for the chain a drawn pair induces on a generated game:
     sparse rows, so most Bareiss steps leave most rows untouched."""
+    n = draw(st.integers(1, 12))
+    beta = draw(st.sampled_from([F(0), F(1, 2), F(99, 100)]))
     game = generate_game(GeneratorConfig(
         states=n, actions_per_state=(1, 3), transitions_per_action=(1, 4),
-        reward_bound=9, denominator_bound=6, max_states_fraction=F(1, 2), seed=seed))
+        reward_bound=9, denominator_bound=6, max_states_fraction=F(1, 2),
+        seed=draw(st.integers(0, 10**6))))
     pair = StrategyPair(*(
-        PositionalStrategy(player, {s: data.draw(st.sampled_from(game.available_actions[s]))
+        PositionalStrategy(player, {s: draw(st.sampled_from(game.available_actions[s]))
                                     for s in game.states_of(player)})
         for player in (MAX, MIN)))
     chain = induced_chain(game, pair)
@@ -163,7 +165,26 @@ def test_solve_columns_on_chain_systems(seed, n, beta, data):
         row[i] += c * den * t.denominator
         a.append(row)
         rhs_rows.append([t.numerator, c * den * t.denominator])
-    assert_matches_gauss_jordan(a, rhs_rows)
+    return a, rhs_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=chain_systems())
+def test_solve_columns_on_chain_systems(system):
+    assert_matches_gauss_jordan(*system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=chain_systems(), data=st.data())
+def test_symmetric_permutation_permutes_the_solution(system, data):
+    """Renumbering the unknowns, rows alike, renumbers the solution: each
+    row is written back to its caller's index whatever order it was
+    eliminated in."""
+    a, rhs_rows = system
+    p = data.draw(st.permutations(range(len(a))))
+    x = solve_columns(a, rhs_rows)
+    permuted = [[a[i][j] for j in p] for i in p]
+    assert solve_columns(permuted, [rhs_rows[i] for i in p]) == [x[i] for i in p]
 
 
 @st.composite
@@ -171,11 +192,13 @@ def sparse_systems(draw):
     """An n x n matrix (6 <= n <= 10) with at least 70% zero entries and
     n x m right-hand sides (1 <= m <= 3).  Rows 0 and 1 agree in their first
     two columns up to a factor, and row 2 is 0 in column 0 but not in column
-    1.  So row 1 is divided by the first pivot and then drops out of column
-    1, while row 2 is left stale by the first step and becomes the second
-    pivot row through a swap with row 1.  Every other row gets a nonzero in
-    a column of its own, so most draws are regular; about half of them then
-    lose a whole column and are singular."""
+    1.  In the natural order row 1 would be divided by the first pivot and
+    drop out of column 1, and row 2, left stale by the first step, would be
+    swapped in as the second pivot row; the degree order moves the unknowns,
+    so only some draws still take that path, and the two hand-written stale
+    row tests pin it.  Every other row gets a nonzero in a column of its
+    own, so most draws are regular; about half of them then lose a whole
+    column and are singular."""
     n = draw(st.integers(6, 10))
     m = draw(st.integers(1, 3))
     nonzero = st.one_of(st.integers(-9, 9).filter(bool), small.filter(bool))
@@ -209,9 +232,10 @@ def test_solve_columns_on_sparse_systems(system):
 
 
 def test_stale_row_swapped_in_as_pivot_row():
-    # row 2 skips the first step; after it, row 1 is 0 in column 1, so row 2
-    # is swapped in as the second pivot row and must first be scaled by the
-    # first pivot, 2; rows 1 and 3 are times 3, so that b = A x is integral
+    # by degree the unknowns go 0, 2, 3, 1; rows 2 and 3 skip the first
+    # step, and row 2 is 0 in column 2, so row 3 is swapped in as the
+    # second pivot row and must first be scaled by the first pivot, 2;
+    # rows 1 and 3 are times 3, so that b = A x is integral
     a = [[2, 1, 0, 0],
          [12, 6, 3, 0],
          [0, 3, 0, 1],
@@ -222,12 +246,70 @@ def test_stale_row_swapped_in_as_pivot_row():
     assert solve(a, b) == x
 
 
+def test_stale_pivot_row_is_caught_up():
+    # the degrees are 3, 3, 4 and 4, so the unknowns go in their own order;
+    # row 2 is swapped in as the first pivot row, 2, and rows 0 and 1 skip
+    # that step; row 0 is then swapped in as the second pivot row and must
+    # first be scaled by 2, or row 3's update divides -1 by 2
+    a = [[0, -1, 0, 0],
+         [0, 0, 0, 1],
+         [2, 0, 1, 0],
+         [1, 2, 1, 0]]
+    x = [F(2), F(-2), F(1), F(3)]
+    b = [2, 3, 5, -1]
+    assert [sum(a[i][j] * x[j] for j in range(4)) for i in range(4)] == b
+    assert solve(a, b) == x
+
+
 def test_sparse_singular_system_raises():
     # rows 2 and 3 are proportional, and both are still stale when the
-    # elimination reaches column 2
+    # elimination reaches them
     a = [[1, 0, 1, 0],
          [0, 1, 0, 0],
          [0, 0, 1, 1],
          [0, 0, 2, 2]]
     with pytest.raises(SingularSystem):
         solve_columns(a, [[1], [1], [1], [1]])
+
+
+def test_singular_system_names_the_callers_column():
+    # an arrow matrix whose leaf rows 3 and 4 are proportional; by degree
+    # the unknowns go 1, 2, 3, 4, 0, so the elimination runs out of pivots
+    # at its step 3, which is unknown 4
+    a = [[5, 1, 1, 1, 1],
+         [1, 3, 0, 0, 0],
+         [1, 0, 3, 0, 0],
+         [1, 0, 0, 2, 2],
+         [2, 0, 0, 4, 4]]
+    with pytest.raises(SingularSystem) as raised:
+        solve(a, [1, 1, 1, 1, 1])
+    assert raised.value.payload == {"size": 5, "column": 4}
+    assert str(raised.value) == "singular 5x5 system at column 4"
+
+
+def test_hub_is_eliminated_last(monkeypatch):
+    """An 8 x 8 arrow matrix: a dense row 0 and column 0 (the hub) and the
+    diagonal.  Eliminated first, as in the natural order, the hub fills the
+    whole matrix (176 divisions).  Fewest nonzeros first leaves it for last:
+    each of the 7 leaf steps updates only the hub row (35 divisions), the
+    leaf rows 2 to 7 catch up when they become pivot rows (33), and
+    back-substitution divides once per unknown (8)."""
+    n = 8
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[0][i] = i + 1
+        a[i][0] = 2 * i + 1
+        a[i][i] = 3 * i + 5
+    b = list(range(1, n + 1))
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return divmod(x, y)
+
+    # the module global shadows the builtin inside linalg
+    monkeypatch.setattr(linalg, "divmod", counting, raising=False)
+    got = solve(a, b)
+    assert calls == 35 + 33 + 8
+    assert [[x] for x in got] == gauss_jordan(a, [[x] for x in b])
