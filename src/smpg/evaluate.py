@@ -355,7 +355,8 @@ def simulate_mean_payoff(game: Game, pair: StrategyPair, start: str,
 
     reward_of = [float(r) for r in chain.rewards]
     targets = [[j for j, _ in entries] for _, entries in chain.rows]
-    # each row ends at 1.0 exactly, a guard against float round-off at the top
+    # each row ends at 1.0 exactly and random() < 1.0, so bisect_right stays
+    # below len(row) even when round-off lifts an earlier partial sum to 1.0
     cumulative = [[*accumulate(num / den for _, num in entries[:-1]), 1.0]
                   for den, entries in chain.rows]
 
@@ -368,7 +369,7 @@ def simulate_mean_payoff(game: Game, pair: StrategyPair, start: str,
         for _ in range(horizon):
             total += reward_of[here]
             row = cumulative[here]
-            here = targets[here][min(bisect_right(row, rng.random()), len(row) - 1)]
+            here = targets[here][bisect_right(row, rng.random())]
         averages.append(total / horizon)
     estimate = statistics.fmean(averages)
     stderr = statistics.stdev(averages) / sqrt(plays) if plays > 1 else 0.0

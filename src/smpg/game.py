@@ -40,18 +40,21 @@ PLAYERS = (MAX, MIN)
 # pairs, for the pair-based solvers) unless the caller raises the cap.
 DEFAULT_ENUMERATION_CAP = 10**6
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "n" (decimal integers only) into a Fraction.  JSON
-    booleans are not rationals."""
+    """Parse "p/q" or "n" (decimal integers only, whitespace around them
+    ignored) into a Fraction in one pass: the pattern captures numerator and
+    denominator, and ``int`` reads each.  JSON booleans are not rationals."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    match = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(f"not a rational literal: {text!r}", value=repr(text))
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den or 1))
     except ValueError as exc:  # past the interpreter's int-string digit limit
         raise ParseError(f"rational literal too long: {exc}", length=len(text)) from exc
 
@@ -195,11 +198,14 @@ class InducedChain:
 def build_game(states, actions, transitions) -> Game:
     """Assemble a Game from already-parsed pieces, enforcing every invariant.
 
-    Parallel transitions with the same (source, action, target) are merged
-    by summing their probabilities.  Raises SinkState,
-    ProbabilitySumMismatch, ProbabilityOutOfRange or UnknownReference.
+    The one input form: ``states`` is a sequence of State, ``actions`` maps
+    action id to reward, ``transitions`` is a sequence of (source, action,
+    target, prob) tuples.  Parallel transitions with the same (source,
+    action, target) are merged by summing their probabilities.  Raises
+    ParseError, SinkState, ProbabilitySumMismatch, ProbabilityOutOfRange or
+    UnknownReference.
     """
-    state_tuple = tuple(State(s.id, s.owner) if isinstance(s, State) else State(*s) for s in states)
+    state_tuple = tuple(states)
     seen = set()
     for s in state_tuple:
         if s.id in seen:
@@ -211,8 +217,7 @@ def build_game(states, actions, transitions) -> Game:
     action_map = dict(actions)
     index = {s.id: i for i, s in enumerate(state_tuple)}
     merged: dict[tuple[str, str, str], Fraction] = {}
-    for t in transitions:
-        source, action, target, prob = (t.source, t.action, t.target, t.prob) if isinstance(t, Transition) else t
+    for source, action, target, prob in transitions:
         if source not in index:
             raise UnknownReference(f"transition from unknown state {source!r}", kind="state", id=source)
         if target not in index:

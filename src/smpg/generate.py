@@ -95,7 +95,6 @@ def generate_game(config: GeneratorConfig) -> Game:
     n = config.states
     # floor(n * fraction + 1/2): exact round-half-up in rationals
     max_owned = int(n * config.max_states_fraction + Fraction(1, 2))
-    max_owned = min(max(max_owned, 0), n)
     owners = [MIN] * n
     for i in rng.sample(range(n), max_owned):
         owners[i] = MAX

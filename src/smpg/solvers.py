@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Callable
 
@@ -45,7 +44,6 @@ from .game import (
     MAX,
     MIN,
     Game,
-    InducedChain,
     PositionalStrategy,
     StrategyPair,
     enumerate_strategies,
@@ -57,7 +55,6 @@ from .transforms import Reduction, beta_recurrent, decompose_mirror_strategies, 
 
 MEAN = "mean"
 DISCOUNTED = "discounted"
-CRITERIA = (MEAN, DISCOUNTED)
 
 # A recovery oracle maps (game, claimed per-state values) to a strategy
 # pair witnessing the claim.  reference_recovery_oracle below is one.
@@ -119,8 +116,6 @@ def evaluate_pair(game: Game, pair: StrategyPair, criterion: str,
 
 def _aligned(game: Game, claimed: ValueVector) -> tuple[Fraction, ...]:
     """Reorder a claimed value vector to the game's state order."""
-    if claimed.state_order == game.state_order:
-        return claimed.values
     if set(claimed.state_order) != set(game.state_order):
         missing = sorted(set(game.state_order) - set(claimed.state_order))
         raise UnknownState(f"claimed values missing states {missing}", states=missing)
@@ -424,22 +419,6 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _PairScan(game, cap, entry).report(violations, game.state_index[s0])
 
 
-class _SourceChain:
-    """The chain a source pair induces on the reset game, with its mean
-    values and stationary distribution computed on first use."""
-
-    def __init__(self, chain: InducedChain):
-        self.chain = chain
-
-    @cached_property
-    def values(self) -> ValueVector:
-        return mean_values(self.chain)
-
-    @cached_property
-    def stationary(self) -> Distribution:
-        return unichain_stationary(self.chain)
-
-
 def verify_star2(gb: Game, reduction: Reduction,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """Check the mirrored double game against its reset transform.
@@ -456,15 +435,16 @@ def verify_star2(gb: Game, reduction: Reduction,
     copy_ids = {copy: [reduction.state_map[s][copy - 1] for s in gb.state_order]
                 for copy in (1, 2)}
     violations = []
-    # one _SourceChain per source pair: each of the N source pairs recurs in
-    # about N of the N^2 doubled pairs
-    sources: dict[tuple, _SourceChain] = {}
+    # mean values and stationary distribution once per source pair: each of
+    # the N source pairs recurs in about N of the N^2 doubled pairs
+    sources: dict[tuple, tuple[ValueVector, Distribution]] = {}
 
-    def source(pair: StrategyPair) -> _SourceChain:
+    def source(pair: StrategyPair) -> tuple[ValueVector, Distribution]:
         key = (tuple(sorted(pair.max_strategy.choices.items())),
                tuple(sorted(pair.min_strategy.choices.items())))
         if key not in sources:
-            sources[key] = _SourceChain(induced_chain(gb, pair))
+            chain = induced_chain(gb, pair)
+            sources[key] = (mean_values(chain), unichain_stationary(chain))
         return sources[key]
 
     def entry(pair: StrategyPair) -> tuple[Fraction, ...]:
@@ -475,8 +455,7 @@ def verify_star2(gb: Game, reduction: Reduction,
         pair_one, pair_two = decompose_mirror_strategies(pair, reduction)
         source_pairs = {1: source(pair_one), 2: source(pair_two)}
         copy_values = []
-        for copy, source_chain in source_pairs.items():
-            vector = source_chain.values
+        for copy, (vector, _) in source_pairs.items():
             if any(v != vector.values[0] for v in vector.values):
                 violations.append({
                     "kind": "nonconstant-copy-value", "copy": copy, **described})
@@ -497,8 +476,7 @@ def verify_star2(gb: Game, reduction: Reduction,
                 violations.append({
                     "kind": "component-mass", "copy": copy,
                     "mass": format_rational(copy_mass), **described})
-        for copy, source_chain in source_pairs.items():
-            reference = source_chain.stationary
+        for copy, (_, reference) in source_pairs.items():
             for s, i in zip(gb.state_order, copy_ids[copy]):
                 scaled = 2 * occupation.at(i)
                 if scaled != reference.at(s):

@@ -367,6 +367,24 @@ def test_simulate_is_deterministic_per_seed(g2, g2_pair):
     assert a.estimate != c.estimate
 
 
+def test_simulate_row_whose_float_partial_sums_reach_one_early():
+    # 1 - 10^-20 rounds to 1.0, so the cumulative row of s0 is [1.0, 1.0]:
+    # every draw falls below its first entry and the walk never leaves s0
+    assert float(1 - F(1, 10**20)) == 1.0
+    game = validate_game({
+        "states": [{"id": "s0", "owner": "max"}, {"id": "s1", "owner": "max"}],
+        "actions": [{"id": "A", "reward": "2"}, {"id": "B", "reward": "-7"}],
+        "transitions": [
+            {"from": "s0", "action": "A", "to": "s0", "prob": f"{10**20 - 1}/{10**20}"},
+            {"from": "s0", "action": "A", "to": "s1", "prob": f"1/{10**20}"},
+            {"from": "s1", "action": "B", "to": "s1", "prob": "1"},
+        ],
+    })
+    res = simulate_mean_payoff(game, pair_of({"s0": "A", "s1": "B"}, {}), "s0",
+                               horizon=500, plays=8, seed=3)
+    assert (res.estimate, res.stderr) == (2.0, 0.0)
+
+
 def test_simulate_rejects_unknown_start(g1):
     with pytest.raises(UnknownState):
         simulate_mean_payoff(g1, pair_of({"s0": "A"}, {}), "zz", 10, 1, 0)

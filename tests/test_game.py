@@ -1,11 +1,12 @@
 """Data model: parsing, validation, merging, induced chains, enumeration."""
 
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smpg.errors import (
@@ -51,6 +52,59 @@ def test_parse_rational_accepts_integer_and_fraction_forms():
 def test_parse_rational_rejects_non_rational_text(text):
     with pytest.raises(ParseError):
         parse_rational(text)
+
+
+_TWO_PARSER_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def two_parser_parse_rational(text) -> F:
+    """The reference for parse_rational: a regex accepts the literal, then
+    Fraction parses the same string a second time with its own regex."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return F(text)
+    if not isinstance(text, str) or not _TWO_PARSER_RE.match(text.strip()):
+        raise ParseError(f"not a rational literal: {text!r}", value=repr(text))
+    try:
+        return F(text.strip())
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise ParseError(f"rational literal too long: {exc}", length=len(text)) from exc
+
+
+# ASCII digits, then Arabic-Indic, Devanagari and fullwidth ones: \d and
+# int() both take any Unicode decimal digit
+_DIGITS = "0123456789" + "\u0660\u0661\u0669" + "\u0966\u096f" + "\uff10\uff11\uff19"
+_SPACES = " \t\n\u00a0\u2003"
+_LONG = max(getattr(sys, "get_int_max_str_digits", int)() + 1, 5000)  # past the digit limit
+_numerals = st.text(_DIGITS, min_size=1, max_size=6)
+_literals = st.builds(
+    "".join,
+    st.tuples(st.text(_SPACES, max_size=2), st.sampled_from(["", "+", "-"]), _numerals,
+              st.one_of(st.just(""), _numerals.map("/".__add__)), st.text(_SPACES, max_size=2)))
+_rational_inputs = st.one_of(
+    _literals,
+    st.text(_DIGITS + _SPACES + "+-/0abeEx._", max_size=12),
+    st.integers(), st.booleans(), st.floats(), st.none(),
+    st.sampled_from(["1" * _LONG, "-" + "9" * _LONG + "/7", "3/" + "1" * _LONG,
+                     " +" + "2" * _LONG + "/" + "5" * _LONG + "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_rational_inputs)
+@example(text="1/0")
+@example(text=" -007/0012 ")
+@example(text="\u0661\u0660/\u0664")
+@example(text="1" * _LONG)
+@example(text="3/" + "1" * _LONG)
+def test_parse_rational_matches_the_two_parser_reference(text):
+    try:
+        expected = two_parser_parse_rational(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_rational(text)
+        assert (str(info.value), info.value.payload) == (str(exc), exc.payload)
+    else:
+        got = parse_rational(text)
+        assert type(got) is F and got == expected
 
 
 def test_format_rational_round_trips():
