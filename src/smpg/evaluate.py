@@ -6,8 +6,10 @@ classes and transient states, each class gets the gain of its exact
 stationary distribution, and transient states mix class gains by exact
 absorption probabilities.  The restart-occupation recursion is one more
 system.  Each of them is built in integers straight from the chain's rows,
-every row scaled by the denominators it reads, so ``linalg`` gets integer
-rows in and hands Fractions back only as the solution.  The Monte Carlo
+every row scaled by the denominators it reads.  ``linalg.solve_scaled``
+hands back integers (det, y), x = y / det; stationary masses, absorption
+sums and gains stay integers over one denominator, and Fractions are only
+views (discounted values, gains, ``Distribution.mass``).  The Monte Carlo
 simulator at the bottom is the single floating-point component of the
 package and is never consulted by any exactness check.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm, sqrt
+from math import gcd, lcm, sqrt
 
 from . import linalg
 from .errors import (
@@ -63,23 +65,40 @@ class ValueVector:
 
 @dataclass(frozen=True)
 class Distribution:
-    """An exact probability distribution over an ordered set of states."""
+    """An exact probability distribution over an ordered set of states: mass
+    i is numerators[i] / denominator, brought to lowest common terms (den > 0,
+    gcd(den, *nums) = 1), a unique form, so equality is equality of masses.
+    ``mass`` is the Fraction view."""
 
     state_order: tuple[str, ...]
-    mass: tuple[Fraction, ...]
+    denominator: int
+    numerators: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.state_order) != len(self.mass):
-            raise ProbabilitySumMismatch(f"{len(self.mass)} masses for "
+        den, nums = self.denominator, self.numerators
+        if len(self.state_order) != len(nums):
+            raise ProbabilitySumMismatch(f"{len(nums)} masses for "
                                          f"{len(self.state_order)} states",
                                          states=len(self.state_order))
-        for state, p in zip(self.state_order, self.mass):
-            if not 0 <= p <= 1:
+        if den == 0:
+            raise ProbabilityOutOfRange("mass denominator is 0", denominator=0)
+        common = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if common != 1:
+            den, nums = den // common, tuple(num // common for num in nums)
+            object.__setattr__(self, "denominator", den)
+            object.__setattr__(self, "numerators", nums)
+        for state, num in zip(self.state_order, nums):
+            if not 0 <= num <= den:
+                p = Fraction(num, den)
                 raise ProbabilityOutOfRange(f"mass {rational_text(p)} at {state!r} outside [0, 1]",
                                             state=state, prob=p)
-        total = sum(self.mass)
-        if total != 1:
+        if sum(nums) != den:
+            total = sum(self.mass)
             raise ProbabilitySumMismatch(f"mass sums to {rational_text(total)}, not 1", total=total)
+
+    @cached_property
+    def mass(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, self.denominator) for num in self.numerators)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -120,7 +139,7 @@ def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
     # times the denominator of its right-hand side t = (c - b) den_i r_i too
     b, c = beta.numerator, beta.denominator
     matrix = []
-    rhs = []
+    rhs_rows = []
     for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
         t = (c - b) * den * r
         row = [0] * len(chain.rows)
@@ -128,8 +147,8 @@ def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
             row[j] = -b * num * t.denominator
         row[i] += c * den * t.denominator
         matrix.append(row)
-        rhs.append(t.numerator)
-    return ValueVector(chain.state_order, tuple(linalg.solve(matrix, rhs)))
+        rhs_rows.append([t.numerator])
+    return ValueVector(chain.state_order, tuple(v for v, in linalg.solve_columns(matrix, rhs_rows)))
 
 
 def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
@@ -172,13 +191,13 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def _class_stationary(chain: InducedChain, members: list[int]) -> tuple[Fraction, ...]:
+def _class_stationary(chain: InducedChain, members: list[int]) -> Distribution:
     """Stationary distribution of one closed irreducible class.
 
     Solves pi^T P = pi^T with the last balance row replaced by the
     normalisation sum(pi) = 1; any single row is redundant because the
     balance rows always sum to zero.  The unknowns are x_i = pi_i / den_i,
-    which make every balance row integral.
+    which make every balance row integral, and pi_i = den_i y_i / det.
     """
     pos = {i: a for a, i in enumerate(members)}
     dens = [chain.rows[i][0] for i in members]
@@ -188,8 +207,9 @@ def _class_stationary(chain: InducedChain, members: list[int]) -> tuple[Fraction
         for j, num in chain.rows[i][1]:
             matrix[pos[j]][a] += num
     matrix[-1] = dens
-    x = linalg.solve(matrix, [0] * (len(members) - 1) + [1])
-    return tuple(den * xi for den, xi in zip(dens, x))
+    det, y = linalg.solve_scaled(matrix, [[0]] * (len(members) - 1) + [[1]])
+    return Distribution(tuple(chain.state_order[i] for i in members), det,
+                        tuple(den * yi for den, (yi,) in zip(dens, y)))
 
 
 def recurrent_stationary(chain: InducedChain) -> RecurrentDecomposition:
@@ -209,9 +229,7 @@ def recurrent_stationary(chain: InducedChain) -> RecurrentDecomposition:
         else:
             transient.extend(component)
     closed.sort(key=lambda c: c[0])
-    stationary = tuple(
-        Distribution(tuple(chain.state_order[i] for i in members), _class_stationary(chain, members))
-        for members in closed)
+    stationary = tuple(_class_stationary(chain, members) for members in closed)
     return RecurrentDecomposition(
         chain.state_order, tuple(tuple(c) for c in closed), tuple(sorted(transient)), stationary)
 
@@ -230,12 +248,12 @@ def mean_values(chain: InducedChain) -> ValueVector:
     decomposition = _decomposition(chain)
     class_gains = []
     for members, dist in zip(decomposition.classes, decomposition.stationary):
-        # sum(p_i r_i) as one integer sum over the lcm of the p_i r_i denominators
+        # sum(num_i r_i) / den as one integer sum over the lcm of the r_i denominators
         rewards = [chain.rewards[i] for i in members]
-        terms = [(p.numerator * r.numerator, p.denominator * r.denominator)
-                 for p, r in zip(dist.mass, rewards)]
-        common = lcm(*(den for _, den in terms))
-        class_gains.append(Fraction(sum(num * (common // den) for num, den in terms), common))
+        common = lcm(*(r.denominator for r in rewards))
+        total = sum(num * r.numerator * (common // r.denominator)
+                    for num, r in zip(dist.numerators, rewards))
+        class_gains.append(Fraction(total, dist.denominator * common))
     gains: list[Fraction | None] = [None] * len(chain.state_order)
     home = {}
     for c, (members, gain) in enumerate(zip(decomposition.classes, class_gains)):
@@ -262,13 +280,18 @@ def mean_values(chain: InducedChain) -> ValueVector:
                     into[home[j]] += num
             matrix.append(row)
             rhs_rows.append(into)
-        for i, probs in zip(transient, linalg.solve_columns(matrix, rhs_rows)):
+        det, y = linalg.solve_scaled(matrix, rhs_rows)
+        # gain_i = sum_k y_ik g_k / det, over the lcm of the class gains' denominators
+        common = lcm(*(g.denominator for g in class_gains))
+        scaled = [g.numerator * (common // g.denominator) for g in class_gains]
+        for i, probs in zip(transient, y):
             total = sum(probs)
-            if total != 1:
+            if total != det:
+                total = Fraction(total, det)
                 raise ProbabilitySumMismatch(
                     f"absorption from {chain.state_order[i]!r} sums to {rational_text(total)}, not 1",
                     state=chain.state_order[i], total=total)
-            gains[i] = sum((p * g for p, g in zip(probs, class_gains)), Fraction(0))
+            gains[i] = Fraction(sum(p * g for p, g in zip(probs, scaled)), det * common)
 
     if None in gains:
         state = chain.state_order[gains.index(None)]
@@ -284,10 +307,11 @@ def unichain_stationary(chain: InducedChain) -> Distribution:
         raise NotUnichain(
             f"chain has {len(decomposition.classes)} recurrent classes",
             classes=len(decomposition.classes))
-    mass = [Fraction(0)] * len(chain.state_order)
-    for i, p in zip(decomposition.classes[0], decomposition.stationary[0].mass):
-        mass[i] = p
-    return Distribution(chain.state_order, tuple(mass))
+    dist = decomposition.stationary[0]
+    nums = [0] * len(chain.state_order)
+    for i, num in zip(decomposition.classes[0], dist.numerators):
+        nums[i] = num
+    return Distribution(chain.state_order, dist.denominator, tuple(nums))
 
 
 def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) -> Distribution:
@@ -319,16 +343,18 @@ def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) ->
         matrix[origin][j] += (c - b) * den
         for i, num in entries:
             matrix[i][j] -= c * num
-    x = linalg.solve(matrix, [(c - b) * (i == origin) for i in range(n)])
-    mu = tuple(den * xj for (den, _), xj in zip(chain.rows, x))
+    det, y = linalg.solve_scaled(matrix, [[(c - b) * (i == origin)] for i in range(n)])
 
     stationary = unichain_stationary(chain)
-    if mu != stationary.mass:
+    # mu_j = den_j y_j / det; equal in lowest common terms exactly when equal
+    mu = Distribution(chain.state_order, det,
+                      tuple(den * yj for (den, _), (yj,) in zip(chain.rows, y)))
+    if mu != stationary:
         raise NotUnichain(
             "occupation recursion disagrees with the stationary distribution; "
             "the chain did not come from a reset transform",
             s0=s0)
-    return Distribution(chain.state_order, mu)
+    return mu
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,20 @@ class Game:
             out.setdefault((t.source, t.action), []).append((t.target, t.prob))
         return {k: tuple(v) for k, v in out.items()}
 
+    def chain_row(self, state: str, action: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The InducedChain row (den, ((j, num), ...)) of ``action`` at
+        ``state``, den the lcm of its probability denominators; built on
+        first use and kept on the game, the way its properties are."""
+        rows = self.__dict__.setdefault("_chain_rows", {})
+        row = rows.get((state, action))
+        if row is None:
+            # targets of an action are merged and ascending (build_game)
+            out = self.outgoing[(state, action)]
+            den = lcm(*(p.denominator for _, p in out))
+            row = rows[(state, action)] = (den, tuple(
+                (self.state_index[t], p.numerator * (den // p.denominator)) for t, p in out))
+        return row
+
     def states_of(self, player: str) -> tuple[str, ...]:
         return tuple(s.id for s in self.states if s.owner == player)
 
@@ -309,11 +323,7 @@ def induced_chain(game: Game, pair: StrategyPair) -> InducedChain:
     rewards = []
     for s in game.states:
         action = pair.action_at(game, s.id)
-        # targets of an action are merged and ascending (build_game)
-        out = game.outgoing[(s.id, action)]
-        den = lcm(*(p.denominator for _, p in out))
-        rows.append((den, tuple((game.state_index[t], p.numerator * (den // p.denominator))
-                                for t, p in out)))
+        rows.append(game.chain_row(s.id, action))
         rewards.append(game.actions[action])
     return InducedChain(game.state_order, tuple(rows), tuple(rewards))
 

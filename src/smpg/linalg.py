@@ -27,8 +27,9 @@ the same minor as in the plain elimination, so the results do not change.
 
 Every division is an exact integer division, checked as such, so a rational
 entry that is not an integer ends in InexactDivision or in the exact answer,
-never in a wrong one.  Fractions appear only in the output: each entry is built
-once as y / det.
+never in a wrong one.  ``solve_scaled`` is the one elimination and returns
+the integers (det, y); ``solve_columns`` is its Fraction view, each entry
+built once as y / det.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ def _inexact(where: str) -> InexactDivision:
     return InexactDivision(f"{where} division left a remainder", where=where)
 
 
-def solve_columns(matrix, rhs_rows):
-    """Solve A x = b for every right-hand-side column at once.
+def solve_scaled(matrix, rhs_rows):
+    """Solve A x = b for every right-hand-side column at once, in integers.
 
     ``matrix`` is an n x n sequence of integer rows, ``rhs_rows`` an n x m
     sequence of integer rows whose row i holds the i-th entry of each of the
-    m right-hand sides.  Returns an n x m list of Fractions.  Raises
+    m right-hand sides.  Returns (det, y) with det > 0 and y an n x m list of
+    integers, row i in the caller's order, such that x = y / det.  Raises
     SingularSystem, naming the caller's column.
 
     The unknowns are eliminated fewest nonzeros first: unknown i counts the
@@ -59,7 +61,7 @@ def solve_columns(matrix, rhs_rows):
     """
     n = len(matrix)
     if n == 0:
-        return []
+        return 1, []
     m = len(rhs_rows[0])
     natural = list(range(n))
     order = natural
@@ -111,8 +113,8 @@ def solve_columns(matrix, rhs_rows):
             since[r] = pivot
         prev = pivot
 
-    # back-substitute y = det * x, which is integral
-    det = prev
+    # back-substitute y = det * x, which is integral, with det > 0
+    det = abs(prev)
     y = [[0] * m for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = aug[i]
@@ -125,13 +127,13 @@ def solve_columns(matrix, rhs_rows):
             if rem:
                 raise _inexact("back-substitution")
             y[i][k] = q
-    x = [None] * n
+    out = [None] * n
     for i, y_row in zip(order, y):
-        x[i] = [Fraction(entry, det) for entry in y_row]
-    return x
+        out[i] = y_row
+    return det, out
 
 
-def solve(matrix, rhs):
-    """Solve A x = b for a single right-hand side; returns a list of Fractions."""
-    cols = solve_columns(matrix, [[b] for b in rhs])
-    return [row[0] for row in cols]
+def solve_columns(matrix, rhs_rows):
+    """The Fraction view of solve_scaled: an n x m list with x = y / det."""
+    det, y = solve_scaled(matrix, rhs_rows)
+    return [[Fraction(entry, det) for entry in y_row] for y_row in y]

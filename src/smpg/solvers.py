@@ -432,8 +432,9 @@ def verify_star2(gb: Game, reduction: Reduction,
     double game's value at its first state.
     """
     doubled, reduction = mirror(gb, reduction)
-    copy_ids = {copy: [reduction.state_map[s][copy - 1] for s in gb.state_order]
-                for copy in (1, 2)}
+    copy_indices = {copy: [doubled.state_index[reduction.state_map[s][copy - 1]]
+                           for s in gb.state_order]
+                    for copy in (1, 2)}
     violations = []
     # mean values and stationary distribution once per source pair: each of
     # the N source pairs recurs in about N of the N^2 doubled pairs
@@ -470,20 +471,21 @@ def verify_star2(gb: Game, reduction: Reduction,
                     **described})
 
         occupation = unichain_stationary(chain)
-        for copy, ids in copy_ids.items():
-            copy_mass = sum((occupation.at(i) for i in ids), Fraction(0))
-            if copy_mass != Fraction(1, 2):
+        d, nums = occupation.denominator, occupation.numerators
+        for copy, indices in copy_indices.items():
+            copy_mass = sum(nums[i] for i in indices)
+            if 2 * copy_mass != d:
                 violations.append({
                     "kind": "component-mass", "copy": copy,
-                    "mass": format_rational(copy_mass), **described})
+                    "mass": format_rational(Fraction(copy_mass, d)), **described})
         for copy, (_, reference) in source_pairs.items():
-            for s, i in zip(gb.state_order, copy_ids[copy]):
-                scaled = 2 * occupation.at(i)
-                if scaled != reference.at(s):
+            d_ref = reference.denominator
+            for s, i, n_ref in zip(gb.state_order, copy_indices[copy], reference.numerators):
+                if 2 * nums[i] * d_ref != n_ref * d:
                     violations.append({
                         "kind": "copy-stationary", "copy": copy, "state": s,
-                        "scaled": format_rational(scaled),
-                        "stationary": format_rational(reference.at(s)),
+                        "scaled": format_rational(Fraction(2 * nums[i], d)),
+                        "stationary": format_rational(Fraction(n_ref, d_ref)),
                         **described})
         return doubled_values.values
 

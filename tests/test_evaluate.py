@@ -8,13 +8,24 @@ import dataclasses
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smpg.errors import InvalidBeta, NotUnichain, ParseError, UnknownState
+from smpg.errors import (
+    GameError,
+    InvalidBeta,
+    NotUnichain,
+    ParseError,
+    ProbabilityOutOfRange,
+    ProbabilitySumMismatch,
+    UnknownState,
+    rational_text,
+)
 from smpg.evaluate import (
+    Distribution,
     discounted_values,
     mean_values,
     recurrent_stationary,
@@ -28,6 +39,7 @@ from smpg.solvers import brute_force_solve, MEAN, strategy_iteration_discounted,
 from smpg.transforms import beta_recurrent
 
 from .conftest import checkout_env, pair_of
+from .test_linalg import gauss_jordan
 
 
 def small_config(seed, states_mod=3, fanout=(1, 3)):
@@ -195,12 +207,19 @@ def attempt(stage):
     except Exception as exc:
         print(stage, type(exc).__name__, str(exc))
 
-evaluate.linalg = types.SimpleNamespace(
-    solve=lambda m, b: [-x for x in linalg.solve(m, b)], solve_columns=linalg.solve_columns)
+# solve_scaled with y times factor on the systems with this many columns:
+# one for a stationary distribution, one per class for absorption
+def scaled_by(factor, columns):
+    def solve_scaled(m, b):
+        det, y = linalg.solve_scaled(m, b)
+        if len(b[0]) == columns:
+            y = [[factor * e for e in row] for row in y]
+        return det, y
+    return types.SimpleNamespace(solve_scaled=solve_scaled)
+
+evaluate.linalg = scaled_by(-1, 1)
 attempt("stationary")
-evaluate.linalg = types.SimpleNamespace(
-    solve=linalg.solve,
-    solve_columns=lambda m, b: [[2 * x for x in row] for row in linalg.solve_columns(m, b)])
+evaluate.linalg = scaled_by(2, 2)
 attempt("absorption")
 evaluate.linalg = linalg
 decompose = evaluate.recurrent_stationary
@@ -421,3 +440,113 @@ def test_simulate_tracks_exact_mean_on_stochastic_chains():
         if abs(res.estimate - float(exact)) <= band:
             hits += 1
     assert hits >= 5
+
+
+# ----------------------------------------------- integer distributions
+
+
+def fraction_guard(state_order, mass):
+    """Distribution's guard from when it held Fraction masses, verbatim: the
+    reference for the integer guard."""
+    if len(state_order) != len(mass):
+        raise ProbabilitySumMismatch(f"{len(mass)} masses for "
+                                     f"{len(state_order)} states",
+                                     states=len(state_order))
+    for state, p in zip(state_order, mass):
+        if not 0 <= p <= 1:
+            raise ProbabilityOutOfRange(f"mass {rational_text(p)} at {state!r} outside [0, 1]",
+                                        state=state, prob=p)
+    total = sum(mass)
+    if total != 1:
+        raise ProbabilitySumMismatch(f"mass sums to {rational_text(total)}, not 1", total=total)
+
+
+@st.composite
+def scaled_distributions(draw):
+    """(states, den, nums): a distribution over up to four states, scaled by
+    a factor that may be negative or 1, then maybe with one numerator moved,
+    and sometimes with a numerator too many or too few."""
+    n = draw(st.integers(0, 4))
+    den = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=max(n - 1, 0), max_size=max(n - 1, 0))))
+    nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])][:n]
+    factor = draw(st.sampled_from([1, 2, 3, 6, -1, -2, -5]))
+    den, nums = factor * den, [factor * num for num in nums]
+    if nums and draw(st.booleans()):
+        nums[draw(st.integers(0, n - 1))] += draw(st.integers(-3 * abs(den), 3 * abs(den)))
+    length = draw(st.sampled_from([n, n, n, n + 1, max(n - 1, 0)]))
+    nums = (nums + [draw(st.integers(-20, 20))] * length)[:length]
+    return tuple(f"s{i}" for i in range(n)), den, tuple(nums)
+
+
+raw_distributions = st.tuples(
+    st.integers(0, 4).map(lambda n: tuple(f"s{i}" for i in range(n))),
+    st.integers(-30, 30).filter(bool),
+    st.lists(st.integers(-40, 40), max_size=5).map(tuple))
+
+
+def guard_outcome(build):
+    try:
+        result = build()
+    except GameError as exc:
+        return type(exc), str(exc), exc.payload, exc.to_json_dict()
+    return "accepted", result
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=st.one_of(scaled_distributions(), raw_distributions))
+def test_integer_guard_matches_the_fraction_guard(drawn):
+    """The integer guard gives the Fraction guard's verdict on num / den,
+    with the same exception class, message and payload, and keeps what it
+    accepts in lowest common terms."""
+    states, den, nums = drawn
+    mass = tuple(F(num, den) for num in nums)
+    got = guard_outcome(lambda: Distribution(states, den, nums))
+    expected = guard_outcome(lambda: fraction_guard(states, mass))
+    if expected[0] != "accepted":
+        assert got == expected
+        return
+    assert got[0] == "accepted"
+    dist = got[1]
+    assert dist.mass == mass and all(type(p) is F for p in dist.mass)
+    assert dist.denominator > 0 and gcd(dist.denominator, *dist.numerators) == 1
+    assert dist == Distribution(states, 7 * den, tuple(7 * num for num in nums))
+
+
+def test_zero_denominator_is_out_of_range():
+    with pytest.raises(ProbabilityOutOfRange) as raised:
+        Distribution(("a",), 0, (0,))
+    assert raised.value.payload == {"denominator": 0}
+
+
+def reference_stationary(chain, members):
+    """pi^T P = pi^T on one class with the last balance row replaced by
+    sum(pi) = 1, in Fractions, solved by plain Gauss-Jordan."""
+    pos = {i: a for a, i in enumerate(members)}
+    k = len(members)
+    a = [[F(0)] * k for _ in range(k)]
+    for col, i in enumerate(members):
+        a[col][col] -= 1
+        den, entries = chain.rows[i]
+        for j, num in entries:
+            a[pos[j]][col] += F(num, den)
+    a[-1] = [F(1)] * k
+    return tuple(x for x, in gauss_jordan(a, [[0]] * (k - 1) + [[1]]))
+
+
+def test_recurrent_stationary_matches_gauss_jordan():
+    """Every class's stationary masses equal a Fraction Gauss-Jordan solve,
+    on seeded chains with one action fan-out of 1 or 2, so that many of them
+    split into several recurrent classes."""
+    multichain = 0
+    for seed in range(80):
+        g = generate_game(GeneratorConfig(
+            states=2 + seed % 5, actions_per_state=(1, 2), transitions_per_action=(1, 2),
+            reward_bound=4, denominator_bound=6, max_states_fraction=F(1, 2), seed=seed))
+        chain = induced_chain(g, first_pair(g))
+        dec = recurrent_stationary(chain)
+        multichain += len(dec.classes) > 1
+        for members, dist in zip(dec.classes, dec.stationary):
+            assert dist.state_order == tuple(chain.state_order[i] for i in members)
+            assert dist.mass == reference_stationary(chain, members)
+    assert multichain >= 10

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,6 +264,30 @@ def test_chain_matrix_is_the_dense_outgoing_rows(seed):
             assert induced_chain(g, pair).matrix == tuple(map(tuple, dense))
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_chain_rows_are_built_once_from_the_outgoing_rows(seed):
+    """Each (state, action) row is built on first use, from nothing but
+    that action's outgoing transitions, and every chain that picks the
+    action shares that one row."""
+    g = generate_game(GeneratorConfig(
+        states=(seed % 4) + 1, actions_per_state=(1, 3), transitions_per_action=(1, 4),
+        reward_bound=3, denominator_bound=6, max_states_fraction=F(1, 2), seed=seed))
+    first = pair_of(*(next(enumerate_strategies(g, player)).choices for player in (MAX, MIN)))
+    chain = induced_chain(g, first)
+    # one chain builds one row per state and no other
+    assert len(g.__dict__["_chain_rows"]) == len(g.states)
+    for (state, action), out in g.outgoing.items():
+        den = 1
+        for _, prob in out:
+            den = den * prob.denominator // gcd(den, prob.denominator)
+        expected = (den, tuple((g.state_index[t], int(prob * den)) for t, prob in out))
+        assert g.chain_row(state, action) == expected
+        assert g.chain_row(state, action) is g.chain_row(state, action)
+    for i, state in enumerate(g.state_order):
+        assert chain.rows[i] is g.chain_row(state, first.action_at(g, state))
+
+
 def test_check_pair_rejects_wrong_player_label(g2):
     pair = pair_of({"a": "X"}, {"b": "Y"})
     bad = pair.__class__(pair.min_strategy, pair.max_strategy)
@@ -326,7 +351,8 @@ def test_enumeration_cap_enforced(g1b):
 
 # Hand-built chains and distributions that break the probability
 # invariants; each line prints the error raised, or "accepted".  A chain row
-# is (den, ((target, num), ...)) with P[target] = num / den.
+# is (den, ((target, num), ...)) with P[target] = num / den, and a
+# distribution (states, den, nums) has masses num / den.
 BROKEN_DISTRIBUTIONS = """\
 from fractions import Fraction as F
 from smpg.evaluate import Distribution, ValueVector
@@ -342,9 +368,9 @@ for build in (
     lambda: InducedChain(("a", "b"), ((2, ((0, 1), (0, 1))), last), rewards),
     lambda: InducedChain(("a", "b"), ((1, ((2, 1),)), last), rewards),
     lambda: InducedChain(("a", "b"), (last,), rewards),
-    lambda: Distribution(("a", "b"), (F(1), F(1))),
-    lambda: Distribution(("a", "b"), (F(2), F(-1))),
-    lambda: Distribution(("a", "b"), (F(1),)),
+    lambda: Distribution(("a", "b"), 1, (1, 1)),
+    lambda: Distribution(("a", "b"), 1, (2, -1)),
+    lambda: Distribution(("a", "b"), 1, (1,)),
     lambda: ValueVector(("a", "b"), (F(0),)),
 ):
     try:

@@ -10,10 +10,15 @@ from smpg import linalg
 from smpg.errors import SingularSystem
 from smpg.game import MAX, MIN, PositionalStrategy, StrategyPair, induced_chain
 from smpg.generate import GeneratorConfig, generate_game
-from smpg.linalg import solve, solve_columns
+from smpg.linalg import solve_columns, solve_scaled
 
 # the entries of rational rows with denominators up to 6, scaled to integers
 small = st.integers(min_value=-60, max_value=60)
+
+
+def solve(a, b):
+    """solve_columns for a single right-hand side; a list of Fractions."""
+    return [x for x, in solve_columns(a, [[entry] for entry in b])]
 
 
 def test_known_2x2():
@@ -313,3 +318,33 @@ def test_hub_is_eliminated_last(monkeypatch):
     got = solve(a, b)
     assert calls == 35 + 33 + 8
     assert [[x] for x in got] == gauss_jordan(a, [[x] for x in b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems())
+def test_solve_scaled_matches_gauss_jordan(system):
+    """solve_scaled returns det > 0 and integers y with y / det the solution,
+    row i in the caller's order, whatever the sign of the last Bareiss pivot."""
+    a, rhs_rows = system
+    expected = gauss_jordan(a, rhs_rows)
+    if expected is None:
+        with pytest.raises(SingularSystem):
+            solve_scaled(a, rhs_rows)
+        return
+    det, y = solve_scaled(a, rhs_rows)
+    assert type(det) is int and det > 0
+    assert all(type(e) is int for row in y for e in row)
+    assert [[F(e, det) for e in row] for row in y] == expected
+
+
+def test_solve_scaled_flips_a_negative_determinant():
+    # Bareiss ends on the pivot (2 * -3 - 1 * 1) / 1 = -7; det is 7, and
+    # y = 7 x with x = (1, 1)
+    a = [[2, 1], [1, -3]]
+    assert solve_scaled(a, [[3], [-2]]) == (7, [[7], [7]])
+    assert solve_columns(a, [[3], [-2]]) == [[F(1)], [F(1)]]
+
+
+def test_solve_scaled_of_an_empty_system():
+    assert solve_scaled([], []) == (1, [])
+    assert solve_columns([], []) == []

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from smpg.serialize import load_game
 
 from .conftest import checkout_env
@@ -18,6 +20,21 @@ REPO = Path(__file__).resolve().parents[1]
 def run_script(name):
     return subprocess.run([sys.executable, str(REPO / "scripts" / name)],
                           capture_output=True, text=True, env=checkout_env())
+
+
+@pytest.mark.parametrize("workload", ["reduction-n3", "si-n40"])
+def test_traced_benchmark_ops_pass_the_output_gate(workload):
+    """The benchmark's traced run wraps library functions by name and reads
+    their arguments and results (bench/tracing.py): the chain's dense
+    matrix and solve_columns' rows of Fractions.  A library change that
+    breaks that contract makes the traced ops fail, and the run says so."""
+    proc = subprocess.run([sys.executable, str(REPO / "bench" / "run.py"), "--workload", workload,
+                           "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
 
 
 def test_verify_reduction_finds_no_violation():

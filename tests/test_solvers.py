@@ -1,5 +1,6 @@
 """Solving, recovery, and the two verification drivers."""
 
+import json
 from fractions import Fraction as F
 from itertools import cycle
 
@@ -17,7 +18,7 @@ from smpg.errors import (
     NoConsistentStrategy,
     UnknownState,
 )
-from smpg.evaluate import ValueVector, mean_values
+from smpg.evaluate import Distribution, ValueVector, mean_values
 from smpg.game import (
     MAX,
     MIN,
@@ -222,6 +223,31 @@ def test_verify_star2_two_cycle(g2):
     assert report.pairs_checked == 1
     assert report.violations == ()
     assert report.value == F(0)
+
+
+def test_verify_star2_violation_payloads(monkeypatch, g2):
+    """A stationary distribution with half the first state's mass moved to
+    the last state breaks the copy mass and the copy-stationary identity;
+    the integer checks report the same violation dicts, byte for byte, as
+    the Fraction checks they replaced."""
+    real = smpg.solvers.unichain_stationary
+
+    def shifted(chain):
+        dist = real(chain)
+        first, *middle, last = dist.numerators
+        return Distribution(dist.state_order, 2 * dist.denominator,
+                            (first, *(2 * num for num in middle), 2 * last + first))
+
+    monkeypatch.setattr(smpg.solvers, "unichain_stationary", shifted)
+    report = verify_star2(*beta_recurrent(g2, F(1, 3), "a"))
+    pair = '"max": {"a1": "X", "b2": "Y\'"}, "min": {"a2": "X\'", "b1": "Y"}'
+    assert json.dumps(list(report.violations)) == (
+        '[{"kind": "component-mass", "copy": 1, "mass": "5/16", ' + pair + '}, '
+        '{"kind": "component-mass", "copy": 2, "mass": "11/16", ' + pair + '}, '
+        '{"kind": "copy-stationary", "copy": 1, "state": "b", "scaled": "1/4", '
+        '"stationary": "5/8", ' + pair + '}, '
+        '{"kind": "copy-stationary", "copy": 2, "state": "a", "scaled": "3/4", '
+        '"stationary": "3/8", ' + pair + '}]')
 
 
 def test_strategic_via_recovery_on_fixtures(g1b, g2):
