@@ -9,8 +9,9 @@ system.  Each of them is built in integers straight from the chain's rows,
 every row scaled by the denominators it reads.  ``linalg.solve_scaled``
 hands back integers (det, y), x = y / det; stationary masses, absorption
 sums and gains stay integers over one denominator, and Fractions are only
-views (discounted values, gains, ``Distribution.mass``).  The Monte Carlo
-simulator at the bottom is the single floating-point component of the
+views (discounted values, gains, ``Distribution.mass``); the solvers compare
+value vectors through their integer view ``ValueVector.scaled``.  The Monte
+Carlo simulator at the bottom is the single floating-point component of the
 package and is never consulted by any exactness check.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm, sqrt
+from math import gcd, sqrt
 
 from . import linalg
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     UnknownState,
     rational_text,
 )
-from .game import Game, InducedChain, StrategyPair, induced_chain
+from .game import Game, InducedChain, StrategyPair, induced_chain, scale
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,11 @@ class ValueVector:
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(zip(self.state_order, self.values))
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The integer view (D, y = D v) of the values (``game.scale``)."""
+        return scale(self.values)
 
 
 @dataclass(frozen=True)
@@ -99,15 +105,6 @@ class Distribution:
     @cached_property
     def mass(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(num, self.denominator) for num in self.numerators)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.state_order)}
-
-    def at(self, state: str) -> Fraction:
-        if state not in self._index:
-            raise UnknownState(f"no state {state!r} in distribution", state=state)
-        return self.mass[self._index[state]]
 
 
 @dataclass(frozen=True)
@@ -249,10 +246,8 @@ def mean_values(chain: InducedChain) -> ValueVector:
     class_gains = []
     for members, dist in zip(decomposition.classes, decomposition.stationary):
         # sum(num_i r_i) / den as one integer sum over the lcm of the r_i denominators
-        rewards = [chain.rewards[i] for i in members]
-        common = lcm(*(r.denominator for r in rewards))
-        total = sum(num * r.numerator * (common // r.denominator)
-                    for num, r in zip(dist.numerators, rewards))
+        common, rewards = scale([chain.rewards[i] for i in members])
+        total = sum(num * r for num, r in zip(dist.numerators, rewards))
         class_gains.append(Fraction(total, dist.denominator * common))
     gains: list[Fraction | None] = [None] * len(chain.state_order)
     home = {}
@@ -282,8 +277,7 @@ def mean_values(chain: InducedChain) -> ValueVector:
             rhs_rows.append(into)
         det, y = linalg.solve_scaled(matrix, rhs_rows)
         # gain_i = sum_k y_ik g_k / det, over the lcm of the class gains' denominators
-        common = lcm(*(g.denominator for g in class_gains))
-        scaled = [g.numerator * (common // g.denominator) for g in class_gains]
+        common, scaled = scale(class_gains)
         for i, probs in zip(transient, y):
             total = sum(probs)
             if total != det:
@@ -293,8 +287,9 @@ def mean_values(chain: InducedChain) -> ValueVector:
                     state=chain.state_order[i], total=total)
             gains[i] = Fraction(sum(p * g for p, g in zip(probs, scaled)), det * common)
 
-    if None in gains:
-        state = chain.state_order[gains.index(None)]
+    # by identity: ``None in gains`` would call Fraction.__eq__ on every gain
+    state = next((s for s, g in zip(chain.state_order, gains) if g is None), None)
+    if state is not None:
         raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
     return ValueVector(chain.state_order, tuple(gains))
 

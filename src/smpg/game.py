@@ -5,7 +5,8 @@ players (``max`` or ``min``); the owner picks an available action, the action
 pays a rational reward, and the successor is drawn from the action's exact
 transition probabilities.  Multi-edges and self-loops are allowed, sinks are
 not.  Every probability and reward is a ``fractions.Fraction``; nothing in
-this module ever rounds.
+this module ever rounds.  Probabilities are checked in integers, and each
+chain row once, where ``Game.chain_row`` builds it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def format_rational(value) -> str:
                               digits=digits, limit=sys.get_int_max_str_digits()) from exc
 
 
+def scale(values) -> tuple[int, tuple[int, ...]]:
+    """The integer view (D, y) of rationals: D the lcm of their denominators
+    and y = D v.  Views compare by the cross-products y_1 D_2 and y_2 D_1."""
+    d = lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
+
+
 @dataclass(frozen=True)
 class State:
     id: str
@@ -128,18 +136,21 @@ class Game:
             out.setdefault((t.source, t.action), []).append((t.target, t.prob))
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def owned(self) -> dict[str, frozenset[str]]:
+        return {player: frozenset(self.states_of(player)) for player in PLAYERS}
+
     def chain_row(self, state: str, action: str) -> tuple[int, tuple[tuple[int, int], ...]]:
         """The InducedChain row (den, ((j, num), ...)) of ``action`` at
-        ``state``, den the lcm of its probability denominators; built on
-        first use and kept on the game, the way its properties are."""
+        ``state``, den the lcm of its probability denominators; built and
+        checked on first use and kept on the game, like its properties."""
         rows = self.__dict__.setdefault("_chain_rows", {})
         row = rows.get((state, action))
         if row is None:
-            # targets of an action are merged and ascending (build_game)
             out = self.outgoing[(state, action)]
-            den = lcm(*(p.denominator for _, p in out))
-            row = rows[(state, action)] = (den, tuple(
-                (self.state_index[t], p.numerator * (den // p.denominator)) for t, p in out))
+            den, nums = scale([p for _, p in out])
+            row = rows[(state, action)] = _checked_row(state, den, tuple(
+                (self.state_index[t], num) for (t, _), num in zip(out, nums)), len(self.states))
         return row
 
     def states_of(self, player: str) -> tuple[str, ...]:
@@ -159,10 +170,22 @@ class StrategyPair:
     max_strategy: PositionalStrategy
     min_strategy: PositionalStrategy
 
-    def action_at(self, game: Game, state: str) -> str:
-        if game.owner[state] == MAX:
-            return self.max_strategy.choices[state]
-        return self.min_strategy.choices[state]
+
+class _CheckedRow(tuple):
+    """A chain row (den, entries) that passed _checked_row."""
+    __slots__ = ()
+
+
+def _checked_row(state: str, den: int, entries: tuple, n: int) -> _CheckedRow:
+    """The row (den, entries) of ``state`` in a chain on n states, marked as checked:
+    den and every num positive, targets ascending, distinct, in [0, n), nums summing to den."""
+    if den <= 0 or any(num <= 0 for _, num in entries):
+        raise ProbabilityOutOfRange(f"non-positive integer in row {state!r}", state=state)
+    bounds = [-1, *(j for j, _ in entries), n]
+    if any(a >= b for a, b in zip(bounds, bounds[1:])) or sum(num for _, num in entries) != den:
+        raise ProbabilitySumMismatch(f"row {state!r} is not one distribution over "
+                                     "ascending, distinct states", state=state)
+    return _CheckedRow((den, entries))
 
 
 @dataclass(frozen=True)
@@ -172,7 +195,9 @@ class InducedChain:
     Each row is stored once, in integers: ``rows[i] = (den, ((j, num), ...))``
     with targets j ascending and distinct and every num positive, so that
     P_ij = num / den.  ``rewards[i]`` is the reward of the action chosen at
-    state i.
+    state i.  A row from ``Game.chain_row`` was checked where it was built
+    and needs only its last target below n here; any other row is checked
+    in full.
     """
 
     state_order: tuple[str, ...]
@@ -184,14 +209,10 @@ class InducedChain:
         if len(self.rows) != n or len(self.rewards) != n:
             raise ProbabilitySumMismatch(f"{len(self.rows)} rows and {len(self.rewards)} "
                                          f"rewards for {n} states", states=n)
-        for state, (den, entries) in zip(self.state_order, self.rows):
-            if den <= 0 or any(num <= 0 for _, num in entries):
-                raise ProbabilityOutOfRange(f"non-positive integer in row {state!r}", state=state)
-            bounds = [-1, *(j for j, _ in entries), n]
-            if (any(a >= b for a, b in zip(bounds, bounds[1:]))
-                    or sum(num for _, num in entries) != den):
-                raise ProbabilitySumMismatch(f"row {state!r} is not one distribution over "
-                                             "ascending, distinct states", state=state)
+        for state, row in zip(self.state_order, self.rows):
+            if type(row) is not _CheckedRow or row[1][-1][0] >= n:
+                den, entries = row
+                _checked_row(state, den, entries, n)
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -231,6 +252,7 @@ def build_game(states, actions, transitions) -> Game:
     action_map = dict(actions)
     index = {s.id: i for i, s in enumerate(state_tuple)}
     merged: dict[tuple[str, str, str], Fraction] = {}
+    rows: dict[tuple[str, str], list[Fraction]] = {}
     for source, action, target, prob in transitions:
         if source not in index:
             raise UnknownReference(f"transition from unknown state {source!r}", kind="state", id=source)
@@ -238,24 +260,25 @@ def build_game(states, actions, transitions) -> Game:
             raise UnknownReference(f"transition to unknown state {target!r}", kind="state", id=target)
         if action not in action_map:
             raise UnknownReference(f"transition uses unknown action {action!r}", kind="action", id=action)
-        prob = Fraction(prob)
-        if not 0 < prob <= 1:
+        if type(prob) is not Fraction:
+            prob = Fraction(prob)
+        if not 0 < prob.numerator <= prob.denominator:
             raise ProbabilityOutOfRange(
                 f"probability {rational_text(prob)} of {source}-{action}->{target} outside (0, 1]",
                 source=source, action=action, target=target, prob=prob)
         key = (source, action, target)
-        merged[key] = merged.get(key, Fraction(0)) + prob
+        merged[key] = merged[key] + prob if key in merged else prob
+        rows.setdefault((source, action), []).append(prob)
 
-    sums: dict[tuple[str, str], Fraction] = {}
-    for (source, action, _), prob in merged.items():
-        sums[(source, action)] = sums.get((source, action), Fraction(0)) + prob
-    for (source, action), total in sums.items():
-        if total != 1:
+    for (source, action), probs in rows.items():
+        den, nums = scale(probs)  # the sum in integers, over the lcm of the denominators
+        if sum(nums) != den:
+            total = Fraction(sum(nums), den)
             raise ProbabilitySumMismatch(
                 f"probabilities of action {action!r} at state {source!r} sum to {rational_text(total)}",
                 state=source, action=action, total=total)
 
-    has_action = {source for source, _ in sums}
+    has_action = {source for source, _ in rows}
     for s in state_tuple:
         if s.id not in has_action:
             raise SinkState(f"state {s.id!r} has no outgoing action", state=s.id)
@@ -303,12 +326,11 @@ def check_pair(game: Game, pair: StrategyPair) -> None:
         if strategy.player != player:
             raise StrategyDomainMismatch(
                 f"strategy labelled {strategy.player!r} used for player {player!r}", player=player)
-        owned = set(game.states_of(player))
-        domain = set(strategy.choices)
-        if domain != owned:
+        if strategy.choices.keys() != game.owned[player]:
+            domain, owned = sorted(strategy.choices), sorted(game.owned[player])
             raise StrategyDomainMismatch(
-                f"{player} strategy domain {sorted(domain)} != owned states {sorted(owned)}",
-                player=player, domain=sorted(domain), owned=sorted(owned))
+                f"{player} strategy domain {domain} != owned states {owned}",
+                player=player, domain=domain, owned=owned)
         for state, action in strategy.choices.items():
             if action not in game.available_actions[state]:
                 raise StrategyDomainMismatch(
@@ -319,13 +341,12 @@ def check_pair(game: Game, pair: StrategyPair) -> None:
 def induced_chain(game: Game, pair: StrategyPair) -> InducedChain:
     """The Markov chain obtained by fixing both players' choices."""
     check_pair(game, pair)
-    rows = []
-    rewards = []
-    for s in game.states:
-        action = pair.action_at(game, s.id)
-        rows.append(game.chain_row(s.id, action))
-        rewards.append(game.actions[action])
-    return InducedChain(game.state_order, tuple(rows), tuple(rewards))
+    # the two domains are the two players' owned states: disjoint, covering
+    choices = {**pair.max_strategy.choices, **pair.min_strategy.choices}
+    actions = [choices[s] for s in game.state_order]
+    return InducedChain(game.state_order,
+                        tuple(map(game.chain_row, game.state_order, actions)),
+                        tuple(map(game.actions.__getitem__, actions)))
 
 
 def strategy_count(game: Game, player: str) -> int:

@@ -11,7 +11,9 @@ all-zero claim, restriction back to the source game.
 
 Strategy iteration and greedy recovery compare one-step lookaheads as
 integers over one positive denominator per state (``_Lookahead``), so no
-Fraction arithmetic runs per action.
+Fraction arithmetic runs per action.  They, the pair scans and the mirror
+checks read value vectors through their integer view (D, y = D v), compare
+integer cross-products, and build Fractions only for what they return.
 """
 
 from __future__ import annotations
@@ -114,22 +116,32 @@ def evaluate_pair(game: Game, pair: StrategyPair, criterion: str,
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
-def _aligned(game: Game, claimed: ValueVector) -> tuple[Fraction, ...]:
+def _aligned(game: Game, claimed: ValueVector) -> ValueVector:
     """Reorder a claimed value vector to the game's state order."""
     if set(claimed.state_order) != set(game.state_order):
         missing = sorted(set(game.state_order) - set(claimed.state_order))
         raise UnknownState(f"claimed values missing states {missing}", states=missing)
-    return tuple(claimed.at(s) for s in game.state_order)
+    return ValueVector(game.state_order, tuple(claimed.at(s) for s in game.state_order))
+
+
+def _fold(best: list[tuple[int, int]], rows, sign: int) -> list[tuple[int, int]]:
+    """``best`` folded in place with ``rows`` to their componentwise minimum (sign 1)
+    or maximum (sign -1): (num, den) pairs, den > 0, compared by cross-products."""
+    for cells in rows:
+        for s, ((bn, bd), (n, d)) in enumerate(zip(best, cells)):
+            if (bn * d - n * bd) * sign > 0:
+                best[s] = (n, d)
+    return best
 
 
 class _PairScan:
     """One pass over every positional strategy pair, a row per maximizer
     strategy and a column per minimizer strategy.  ``entry(pair)`` is a
-    per-state value tuple; the scan holds one row at a time and keeps only
-    the componentwise row minima and running column maxima."""
+    value vector; the scan holds one row at a time and keeps only the
+    componentwise row minima and running column maxima, as the (y_s, D)
+    pairs of the entries' integer views."""
 
-    def __init__(self, game: Game, cap: int,
-                 entry: Callable[[StrategyPair], tuple[Fraction, ...]]):
+    def __init__(self, game: Game, cap: int, entry: Callable[[StrategyPair], ValueVector]):
         max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
         if max_count * min_count > cap:
             raise CombinatorialLimitExceeded(
@@ -137,20 +149,25 @@ class _PairScan:
                 count=max_count * min_count, cap=cap)
         self.max_strats = list(enumerate_strategies(game, MAX, cap))
         self.min_strats = list(enumerate_strategies(game, MIN, cap))
-        self.row_min, self.col_max = [], []
+        self.row_min, self.col_max = [], None
         for sigma in self.max_strats:
-            row = [entry(StrategyPair(sigma, tau)) for tau in self.min_strats]
-            self.row_min.append(tuple(map(min, zip(*row))))
-            self.col_max = [tuple(map(max, col, values))
-                            for col, values in zip(self.col_max or row, row)]
+            views = (entry(StrategyPair(sigma, tau)).scaled for tau in self.min_strats)
+            row = [[(v, d) for v in y] for d, y in views]
+            self.row_min.append(_fold(list(row[0]), row, 1))
+            self.col_max = row if self.col_max is None else [
+                _fold(col, [cells], -1) for col, cells in zip(self.col_max, row)]
+        self.lower = _fold(list(self.row_min[0]), self.row_min, -1)  # the max-min
 
-    def first_saddle(self, target: tuple[Fraction, ...]) -> StrategyPair | None:
+    def first_saddle(self, target: ValueVector) -> StrategyPair | None:
         """The first pair in row order that is a saddle point with value
         ``target`` at every state, or None.  Componentwise row_min[i] <=
         entry(i, j) <= col_max[j], so (i, j) qualifies exactly when
         row_min[i] == target == col_max[j]."""
-        i = next((i for i, row in enumerate(self.row_min) if row == target), None)
-        j = next((j for j, col in enumerate(self.col_max) if col == target), None)
+        d, y = target.scaled
+        i = next((i for i, row in enumerate(self.row_min)
+                  if all(n * d == v * den for (n, den), v in zip(row, y))), None)
+        j = next((j for j, col in enumerate(self.col_max)
+                  if all(n * d == v * den for (n, den), v in zip(col, y))), None)
         if i is None or j is None:
             return None
         return StrategyPair(self.max_strats[i], self.min_strats[j])
@@ -158,7 +175,7 @@ class _PairScan:
     def report(self, violations, index: int) -> VerificationReport:
         """A report valued at the max-min of the entries' component ``index``."""
         return VerificationReport(len(self.max_strats) * len(self.min_strats),
-                                  tuple(violations), max(row[index] for row in self.row_min))
+                                  tuple(violations), Fraction(*self.lower[index]))
 
 
 def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
@@ -173,10 +190,9 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
         if beta is None:
             raise InvalidBeta("discounted criterion needs a beta", beta=None)
         beta = check_beta(beta)
-    scan = _PairScan(game, cap,
-                     lambda pair: evaluate_pair(game, pair, criterion, beta).values)
-    lower = tuple(map(max, zip(*scan.row_min)))
-    upper = tuple(map(min, zip(*scan.col_max)))
+    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta))
+    lower = tuple(Fraction(*cell) for cell in scan.lower)
+    upper = tuple(Fraction(*cell) for cell in _fold(list(scan.col_max[0]), scan.col_max, 1))
     if lower != upper:
         state = next(s for s in range(len(lower)) if lower[s] != upper[s])
         raise DeterminacyViolation(
@@ -184,12 +200,12 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
             f"{game.state_order[state]}",
             state=game.state_order[state], lower=lower[state], upper=upper[state])
 
-    pair = scan.first_saddle(lower)
+    values = ValueVector(game.state_order, lower)
+    pair = scan.first_saddle(values)
     if pair is None:
         raise DeterminacyViolation("no uniformly optimal strategy exists")
 
-    return Solution(criterion, beta, ValueVector(game.state_order, lower), pair,
-                    Certificate(game.state_order, lower, upper))
+    return Solution(criterion, beta, values, pair, Certificate(game.state_order, lower, upper))
 
 
 class _Lookahead:
@@ -198,11 +214,11 @@ class _Lookahead:
 
     With beta = b/c, each state s has one positive integer L_s, the lcm of
     the reward and probability denominators of its actions, so R_a = L_s r_a
-    and w_j = L_s p_j are integers.  ``scale`` turns a value vector into
-    D, the lcm of its denominators, and the integers y_j = D v_j.  Then
-    c L_s D q(a) = (c - b) D R_a + b sum_j w_j y_j is an integer, so at one
-    state these integers compare exactly as the q values do, and the state's
-    own value scales to c L_s y_s.
+    and w_j = L_s p_j are integers.  A value vector is read through its
+    integer view ``ValueVector.scaled``: D, the lcm of its denominators, and
+    the integers y_j = D v_j.  Then c L_s D q(a) = (c - b) D R_a + b sum_j
+    w_j y_j is an integer, so at one state these integers compare exactly as
+    the q values do, and the state's own value scales to c L_s y_s.
     """
 
     def __init__(self, game: Game, beta: Fraction):
@@ -221,13 +237,7 @@ class _Lookahead:
                  tuple((index[t], b * _times(scale, p)) for t, p in game.outgoing[(s, a)]))
                 for a in available)
 
-    @staticmethod
-    def scale(values: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-        """D and the integers y = D v, for values in the game's state order."""
-        d = lcm(*(v.denominator for v in values))
-        return d, [_times(d, v) for v in values]
-
-    def q(self, s: str, scaled: tuple[int, list[int]]) -> dict[str, int]:
+    def q(self, s: str, scaled: tuple[int, tuple[int, ...]]) -> dict[str, int]:
         """c L_s D q(a) for every action available at s, in sorted order."""
         d, y = scaled
         return {a: d * reward + sum(w * y[j] for j, w in successors)
@@ -286,7 +296,7 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
         pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
                             PositionalStrategy(MIN, dict(tau)))
         values = discounted_values(induced_chain(game, pair), beta)
-        scaled = lookahead.scale(values.values)
+        scaled = values.scaled
         # the minimizer moves only once the maximizer has stopped switching
         if not switch(sigma, True, scaled) and not switch(tau, False, scaled):
             break
@@ -319,15 +329,14 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
     beta = check_beta(beta)
     claimed = _aligned(game, values)
     lookahead = _Lookahead(game, beta)
-    scaled = lookahead.scale(claimed)
     sigma = {}
     tau = {}
     for s in game.state_order:
         maximize = game.owner[s] == MAX
-        (sigma if maximize else tau)[s] = _first_extreme(lookahead.q(s, scaled), maximize)
+        (sigma if maximize else tau)[s] = _first_extreme(lookahead.q(s, claimed.scaled), maximize)
     pair = StrategyPair(PositionalStrategy(MAX, sigma), PositionalStrategy(MIN, tau))
     check = discounted_values(induced_chain(game, pair), beta)
-    for s, v in zip(game.state_order, claimed):
+    for s, v in zip(game.state_order, claimed.values):
         if check.at(s) != v:
             raise InconsistentValues(
                 f"greedy pair re-evaluates to {rational_text(check.at(s))} at {s!r}, "
@@ -346,12 +355,12 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
     NoConsistentStrategy when no pair qualifies.
     """
     target = _aligned(game, claimed)
-    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, MEAN).values)
+    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, MEAN))
     pair = scan.first_saddle(target)
     if pair is None:
         raise NoConsistentStrategy(
             "no strategy pair attains the claimed values as a saddle point",
-            claimed=[rational_text(x) for x in target])
+            claimed=[rational_text(x) for x in target.values])
     return pair
 
 
@@ -403,7 +412,7 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     reset_game, reduction = beta_recurrent(game, beta, s0)
     violations = []
 
-    def entry(pair: StrategyPair) -> tuple[Fraction, ...]:
+    def entry(pair: StrategyPair) -> ValueVector:
         mean_side = mean_values(induced_chain(reset_game, pair)).at(s0)
         disc = discounted_values(induced_chain(game, pair), reduction.beta)
         if mean_side != disc.at(s0):
@@ -414,7 +423,7 @@ def verify_star(game: Game, beta: Fraction, s0: str,
                 "mean_at_start": format_rational(mean_side),
                 "discounted_at_start": format_rational(disc.at(s0)),
             })
-        return disc.values
+        return disc
 
     return _PairScan(game, cap, entry).report(violations, game.state_index[s0])
 
@@ -448,26 +457,27 @@ def verify_star2(gb: Game, reduction: Reduction,
             sources[key] = (mean_values(chain), unichain_stationary(chain))
         return sources[key]
 
-    def entry(pair: StrategyPair) -> tuple[Fraction, ...]:
+    def entry(pair: StrategyPair) -> ValueVector:
         described = {"max": dict(pair.max_strategy.choices),
                      "min": dict(pair.min_strategy.choices)}
         chain = induced_chain(doubled, pair)
         doubled_values = mean_values(chain)
         pair_one, pair_two = decompose_mirror_strategies(pair, reduction)
         source_pairs = {1: source(pair_one), 2: source(pair_two)}
-        copy_values = []
         for copy, (vector, _) in source_pairs.items():
-            if any(v != vector.values[0] for v in vector.values):
+            if len(set(vector.scaled[1])) > 1:
                 violations.append({
                     "kind": "nonconstant-copy-value", "copy": copy, **described})
-            copy_values.append(vector.values[0])
-        expected = Fraction(1, 2) * copy_values[0] - Fraction(1, 2) * copy_values[1]
-        for state in doubled.state_order:
-            if doubled_values.at(state) != expected:
+        # expected = copy_1 / 2 - copy_2 / 2 = num / den, each copy at its first state
+        (d1, (y1, *_)), (d2, (y2, *_)) = (vector.scaled for vector, _ in source_pairs.values())
+        num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
+        d, y = doubled_values.scaled
+        for state, v in zip(doubled.state_order, y):
+            if v * den != num * d:
                 violations.append({
                     "kind": "mirror-identity", "state": state,
                     "lhs": format_rational(doubled_values.at(state)),
-                    "rhs": format_rational(expected),
+                    "rhs": format_rational(Fraction(num, den)),
                     **described})
 
         occupation = unichain_stationary(chain)
@@ -487,6 +497,6 @@ def verify_star2(gb: Game, reduction: Reduction,
                         "scaled": format_rational(Fraction(2 * nums[i], d)),
                         "stationary": format_rational(Fraction(n_ref, d_ref)),
                         **described})
-        return doubled_values.values
+        return doubled_values
 
     return _PairScan(doubled, cap, entry).report(violations, 0)

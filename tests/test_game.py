@@ -20,10 +20,17 @@ from smpg.errors import (
     StrategyDomainMismatch,
     UnknownReference,
 )
+from smpg.errors import rational_text
 from smpg.game import (
     MAX,
     MIN,
+    PLAYERS,
+    Game,
+    InducedChain,
     PositionalStrategy,
+    State,
+    Transition,
+    build_game,
     check_pair,
     enumerate_strategies,
     format_rational,
@@ -257,9 +264,10 @@ def test_chain_matrix_is_the_dense_outgoing_rows(seed):
     for smax in enumerate_strategies(g, MAX):
         for smin in enumerate_strategies(g, MIN):
             pair = pair_of(smax.choices, smin.choices)
+            choices = {**smax.choices, **smin.choices}
             dense = [[F(0)] * n for _ in range(n)]
             for i, s in enumerate(g.state_order):
-                for target, prob in g.outgoing[(s, pair.action_at(g, s))]:
+                for target, prob in g.outgoing[(s, choices[s])]:
                     dense[i][g.state_index[target]] += prob
             assert induced_chain(g, pair).matrix == tuple(map(tuple, dense))
 
@@ -284,8 +292,9 @@ def test_chain_rows_are_built_once_from_the_outgoing_rows(seed):
         expected = (den, tuple((g.state_index[t], int(prob * den)) for t, prob in out))
         assert g.chain_row(state, action) == expected
         assert g.chain_row(state, action) is g.chain_row(state, action)
+    choices = {**first.max_strategy.choices, **first.min_strategy.choices}
     for i, state in enumerate(g.state_order):
-        assert chain.rows[i] is g.chain_row(state, first.action_at(g, state))
+        assert chain.rows[i] is g.chain_row(state, choices[state])
 
 
 def test_check_pair_rejects_wrong_player_label(g2):
@@ -356,7 +365,7 @@ def test_enumeration_cap_enforced(g1b):
 BROKEN_DISTRIBUTIONS = """\
 from fractions import Fraction as F
 from smpg.evaluate import Distribution, ValueVector
-from smpg.game import InducedChain
+from smpg.game import InducedChain, _checked_row
 
 rewards = (F(0), F(0))
 last = (1, ((1, 1),))
@@ -368,6 +377,7 @@ for build in (
     lambda: InducedChain(("a", "b"), ((2, ((0, 1), (0, 1))), last), rewards),
     lambda: InducedChain(("a", "b"), ((1, ((2, 1),)), last), rewards),
     lambda: InducedChain(("a", "b"), (last,), rewards),
+    lambda: InducedChain(("a", "b"), (_checked_row("a", 1, ((5, 1),), 6), last), rewards),
     lambda: Distribution(("a", "b"), 1, (1, 1)),
     lambda: Distribution(("a", "b"), 1, (2, -1)),
     lambda: Distribution(("a", "b"), 1, (1,)),
@@ -386,7 +396,8 @@ print(__debug__)
 def test_probability_guards_survive_optimize_flag(flags, debug):
     """A chain row summing to 2, a negative entry, a row with mass missing, a
     zero denominator, a repeated target, a target past the last state, a
-    missing row, a distribution summing to 2, with a negative entry or with
+    missing row, a row checked for six states in a two-state chain, a
+    distribution summing to 2, with a negative entry or with
     a mass missing, and a value vector with a value missing raise domain
     errors, also with asserts stripped."""
     proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_DISTRIBUTIONS],
@@ -395,6 +406,177 @@ def test_probability_guards_survive_optimize_flag(flags, debug):
     assert proc.stdout.split() == [
         "ProbabilitySumMismatch", "ProbabilityOutOfRange", "ProbabilitySumMismatch",
         "ProbabilityOutOfRange", "ProbabilitySumMismatch", "ProbabilitySumMismatch",
-        "ProbabilitySumMismatch",
+        "ProbabilitySumMismatch", "ProbabilitySumMismatch",
         "ProbabilitySumMismatch", "ProbabilityOutOfRange", "ProbabilitySumMismatch",
         "UnknownState", debug]
+
+
+def _reference_chain_guard(state_order, rows, rewards):
+    """The InducedChain guard as it was before rows were checked where
+    Game.chain_row builds them, kept verbatim as the reference."""
+    n = len(state_order)
+    if len(rows) != n or len(rewards) != n:
+        raise ProbabilitySumMismatch(f"{len(rows)} rows and {len(rewards)} "
+                                     f"rewards for {n} states", states=n)
+    for state, (den, entries) in zip(state_order, rows):
+        if den <= 0 or any(num <= 0 for _, num in entries):
+            raise ProbabilityOutOfRange(f"non-positive integer in row {state!r}", state=state)
+        bounds = [-1, *(j for j, _ in entries), n]
+        if (any(a >= b for a, b in zip(bounds, bounds[1:]))
+                or sum(num for _, num in entries) != den):
+            raise ProbabilitySumMismatch(f"row {state!r} is not one distribution over "
+                                         "ascending, distinct states", state=state)
+
+
+def _verdict(build):
+    """The error's class name, message and payload, or "accepted" and the
+    result."""
+    try:
+        result = build()
+    except (ProbabilityOutOfRange, ProbabilitySumMismatch, SinkState, UnknownReference,
+            ParseError) as exc:
+        return type(exc).__name__, str(exc), exc.payload
+    return "accepted", result
+
+
+def _six_state_game():
+    """Six states in a ring, each with an action to the next state and a
+    fan-out action to itself and every later state: checked rows whose
+    last target runs from 0 to 5."""
+    n = 6
+    raw = {"states": [{"id": f"s{i}", "owner": "max" if i % 2 else "min"} for i in range(n)],
+           "actions": [{"id": "next", "reward": "1"}, {"id": "fan", "reward": "-1/2"}],
+           "transitions": []}
+    for i in range(n):
+        raw["transitions"].append({"from": f"s{i}", "action": "next", "to": f"s{(i + 1) % n}",
+                                   "prob": "1"})
+        for j in range(i, n):
+            raw["transitions"].append({"from": f"s{i}", "action": "fan", "to": f"s{j}",
+                                       "prob": f"1/{n - i}"})
+    return validate_game(raw)
+
+
+_SIX = _six_state_game()
+_checked_rows = st.sampled_from([_SIX.chain_row(s, a) for s, a in _SIX.outgoing])
+_hand_rows = st.tuples(
+    st.integers(min_value=-2, max_value=6),
+    st.lists(st.tuples(st.integers(min_value=-1, max_value=5),
+                       st.integers(min_value=-2, max_value=6)), max_size=4).map(tuple))
+_valid_hand_rows = st.integers(min_value=0, max_value=5).map(lambda j: (1, ((j, 1),)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4),
+       rows=st.lists(st.one_of(_hand_rows, _checked_rows, _valid_hand_rows),
+                     min_size=0, max_size=5),
+       data=st.data())
+def test_chain_row_check_matches_the_inline_guard(n, rows, data):
+    """Hand-built rows (zero or negative den, non-positive numerators,
+    unsorted or repeated targets, targets past the last state, wrong sums)
+    and checked rows from a six-state game, in chains on 1-4 states: the
+    row check gives the old guard's verdict, class, message and payload."""
+    if data.draw(st.booleans()):  # mostly the right number of rows
+        rows = (rows * n)[:n] if rows else [(1, ((0, 1),))] * n
+    state_order = tuple(f"q{i}" for i in range(n))
+    rewards = (F(0),) * n
+    expected = _verdict(lambda: _reference_chain_guard(state_order, tuple(rows), rewards))
+    got = _verdict(lambda: InducedChain(state_order, tuple(rows), rewards))
+    if expected[0] == "accepted":
+        assert got[0] == "accepted" and got[1].rows == tuple(rows)
+    else:
+        assert got == expected
+
+
+def test_checked_row_of_a_larger_game_is_bounded_by_the_chain():
+    """A row Game.chain_row built and checked for a six-state game, placed
+    in a three-state chain, must fail the chain's bound check."""
+    row = _SIX.chain_row("s4", "next")  # (1, ((5, 1),))
+    assert row == (1, ((5, 1),))
+    loop = _SIX.chain_row("s0", "fan")  # targets 0..5
+    for bad in (row, loop):
+        with pytest.raises(ProbabilitySumMismatch) as info:
+            InducedChain(("a", "b", "c"), (bad, (1, ((0, 1),)), (1, ((0, 1),))), (F(0),) * 3)
+        assert str(info.value) == "row 'a' is not one distribution over ascending, distinct states"
+        assert info.value.payload == {"state": "a"}
+    # a checked row whose targets all lie in the smaller chain is accepted there
+    inside = _SIX.chain_row("s1", "next")  # (1, ((2, 1),))
+    assert InducedChain(("a", "b", "c"), (inside,) * 3, (F(0),) * 3).rows == (inside,) * 3
+
+
+def _reference_build_game(states, actions, transitions):
+    """build_game as it was before its probability checks ran in integers,
+    kept verbatim as the reference."""
+    state_tuple = tuple(states)
+    seen = set()
+    for s in state_tuple:
+        if s.id in seen:
+            raise ParseError(f"duplicate state id {s.id!r}", state=s.id)
+        seen.add(s.id)
+        if s.owner not in PLAYERS:
+            raise ParseError(f"owner of {s.id!r} must be 'max' or 'min'", state=s.id)
+    # state and action ids live in separate namespaces; collisions are legal
+    action_map = dict(actions)
+    index = {s.id: i for i, s in enumerate(state_tuple)}
+    merged: dict[tuple[str, str, str], F] = {}
+    for source, action, target, prob in transitions:
+        if source not in index:
+            raise UnknownReference(f"transition from unknown state {source!r}", kind="state", id=source)
+        if target not in index:
+            raise UnknownReference(f"transition to unknown state {target!r}", kind="state", id=target)
+        if action not in action_map:
+            raise UnknownReference(f"transition uses unknown action {action!r}", kind="action", id=action)
+        prob = F(prob)
+        if not 0 < prob <= 1:
+            raise ProbabilityOutOfRange(
+                f"probability {rational_text(prob)} of {source}-{action}->{target} outside (0, 1]",
+                source=source, action=action, target=target, prob=prob)
+        key = (source, action, target)
+        merged[key] = merged.get(key, F(0)) + prob
+
+    sums: dict[tuple[str, str], F] = {}
+    for (source, action, _), prob in merged.items():
+        sums[(source, action)] = sums.get((source, action), F(0)) + prob
+    for (source, action), total in sums.items():
+        if total != 1:
+            raise ProbabilitySumMismatch(
+                f"probabilities of action {action!r} at state {source!r} sum to {rational_text(total)}",
+                state=source, action=action, total=total)
+
+    has_action = {source for source, _ in sums}
+    for s in state_tuple:
+        if s.id not in has_action:
+            raise SinkState(f"state {s.id!r} has no outgoing action", state=s.id)
+
+    canonical = sorted(merged.items(), key=lambda kv: (index[kv[0][0]], kv[0][1], index[kv[0][2]]))
+    transition_tuple = tuple(Transition(s, a, t, p) for (s, a, t), p in canonical)
+    return Game(state_tuple, action_map, transition_tuple)
+
+
+_probs = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=7),
+    st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(1, 6), F(1), 1, 0, True]),
+    st.integers(min_value=-1, max_value=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edges=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["X", "Y"]),
+                                st.sampled_from(["a", "b"]), _probs), max_size=7))
+def test_build_game_integer_checks_match_the_fraction_checks(edges):
+    """Random transition lists over two states and two actions, with
+    probabilities in and out of (0, 1], repeated edges and rows that sum
+    to 1 or not: build_game's integer checks give the old Fraction checks'
+    verdict, class, message and payload, and the same merged game."""
+    # half the time complete each (state, action) row that already has an edge
+    complete = list(edges)
+    for source, action in dict.fromkeys((s, a) for s, a, _, _ in edges):
+        total = sum((F(p) for s, a, _, p in edges if (s, a) == (source, action)), F(0))
+        if 0 < 1 - total <= 1:
+            complete.append((source, action, "a", 1 - total))
+    states = [State("a", MAX), State("b", MIN)]
+    actions = {"X": F(1), "Y": F(-1)}
+    for transitions in (edges, complete):
+        expected = _verdict(lambda: _reference_build_game(states, actions, transitions))
+        got = _verdict(lambda: build_game(states, actions, transitions))
+        assert got == expected
+        if got[0] == "accepted":
+            assert all(type(t.prob) is F for t in got[1].transitions)

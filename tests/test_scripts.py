@@ -22,12 +22,14 @@ def run_script(name):
                           capture_output=True, text=True, env=checkout_env())
 
 
-@pytest.mark.parametrize("workload", ["reduction-n3", "si-n40"])
+@pytest.mark.parametrize("workload", ["reduction-n3", "si-n40", "eval-n40"])
 def test_traced_benchmark_ops_pass_the_output_gate(workload):
     """The benchmark's traced run wraps library functions by name and reads
     their arguments and results (bench/tracing.py): the chain's dense
-    matrix and solve_columns' rows of Fractions.  A library change that
-    breaks that contract makes the traced ops fail, and the run says so."""
+    matrix and solve_columns' rows of Fractions, and on eval-n40 the CLI
+    path through cli.main, serialize.load_game and game.build_game.  A
+    library change that breaks that contract makes the traced ops fail,
+    and the run says so."""
     proc = subprocess.run([sys.executable, str(REPO / "bench" / "run.py"), "--workload", workload,
                            "--seconds", "1", "--trace", "1"],
                           capture_output=True, text=True, env=checkout_env())

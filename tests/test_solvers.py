@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smpg.evaluate
+import smpg.game
 import smpg.solvers
 from smpg.errors import (
     CombinatorialLimitExceeded,
@@ -333,6 +334,79 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
     assert sorted(map(id, decomposed)) == sorted(id(chain) for _, _, chain in built)
 
 
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda g2: g2, id="g2"),
+    pytest.param(lambda g2: _three_state_game(), id="three-states"),
+])
+def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
+    """Rows are checked where Game.chain_row builds them: once per distinct
+    (state, action) row of the reset and doubled games, not once per pair
+    and state (64 pairs of 6 states on the three-state game)."""
+    game = make_game(g2)
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    checked = []
+    real_check = smpg.game._checked_row
+
+    def spy_check(state, den, entries, n):
+        checked.append((state, den, entries, n))
+        return real_check(state, den, entries, n)
+
+    monkeypatch.setattr(smpg.game, "_checked_row", spy_check)
+    report = verify_star2(gb, reduction)
+    doubled = reduction.doubled
+    assert report.ok
+    assert len(checked) == len(gb.outgoing) + len(doubled.outgoing)
+    assert ({(state, n) for state, _, _, n in checked}
+            == {(s, len(gb.states)) for s, _ in gb.outgoing}
+            | {(s, len(doubled.states)) for s, _ in doubled.outgoing})
+
+
+def _shifted_mean_values(monkeypatch, gb, doubled_shift, source_shift):
+    """Make solvers.mean_values add doubled_shift to state 0 of every
+    doubled chain and source_shift to state 1 of every reset-game chain."""
+    real = smpg.evaluate.mean_values
+
+    def shifted(chain):
+        values = real(chain)
+        index, shift = ((0, doubled_shift) if len(chain.state_order) > len(gb.state_order)
+                        else (1, source_shift))
+        return ValueVector(values.state_order,
+                           tuple(v + shift * (i == index) for i, v in enumerate(values.values)))
+
+    monkeypatch.setattr(smpg.solvers, "mean_values", shifted)
+
+
+def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
+    """Shifted doubled and reset-game values break the mirror identity and
+    the constant copy value; the integer checks report them in the very
+    dicts the Fraction checks gave."""
+    gb, reduction = beta_recurrent(g2, F(1, 3), "a")
+    _shifted_mean_values(monkeypatch, gb, F(1, 5), F(1, 7))
+    report = verify_star2(gb, reduction)
+    described = {"max": {"a1": "X", "b2": "Y'"}, "min": {"a2": "X'", "b1": "Y"}}
+    assert (report.pairs_checked, report.value) == (1, F(1, 5))
+    assert report.violations == (
+        {"kind": "nonconstant-copy-value", "copy": 1, **described},
+        {"kind": "nonconstant-copy-value", "copy": 2, **described},
+        {"kind": "mirror-identity", "state": "a1", "lhs": "1/5", "rhs": "0", **described},
+    )
+
+    game = _three_state_game()
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    _shifted_mean_values(monkeypatch, gb, F(2, 9), F(0))
+    report = verify_star2(gb, reduction)
+    assert (report.pairs_checked, report.value) == (64, F(2, 9))
+    assert [v["kind"] for v in report.violations] == ["mirror-identity"] * 64
+    assert report.violations[1] == {
+        "kind": "mirror-identity", "state": "s01", "lhs": "43/72", "rhs": "3/8",
+        "max": {"s01": "a0", "s11": "a2", "s22": "a4'"},
+        "min": {"s02": "a0'", "s12": "a2'", "s21": "a5"}}
+    assert report.violations[-2] == {
+        "kind": "mirror-identity", "state": "s01", "lhs": "-11/72", "rhs": "-3/8",
+        "max": {"s01": "a1", "s11": "a3", "s22": "a5'"},
+        "min": {"s02": "a1'", "s12": "a3'", "s21": "a4"}}
+
+
 def _full_table_selection(game, criterion, beta):
     """Reference for the pair scan, computed from the whole value table and
     its row minima and column maxima: brute force's pair (first row at the
@@ -441,7 +515,7 @@ def test_integer_lookahead_matches_fraction_reference(seed, states, beta, ties, 
         st.fractions(min_value=-20, max_value=20, max_denominator=10**12),
         min_size=states, max_size=states)))
     lookahead = _Lookahead(game, beta)
-    d, y = lookahead.scale(values)
+    d, y = ValueVector(game.state_order, values).scaled
     assert [F(yj, d) for yj in y] == list(values)
     for state in game.state_order:
         q = lookahead.q(state, (d, y))
