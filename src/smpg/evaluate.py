@@ -4,7 +4,9 @@ Discounted values solve (I - beta P) v = (1 - beta) r directly.  Mean
 payoffs are true long-run averages: the chain is decomposed into recurrent
 classes and transient states, each class gets the gain of its exact
 stationary distribution, and transient states mix class gains by exact
-absorption probabilities.  The restart-occupation recursion is one more
+absorption probabilities.  One closed class takes no absorption system:
+every state is absorbed into it, so every state gets its gain (Puterman
+1994, ch. 8).  The restart-occupation recursion is one more
 system.  Each of them is built in integers straight from the chain's rows,
 every row scaled by the denominators it reads.  ``linalg.solve_scaled``
 hands back integers (det, y), x = y / det; stationary masses, absorption
@@ -241,7 +243,12 @@ def _decomposition(chain: InducedChain) -> RecurrentDecomposition:
 
 
 def mean_values(chain: InducedChain) -> ValueVector:
-    """Exact long-run average reward from every start state."""
+    """Exact long-run average reward from every start state.
+
+    With one closed class every transient state is absorbed into it with
+    probability 1, so every state gets the class gain and no absorption
+    system is solved; the result's integer view ``scaled`` comes with it.
+    """
     decomposition = _decomposition(chain)
     class_gains = []
     for members, dist in zip(decomposition.classes, decomposition.stationary):
@@ -249,7 +256,18 @@ def mean_values(chain: InducedChain) -> ValueVector:
         common, rewards = scale([chain.rewards[i] for i in members])
         total = sum(num * r for num, r in zip(dist.numerators, rewards))
         class_gains.append(Fraction(total, dist.denominator * common))
-    gains: list[Fraction | None] = [None] * len(chain.state_order)
+    n = len(chain.state_order)
+    if len(class_gains) == 1:
+        covered = {*decomposition.classes[0], *decomposition.transient}
+        if len(covered) != n:
+            state = next(s for i, s in enumerate(chain.state_order) if i not in covered)
+            raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
+        gain = class_gains[0]
+        values = ValueVector(chain.state_order, (gain,) * n)
+        # what scale(values.values) gives for n copies of one lowest-terms value
+        values.__dict__["scaled"] = (gain.denominator, (gain.numerator,) * n)
+        return values
+    gains: list[Fraction | None] = [None] * n
     home = {}
     for c, (members, gain) in enumerate(zip(decomposition.classes, class_gains)):
         for i in members:

@@ -76,8 +76,9 @@ def format_rational(value) -> str:
 def scale(values) -> tuple[int, tuple[int, ...]]:
     """The integer view (D, y) of rationals: D the lcm of their denominators
     and y = D v.  Views compare by the cross-products y_1 D_2 and y_2 D_1."""
-    d = lcm(*(v.denominator for v in values))
-    return d, tuple(v.numerator * (d // v.denominator) for v in values)
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    return d, tuple(v.numerator * (d // den) for v, den in zip(values, dens))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ geometric sums, tiny stationary systems solved by hand, and Monte Carlo runs.
 """
 
 import dataclasses
+import itertools
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smpg import linalg
 from smpg.errors import (
     GameError,
     InvalidBeta,
@@ -26,6 +28,8 @@ from smpg.errors import (
 )
 from smpg.evaluate import (
     Distribution,
+    ValueVector,
+    _decomposition,
     discounted_values,
     mean_values,
     recurrent_stationary,
@@ -33,10 +37,18 @@ from smpg.evaluate import (
     unichain_stationary,
     verify_stationary_recursion,
 )
-from smpg.game import MAX, MIN, InducedChain, enumerate_strategies, induced_chain, validate_game
+from smpg.game import (
+    MAX,
+    MIN,
+    InducedChain,
+    enumerate_strategies,
+    induced_chain,
+    scale,
+    validate_game,
+)
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.solvers import brute_force_solve, MEAN, strategy_iteration_discounted, verify_star2
-from smpg.transforms import beta_recurrent
+from smpg.transforms import Reduction, beta_recurrent
 
 from .conftest import checkout_env, pair_of
 from .test_linalg import gauss_jordan
@@ -162,7 +174,8 @@ def test_mean_splits_by_absorbing_class():
     assert v.as_dict() == {"t": F(3), "u": F(0), "w": F(6)}
 
 
-def test_recurrent_decomposition_two_loops():
+def two_loops_chain():
+    """t moves to the self-loops u and w with mass 1/2 each: two classes."""
     raw = {
         "states": [
             {"id": "t", "owner": "max"},
@@ -178,7 +191,11 @@ def test_recurrent_decomposition_two_loops():
         ],
     }
     g = validate_game(raw)
-    chain = induced_chain(g, pair_of({"t": "m", "u": "m", "w": "m"}, {}))
+    return induced_chain(g, pair_of({"t": "m", "u": "m", "w": "m"}, {}))
+
+
+def test_recurrent_decomposition_two_loops():
+    chain = two_loops_chain()
     dec = recurrent_stationary(chain)
     assert dec.classes == ((1,), (2,))
     assert dec.transient == (0,)
@@ -198,11 +215,14 @@ from smpg import evaluate, linalg
 from smpg.game import InducedChain
 
 # t moves to u and to w with mass 1/2 each; u and w are absorbing
-rows = ((2, ((1, 1), (2, 1))), (1, ((1, 1),)), (1, ((2, 1),)))
+TWO_CLASSES = ("t", "u", "w"), ((2, ((1, 1), (2, 1))), (1, ((1, 1),)), (1, ((2, 1),))), (F(0), F(1), F(2))
+# t moves to u, which is absorbing: one class, no absorption system
+ONE_CLASS = ("t", "u"), ((1, ((1, 1),)), (1, ((1, 1),))), (F(0), F(1))
 
-def attempt(stage):
+def attempt(stage, chain=TWO_CLASSES):
     try:
-        evaluate.mean_values(InducedChain(("t", "u", "w"), rows, (F(0), F(1), F(2))))
+        # a fresh chain each time: a chain keeps its decomposition
+        evaluate.mean_values(InducedChain(*chain))
         print(stage, "accepted")
     except Exception as exc:
         print(stage, type(exc).__name__, str(exc))
@@ -225,6 +245,7 @@ evaluate.linalg = linalg
 decompose = evaluate.recurrent_stationary
 evaluate.recurrent_stationary = lambda chain: dataclasses.replace(decompose(chain), transient=())
 attempt("gain")
+attempt("one-class gain", ONE_CLASS)
 print(__debug__)
 """
 
@@ -232,8 +253,9 @@ print(__debug__)
 @pytest.mark.parametrize("flags, debug", [((), "True"), (("-O",), "False")])
 def test_mean_invariants_survive_optimize_flag(flags, debug):
     """A negative stationary mass, absorption probabilities that do not sum
-    to one and a state left without a gain raise domain errors, also with
-    asserts stripped."""
+    to one and a state left without a gain, on a chain with two classes and
+    on one with a single class, raise domain errors, also with asserts
+    stripped."""
     proc = subprocess.run([sys.executable, *flags, "-c", CORRUPTED_SOLVES],
                           capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
@@ -241,6 +263,7 @@ def test_mean_invariants_survive_optimize_flag(flags, debug):
         "stationary ProbabilityOutOfRange mass -1 at 'u' outside [0, 1]",
         "absorption ProbabilitySumMismatch absorption from 't' sums to 2, not 1",
         "gain ProbabilitySumMismatch state 't' reaches no recurrent class",
+        "one-class gain ProbabilitySumMismatch state 't' reaches no recurrent class",
         debug]
 
 
@@ -550,3 +573,132 @@ def test_recurrent_stationary_matches_gauss_jordan():
             assert dist.state_order == tuple(chain.state_order[i] for i in members)
             assert dist.mass == reference_stationary(chain, members)
     assert multichain >= 10
+
+
+# ------------------------------------------------------ one-class chains
+
+
+def parent_mean_values(chain: InducedChain) -> ValueVector:
+    """mean_values from before one-class chains skipped the absorption
+    system, verbatim: the reference for the fast path."""
+    decomposition = _decomposition(chain)
+    class_gains = []
+    for members, dist in zip(decomposition.classes, decomposition.stationary):
+        # sum(num_i r_i) / den as one integer sum over the lcm of the r_i denominators
+        common, rewards = scale([chain.rewards[i] for i in members])
+        total = sum(num * r for num, r in zip(dist.numerators, rewards))
+        class_gains.append(F(total, dist.denominator * common))
+    gains: list[F | None] = [None] * len(chain.state_order)
+    home = {}
+    for c, (members, gain) in enumerate(zip(decomposition.classes, class_gains)):
+        for i in members:
+            gains[i] = gain
+            home[i] = c
+
+    transient = decomposition.transient
+    if transient:
+        # absorption probabilities: (I - P_TT) X = B, one column per class,
+        # each row times its denominator
+        pos = {i: a for a, i in enumerate(transient)}
+        matrix = []
+        rhs_rows = []
+        for a, i in enumerate(transient):
+            den, entries = chain.rows[i]
+            row = [0] * len(transient)
+            row[a] = den
+            into = [0] * len(class_gains)
+            for j, num in entries:
+                if j in pos:
+                    row[pos[j]] -= num
+                else:
+                    into[home[j]] += num
+            matrix.append(row)
+            rhs_rows.append(into)
+        det, y = linalg.solve_scaled(matrix, rhs_rows)
+        # gain_i = sum_k y_ik g_k / det, over the lcm of the class gains' denominators
+        common, scaled = scale(class_gains)
+        for i, probs in zip(transient, y):
+            total = sum(probs)
+            if total != det:
+                total = F(total, det)
+                raise ProbabilitySumMismatch(
+                    f"absorption from {chain.state_order[i]!r} sums to {rational_text(total)}, not 1",
+                    state=chain.state_order[i], total=total)
+            gains[i] = F(sum(p * g for p, g in zip(probs, scaled)), det * common)
+
+    # by identity: ``None in gains`` would call Fraction.__eq__ on every gain
+    state = next((s for s, g in zip(chain.state_order, gains) if g is None), None)
+    if state is not None:
+        raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
+    return ValueVector(chain.state_order, tuple(gains))
+
+
+def pair_chains(g, limit=None):
+    """The chains of g's strategy pairs, the first ``limit`` of them."""
+    pairs = itertools.product(enumerate_strategies(g, MAX), enumerate_strategies(g, MIN))
+    for smax, smin in itertools.islice(pairs, limit):
+        yield induced_chain(g, pair_of(smax.choices, smin.choices))
+
+
+def reduction_of(seed, states, beta):
+    g = generate_game(GeneratorConfig(
+        states=states, actions_per_state=(1, 2), transitions_per_action=(1, 3),
+        reward_bound=4, denominator_bound=4, max_states_fraction=F(1, 2), seed=seed))
+    return g, Reduction(g, beta, g.states[seed % states].id)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    states=st.integers(min_value=1, max_value=4),
+    beta=st.sampled_from([F(0), F(1, 3), F(1, 2), F(9, 10)]),
+)
+def test_mean_values_match_the_absorption_reference(seed, states, beta):
+    """On seeded games and on their reset and doubled games, mean_values
+    equals the absorption-based reference on every chain, and its integer
+    view equals game.scale of its values."""
+    g, reduction = reduction_of(seed, states, beta)
+    for game in (g, reduction.reset_game, reduction.doubled):
+        for chain in pair_chains(game, limit=16):
+            got = mean_values(chain)
+            assert got == parent_mean_values(chain)
+            assert got.scaled == scale(got.values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    beta=st.sampled_from([F(0), F(1, 3), F(9, 10)]),
+)
+def test_reduction_chains_have_one_recurrent_class(seed, beta):
+    """Every strategy pair's chain on the reset game and on the doubled game
+    has exactly one recurrent class: each state sends mass 1 - beta to a
+    start state, and the starts reach each other."""
+    _, reduction = reduction_of(seed, 2 + seed % 2, beta)
+    for game in (reduction.reset_game, reduction.doubled):
+        for chain in pair_chains(game):
+            assert len(recurrent_stationary(chain).classes) == 1
+
+
+def counted_solves(monkeypatch, chain):
+    calls = []
+    solve = linalg.solve_scaled
+
+    def solve_scaled(matrix, rhs_rows):
+        calls.append(len(rhs_rows[0]))
+        return solve(matrix, rhs_rows)
+
+    monkeypatch.setattr("smpg.evaluate.linalg.solve_scaled", solve_scaled)
+    mean_values(chain)
+    return calls
+
+
+def test_one_class_chain_solves_only_its_stationary_system(monkeypatch):
+    # t moves to the absorbing u: one stationary solve, no absorption system
+    chain = InducedChain(("t", "u"), ((1, ((1, 1),)), (1, ((1, 1),))), (F(0), F(3, 2)))
+    assert counted_solves(monkeypatch, chain) == [1]
+    assert mean_values(chain).values == (F(3, 2), F(3, 2))
+
+
+def test_two_class_chain_solves_two_stationary_and_one_absorption_system(monkeypatch):
+    assert counted_solves(monkeypatch, two_loops_chain()) == [1, 1, 2]
