@@ -6,7 +6,11 @@ For seeded 1-4-state games plus games/g1.json and games/g2.json, at beta in
 (both criteria) and by strategy iteration, `recover` from the brute-force
 discounted values and from the same values with 1 added at the first state,
 `verify star` and `verify star2` from every start state, and `pipeline`,
-with the files the pipeline writes.
+with the files the pipeline writes.  It also calls the exhaustive recovery
+oracle in-process on each game with three mean-payoff claims: the
+brute-force mean values, the same with 1 added at the first state, and the
+first pair's mean values; each record holds the witness pair or the error
+report, as the command line writes them.
 Each game's runs go to their own directory under --out, one `<run>.txt` per
 run.  Two checkouts give the same answers exactly when `diff -r` finds no
 difference between their output directories:
@@ -17,34 +21,53 @@ difference between their output directories:
 import argparse
 import contextlib
 import io
+import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from smpg.cli import main as smpg
+from smpg.errors import GameError
+from smpg.evaluate import ValueVector
 from smpg.game import MAX, MIN, Game, StrategyPair, enumerate_strategies
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.serialize import (
+    canonical_dumps,
     load_game,
     save_game,
     strategy_pair_to_json_dict,
     values_to_json_dict,
     write_json,
 )
-from smpg.solvers import DISCOUNTED, brute_force_solve
+from smpg.solvers import DISCOUNTED, MEAN, brute_force_solve, evaluate_pair, reference_recovery_oracle
 
 REPO = Path(__file__).resolve().parents[1]
 BETAS = ("0", "1/3", "1/2", "9/10")
 SEEDS = range(8)  # seeded games per state count
 
 
-def run(out: Path, name: str, argv: list[str]):
-    """Run the command line in-process and write out/<name>.txt; returns the
-    exit code, or "traceback" when the run raised."""
+def oracle(game: Game, claim: tuple[Fraction, ...]) -> int:
+    """The exhaustive recovery oracle on a claim, reported as the command
+    line reports an answer: the witness pair on stdout and exit 0, or the
+    error report on stderr and exit 1."""
+    try:
+        pair = reference_recovery_oracle(game, ValueVector(game.state_order, claim))
+    except GameError as exc:
+        print(canonical_dumps(exc.to_json_dict()), end="", file=sys.stderr)
+        return 1
+    print(canonical_dumps(strategy_pair_to_json_dict(pair)), end="")
+    return 0
+
+
+def run(out: Path, name: str, call):
+    """Make the call ``call()`` in-process, which returns an exit code, and
+    write out/<name>.txt; returns the exit code, or "traceback" when the call
+    raised."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = smpg(argv)
+            code = call()
         except Exception as exc:  # a crash is an answer too; record it and go on
             code = "traceback"
             stderr.write(f"{type(exc).__name__}: {exc}\n")
@@ -84,7 +107,12 @@ def sweep_game(name: str, game: Game, out: Path) -> dict:
         for s in game.state_order:
             runs += [(f"verify-star-{b}-from-{s}", ["verify", "star", g, "--beta", beta, "--start", s]),
                      (f"verify-star2-{b}-from-{s}", ["verify", "star2", g, "--beta", beta, "--start", s])]
-    return {run_name: run(out, run_name, argv) for run_name, argv in runs}
+    truth = brute_force_solve(game, MEAN).values.values
+    mean_claims = {"true": truth, "perturbed": (truth[0] + 1, *truth[1:]),
+                   "first-pair": evaluate_pair(game, first, MEAN).values}
+    calls = {run_name: partial(smpg, argv) for run_name, argv in runs}
+    calls.update((f"oracle-{claim}", partial(oracle, game, values)) for claim, values in mean_claims.items())
+    return {run_name: run(out, run_name, call) for run_name, call in calls.items()}
 
 
 def sweep_games() -> dict[str, Game]:

@@ -11,9 +11,16 @@ all-zero claim, restriction back to the source game.
 
 Strategy iteration and greedy recovery compare one-step lookaheads as
 integers over one positive denominator per state (``_Lookahead``), so no
-Fraction arithmetic runs per action.  They, the pair scans and the mirror
-checks read value vectors through their integer view (D, y = D v), compare
-integer cross-products, and build Fractions only for what they return.
+Fraction arithmetic runs per action.  They, the pair scans, the recovery
+oracle and the mirror checks read value vectors through their integer view
+(D, y = D v), compare integer cross-products, and build Fractions only for
+what they return.
+
+Brute force and the two verifiers scan every strategy pair (``_PairScan``),
+since each needs every entry.  The recovery oracle does not share that
+scan: it looks for its one saddle pair lazily, rejecting a row or a column
+of pairs at its first counterexample to the claim, and holds one flag per
+column, never the value table.
 """
 
 from __future__ import annotations
@@ -134,6 +141,18 @@ def _fold(best: list[tuple[int, int]], rows, sign: int) -> list[tuple[int, int]]
     return best
 
 
+def _strategies(game: Game, cap: int) -> tuple[list[PositionalStrategy], list[PositionalStrategy]]:
+    """Every positional strategy of the maximizer and of the minimizer, in
+    enumeration order.  Raises CombinatorialLimitExceeded, before anything
+    is enumerated, when they make more than ``cap`` pairs."""
+    max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
+    if max_count * min_count > cap:
+        raise CombinatorialLimitExceeded(
+            f"{max_count} x {min_count} strategy pairs exceed cap {cap}",
+            count=max_count * min_count, cap=cap)
+    return list(enumerate_strategies(game, MAX, cap)), list(enumerate_strategies(game, MIN, cap))
+
+
 class _PairScan:
     """One pass over every positional strategy pair, a row per maximizer
     strategy and a column per minimizer strategy.  ``entry(pair)`` is a
@@ -142,13 +161,7 @@ class _PairScan:
     pairs of the entries' integer views."""
 
     def __init__(self, game: Game, cap: int, entry: Callable[[StrategyPair], ValueVector]):
-        max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
-        if max_count * min_count > cap:
-            raise CombinatorialLimitExceeded(
-                f"{max_count} x {min_count} strategy pairs exceed cap {cap}",
-                count=max_count * min_count, cap=cap)
-        self.max_strats = list(enumerate_strategies(game, MAX, cap))
-        self.min_strats = list(enumerate_strategies(game, MIN, cap))
+        self.max_strats, self.min_strats = _strategies(game, cap)
         self.row_min, self.col_max = [], None
         for sigma in self.max_strats:
             views = (entry(StrategyPair(sigma, tau)).scaled for tau in self.min_strats)
@@ -351,17 +364,52 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
 
     Returns the lexicographically first pair that both evaluates to the
     claimed values at every state and is a saddle point (no unilateral
-    positional deviation helps either player anywhere).  Raises
+    positional deviation helps either player anywhere): the first
+    maximizer row whose componentwise minimum is the claim, with the first
+    minimizer column whose componentwise maximum is the claim.  Raises
     NoConsistentStrategy when no pair qualifies.
+
+    The search stops at each row's and column's first counterexample, and
+    never holds the value table: one flag per column (the row's entry
+    equals the claim at every state) for the row being tested, kept for
+    the accepted row.  A row is rejected at its first entry below the
+    claim at some state.  The first row with no such entry is the only
+    candidate: if column j qualifies, the row's entry there is at least
+    the claim and at most column j's maximum, the claim, so the row's
+    minimum is the claim at every state.  For the same reason a column
+    qualifies only where the row's entry equals the claim; each such
+    column is rejected at its first entry above the claim in another row.
     """
     target = _aligned(game, claimed)
-    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, MEAN))
-    pair = scan.first_saddle(target)
-    if pair is None:
+    max_strats, min_strats = _strategies(game, cap)
+    d, y = target.scaled
+
+    def difference(sigma: PositionalStrategy, tau: PositionalStrategy) -> list[int]:
+        """Per state, an integer with the sign of the pair's mean value minus the claim."""
+        den, values = evaluate_pair(game, StrategyPair(sigma, tau), MEAN).scaled
+        return [v * d - t * den for v, t in zip(values, y)]
+
+    def row_at_claim(sigma: PositionalStrategy) -> list[bool] | None:
+        """Per column, whether the row's entry equals the claim; None at the
+        row's first entry below the claim."""
+        at_claim = []
+        for tau in min_strats:
+            diff = difference(sigma, tau)
+            if min(diff) < 0:
+                return None
+            at_claim.append(not any(diff))
+        return at_claim
+
+    rows = ((sigma, row_at_claim(sigma)) for sigma in max_strats)
+    sigma, at_claim = next(((sigma, row) for sigma, row in rows if row is not None), (None, ()))
+    tau = next((tau for tau, equal in zip(min_strats, at_claim)
+                if equal and all(max(difference(other, tau)) <= 0
+                                 for other in max_strats if other is not sigma)), None)
+    if tau is None:
         raise NoConsistentStrategy(
             "no strategy pair attains the claimed values as a saddle point",
             claimed=[rational_text(x) for x in target.values])
-    return pair
+    return StrategyPair(sigma, tau)
 
 
 def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,

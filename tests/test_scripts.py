@@ -64,13 +64,13 @@ def load_sweep():
 
 def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
     """The parent-vs-change sweep, on g2 only: every run exits 0 but the
-    recoveries from perturbed values, which exit 1, and its records at
-    beta 1/3 carry the pinned verify and pipeline bytes."""
+    recoveries and the oracle call from perturbed values, which exit 1, and
+    its records at beta 1/3 carry the pinned verify and pipeline bytes."""
     sweep = load_sweep()
     codes = sweep.sweep_game("g2", load_game(REPO / "games" / "g2.json"), tmp_path)
-    assert len(codes) == 2 + 4 * (6 + 2 * 2)
-    perturbed = {run for run in codes if run.startswith("recover-perturbed-")}
-    assert len(perturbed) == 4
+    assert len(codes) == 2 + 3 + 4 * (6 + 2 * 2)
+    perturbed = {run for run in codes if run.startswith(("recover-perturbed-", "oracle-perturbed"))}
+    assert len(perturbed) == 5
     assert {codes[run] for run in perturbed} == {1}
     assert {code for run, code in codes.items() if run not in perturbed} == {0}
 
@@ -97,10 +97,11 @@ def directory_digest(root: Path) -> str:
 
 def test_sweep_slice_matches_the_committed_digests(tmp_path):
     """Six games of the sweep, every run on each (brute force, strategy
-    iteration, recovery, both checks, the pipeline), hashed per game and
-    compared with digests recorded before the integer one-step lookahead
-    replaced the Fraction one.  A mismatch means some CLI byte changed:
-    rerun scripts/sweep.py in both checkouts and diff -r the outputs."""
+    iteration, recovery, both checks, the pipeline, the recovery oracle),
+    hashed per game and compared with digests recorded while the oracle
+    still evaluated every strategy pair.  A mismatch means some CLI or
+    oracle byte changed: rerun scripts/sweep.py in both checkouts and
+    diff -r the outputs."""
     sweep = load_sweep()
     pinned = json.loads((REPO / "tests" / "golden" / "sweep_slice.json").read_text())
     games = sweep.sweep_games()

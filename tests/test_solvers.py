@@ -205,6 +205,52 @@ def test_reference_oracle_requires_a_saddle_point(g1b):
                                   ValueVector(doubled.state_order, attained))
 
 
+def _doubled_three_state_game():
+    """The mirrored double game of the three-state fixture at beta 1/2, with
+    the all-zero claim the pipeline hands its oracle: 8 x 8 pairs."""
+    game = _three_state_game()
+    doubled, _ = mirror(*beta_recurrent(game, F(1, 2), game.state_order[0]))
+    return doubled, ValueVector(doubled.state_order, (F(0),) * len(doubled.state_order))
+
+
+def _count_pair_evaluations(monkeypatch):
+    """The pairs solvers.evaluate_pair is called with from now on."""
+    pairs = []
+    real = smpg.solvers.evaluate_pair
+
+    def spy(game, pair, *args):
+        pairs.append(pair)
+        return real(game, pair, *args)
+
+    monkeypatch.setattr(smpg.solvers, "evaluate_pair", spy)
+    return pairs
+
+
+def test_reference_oracle_checks_the_cap_before_evaluating(monkeypatch):
+    doubled, zero = _doubled_three_state_game()
+    evaluated = _count_pair_evaluations(monkeypatch)
+    with pytest.raises(CombinatorialLimitExceeded) as info:
+        reference_recovery_oracle(doubled, zero, cap=63)
+    assert evaluated == []
+    assert info.value.to_json_dict() == {
+        "error": "CombinatorialLimitExceeded", "message": "8 x 8 strategy pairs exceed cap 63",
+        "count": 64, "cap": 63}
+    # the pair scans raise the very same report
+    with pytest.raises(CombinatorialLimitExceeded) as scan_info:
+        brute_force_solve(doubled, MEAN, cap=63)
+    assert scan_info.value.to_json_dict() == info.value.to_json_dict()
+
+
+def test_reference_oracle_rejects_rows_and_columns_early(monkeypatch):
+    """The oracle stops each row and column at its first counterexample:
+    15 of the 64 pairs are evaluated, for the pair the full table picks."""
+    doubled, zero = _doubled_three_state_game()
+    _, _, oracle = _full_table_selection(doubled, MEAN, None)
+    evaluated = _count_pair_evaluations(monkeypatch)
+    assert reference_recovery_oracle(doubled, zero) == oracle(zero.values)
+    assert len(evaluated) == 15
+
+
 def test_verify_star_two_cycle(g2):
     report = verify_star(g2, F(1, 2), "a")
     assert report.pairs_checked == 1
@@ -468,12 +514,17 @@ def test_pair_scan_selects_as_the_full_table(seed, states, doubled, discounted):
         _, first_values, oracle = _full_table_selection(game, MEAN, None)
     truth = brute_force_solve(game, MEAN).values.values
     perturbed = (truth[0] + F(1, 7),) + truth[1:]
-    for claim in (truth, perturbed, first_values):
-        try:
-            got = reference_recovery_oracle(game, ValueVector(game.state_order, claim))
-        except NoConsistentStrategy:
-            got = None
-        assert got == oracle(claim)
+    # with tied copies several rows and columns qualify, and the first in
+    # row order must win; the copies sort after their originals, so the
+    # values and the first pair's values are the same
+    tied = _with_tied_copies(game)
+    for on, select in ((game, oracle), (tied, _full_table_selection(tied, MEAN, None)[2])):
+        for claim in (truth, perturbed, first_values):
+            try:
+                got = reference_recovery_oracle(on, ValueVector(on.state_order, claim))
+            except NoConsistentStrategy:
+                got = None
+            assert got == select(claim)
 
 
 def _with_tied_copies(game):
