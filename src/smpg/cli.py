@@ -1,9 +1,15 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on domain errors (a machine readable JSON
-object goes to stderr) and on verification violations, 2 on usage errors.
-All primary output is canonical JSON on stdout, byte-identical across runs
-with the same inputs and seeds.
+``COMMANDS`` maps each command to its help string, its handler and its
+argument specs, and ``transform`` and ``verify`` to nested tables; an
+argument that several commands share is one spec.  Usage and help list the
+arguments in table order.
+
+Exit codes: 0 on success, 1 on domain errors, unreadable and unwritable
+paths among them (a machine readable JSON object goes to stderr), and on
+verification violations, 2 on usage errors.  All primary output is
+canonical JSON on stdout, byte-identical across runs with the same inputs
+and seeds.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from pathlib import Path
 
 from .errors import GameError, MissingKindAnnotation, ParseError
 from .evaluate import simulate_mean_payoff
-from .game import DEFAULT_ENUMERATION_CAP, format_rational, game_to_json_dict, parse_rational
+from .game import DEFAULT_ENUMERATION_CAP, format_rational, parse_rational
 from .generate import config_from_json_dict, generate_game
 from .serialize import (
     canonical_dumps,
     load_game,
     load_json,
+    make_dir,
     mirror_map_to_json_dict,
     reduction_from_json_dict,
     report_to_json_dict,
@@ -63,55 +70,59 @@ def _emit(obj) -> None:
     sys.stdout.write(canonical_dumps(obj))
 
 
-def _default_map_path(out: str) -> str:
-    return (out[:-5] if out.endswith(".json") else out) + ".map.json"
+def _need_beta(args) -> None:
+    if args.criterion == DISCOUNTED and args.beta is None:
+        raise UsageError("--criterion discounted needs --beta")
+
+
+def _write_transform(args, game, map_to_json_dict, reduction) -> int:
+    """Write the game to --out and its map to --map-out, <out>.map.json by default."""
+    map_out = args.map_out or args.out.removesuffix(".json") + ".map.json"
+    save_game(args.out, game)
+    write_json(map_out, map_to_json_dict(reduction))
+    _emit({"written": {"game": args.out, "map": map_out}})
+    return 0
+
+
+def _report(report) -> int:
+    """Emit a verification report; exit 1 when it lists violations."""
+    _emit(report_to_json_dict(report))
+    return 0 if report.ok else 1
+
+
+def _sizes(game) -> dict:
+    return {"states": len(game.states), "actions": len(game.actions),
+            "transitions": len(game.transitions)}
 
 
 def _cmd_validate(args) -> int:
-    game = load_game(args.game)
-    _emit({
-        "valid": True,
-        "states": len(game.states),
-        "actions": len(game.actions),
-        "transitions": len(game.transitions),
-    })
+    _emit({"valid": True, **_sizes(load_game(args.game))})
     return 0
 
 
 def _cmd_eval(args) -> int:
     game = load_game(args.game)
     pair = strategy_pair_from_json_dict(load_json(args.strategy))
-    if args.criterion == DISCOUNTED and args.beta is None:
-        raise UsageError("--criterion discounted needs --beta")
+    _need_beta(args)
     vector = evaluate_pair(game, pair, args.criterion, args.beta)
     _emit(values_to_json_dict(vector))
     return 0
 
 
 def _cmd_transform_beta_recurrent(args) -> int:
-    game = load_game(args.game)
-    transformed, reduction = beta_recurrent(game, args.beta, args.start)
-    map_out = args.map_out or _default_map_path(args.out)
-    save_game(args.out, transformed)
-    write_json(map_out, reset_map_to_json_dict(reduction))
-    _emit({"written": {"game": args.out, "map": map_out}})
-    return 0
+    transformed, reduction = beta_recurrent(load_game(args.game), args.beta, args.start)
+    return _write_transform(args, transformed, reset_map_to_json_dict, reduction)
 
 
 def _cmd_transform_mirror(args) -> int:
     game = load_game(args.game)
     doubled, reduction = mirror(game, reduction_from_json_dict(load_json(args.map), game))
-    map_out = args.map_out or _default_map_path(args.out)
-    save_game(args.out, doubled)
-    write_json(map_out, mirror_map_to_json_dict(reduction))
-    _emit({"written": {"game": args.out, "map": map_out}})
-    return 0
+    return _write_transform(args, doubled, mirror_map_to_json_dict, reduction)
 
 
 def _cmd_solve(args) -> int:
     game = load_game(args.game)
-    if args.criterion == DISCOUNTED and args.beta is None:
-        raise UsageError("--criterion discounted needs --beta")
+    _need_beta(args)
     if args.method == "si":
         if args.criterion != DISCOUNTED:
             raise UsageError("--method si supports only --criterion discounted")
@@ -133,10 +144,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify_star(args) -> int:
-    game = load_game(args.game)
-    report = verify_star(game, args.beta, args.start, cap=args.cap)
-    _emit(report_to_json_dict(report))
-    return 0 if report.ok else 1
+    return _report(verify_star(load_game(args.game), args.beta, args.start, cap=args.cap))
 
 
 def _cmd_verify_star2(args) -> int:
@@ -155,15 +163,13 @@ def _cmd_verify_star2(args) -> int:
         if args.beta is None or args.start is None:
             raise UsageError("star2 needs --map, or --beta and --start")
         reset_game, reduction = beta_recurrent(game, args.beta, args.start)
-    report = verify_star2(reset_game, reduction, cap=args.cap)
-    _emit(report_to_json_dict(report))
-    return 0 if report.ok else 1
+    return _report(verify_star2(reset_game, reduction, cap=args.cap))
 
 
 def _cmd_pipeline(args) -> int:
     game = load_game(args.game)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir)
     recovered = {}
 
     def on_stage(state, reduction, witness, value):
@@ -186,12 +192,7 @@ def _cmd_generate(args) -> int:
     config = config_from_json_dict(load_json(args.config))
     game = generate_game(config)
     save_game(args.out, game)
-    _emit({
-        "written": args.out,
-        "states": len(game.states),
-        "actions": len(game.actions),
-        "transitions": len(game.transitions),
-    })
+    _emit({"written": args.out, **_sizes(game)})
     return 0
 
 
@@ -203,91 +204,72 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _arg(name: str, **options):
+    """An argument spec: the name and the options of one add_argument call."""
+    return name, options
+
+
+# the argument specs that several commands share
+GAME = _arg("game")
+STRATEGY = _arg("--strategy", required=True)
+CRITERION = _arg("--criterion", choices=(MEAN, DISCOUNTED), required=True)
+BETA = _arg("--beta", type=_rational_arg)
+BETA_REQUIRED = _arg("--beta", type=_rational_arg, required=True)
+START = _arg("--start", required=True)
+CAP = _arg("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+OUT = _arg("--out", required=True)
+MAP_OUT = _arg("--map-out")
+
+# name: (help, handler, argument specs in usage order), or for a command
+# with subcommands, name: (help, the subparsers' dest, a nested table)
+COMMANDS = {
+    "validate": ("check a game file and exit", _cmd_validate, [GAME]),
+    "eval": ("value of a fixed strategy pair", _cmd_eval, [GAME, STRATEGY, CRITERION, BETA]),
+    "transform": ("game transforms", "transform", {
+        "beta-recurrent": ("reset transform", _cmd_transform_beta_recurrent,
+                           [GAME, BETA_REQUIRED, START, OUT, MAP_OUT]),
+        "mirror": ("mirrored double game", _cmd_transform_mirror,
+                   [GAME, _arg("--map", required=True), OUT, MAP_OUT]),
+    }),
+    "solve": ("optimal values and strategies", _cmd_solve,
+              [GAME, _arg("--method", choices=("oracle", "si"), default="oracle"),
+               CRITERION, BETA, CAP]),
+    "recover": ("strategy pair from claimed values", _cmd_recover,
+                [GAME, _arg("--values", required=True),
+                 _arg("--criterion", choices=(MEAN, DISCOUNTED), default=DISCOUNTED),
+                 BETA_REQUIRED]),
+    "verify": ("reduction identities, pair by pair", "check", {
+        "star": ("reset transform identity", _cmd_verify_star, [GAME, BETA_REQUIRED, START, CAP]),
+        "star2": ("mirrored double game identity", _cmd_verify_star2,
+                  [GAME, _arg("--map"), BETA, _arg("--start"), CAP]),
+    }),
+    "pipeline": ("full reduction chain with artifacts", _cmd_pipeline,
+                 [GAME, BETA_REQUIRED, _arg("--out-dir", required=True), CAP]),
+    "generate": ("seeded random game", _cmd_generate, [_arg("--config", required=True), OUT]),
+    "simulate": ("Monte Carlo mean-payoff estimate", _cmd_simulate,
+                 [GAME, STRATEGY, START, _arg("--horizon", type=int, required=True),
+                  _arg("--plays", type=int, required=True),
+                  _arg("--seed", type=int, required=True)]),
+}
+
+
+def _add_commands(parser, dest: str, table: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, target, specs) in table.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(specs, dict):
+            _add_commands(p, target, specs)
+            continue
+        for arg, options in specs:
+            p.add_argument(arg, **options)
+        p.set_defaults(handler=target)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smpg",
         description="Exact solvers and verified reductions for zero-sum stochastic games.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a game file and exit")
-    p.add_argument("game")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("eval", help="value of a fixed strategy pair")
-    p.add_argument("game")
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--criterion", choices=(MEAN, DISCOUNTED), required=True)
-    p.add_argument("--beta", type=_rational_arg)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("transform", help="game transforms")
-    tsub = p.add_subparsers(dest="transform", required=True)
-    t = tsub.add_parser("beta-recurrent", help="reset transform")
-    t.add_argument("game")
-    t.add_argument("--beta", type=_rational_arg, required=True)
-    t.add_argument("--start", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--map-out")
-    t.set_defaults(handler=_cmd_transform_beta_recurrent)
-    t = tsub.add_parser("mirror", help="mirrored double game")
-    t.add_argument("game")
-    t.add_argument("--map", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--map-out")
-    t.set_defaults(handler=_cmd_transform_mirror)
-
-    p = sub.add_parser("solve", help="optimal values and strategies")
-    p.add_argument("game")
-    p.add_argument("--method", choices=("oracle", "si"), default="oracle")
-    p.add_argument("--criterion", choices=(MEAN, DISCOUNTED), required=True)
-    p.add_argument("--beta", type=_rational_arg)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("recover", help="strategy pair from claimed values")
-    p.add_argument("game")
-    p.add_argument("--values", required=True)
-    p.add_argument("--criterion", choices=(MEAN, DISCOUNTED), default=DISCOUNTED)
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.set_defaults(handler=_cmd_recover)
-
-    p = sub.add_parser("verify", help="reduction identities, pair by pair")
-    vsub = p.add_subparsers(dest="check", required=True)
-    v = vsub.add_parser("star", help="reset transform identity")
-    v.add_argument("game")
-    v.add_argument("--beta", type=_rational_arg, required=True)
-    v.add_argument("--start", required=True)
-    v.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    v.set_defaults(handler=_cmd_verify_star)
-    v = vsub.add_parser("star2", help="mirrored double game identity")
-    v.add_argument("game")
-    v.add_argument("--map")
-    v.add_argument("--beta", type=_rational_arg)
-    v.add_argument("--start")
-    v.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    v.set_defaults(handler=_cmd_verify_star2)
-
-    p = sub.add_parser("pipeline", help="full reduction chain with artifacts")
-    p.add_argument("game")
-    p.add_argument("--beta", type=_rational_arg, required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.set_defaults(handler=_cmd_pipeline)
-
-    p = sub.add_parser("generate", help="seeded random game")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("simulate", help="Monte Carlo mean-payoff estimate")
-    p.add_argument("game")
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--plays", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_simulate)
-
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 

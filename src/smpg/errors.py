@@ -57,7 +57,8 @@ class GameError(Exception):
 
 
 class ParseError(GameError):
-    """Structurally malformed input: bad JSON shape, bad rational string."""
+    """Structurally malformed input: bad JSON shape, bad rational string,
+    or a path that cannot be read or written."""
 
 
 class RationalTooLong(GameError):

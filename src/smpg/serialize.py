@@ -50,8 +50,23 @@ def load_json(path) -> dict:
         raise ParseError(f"JSON in {path} is nested too deeply", path=str(path)) from exc
 
 
+def _unwritable(path, exc: OSError) -> ParseError:
+    return ParseError(f"cannot write {path}: {exc}", path=str(path))
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj))
+    text = canonical_dumps(obj)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
+def make_dir(path) -> None:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def load_game(path) -> Game:

@@ -379,6 +379,84 @@ def test_generate_rejects_non_integer_config_fields(capsys, tmp_path, field, val
     assert not (tmp_path / "game.json").exists()
 
 
+
+def malformed_inputs(tmp_path) -> dict:
+    """Paths for the placeholders in UNWRITABLE and MALFORMED."""
+    golden = REPO / "tests" / "golden" / "g2_beta_1_3"
+    reset_map = json.loads((golden / "reset.map.json").read_text())
+    return {
+        "G2": str(REPO / "games" / "g2.json"),
+        "CONFIG": str(REPO / "games" / "generator_small.json"),
+        "RESET": str(golden / "reset.json"),
+        "RESET_MAP": str(golden / "reset.map.json"),
+        "MIRROR_MAP": str(golden / "mirror.map.json"),
+        "BOGUS_MAP": write(tmp_path / "bogus.map.json", {**reset_map, "kind": "bogus"}),
+        "A_DIR": str(tmp_path),
+        "A_FILE": write(tmp_path / "file.json", {}),
+        "LIST": write(tmp_path / "list.json", []),
+        "EXTRA_VALUES": write(tmp_path / "extra.json", {"a": "0", "b": "0", "c": "0"}),
+        "OUT": str(tmp_path / "out.json"),
+        "NO_DIR/game.json": str(tmp_path / "missing" / "game.json"),
+        "NO_DIR/map.json": str(tmp_path / "missing" / "map.json"),
+    }
+
+
+# argv with placeholders, and the placeholder of the path that cannot be written
+UNWRITABLE = {
+    "pipeline-out-dir-is-a-file": (
+        ["pipeline", "G2", "--beta", "1/2", "--out-dir", "A_FILE"], "A_FILE"),
+    "transform-beta-recurrent-out": (
+        ["transform", "beta-recurrent", "G2", "--beta", "1/2", "--start", "a",
+         "--out", "NO_DIR/game.json"], "NO_DIR/game.json"),
+    "generate-out": (["generate", "--config", "CONFIG", "--out", "NO_DIR/game.json"],
+                     "NO_DIR/game.json"),
+    "transform-mirror-map-out": (
+        ["transform", "mirror", "RESET", "--map", "RESET_MAP", "--out", "OUT",
+         "--map-out", "NO_DIR/map.json"], "NO_DIR/map.json"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_unwritable_output_ends_in_json_error(capsys, tmp_path, case):
+    argv, target = UNWRITABLE[case]
+    files = malformed_inputs(tmp_path)
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["path"] == files[target]
+    assert payload["message"].startswith(f"cannot write {files[target]}: ")
+
+
+MALFORMED = {
+    "game-path-is-a-directory": ["validate", "A_DIR"],
+    "game-file-is-a-list": ["validate", "LIST"],
+    "strategy-file-is-a-list": ["eval", "G2", "--strategy", "LIST", "--criterion", "mean"],
+    "value-file-is-a-list": ["recover", "G2", "--values", "LIST", "--beta", "1/2"],
+    "value-file-has-an-extra-state": ["recover", "G2", "--values", "EXTRA_VALUES", "--beta", "1/2"],
+    "config-is-a-list": ["generate", "--config", "LIST", "--out", "OUT"],
+    "map-is-a-list": ["transform", "mirror", "RESET", "--map", "LIST", "--out", "OUT"],
+    "mirror-map-to-mirror": ["transform", "mirror", "RESET", "--map", "MIRROR_MAP", "--out", "OUT"],
+    "mirror-map-to-star2": ["verify", "star2", "RESET", "--map", "MIRROR_MAP"],
+    "unknown-map-kind-to-mirror": ["transform", "mirror", "RESET", "--map", "BOGUS_MAP", "--out", "OUT"],
+    "unknown-map-kind-to-star2": ["verify", "star2", "RESET", "--map", "BOGUS_MAP"],
+    **{f"unwritable-{case}": argv for case, (argv, _) in UNWRITABLE.items()},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_never_raises(capsys, tmp_path, case):
+    """Malformed input ends in a JSON report and exit 1, or in a usage
+    message and exit 2, never in an exception: a seed list for a fuzzer."""
+    files = malformed_inputs(tmp_path)
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in MALFORMED[case]))
+    assert out == ""
+    if code == 1:
+        payload = json.loads(err)
+        assert isinstance(payload["error"], str) and isinstance(payload["message"], str)
+    else:
+        assert code == 2 and err.startswith("usage")
+
 # What the wrapper that installers generate for a console script does:
 # import the declared object, name the program, exit with its return value.
 # The entry-point value is the first argument; the CLI arguments follow it.

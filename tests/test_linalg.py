@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smpg import linalg
-from smpg.errors import SingularSystem
+from smpg.errors import InexactDivision, SingularSystem
 from smpg.game import MAX, MIN, PositionalStrategy, StrategyPair, induced_chain
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.linalg import solve_columns, solve_scaled
@@ -348,3 +348,19 @@ def test_solve_scaled_flips_a_negative_determinant():
 def test_solve_scaled_of_an_empty_system():
     assert solve_scaled([], []) == (1, [])
     assert solve_columns([], []) == []
+
+
+@pytest.mark.parametrize("matrix, rhs_rows, where", [
+    # 2 * 1/3 - 1 * 1 = -1/3 in the update of row 1
+    ([[2, 1], [1, F(1, 3)]], [[1], [1]], "Bareiss"),
+    # row 1 skips the first step, then is scaled by the pivot 2: 2/3
+    ([[2, 0], [0, F(1, 3)]], [[1], [1]], "Bareiss catch-up"),
+    # no elimination on one unknown; y = det * x = 3 * 1/2 is divided by 3
+    ([[3]], [[F(1, 2)]], "back-substitution"),
+], ids=["Bareiss", "catch-up", "back-substitution"])
+def test_non_integer_entries_end_in_inexact_division(matrix, rhs_rows, where):
+    """Every division is checked: a remainder raises, naming its step."""
+    with pytest.raises(InexactDivision) as caught:
+        solve_scaled(matrix, rhs_rows)
+    assert caught.value.payload == {"where": where}
+    assert str(caught.value) == f"{where} division left a remainder"
