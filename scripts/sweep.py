@@ -5,8 +5,10 @@ For seeded 1-4-state games plus games/g1.json and games/g2.json, at beta in
 `eval` on the first strategy pair (both criteria), `solve` by brute force
 (both criteria) and by strategy iteration, `recover` from the brute-force
 discounted values and from the same values with 1 added at the first state,
-`verify star` and `verify star2` from every start state, and `pipeline`,
-with the files the pipeline writes.  It also calls the exhaustive recovery
+`verify star` and `verify star2` from every start state, `transform
+beta-recurrent` from every start state followed by `transform mirror` on the
+reset game and map it wrote, and `pipeline`, with the files the transforms
+and the pipeline write.  It also calls the exhaustive recovery
 oracle in-process on each game with three mean-payoff claims: the
 brute-force mean values, the same with 1 added at the first state, and the
 first pair's mean values; each record holds the witness pair or the error
@@ -105,8 +107,14 @@ def sweep_game(name: str, game: Game, out: Path) -> dict:
             (f"pipeline-{b}", ["pipeline", g, "--beta", beta, "--out-dir", str(out / f"pipeline-{b}")]),
         ]
         for s in game.state_order:
+            reset, doubled = str(out / f"reset-{b}-from-{s}.json"), str(out / f"mirror-{b}-from-{s}.json")
             runs += [(f"verify-star-{b}-from-{s}", ["verify", "star", g, "--beta", beta, "--start", s]),
-                     (f"verify-star2-{b}-from-{s}", ["verify", "star2", g, "--beta", beta, "--start", s])]
+                     (f"verify-star2-{b}-from-{s}", ["verify", "star2", g, "--beta", beta, "--start", s]),
+                     (f"transform-beta-recurrent-{b}-from-{s}",
+                      ["transform", "beta-recurrent", g, "--beta", beta, "--start", s, "--out", reset]),
+                     (f"transform-mirror-{b}-from-{s}",
+                      ["transform", "mirror", reset, "--map", reset.removesuffix(".json") + ".map.json",
+                       "--out", doubled])]
     truth = brute_force_solve(game, MEAN).values.values
     mean_claims = {"true": truth, "perturbed": (truth[0] + 1, *truth[1:]),
                    "first-pair": evaluate_pair(game, first, MEAN).values}

@@ -7,7 +7,8 @@ arguments in table order.
 
 Exit codes: 0 on success, 1 on domain errors, unreadable and unwritable
 paths among them (a machine readable JSON object goes to stderr), and on
-verification violations, 2 on usage errors.  All primary output is
+verification violations, 2 on usage errors, which come before any read.
+A failed write deletes the files its run wrote.  All primary output is
 canonical JSON on stdout, byte-identical across runs with the same inputs
 and seeds.
 """
@@ -18,11 +19,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import GameError, MissingKindAnnotation, ParseError
+from .errors import GameError, ParseError
 from .evaluate import simulate_mean_payoff
-from .game import DEFAULT_ENUMERATION_CAP, format_rational, parse_rational
+from .game import DEFAULT_ENUMERATION_CAP, format_rational, game_to_json_dict, parse_rational
 from .generate import config_from_json_dict, generate_game
 from .serialize import (
+    MIRROR_KIND,
     canonical_dumps,
     load_game,
     load_json,
@@ -75,11 +77,27 @@ def _need_beta(args) -> None:
         raise UsageError("--criterion discounted needs --beta")
 
 
+def _writer():
+    """write_json for one run's files; a failed write deletes the earlier ones."""
+    written = []
+
+    def write(path, obj) -> None:
+        try:
+            write_json(path, obj)
+        except ParseError:
+            for done in written:
+                Path(done).unlink(missing_ok=True)
+            raise
+        written.append(path)
+    return write
+
+
 def _write_transform(args, game, map_to_json_dict, reduction) -> int:
     """Write the game to --out and its map to --map-out, <out>.map.json by default."""
     map_out = args.map_out or args.out.removesuffix(".json") + ".map.json"
-    save_game(args.out, game)
-    write_json(map_out, map_to_json_dict(reduction))
+    write = _writer()
+    write(args.out, game_to_json_dict(game))
+    write(map_out, map_to_json_dict(reduction))
     _emit({"written": {"game": args.out, "map": map_out}})
     return 0
 
@@ -101,9 +119,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _need_beta(args)
     game = load_game(args.game)
     pair = strategy_pair_from_json_dict(load_json(args.strategy))
-    _need_beta(args)
     vector = evaluate_pair(game, pair, args.criterion, args.beta)
     _emit(values_to_json_dict(vector))
     return 0
@@ -121,11 +139,11 @@ def _cmd_transform_mirror(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    game = load_game(args.game)
     _need_beta(args)
+    if args.method == "si" and args.criterion != DISCOUNTED:
+        raise UsageError("--method si supports only --criterion discounted")
+    game = load_game(args.game)
     if args.method == "si":
-        if args.criterion != DISCOUNTED:
-            raise UsageError("--method si supports only --criterion discounted")
         solution = strategy_iteration_discounted(game, args.beta)
     else:
         solution = brute_force_solve(game, args.criterion, args.beta, cap=args.cap)
@@ -134,9 +152,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    game = load_game(args.game)
     if args.criterion != DISCOUNTED:
         raise UsageError("recover supports only --criterion discounted")
+    game = load_game(args.game)
     claimed = values_from_json_dict(load_json(args.values), game)
     pair = greedy_recovery_discounted(game, args.beta, claimed)
     _emit(strategy_pair_to_json_dict(pair))
@@ -148,21 +166,18 @@ def _cmd_verify_star(args) -> int:
 
 
 def _cmd_verify_star2(args) -> int:
+    if args.map is not None and (args.beta is not None or args.start is not None):
+        raise UsageError("give either --map or --beta/--start, not both")
+    if args.map is None and (args.beta is None or args.start is None):
+        raise UsageError("star2 needs --map, or --beta and --start")
     game = load_game(args.game)
-    if args.map is not None:
-        if args.beta is not None or args.start is not None:
-            raise UsageError("give either --map or --beta/--start, not both")
-        try:
-            reduction = reduction_from_json_dict(load_json(args.map), game)
-        except MissingKindAnnotation as exc:
-            if "kind" in exc.payload:  # a mirror map, not a reset map
-                raise UsageError("star2 needs a reset-transform map") from exc
-            raise
-        reset_game = game
-    else:
-        if args.beta is None or args.start is None:
-            raise UsageError("star2 needs --map, or --beta and --start")
+    if args.map is None:
         reset_game, reduction = beta_recurrent(game, args.beta, args.start)
+    else:
+        raw = load_json(args.map)
+        if isinstance(raw, dict) and raw.get("kind") == MIRROR_KIND:
+            raise UsageError("star2 needs a reset-transform map")
+        reset_game, reduction = game, reduction_from_json_dict(raw, game)
     return _report(verify_star2(reset_game, reduction, cap=args.cap))
 
 
@@ -170,20 +185,21 @@ def _cmd_pipeline(args) -> int:
     game = load_game(args.game)
     out_dir = Path(args.out_dir)
     make_dir(out_dir)
+    write = _writer()
     recovered = {}
 
     def on_stage(state, reduction, witness, value):
-        save_game(out_dir / f"reset_{state}.json", reduction.reset_game)
-        write_json(out_dir / f"reset_{state}.map.json", reset_map_to_json_dict(reduction))
-        save_game(out_dir / f"mirror_{state}.json", reduction.doubled)
-        write_json(out_dir / f"mirror_{state}.map.json", mirror_map_to_json_dict(reduction))
-        write_json(out_dir / f"witness_{state}.json", strategy_pair_to_json_dict(witness))
+        write(out_dir / f"reset_{state}.json", game_to_json_dict(reduction.reset_game))
+        write(out_dir / f"reset_{state}.map.json", reset_map_to_json_dict(reduction))
+        write(out_dir / f"mirror_{state}.json", game_to_json_dict(reduction.doubled))
+        write(out_dir / f"mirror_{state}.map.json", mirror_map_to_json_dict(reduction))
+        write(out_dir / f"witness_{state}.json", strategy_pair_to_json_dict(witness))
         recovered[state] = format_rational(value)
 
     oracle = lambda g, claimed: reference_recovery_oracle(g, claimed, cap=args.cap)
     solution = strategic_via_recovery(game, args.beta, oracle, on_stage=on_stage)
-    write_json(out_dir / "discounted_values.json", recovered)
-    write_json(out_dir / "solution.json", solution_to_json_dict(solution))
+    write(out_dir / "discounted_values.json", recovered)
+    write(out_dir / "solution.json", solution_to_json_dict(solution))
     _emit(solution_to_json_dict(solution))
     return 0
 

@@ -245,39 +245,32 @@ def _decomposition(chain: InducedChain) -> RecurrentDecomposition:
 def mean_values(chain: InducedChain) -> ValueVector:
     """Exact long-run average reward from every start state.
 
-    With one closed class every transient state is absorbed into it with
-    probability 1, so every state gets the class gain and no absorption
-    system is solved; the result's integer view ``scaled`` comes with it.
+    A recurrent state gets its class gain, a transient one the class gains
+    mixed by its absorption probabilities.  With one closed class that mix
+    is the class gain, so no absorption system is solved, and the result's
+    integer view ``scaled`` comes with it.
     """
     decomposition = _decomposition(chain)
+    n = len(chain.state_order)
+    gains: list[Fraction | None] = [None] * n
     class_gains = []
     for members, dist in zip(decomposition.classes, decomposition.stationary):
         # sum(num_i r_i) / den as one integer sum over the lcm of the r_i denominators
         common, rewards = scale([chain.rewards[i] for i in members])
         total = sum(num * r for num, r in zip(dist.numerators, rewards))
-        class_gains.append(Fraction(total, dist.denominator * common))
-    n = len(chain.state_order)
-    if len(class_gains) == 1:
-        covered = {*decomposition.classes[0], *decomposition.transient}
-        if len(covered) != n:
-            state = next(s for i, s in enumerate(chain.state_order) if i not in covered)
-            raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
-        gain = class_gains[0]
-        values = ValueVector(chain.state_order, (gain,) * n)
-        # what scale(values.values) gives for n copies of one lowest-terms value
-        values.__dict__["scaled"] = (gain.denominator, (gain.numerator,) * n)
-        return values
-    gains: list[Fraction | None] = [None] * n
-    home = {}
-    for c, (members, gain) in enumerate(zip(decomposition.classes, class_gains)):
+        gain = Fraction(total, dist.denominator * common)
+        class_gains.append(gain)
         for i in members:
             gains[i] = gain
-            home[i] = c
 
     transient = decomposition.transient
-    if transient:
+    if len(class_gains) == 1:  # every transient state is absorbed into the one class
+        for i in transient:
+            gains[i] = gain
+    elif transient:
         # absorption probabilities: (I - P_TT) X = B, one column per class,
         # each row times its denominator
+        home = {i: c for c, members in enumerate(decomposition.classes) for i in members}
         pos = {i: a for a, i in enumerate(transient)}
         matrix = []
         rhs_rows = []
@@ -309,7 +302,11 @@ def mean_values(chain: InducedChain) -> ValueVector:
     state = next((s for s, g in zip(chain.state_order, gains) if g is None), None)
     if state is not None:
         raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
-    return ValueVector(chain.state_order, tuple(gains))
+    values = ValueVector(chain.state_order, tuple(gains))
+    if len(class_gains) == 1:
+        # what scale(values.values) gives for n copies of one lowest-terms value
+        values.__dict__["scaled"] = (gain.denominator, (gain.numerator,) * n)
+    return values
 
 
 def unichain_stationary(chain: InducedChain) -> Distribution:

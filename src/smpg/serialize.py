@@ -40,11 +40,9 @@ def load_json(path) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}", path=str(path)) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
-    except ValueError as exc:  # an integer past the int-string digit limit
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}", path=str(path)) from exc
     except RecursionError as exc:
         raise ParseError(f"JSON in {path} is nested too deeply", path=str(path)) from exc
@@ -112,11 +110,10 @@ def values_from_json_dict(raw: dict, game: Game) -> ValueVector:
 
 def reset_map_to_json_dict(reduction: Reduction) -> dict:
     """The reset transform's map file.  Its ``splits`` list every source
-    transition with its first-kind and second-kind mass."""
-    beta = reduction.beta
+    transition with its first-kind and second-kind mass (``Reduction.splits``)."""
     return {
         "kind": RESET_KIND,
-        "beta": format_rational(beta),
+        "beta": format_rational(reduction.beta),
         "s0": reduction.s0,
         "state_map": {s: s for s in reduction.game.state_order},
         "action_map": {a: a for a in reduction.game.actions},
@@ -126,10 +123,10 @@ def reset_map_to_json_dict(reduction: Reduction) -> dict:
                 "from": t.source,
                 "action": t.action,
                 "to": t.target,
-                "first_mass": format_rational(beta * t.prob),
-                "second_mass": format_rational((1 - beta) * t.prob),
+                "first_mass": format_rational(first),
+                "second_mass": format_rational(second),
             }
-            for index, t in enumerate(reduction.game.transitions)
+            for index, (t, first, second) in enumerate(reduction.splits)
         ],
     }
 

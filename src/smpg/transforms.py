@@ -5,14 +5,16 @@ beta and a start state s0, so one ``Reduction`` object holds those and
 derives everything else.  The reset transform splits every source
 transition of probability p into a scaled copy (first kind, mass beta * p,
 same target) and a reset edge to s0 (second kind, mass (1 - beta) * p).
+``Reduction.splits`` is that table, read by both games and the map file.
 
 The mirrored double game chains two copies of the reset-transformed game:
 first-kind transitions stay inside their copy, second-kind transitions are
 redirected to the other copy's start state.  The reset game merges
-parallel edges, so it alone no longer tells the two kinds apart; the
-double game is therefore built from the source transitions.  The second
+parallel edges, so the double game is built from the splits.  The second
 copy swaps the two players' roles: state owners are switched and every
-action is replaced by a primed twin whose reward is negated.
+action is replaced by a primed twin whose reward is negated.  A pair of
+the double game that passes ``game.check_pair`` there splits into one
+source pair per copy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import MissingKindAnnotation, StrategyDomainMismatch, UnknownState
+from .errors import MissingKindAnnotation, UnknownState
 from .evaluate import check_beta
 from .game import (
     MAX,
@@ -31,7 +33,13 @@ from .game import (
     State,
     StrategyPair,
     build_game,
+    check_pair,
 )
+
+
+def _nonzero_game(states, actions, edges) -> Game:
+    # at beta = 0 every first-kind mass is 0, and a game has no zero-mass edge
+    return build_game(states, actions, [edge for edge in edges if edge[3]])
 
 
 @dataclass(frozen=True)
@@ -53,16 +61,21 @@ class Reduction:
             raise UnknownState(f"no state {self.s0!r} in game", state=self.s0)
 
     @cached_property
+    def splits(self) -> tuple[tuple, ...]:
+        """Each source transition t with its first-kind mass beta * p and its
+        second-kind mass (1 - beta) * p, in the source game's order."""
+        beta = self.beta
+        return tuple((t, beta * t.prob, (1 - beta) * t.prob) for t in self.game.transitions)
+
+    @cached_property
     def reset_game(self) -> Game:
         """Same states, owners, actions and rewards; every transition split
         into its two kinds.  Zero-mass first-kind edges (beta = 0) are
         dropped."""
-        raw = []
-        for t in self.game.transitions:
-            if self.beta > 0:
-                raw.append((t.source, t.action, t.target, self.beta * t.prob))
-            raw.append((t.source, t.action, self.s0, (1 - self.beta) * t.prob))
-        return build_game(self.game.states, self.game.actions, raw)
+        edges = []
+        for t, first, second in self.splits:
+            edges += [(t.source, t.action, t.target, first), (t.source, t.action, self.s0, second)]
+        return _nonzero_game(self.game.states, self.game.actions, edges)
 
     @cached_property
     def state_map(self) -> dict[str, tuple[str, str]]:
@@ -79,12 +92,6 @@ class Reduction:
             used.add(primed)
             out[a] = (a, primed)
         return out
-
-    @cached_property
-    def inverse_states(self) -> dict[str, tuple[str, int]]:
-        """Double-game state id -> (source state, copy)."""
-        return {ids[copy - 1]: (source, copy)
-                for source, ids in self.state_map.items() for copy in (1, 2)}
 
     @cached_property
     def inverse_actions(self) -> dict[str, tuple[str, int]]:
@@ -104,17 +111,13 @@ class Reduction:
             actions[action_map[a][1]] = -reward
 
         start_one, start_two = state_map[self.s0]
-        raw = []
-        for t in self.game.transitions:
+        edges = []
+        for t, first, second in self.splits:
             (one, two), (plain, primed) = state_map[t.source], action_map[t.action]
-            if self.beta > 0:
-                first = self.beta * t.prob
-                raw.append((one, plain, state_map[t.target][0], first))
-                raw.append((two, primed, state_map[t.target][1], first))
-            second = (1 - self.beta) * t.prob
-            raw.append((one, plain, start_two, second))
-            raw.append((two, primed, start_one, second))
-        return build_game(states, actions, raw)
+            target_one, target_two = state_map[t.target]
+            edges += [(one, plain, target_one, first), (two, primed, target_two, first),
+                      (one, plain, start_two, second), (two, primed, start_one, second)]
+        return _nonzero_game(states, actions, edges)
 
 
 def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:
@@ -144,48 +147,31 @@ def decompose_mirror_strategies(pair: StrategyPair, reduction: Reduction
 
     The first returned pair is both players' copy-1 restrictions.  The
     second is the copy-2 restrictions with primed actions mapped back and
-    the players' roles swapped: the mirrored game's minimizer acts as
-    maximizer there, and vice versa.
+    the players' roles swapped back, so in both pairs each source state is
+    played by its source owner.  StrategyDomainMismatch unless the pair
+    fits the double game (``check_pair``).
     """
-    copy1 = {MAX: {}, MIN: {}}
-    copy2 = {MAX: {}, MIN: {}}
-    for player, strategy in ((MAX, pair.max_strategy), (MIN, pair.min_strategy)):
-        for state, action in strategy.choices.items():
-            if state not in reduction.inverse_states:
-                raise StrategyDomainMismatch(
-                    f"state {state!r} is not a mirror state", state=state)
-            source_state, copy = reduction.inverse_states[state]
-            if action not in reduction.inverse_actions:
-                raise StrategyDomainMismatch(
-                    f"action {action!r} is not a mirror action", action=action)
-            source_action, action_copy = reduction.inverse_actions[action]
-            if action_copy != copy:
-                raise StrategyDomainMismatch(
-                    f"copy-{copy} state {state!r} plays copy-{action_copy} action {action!r}",
-                    state=state, action=action)
-            (copy1 if copy == 1 else copy2)[player][source_state] = source_action
-
-    pair_one = StrategyPair(
-        PositionalStrategy(MAX, copy1[MAX]), PositionalStrategy(MIN, copy1[MIN]))
-    # roles swap in copy 2: owners there were switched
-    pair_two = StrategyPair(
-        PositionalStrategy(MAX, copy2[MIN]), PositionalStrategy(MIN, copy2[MAX]))
-    return pair_one, pair_two
+    check_pair(reduction.doubled, pair)
+    choices = {**pair.max_strategy.choices, **pair.min_strategy.choices}
+    halves = []
+    for copy in (0, 1):
+        picks = {MAX: {}, MIN: {}}
+        for s in reduction.game.states:
+            action = choices[reduction.state_map[s.id][copy]]
+            picks[s.owner][s.id] = reduction.inverse_actions[action][0]
+        halves.append(StrategyPair(PositionalStrategy(MAX, picks[MAX]),
+                                   PositionalStrategy(MIN, picks[MIN])))
+    return tuple(halves)
 
 
 def compose_mirror_strategies(pair_one: StrategyPair, pair_two: StrategyPair,
                               reduction: Reduction) -> StrategyPair:
-    """Inverse of decompose_mirror_strategies."""
-    state_map, action_map = reduction.state_map, reduction.action_map
-    max_choices = {}
-    min_choices = {}
-    for state, action in pair_one.max_strategy.choices.items():
-        max_choices[state_map[state][0]] = action
-    for state, action in pair_one.min_strategy.choices.items():
-        min_choices[state_map[state][0]] = action
-    for state, action in pair_two.min_strategy.choices.items():
-        max_choices[state_map[state][1]] = action_map[action][1]
-    for state, action in pair_two.max_strategy.choices.items():
-        min_choices[state_map[state][1]] = action_map[action][1]
-    return StrategyPair(PositionalStrategy(MAX, max_choices),
-                        PositionalStrategy(MIN, min_choices))
+    """Inverse of decompose_mirror_strategies: each choice goes to the
+    double game's owner of the state's copy."""
+    owner = reduction.doubled.owner
+    choices = {MAX: {}, MIN: {}}
+    for copy, half in enumerate((pair_one, pair_two)):
+        for s, action in {**half.max_strategy.choices, **half.min_strategy.choices}.items():
+            state = reduction.state_map[s][copy]
+            choices[owner[state]][state] = reduction.action_map[action][copy]
+    return StrategyPair(PositionalStrategy(MAX, choices[MAX]), PositionalStrategy(MIN, choices[MIN]))

@@ -384,6 +384,8 @@ def malformed_inputs(tmp_path) -> dict:
     """Paths for the placeholders in UNWRITABLE and MALFORMED."""
     golden = REPO / "tests" / "golden" / "g2_beta_1_3"
     reset_map = json.loads((golden / "reset.map.json").read_text())
+    blocked = tmp_path / "blocked"  # an output directory where one artifact's path is a directory
+    (blocked / "mirror_a.json").mkdir(parents=True)
     return {
         "G2": str(REPO / "games" / "g2.json"),
         "CONFIG": str(REPO / "games" / "generator_small.json"),
@@ -398,34 +400,46 @@ def malformed_inputs(tmp_path) -> dict:
         "OUT": str(tmp_path / "out.json"),
         "NO_DIR/game.json": str(tmp_path / "missing" / "game.json"),
         "NO_DIR/map.json": str(tmp_path / "missing" / "map.json"),
+        "BLOCKED": str(blocked),
+        "BLOCKED/mirror_a.json": str(blocked / "mirror_a.json"),
     }
 
 
-# argv with placeholders, and the placeholder of the path that cannot be written
+# argv with placeholders, the placeholder of the path that cannot be written,
+# and the error the operating system gives for it
 UNWRITABLE = {
     "pipeline-out-dir-is-a-file": (
-        ["pipeline", "G2", "--beta", "1/2", "--out-dir", "A_FILE"], "A_FILE"),
+        ["pipeline", "G2", "--beta", "1/2", "--out-dir", "A_FILE"], "A_FILE",
+        "[Errno 17] File exists"),
     "transform-beta-recurrent-out": (
         ["transform", "beta-recurrent", "G2", "--beta", "1/2", "--start", "a",
-         "--out", "NO_DIR/game.json"], "NO_DIR/game.json"),
+         "--out", "NO_DIR/game.json"], "NO_DIR/game.json", "[Errno 2] No such file or directory"),
     "generate-out": (["generate", "--config", "CONFIG", "--out", "NO_DIR/game.json"],
-                     "NO_DIR/game.json"),
+                     "NO_DIR/game.json", "[Errno 2] No such file or directory"),
+    # the game is written first, so the failed map write has a file to delete
     "transform-mirror-map-out": (
         ["transform", "mirror", "RESET", "--map", "RESET_MAP", "--out", "OUT",
-         "--map-out", "NO_DIR/map.json"], "NO_DIR/map.json"),
+         "--map-out", "NO_DIR/map.json"], "NO_DIR/map.json", "[Errno 2] No such file or directory"),
+    # reset_a.json and reset_a.map.json are written before mirror_a.json
+    "pipeline-artifact-is-a-directory": (
+        ["pipeline", "G2", "--beta", "1/3", "--out-dir", "BLOCKED"], "BLOCKED/mirror_a.json",
+        "[Errno 21] Is a directory"),
 }
 
 
 @pytest.mark.parametrize("case", UNWRITABLE)
 def test_unwritable_output_ends_in_json_error(capsys, tmp_path, case):
-    argv, target = UNWRITABLE[case]
+    """The report names the path and the operating system's error, and no
+    file that the run wrote before the failed write is left behind."""
+    argv, target, reason = UNWRITABLE[case]
     files = malformed_inputs(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    path = files[target]
     assert code == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "ParseError"
-    assert payload["path"] == files[target]
-    assert payload["message"].startswith(f"cannot write {files[target]}: ")
+    assert err == canonical_dumps({"error": "ParseError", "path": path,
+                                   "message": f"cannot write {path}: {reason}: {path!r}"})
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 MALFORMED = {
@@ -440,7 +454,7 @@ MALFORMED = {
     "mirror-map-to-star2": ["verify", "star2", "RESET", "--map", "MIRROR_MAP"],
     "unknown-map-kind-to-mirror": ["transform", "mirror", "RESET", "--map", "BOGUS_MAP", "--out", "OUT"],
     "unknown-map-kind-to-star2": ["verify", "star2", "RESET", "--map", "BOGUS_MAP"],
-    **{f"unwritable-{case}": argv for case, (argv, _) in UNWRITABLE.items()},
+    **{f"unwritable-{case}": argv for case, (argv, *_) in UNWRITABLE.items()},
 }
 
 

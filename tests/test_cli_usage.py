@@ -109,6 +109,12 @@ CASES = {
 }
 
 
+# the usage errors that a handler raises; all but the mirror-map one, which
+# needs the map's contents, come before any file is read
+BEFORE_ANY_READ = ["eval-discounted-without-beta", "solve-discounted-without-beta", "solve-si-mean",
+                   "recover-mean", "verify-star2-map-and-beta", "verify-star2-neither"]
+
+
 def input_files(directory: Path) -> dict:
     """Real files for the placeholders that a handler reads."""
     pair = directory / "pair.json"
@@ -135,3 +141,13 @@ def test_usage_bytes_match_the_golden(case, capsys, monkeypatch, tmp_path):
     captured = capsys.readouterr()
     expected = (GOLDEN / f"{case}.txt").read_text()
     assert record(code, captured.out, captured.err) == expected
+
+
+@pytest.mark.parametrize("case", BEFORE_ANY_READ)
+def test_handler_usage_errors_come_before_any_read(case, capsys, tmp_path):
+    """With every input path missing, the usage error still wins: exit 2
+    and the golden bytes, not a report that a file cannot be read."""
+    missing = str(tmp_path / "missing.json")
+    code = main([missing if arg in ("GAME", "PAIR", "VALUES", "MAP") else arg for arg in CASES[case]])
+    captured = capsys.readouterr()
+    assert record(code, captured.out, captured.err) == (GOLDEN / f"{case}.txt").read_text()

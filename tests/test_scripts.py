@@ -68,7 +68,7 @@ def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
     its records at beta 1/3 carry the pinned verify and pipeline bytes."""
     sweep = load_sweep()
     codes = sweep.sweep_game("g2", load_game(REPO / "games" / "g2.json"), tmp_path)
-    assert len(codes) == 2 + 3 + 4 * (6 + 2 * 2)
+    assert len(codes) == 2 + 3 + 4 * (6 + 2 * 4)
     perturbed = {run for run in codes if run.startswith(("recover-perturbed-", "oracle-perturbed"))}
     assert len(perturbed) == 5
     assert {codes[run] for run in perturbed} == {1}

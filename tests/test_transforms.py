@@ -90,6 +90,20 @@ def test_restart_beta_zero_sends_everything_home(g2):
     assert all(s["first_mass"] == "0" for s in reset_map_to_json_dict(tm)["splits"])
 
 
+def test_splits_hold_both_masses_of_every_source_transition(g2):
+    """At beta = 0 every first mass is 0 and the reset game keeps only the
+    edges to s0; at beta = 1/3 the two masses of each split add up to p."""
+    zero = Reduction(g2, F(0), "a")
+    assert [t for t, _, _ in zero.splits] == list(g2.transitions)
+    assert {first for _, first, _ in zero.splits} == {F(0)}
+    assert {t.target for t in zero.reset_game.transitions} == {"a"}
+    third = Reduction(g2, F(1, 3), "a")
+    assert [t for t, _, _ in third.splits] == list(g2.transitions)
+    for t, first, second in third.splits:
+        assert (first, second) == (t.prob / 3, 2 * t.prob / 3)
+        assert first + second == t.prob
+
+
 def test_restart_rejects_bad_inputs(g2):
     with pytest.raises(InvalidBeta):
         beta_recurrent(g2, F(1), "a")
@@ -233,6 +247,18 @@ def test_decompose_rejects_foreign_and_misplaced_actions(g2):
     with pytest.raises(StrategyDomainMismatch):
         decompose_mirror_strategies(
             pair_of({"zz": "X", "b2": "Y'"}, {"b1": "Y", "a2": "X'"}), mm)
+
+
+def test_decompose_rejects_pairs_that_do_not_fit_the_double_game(g2):
+    """A pair missing a doubled state, or a maximizer choosing at a
+    min-owned copy-1 state, is not a pair of the double game."""
+    gb, tm = beta_recurrent(g2, F(1, 2), "a")
+    _, mm = mirror(gb, tm)
+    with pytest.raises(StrategyDomainMismatch):
+        decompose_mirror_strategies(pair_of({"a1": "X"}, {"b1": "Y", "a2": "X'"}), mm)
+    with pytest.raises(StrategyDomainMismatch):
+        decompose_mirror_strategies(
+            pair_of({"a1": "X", "b1": "Y", "b2": "Y'"}, {"b1": "Y", "a2": "X'"}), mm)
 
 
 @settings(max_examples=15, deadline=None)
