@@ -121,7 +121,9 @@ class RecurrentDecomposition:
     stationary: tuple[Distribution, ...]
 
 
-def check_beta(beta: Fraction) -> Fraction:
+def check_beta(beta: Fraction | None) -> Fraction:
+    if beta is None:
+        raise InvalidBeta("discounted criterion needs a beta", beta=None)
     beta = Fraction(beta)
     if not 0 <= beta < 1:
         raise InvalidBeta(f"discount factor {rational_text(beta)} outside [0, 1)", beta=beta)

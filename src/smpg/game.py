@@ -171,6 +171,19 @@ class StrategyPair:
     max_strategy: PositionalStrategy
     min_strategy: PositionalStrategy
 
+    @property
+    def choices(self) -> dict[str, str]:
+        """Both players' choices in one dict, merged on every read: a strategy's dict can change."""
+        return {**self.max_strategy.choices, **self.min_strategy.choices}
+
+    @classmethod
+    def from_choices(cls, choices: dict[str, str], owner: dict[str, str]) -> StrategyPair:
+        """The pair whose ``choices`` these are, each given to ``owner[state]``."""
+        picks = {MAX: {}, MIN: {}}
+        for state, action in choices.items():
+            picks[owner[state]][state] = action
+        return cls(PositionalStrategy(MAX, picks[MAX]), PositionalStrategy(MIN, picks[MIN]))
+
 
 class _CheckedRow(tuple):
     """A chain row (den, entries) that passed _checked_row."""
@@ -321,6 +334,11 @@ def game_to_json_dict(game: Game) -> dict:
     }
 
 
+def strategy_pair_to_json_dict(pair: StrategyPair) -> dict:
+    return {"max": dict(pair.max_strategy.choices),
+            "min": dict(pair.min_strategy.choices)}
+
+
 def check_pair(game: Game, pair: StrategyPair) -> None:
     """Raise StrategyDomainMismatch unless the pair exactly fits the game."""
     for strategy, player in ((pair.max_strategy, MAX), (pair.min_strategy, MIN)):
@@ -342,9 +360,7 @@ def check_pair(game: Game, pair: StrategyPair) -> None:
 def induced_chain(game: Game, pair: StrategyPair) -> InducedChain:
     """The Markov chain obtained by fixing both players' choices."""
     check_pair(game, pair)
-    # the two domains are the two players' owned states: disjoint, covering
-    choices = {**pair.max_strategy.choices, **pair.min_strategy.choices}
-    actions = [choices[s] for s in game.state_order]
+    actions = list(map(pair.choices.__getitem__, game.state_order))
     return InducedChain(game.state_order,
                         tuple(map(game.chain_row, game.state_order, actions)),
                         tuple(map(game.actions.__getitem__, actions)))

@@ -22,6 +22,7 @@ from .game import (
     format_rational,
     game_to_json_dict,
     parse_rational,
+    strategy_pair_to_json_dict,
     validate_game,
 )
 from .solvers import Solution, VerificationReport
@@ -73,11 +74,6 @@ def load_game(path) -> Game:
 
 def save_game(path, game: Game) -> None:
     write_json(path, game_to_json_dict(game))
-
-
-def strategy_pair_to_json_dict(pair: StrategyPair) -> dict:
-    return {"max": dict(pair.max_strategy.choices),
-            "min": dict(pair.min_strategy.choices)}
 
 
 def strategy_pair_from_json_dict(raw: dict) -> StrategyPair:

@@ -34,7 +34,6 @@ from .errors import (
     CombinatorialLimitExceeded,
     DeterminacyViolation,
     InconsistentValues,
-    InvalidBeta,
     NoConsistentStrategy,
     RationalTooLong,
     UnknownState,
@@ -59,6 +58,7 @@ from .game import (
     format_rational,
     induced_chain,
     strategy_count,
+    strategy_pair_to_json_dict,
 )
 from .transforms import Reduction, beta_recurrent, decompose_mirror_strategies, mirror
 
@@ -117,8 +117,6 @@ def evaluate_pair(game: Game, pair: StrategyPair, criterion: str,
     if criterion == MEAN:
         return mean_values(chain)
     if criterion == DISCOUNTED:
-        if beta is None:
-            raise InvalidBeta("discounted criterion needs a beta", beta=None)
         return discounted_values(chain, beta)
     raise ValueError(f"unknown criterion {criterion!r}")
 
@@ -200,8 +198,6 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
     state.  DeterminacyViolation is a hard error.
     """
     if criterion == DISCOUNTED:
-        if beta is None:
-            raise InvalidBeta("discounted criterion needs a beta", beta=None)
         beta = check_beta(beta)
     scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta))
     lower = tuple(Fraction(*cell) for cell in scan.lower)
@@ -301,13 +297,13 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
 
     seen = set()
     while True:
+        pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
+                            PositionalStrategy(MIN, dict(tau)))
         key = (tuple(sigma.values()), tuple(tau.values()))
         if key in seen:
             raise DeterminacyViolation("strategy iteration came back to a strategy pair",
-                                       max=dict(sigma), min=dict(tau))
+                                       **strategy_pair_to_json_dict(pair))
         seen.add(key)
-        pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
-                            PositionalStrategy(MIN, dict(tau)))
         values = discounted_values(induced_chain(game, pair), beta)
         scaled = values.scaled
         # the minimizer moves only once the maximizer has stopped switching
@@ -342,12 +338,9 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
     beta = check_beta(beta)
     claimed = _aligned(game, values)
     lookahead = _Lookahead(game, beta)
-    sigma = {}
-    tau = {}
-    for s in game.state_order:
-        maximize = game.owner[s] == MAX
-        (sigma if maximize else tau)[s] = _first_extreme(lookahead.q(s, claimed.scaled), maximize)
-    pair = StrategyPair(PositionalStrategy(MAX, sigma), PositionalStrategy(MIN, tau))
+    choices = {s: _first_extreme(lookahead.q(s, claimed.scaled), game.owner[s] == MAX)
+               for s in game.state_order}
+    pair = StrategyPair.from_choices(choices, game.owner)
     check = discounted_values(induced_chain(game, pair), beta)
     for s, v in zip(game.state_order, claimed.values):
         if check.at(s) != v:
@@ -466,8 +459,7 @@ def verify_star(game: Game, beta: Fraction, s0: str,
         if mean_side != disc.at(s0):
             violations.append({
                 "kind": "reset-identity",
-                "max": dict(pair.max_strategy.choices),
-                "min": dict(pair.min_strategy.choices),
+                **strategy_pair_to_json_dict(pair),
                 "mean_at_start": format_rational(mean_side),
                 "discounted_at_start": format_rational(disc.at(s0)),
             })
@@ -486,7 +478,8 @@ def verify_star2(gb: Game, reduction: Reduction,
     exactly one half; and scaling a copy's stationary mass by two
     reproduces the stationary distribution its restricted pair induces on
     the reset-transformed game.  The reported value is the max-min of the
-    double game's value at its first state.
+    double game's value at its first state.  ``induced_chain`` checks each
+    doubled pair once, and ``Reduction.restrict`` splits it unchecked.
     """
     doubled, reduction = mirror(gb, reduction)
     copy_indices = {copy: [doubled.state_index[reduction.state_map[s][copy - 1]]
@@ -498,53 +491,47 @@ def verify_star2(gb: Game, reduction: Reduction,
     sources: dict[tuple, tuple[ValueVector, Distribution]] = {}
 
     def source(pair: StrategyPair) -> tuple[ValueVector, Distribution]:
-        key = (tuple(sorted(pair.max_strategy.choices.items())),
-               tuple(sorted(pair.min_strategy.choices.items())))
+        key = tuple(map(pair.choices.__getitem__, gb.state_order))
         if key not in sources:
             chain = induced_chain(gb, pair)
             sources[key] = (mean_values(chain), unichain_stationary(chain))
         return sources[key]
 
     def entry(pair: StrategyPair) -> ValueVector:
-        described = {"max": dict(pair.max_strategy.choices),
-                     "min": dict(pair.min_strategy.choices)}
+        def violation(**fields) -> None:
+            violations.append({**fields, **strategy_pair_to_json_dict(pair)})
+
         chain = induced_chain(doubled, pair)
         doubled_values = mean_values(chain)
-        pair_one, pair_two = decompose_mirror_strategies(pair, reduction)
+        pair_one, pair_two = reduction.restrict(pair)
         source_pairs = {1: source(pair_one), 2: source(pair_two)}
         for copy, (vector, _) in source_pairs.items():
             if len(set(vector.scaled[1])) > 1:
-                violations.append({
-                    "kind": "nonconstant-copy-value", "copy": copy, **described})
+                violation(kind="nonconstant-copy-value", copy=copy)
         # expected = copy_1 / 2 - copy_2 / 2 = num / den, each copy at its first state
         (d1, (y1, *_)), (d2, (y2, *_)) = (vector.scaled for vector, _ in source_pairs.values())
         num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
         d, y = doubled_values.scaled
         for state, v in zip(doubled.state_order, y):
             if v * den != num * d:
-                violations.append({
-                    "kind": "mirror-identity", "state": state,
-                    "lhs": format_rational(doubled_values.at(state)),
-                    "rhs": format_rational(Fraction(num, den)),
-                    **described})
+                violation(kind="mirror-identity", state=state,
+                          lhs=format_rational(doubled_values.at(state)),
+                          rhs=format_rational(Fraction(num, den)))
 
         occupation = unichain_stationary(chain)
         d, nums = occupation.denominator, occupation.numerators
         for copy, indices in copy_indices.items():
             copy_mass = sum(nums[i] for i in indices)
             if 2 * copy_mass != d:
-                violations.append({
-                    "kind": "component-mass", "copy": copy,
-                    "mass": format_rational(Fraction(copy_mass, d)), **described})
+                violation(kind="component-mass", copy=copy,
+                          mass=format_rational(Fraction(copy_mass, d)))
         for copy, (_, reference) in source_pairs.items():
             d_ref = reference.denominator
             for s, i, n_ref in zip(gb.state_order, copy_indices[copy], reference.numerators):
                 if 2 * nums[i] * d_ref != n_ref * d:
-                    violations.append({
-                        "kind": "copy-stationary", "copy": copy, "state": s,
-                        "scaled": format_rational(Fraction(2 * nums[i], d)),
-                        "stationary": format_rational(Fraction(n_ref, d_ref)),
-                        **described})
+                    violation(kind="copy-stationary", copy=copy, state=s,
+                              scaled=format_rational(Fraction(2 * nums[i], d)),
+                              stationary=format_rational(Fraction(n_ref, d_ref)))
         return doubled_values
 
     return _PairScan(doubled, cap, entry).report(violations, 0)

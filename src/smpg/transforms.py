@@ -13,8 +13,9 @@ redirected to the other copy's start state.  The reset game merges
 parallel edges, so the double game is built from the splits.  The second
 copy swaps the two players' roles: state owners are switched and every
 action is replaced by a primed twin whose reward is negated.  A pair of
-the double game that passes ``game.check_pair`` there splits into one
-source pair per copy.
+the double game splits into one source pair per copy in
+``Reduction.restrict``, which does not check the pair: its callers have,
+by ``check_pair`` or ``induced_chain`` on the double game.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .game import (
     MAX,
     MIN,
     Game,
-    PositionalStrategy,
     State,
     StrategyPair,
     build_game,
@@ -94,10 +94,9 @@ class Reduction:
         return out
 
     @cached_property
-    def inverse_actions(self) -> dict[str, tuple[str, int]]:
-        """Double-game action id -> (source action, copy)."""
-        return {ids[copy - 1]: (source, copy)
-                for source, ids in self.action_map.items() for copy in (1, 2)}
+    def inverse_actions(self) -> dict[str, str]:
+        """Double-game action id -> source action."""
+        return {action: source for source, ids in self.action_map.items() for action in ids}
 
     @cached_property
     def doubled(self) -> Game:
@@ -118,6 +117,14 @@ class Reduction:
             edges += [(one, plain, target_one, first), (two, primed, target_two, first),
                       (one, plain, start_two, second), (two, primed, start_one, second)]
         return _nonzero_game(states, actions, edges)
+
+    def restrict(self, pair: StrategyPair) -> tuple[StrategyPair, StrategyPair]:
+        """The copy-1 and copy-2 restrictions of a pair of ``doubled``, unchecked:
+        primed actions mapped back, each source state played by its owner."""
+        choices = pair.choices
+        return tuple(StrategyPair.from_choices(
+            {s: self.inverse_actions[choices[ids[copy]]] for s, ids in self.state_map.items()},
+            self.game.owner) for copy in (0, 1))
 
 
 def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:
@@ -145,33 +152,22 @@ def decompose_mirror_strategies(pair: StrategyPair, reduction: Reduction
                                 ) -> tuple[StrategyPair, StrategyPair]:
     """Split a strategy pair of the mirrored game into two source pairs.
 
-    The first returned pair is both players' copy-1 restrictions.  The
-    second is the copy-2 restrictions with primed actions mapped back and
-    the players' roles swapped back, so in both pairs each source state is
-    played by its source owner.  StrategyDomainMismatch unless the pair
-    fits the double game (``check_pair``).
+    StrategyDomainMismatch unless the pair fits the double game
+    (``check_pair``); then ``Reduction.restrict``: the first returned pair
+    is both players' copy-1 restrictions, the second the copy-2
+    restrictions with primed actions mapped back and the players' roles
+    swapped back.
     """
     check_pair(reduction.doubled, pair)
-    choices = {**pair.max_strategy.choices, **pair.min_strategy.choices}
-    halves = []
-    for copy in (0, 1):
-        picks = {MAX: {}, MIN: {}}
-        for s in reduction.game.states:
-            action = choices[reduction.state_map[s.id][copy]]
-            picks[s.owner][s.id] = reduction.inverse_actions[action][0]
-        halves.append(StrategyPair(PositionalStrategy(MAX, picks[MAX]),
-                                   PositionalStrategy(MIN, picks[MIN])))
-    return tuple(halves)
+    return reduction.restrict(pair)
 
 
 def compose_mirror_strategies(pair_one: StrategyPair, pair_two: StrategyPair,
                               reduction: Reduction) -> StrategyPair:
     """Inverse of decompose_mirror_strategies: each choice goes to the
     double game's owner of the state's copy."""
-    owner = reduction.doubled.owner
-    choices = {MAX: {}, MIN: {}}
+    choices = {}
     for copy, half in enumerate((pair_one, pair_two)):
-        for s, action in {**half.max_strategy.choices, **half.min_strategy.choices}.items():
-            state = reduction.state_map[s][copy]
-            choices[owner[state]][state] = reduction.action_map[action][copy]
-    return StrategyPair(PositionalStrategy(MAX, choices[MAX]), PositionalStrategy(MIN, choices[MIN]))
+        for s, action in half.choices.items():
+            choices[reduction.state_map[s][copy]] = reduction.action_map[action][copy]
+    return StrategyPair.from_choices(choices, reduction.doubled.owner)

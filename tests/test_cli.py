@@ -380,12 +380,25 @@ def test_generate_rejects_non_integer_config_fields(capsys, tmp_path, field, val
 
 
 
+# files whose one fault no other test sends through the command line
+PINNED_TREES = {
+    "STATES_IS_3": {**raw_g2(), "states": 3},
+    "DUPLICATE_ACTION": {**raw_g2(), "actions": [*raw_g2()["actions"], {"id": "X", "reward": "2"}]},
+    "MAX_IS_A_LIST": {"max": [], "min": {"b": "Y"}},
+    "VALUES_WITHOUT_B": {"a": "0"},
+    "CONFIG_WITHOUT_SEED": {k: v for k, v in json.loads(
+        (REPO / "games" / "generator_small.json").read_text()).items() if k != "seed"},
+}
+
+
 def malformed_inputs(tmp_path) -> dict:
     """Paths for the placeholders in UNWRITABLE and MALFORMED."""
     golden = REPO / "tests" / "golden" / "g2_beta_1_3"
     reset_map = json.loads((golden / "reset.map.json").read_text())
     blocked = tmp_path / "blocked"  # an output directory where one artifact's path is a directory
     (blocked / "mirror_a.json").mkdir(parents=True)
+    not_json = tmp_path / "not.json"
+    not_json.write_text("not json\n")
     return {
         "G2": str(REPO / "games" / "g2.json"),
         "CONFIG": str(REPO / "games" / "generator_small.json"),
@@ -402,6 +415,8 @@ def malformed_inputs(tmp_path) -> dict:
         "NO_DIR/map.json": str(tmp_path / "missing" / "map.json"),
         "BLOCKED": str(blocked),
         "BLOCKED/mirror_a.json": str(blocked / "mirror_a.json"),
+        **{name: write(tmp_path / f"{name.lower()}.json", tree) for name, tree in PINNED_TREES.items()},
+        "NOT_JSON": str(not_json),
     }
 
 
@@ -442,6 +457,38 @@ def test_unwritable_output_ends_in_json_error(capsys, tmp_path, case):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# argv with placeholders, and the whole report on stderr given the input paths
+PINNED = {
+    "states-is-not-an-array": (["validate", "STATES_IS_3"], lambda files: {
+        "error": "ParseError", "message": "game description needs a 'states' array",
+        "field": "states"}),
+    "duplicate-action-id": (["validate", "DUPLICATE_ACTION"], lambda files: {
+        "error": "ParseError", "message": "duplicate action id"}),
+    "game-file-is-not-json": (["validate", "NOT_JSON"], lambda files: {
+        "error": "ParseError", "path": files["NOT_JSON"],
+        "message": f"invalid JSON in {files['NOT_JSON']}: Expecting value: line 1 column 1 (char 0)"}),
+    "strategy-max-is-a-list": (
+        ["eval", "G2", "--strategy", "MAX_IS_A_LIST", "--criterion", "mean"], lambda files: {
+            "error": "ParseError", "message": 'strategy "max" must be an object of state: action'}),
+    "value-file-misses-a-state": (
+        ["recover", "G2", "--values", "VALUES_WITHOUT_B", "--beta", "1/2"], lambda files: {
+            "error": "ParseError", "message": "value file missing states ['b']", "states": ["b"]}),
+    "config-without-seed": (
+        ["generate", "--config", "CONFIG_WITHOUT_SEED", "--out", "OUT"], lambda files: {
+            "error": "ParseError", "message": "malformed generator config: KeyError('seed')"}),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_guards_report_their_whole_message(capsys, tmp_path, case):
+    argv, report = PINNED[case]
+    files = malformed_inputs(tmp_path)
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == canonical_dumps(report(files))
+    assert not Path(files["OUT"]).exists()
+
+
 MALFORMED = {
     "game-path-is-a-directory": ["validate", "A_DIR"],
     "game-file-is-a-list": ["validate", "LIST"],
@@ -455,6 +502,7 @@ MALFORMED = {
     "unknown-map-kind-to-mirror": ["transform", "mirror", "RESET", "--map", "BOGUS_MAP", "--out", "OUT"],
     "unknown-map-kind-to-star2": ["verify", "star2", "RESET", "--map", "BOGUS_MAP"],
     **{f"unwritable-{case}": argv for case, (argv, *_) in UNWRITABLE.items()},
+    **{f"pinned-{case}": argv for case, (argv, _) in PINNED.items()},
 }
 
 

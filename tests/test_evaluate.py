@@ -346,6 +346,33 @@ def test_stationary_recursion_rejects_unknown_start(g2, g2_pair):
         verify_stationary_recursion(chain, F(1, 2), "zz")
 
 
+def test_stationary_recursion_reports_a_disagreeing_stationary_distribution(
+        monkeypatch, g2, g2_pair):
+    """The recursion equals the stationary distribution of every chain that
+    keeps the reset mass, so only a faulty unichain_stationary reaches this guard."""
+    gb, _ = beta_recurrent(g2, F(1, 2), "a")
+    chain = induced_chain(gb, g2_pair)
+    monkeypatch.setattr("smpg.evaluate.unichain_stationary",
+                        lambda chain: Distribution(chain.state_order, 2, (1, 1)))
+    with pytest.raises(NotUnichain) as info:
+        verify_stationary_recursion(chain, F(1, 2), "a")
+    assert info.value.to_json_dict() == {
+        "error": "NotUnichain", "s0": "a",
+        "message": "occupation recursion disagrees with the stationary distribution; "
+                   "the chain did not come from a reset transform"}
+
+
+def test_value_vector_guards_its_length_and_its_states():
+    with pytest.raises(UnknownState) as info:
+        ValueVector(("a", "b", "c"), (F(0), F(1)))
+    assert info.value.to_json_dict() == {"error": "UnknownState",
+                                         "message": "2 values for 3 states", "states": 3}
+    with pytest.raises(UnknownState) as info:
+        ValueVector(("a",), (F(0),)).at("z")
+    assert info.value.to_json_dict() == {"error": "UnknownState",
+                                         "message": "no state 'z' in value vector", "state": "z"}
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),

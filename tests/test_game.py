@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smpg.serialize
 from smpg.errors import (
     CombinatorialLimitExceeded,
     ParseError,
@@ -29,6 +30,7 @@ from smpg.game import (
     InducedChain,
     PositionalStrategy,
     State,
+    StrategyPair,
     Transition,
     build_game,
     check_pair,
@@ -38,6 +40,7 @@ from smpg.game import (
     induced_chain,
     parse_rational,
     strategy_count,
+    strategy_pair_to_json_dict,
     validate_game,
 )
 
@@ -346,6 +349,28 @@ def test_enumerate_strategies_orders_by_state_then_action():
 def test_enumerate_strategies_for_absent_player_yields_empty_strategy(g1):
     found = list(enumerate_strategies(g1, MIN))
     assert found == [PositionalStrategy(MIN, {})]
+
+
+def test_enumerate_strategies_rejects_an_unknown_player(g1):
+    with pytest.raises(StrategyDomainMismatch) as info:
+        enumerate_strategies(g1, "chance")
+    assert info.value.to_json_dict() == {"error": "StrategyDomainMismatch",
+                                         "message": "unknown player 'chance'", "player": "chance"}
+
+
+def test_pair_choices_are_merged_on_every_read(g2, g2_pair):
+    """StrategyPair.choices is not cached: a strategy's dict is mutable."""
+    assert g2_pair.choices == {"a": "X", "b": "Y"}
+    g2_pair.min_strategy.choices["b"] = "Z"
+    assert g2_pair.choices == {"a": "X", "b": "Z"}
+    assert StrategyPair.from_choices(g2_pair.choices, g2.owner) == g2_pair
+
+
+def test_strategy_pair_json_form_lives_in_game(g2_pair):
+    written = strategy_pair_to_json_dict(g2_pair)
+    assert written == {"max": {"a": "X"}, "min": {"b": "Y"}}
+    assert written["max"] is not g2_pair.max_strategy.choices
+    assert smpg.serialize.strategy_pair_to_json_dict is strategy_pair_to_json_dict
 
 
 def test_strategy_count_matches_enumeration(g1b):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import smpg.evaluate
 import smpg.game
 import smpg.solvers
+import smpg.transforms
 from smpg.errors import (
     CombinatorialLimitExceeded,
     DeterminacyViolation,
@@ -68,11 +69,6 @@ def test_brute_force_two_cycle(g2):
     assert brute_force_solve(g2, MEAN).values.values == (F(0), F(0))
     sol = brute_force_solve(g2, DISCOUNTED, beta=F(1, 2))
     assert sol.values.as_dict() == {"a": F(1, 3), "b": F(-1, 3)}
-
-
-def test_brute_force_requires_beta_for_discounted(g2):
-    with pytest.raises(InvalidBeta):
-        brute_force_solve(g2, DISCOUNTED)
 
 
 def test_brute_force_respects_pair_cap(g1b):
@@ -322,11 +318,101 @@ def test_strategic_via_recovery_reports_each_stage(g2):
     assert [v for _, _, v in seen] == [F(1, 3), F(-1, 3)]
 
 
-def test_brute_force_missing_beta_says_so(g2):
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g, pair: evaluate_pair(g, pair, DISCOUNTED), id="evaluate_pair"),
+    pytest.param(lambda g, pair: brute_force_solve(g, DISCOUNTED), id="brute_force_solve"),
+    pytest.param(lambda g, pair: strategy_iteration_discounted(g, None),
+                 id="strategy_iteration_discounted"),
+    pytest.param(lambda g, pair: greedy_recovery_discounted(
+        g, None, ValueVector(g.state_order, (F(0), F(0)))), id="greedy_recovery_discounted"),
+    pytest.param(lambda g, pair: beta_recurrent(g, None, "a"), id="beta_recurrent"),
+    pytest.param(lambda g, pair: verify_star(g, None, "a"), id="verify_star"),
+    pytest.param(lambda g, pair: strategic_via_recovery(g, None, reference_recovery_oracle),
+                 id="strategic_via_recovery"),
+])
+def test_a_missing_beta_is_an_invalid_beta(g2, g2_pair, call):
     with pytest.raises(InvalidBeta) as info:
-        brute_force_solve(g2, DISCOUNTED)
-    assert str(info.value) == "discounted criterion needs a beta"
-    assert info.value.payload == {"beta": None}
+        call(g2, g2_pair)
+    assert info.value.to_json_dict() == {
+        "error": "InvalidBeta", "message": "discounted criterion needs a beta", "beta": None}
+
+
+def test_verify_star_reports_a_broken_reset_identity(monkeypatch, g2):
+    """Discounted values shifted by 1/5 break the reset identity at the start state."""
+    real = smpg.solvers.discounted_values
+
+    def shifted(chain, beta):
+        values = real(chain, beta)
+        return ValueVector(values.state_order, tuple(v + F(1, 5) for v in values.values))
+
+    monkeypatch.setattr(smpg.solvers, "discounted_values", shifted)
+    report = verify_star(g2, F(1, 2), "a")
+    assert json.dumps(list(report.violations)) == (
+        '[{"kind": "reset-identity", "max": {"a": "X"}, "min": {"b": "Y"}, '
+        '"mean_at_start": "1/3", "discounted_at_start": "8/15"}]')
+    assert report.value == F(8, 15)
+
+
+def _two_by_two_game():
+    """A max state a and a min state b, each with two actions to the other."""
+    return validate_game({
+        "states": [{"id": "a", "owner": "max"}, {"id": "b", "owner": "min"}],
+        "actions": [{"id": a, "reward": "0"} for a in ("X0", "X1", "Y0", "Y1")],
+        "transitions": [{"from": s, "action": a, "to": t, "prob": "1"}
+                        for s, t, actions in (("a", "b", ("X0", "X1")), ("b", "a", ("Y0", "Y1")))
+                        for a in actions]})
+
+
+def _tabled_evaluate_pair(monkeypatch, table):
+    """Make solvers.evaluate_pair read the value of every pair of
+    _two_by_two_game from ``table``, keyed by the pair's two actions."""
+    def tabled(game, pair, criterion, beta=None):
+        key = (pair.max_strategy.choices["a"], pair.min_strategy.choices["b"])
+        return ValueVector(game.state_order, tuple(map(F, table[key])))
+
+    monkeypatch.setattr(smpg.solvers, "evaluate_pair", tabled)
+
+
+def test_brute_force_reports_a_game_without_a_value(monkeypatch):
+    """Matching pennies: max-min 0 and min-max 1 at both states."""
+    _tabled_evaluate_pair(monkeypatch, {("X0", "Y0"): (1, 1), ("X0", "Y1"): (0, 0),
+                                        ("X1", "Y0"): (0, 0), ("X1", "Y1"): (1, 1)})
+    with pytest.raises(DeterminacyViolation) as info:
+        brute_force_solve(_two_by_two_game(), MEAN)
+    assert info.value.to_json_dict() == {
+        "error": "DeterminacyViolation", "message": "lower 0 != upper 1 at state a",
+        "state": "a", "lower": "0", "upper": "1"}
+
+
+def test_brute_force_reports_values_no_single_pair_attains(monkeypatch):
+    """Each of the maximizer's strategies is best at one state only: the
+    value (1, 1) exists, but no row attains it at both states."""
+    _tabled_evaluate_pair(monkeypatch, {("X0", "Y0"): (1, 0), ("X0", "Y1"): (1, 0),
+                                        ("X1", "Y0"): (0, 1), ("X1", "Y1"): (0, 1)})
+    with pytest.raises(DeterminacyViolation) as info:
+        brute_force_solve(_two_by_two_game(), MEAN)
+    assert info.value.to_json_dict() == {
+        "error": "DeterminacyViolation", "message": "no uniformly optimal strategy exists"}
+
+
+def test_verify_star2_checks_each_pair_once(monkeypatch):
+    """64 doubled pairs, each checked by induced_chain on the double game and
+    split without a second check, plus the 8 distinct source pairs."""
+    game = _three_state_game()
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    checked = []
+    real = smpg.game.check_pair
+
+    def spy(on, pair):
+        checked.append(on)
+        return real(on, pair)
+
+    monkeypatch.setattr(smpg.game, "check_pair", spy)
+    monkeypatch.setattr(smpg.transforms, "check_pair", spy)
+    assert verify_star2(gb, reduction).ok
+    assert [on is reduction.doubled for on in checked].count(True) == 64
+    assert [on is gb for on in checked].count(True) == 8
+    assert len(checked) == 72
 
 
 def _choices_key(pair):
