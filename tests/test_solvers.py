@@ -71,6 +71,11 @@ def test_brute_force_two_cycle(g2):
     assert sol.values.as_dict() == {"a": F(1, 3), "b": F(-1, 3)}
 
 
+def test_brute_force_requires_beta_for_discounted(g2):
+    with pytest.raises(InvalidBeta):
+        brute_force_solve(g2, DISCOUNTED)
+
+
 def test_brute_force_respects_pair_cap(g1b):
     with pytest.raises(CombinatorialLimitExceeded):
         brute_force_solve(g1b, MEAN, cap=1)
@@ -335,6 +340,13 @@ def test_a_missing_beta_is_an_invalid_beta(g2, g2_pair, call):
         call(g2, g2_pair)
     assert info.value.to_json_dict() == {
         "error": "InvalidBeta", "message": "discounted criterion needs a beta", "beta": None}
+
+
+def test_brute_force_missing_beta_says_so(g2):
+    with pytest.raises(InvalidBeta) as info:
+        brute_force_solve(g2, DISCOUNTED)
+    assert str(info.value) == "discounted criterion needs a beta"
+    assert info.value.payload == {"beta": None}
 
 
 def test_verify_star_reports_a_broken_reset_identity(monkeypatch, g2):
