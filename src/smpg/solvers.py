@@ -52,11 +52,13 @@ from .game import (
     MAX,
     MIN,
     Game,
+    InducedChain,
     PositionalStrategy,
     StrategyPair,
     enumerate_strategies,
     format_rational,
     induced_chain,
+    scale,
     strategy_count,
     strategy_pair_to_json_dict,
 )
@@ -468,6 +470,51 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _PairScan(game, cap, entry).report(violations, game.state_index[s0])
 
 
+def _mirror_certificate(chain: InducedChain, halves, copy_indices, start: int
+                        ) -> ValueVector | None:
+    """The doubled chain's mean values, if the mirror lemma's candidate law
+    pi* = pi_1 / 2 (+) pi_2 / 2 of the two source ``halves`` (their
+    stationary distributions, copy k on ``copy_indices[k]``) is certified as
+    its one stationary law; None if a check fails.
+
+    pi* is a distribution by construction.  The residual check tests
+    pi* P = pi* in one integer pass over the rows; the reach check tests,
+    by one reverse search, that every state reaches ``start``.  Then every
+    closed class holds ``start``, so there is one, and a chain with one
+    closed class has one stationary law, pi*; every state's mean value is
+    its gain sum(pi*_i r_i) (Puterman 1994, sec. 8.2)."""
+    (d1, nums_one), (d2, nums_two) = ((dist.denominator, dist.numerators) for dist in halves)
+    n = len(chain.rows)
+    x = [0] * n  # pi*_i = x_i / (2 d1 d2)
+    for indices, nums, other in ((copy_indices[1], nums_one, d2), (copy_indices[2], nums_two, d1)):
+        for i, num in zip(indices, nums):
+            x[i] = num * other
+    common_den = lcm(*(den for den, _ in chain.rows))
+    flow = [0] * n  # common_den * (x P)_j
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, ((den, entries), xi) in enumerate(zip(chain.rows, x)):
+        weight = xi * (common_den // den)
+        for j, num in entries:
+            flow[j] += weight * num
+            pred[j].append(i)
+    if any(f != common_den * xi for f, xi in zip(flow, x)):
+        return None
+    reached, todo = {start}, [start]
+    while todo:
+        for i in pred[todo.pop()]:
+            if i not in reached:
+                reached.add(i)
+                todo.append(i)
+    if len(reached) < n:
+        return None
+    common, rewards = scale(chain.rewards)
+    gain = Fraction(sum(xi * r for xi, r in zip(x, rewards)), 2 * d1 * d2 * common)
+    values = ValueVector(chain.state_order, (gain,) * n)
+    # what scale(values.values) gives for n copies of one lowest-terms value
+    values.__dict__["scaled"] = (gain.denominator, (gain.numerator,) * n)
+    return values
+
+
 def verify_star2(gb: Game, reduction: Reduction,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """Check the mirrored double game against its reset transform.
@@ -478,22 +525,37 @@ def verify_star2(gb: Game, reduction: Reduction,
     exactly one half; and scaling a copy's stationary mass by two
     reproduces the stationary distribution its restricted pair induces on
     the reset-transformed game.  The reported value is the max-min of the
-    double game's value at its first state.  ``induced_chain`` checks each
-    doubled pair once, and ``Reduction.restrict`` splits it unchecked.
+    double game's value at its first state.
+
+    The doubled chain is not solved when the lemma's prediction can be
+    certified: pi* = pi_1 / 2 (+) pi_2 / 2, built from the two restrictions'
+    stationary distributions, satisfies pi* P = pi* exactly and every state
+    reaches the copy-1 start (``_mirror_certificate``).  Then pi* is the
+    chain's one stationary law, so the two mass identities hold by
+    construction, and the doubled values are its gain from the doubled
+    chain's own rewards, still compared literally with the half-difference.
+    When a check fails, or a copy value is not constant, the chain is
+    solved and every identity compared, so a violation is reported as
+    before and a chain with two closed classes ends in NotUnichain.
+    ``induced_chain`` checks each doubled pair once; each source pair is
+    built by ``Reduction.restrict`` and solved once, the first time a copy
+    plays it.
     """
     doubled, reduction = mirror(gb, reduction)
     copy_indices = {copy: [doubled.state_index[reduction.state_map[s][copy - 1]]
                            for s in gb.state_order]
                     for copy in (1, 2)}
+    start = doubled.state_index[reduction.state_map[reduction.s0][0]]
     violations = []
-    # mean values and stationary distribution once per source pair: each of
-    # the N source pairs recurs in about N of the N^2 doubled pairs
-    sources: dict[tuple, tuple[ValueVector, Distribution]] = {}
+    # mean values and stationary distribution once per source pair, keyed by
+    # its actions: each of the N source pairs recurs in about N of the N^2
+    # doubled pairs
+    sources: dict[tuple[str, ...], tuple[ValueVector, Distribution]] = {}
 
-    def source(pair: StrategyPair) -> tuple[ValueVector, Distribution]:
-        key = tuple(map(pair.choices.__getitem__, gb.state_order))
+    def source(pair: StrategyPair, copy: int) -> tuple[ValueVector, Distribution]:
+        key = reduction.copy_actions(pair, copy)
         if key not in sources:
-            chain = induced_chain(gb, pair)
+            chain = induced_chain(gb, reduction.restrict(pair, copy))
             sources[key] = (mean_values(chain), unichain_stationary(chain))
         return sources[key]
 
@@ -502,12 +564,14 @@ def verify_star2(gb: Game, reduction: Reduction,
             violations.append({**fields, **strategy_pair_to_json_dict(pair)})
 
         chain = induced_chain(doubled, pair)
-        doubled_values = mean_values(chain)
-        pair_one, pair_two = reduction.restrict(pair)
-        source_pairs = {1: source(pair_one), 2: source(pair_two)}
-        for copy, (vector, _) in source_pairs.items():
-            if len(set(vector.scaled[1])) > 1:
-                violation(kind="nonconstant-copy-value", copy=copy)
+        source_pairs = {copy: source(pair, copy) for copy in (1, 2)}
+        nonconstant = [copy for copy, (vector, _) in source_pairs.items()
+                       if len(set(vector.scaled[1])) > 1]
+        certified = None if nonconstant else _mirror_certificate(
+            chain, [dist for _, dist in source_pairs.values()], copy_indices, start)
+        doubled_values = mean_values(chain) if certified is None else certified
+        for copy in nonconstant:
+            violation(kind="nonconstant-copy-value", copy=copy)
         # expected = copy_1 / 2 - copy_2 / 2 = num / den, each copy at its first state
         (d1, (y1, *_)), (d2, (y2, *_)) = (vector.scaled for vector, _ in source_pairs.values())
         num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
@@ -517,6 +581,8 @@ def verify_star2(gb: Game, reduction: Reduction,
                 violation(kind="mirror-identity", state=state,
                           lhs=format_rational(doubled_values.at(state)),
                           rhs=format_rational(Fraction(num, den)))
+        if certified is not None:
+            return doubled_values
 
         occupation = unichain_stationary(chain)
         d, nums = occupation.denominator, occupation.numerators

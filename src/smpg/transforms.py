@@ -118,13 +118,19 @@ class Reduction:
                       (one, plain, start_two, second), (two, primed, start_one, second)]
         return _nonzero_game(states, actions, edges)
 
-    def restrict(self, pair: StrategyPair) -> tuple[StrategyPair, StrategyPair]:
-        """The copy-1 and copy-2 restrictions of a pair of ``doubled``, unchecked:
-        primed actions mapped back, each source state played by its owner."""
-        choices = pair.choices
-        return tuple(StrategyPair.from_choices(
-            {s: self.inverse_actions[choices[ids[copy]]] for s, ids in self.state_map.items()},
-            self.game.owner) for copy in (0, 1))
+    def copy_actions(self, pair: StrategyPair, copy: int) -> tuple[str, ...]:
+        """The source actions that copy ``copy`` (1 or 2) of a pair of
+        ``doubled`` plays, one per source state in state order, primed
+        actions mapped back; unchecked."""
+        choices, inverse, state_map = pair.choices, self.inverse_actions, self.state_map
+        return tuple(inverse[choices[state_map[s][copy - 1]]] for s in self.game.state_order)
+
+    def restrict(self, pair: StrategyPair, copy: int) -> StrategyPair:
+        """The copy-``copy`` restriction of a pair of ``doubled``, unchecked:
+        its ``copy_actions``, each source state played by its owner."""
+        actions = self.copy_actions(pair, copy)
+        return StrategyPair.from_choices(dict(zip(self.game.state_order, actions)),
+                                         self.game.owner)
 
 
 def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:
@@ -159,7 +165,7 @@ def decompose_mirror_strategies(pair: StrategyPair, reduction: Reduction
     swapped back.
     """
     check_pair(reduction.doubled, pair)
-    return reduction.restrict(pair)
+    return reduction.restrict(pair, 1), reduction.restrict(pair, 2)
 
 
 def compose_mirror_strategies(pair_one: StrategyPair, pair_two: StrategyPair,

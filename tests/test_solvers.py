@@ -18,16 +18,21 @@ from smpg.errors import (
     InconsistentValues,
     InvalidBeta,
     NoConsistentStrategy,
+    NotUnichain,
     UnknownState,
 )
-from smpg.evaluate import Distribution, ValueVector, mean_values
+from smpg.evaluate import Distribution, ValueVector, mean_values, unichain_stationary
 from smpg.game import (
     MAX,
     MIN,
+    State,
     StrategyPair,
+    build_game,
     enumerate_strategies,
+    format_rational,
     game_to_json_dict,
     induced_chain,
+    strategy_pair_to_json_dict,
     validate_game,
 )
 from smpg.generate import GeneratorConfig, generate_game
@@ -443,6 +448,8 @@ def _three_state_game():
     pytest.param(lambda g2: _three_state_game(), id="three-states"),
 ])
 def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, make_game):
+    """Every chain is built once.  The doubled chains are certified, so none
+    is decomposed; each distinct source pair's chain is decomposed once."""
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     expected = verify_star2(gb, reduction)
@@ -474,8 +481,8 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
     restricted = {_choices_key(half) for pair in doubled_pairs
                   for half in decompose_mirror_strategies(pair, reduction)}
     assert sorted(_choices_key(p) for p in source_pairs) == sorted(restricted)
-    # every chain built is decomposed, and exactly once
-    assert sorted(map(id, decomposed)) == sorted(id(chain) for _, _, chain in built)
+    # the source chains are decomposed, each exactly once, and no doubled chain
+    assert sorted(map(id, decomposed)) == sorted(id(chain) for on, _, chain in built if on is gb)
 
 
 @pytest.mark.parametrize("make_game", [
@@ -521,9 +528,11 @@ def _shifted_mean_values(monkeypatch, gb, doubled_shift, source_shift):
 
 
 def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
-    """Shifted doubled and reset-game values break the mirror identity and
-    the constant copy value; the integer checks report them in the very
-    dicts the Fraction checks gave."""
+    """Shifted reset-game values make a copy value non-constant, which sends
+    the pair to the solve, and shifted doubled values break the mirror
+    identity; wrong copy-2 rewards leave the certificate standing and break
+    the mirror identity at every state.  The integer checks report them in
+    the very dicts the Fraction checks gave."""
     gb, reduction = beta_recurrent(g2, F(1, 3), "a")
     _shifted_mean_values(monkeypatch, gb, F(1, 5), F(1, 7))
     report = verify_star2(gb, reduction)
@@ -535,20 +544,131 @@ def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
         {"kind": "mirror-identity", "state": "a1", "lhs": "1/5", "rhs": "0", **described},
     )
 
+    monkeypatch.undo()
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
-    _shifted_mean_values(monkeypatch, gb, F(2, 9), F(0))
+    _install_doubled(reduction, rewards={"a4'": F(7, 2), "a5'": F(-3, 4)})
     report = verify_star2(gb, reduction)
-    assert (report.pairs_checked, report.value) == (64, F(2, 9))
-    assert [v["kind"] for v in report.violations] == ["mirror-identity"] * 64
-    assert report.violations[1] == {
-        "kind": "mirror-identity", "state": "s01", "lhs": "43/72", "rhs": "3/8",
+    assert (report.pairs_checked, report.value) == (64, F(1, 6))
+    assert [v["kind"] for v in report.violations] == ["mirror-identity"] * 64 * 6
+    assert report.violations[6] == {
+        "kind": "mirror-identity", "state": "s01", "lhs": "13/24", "rhs": "3/8",
         "max": {"s01": "a0", "s11": "a2", "s22": "a4'"},
         "min": {"s02": "a0'", "s12": "a2'", "s21": "a5"}}
-    assert report.violations[-2] == {
-        "kind": "mirror-identity", "state": "s01", "lhs": "-11/72", "rhs": "-3/8",
+    assert report.violations[-6] == {
+        "kind": "mirror-identity", "state": "s01", "lhs": "-1/6", "rhs": "0",
         "max": {"s01": "a1", "s11": "a3", "s22": "a5'"},
-        "min": {"s02": "a1'", "s12": "a3'", "s21": "a4"}}
+        "min": {"s02": "a1'", "s12": "a3'", "s21": "a5"}}
+
+
+def _install_doubled(reduction, rewards=(), redirect=()):
+    """Give ``reduction`` a faulty double game, the one ``mirror`` then hands
+    out: ``rewards`` maps action ids to replaced rewards, ``redirect`` maps
+    (source, action, target) edges to a replaced target."""
+    doubled = reduction.doubled
+    redirect = dict(redirect)
+    edges = [(t.source, t.action, redirect.get((t.source, t.action, t.target), t.target), t.prob)
+             for t in doubled.transitions]
+    faulty = build_game(doubled.states, {**doubled.actions, **dict(rewards)}, edges)
+    reduction.__dict__["doubled"] = faulty  # where the cached property keeps it
+    return faulty
+
+
+def _solved_violations(gb, reduction):
+    """The violations verify_star2 reports, found by solving every doubled
+    chain: mean_values and unichain_stationary on it and on its two source
+    chains, compared in Fractions.  Copy k holds states (k - 1) n to k n - 1."""
+    doubled, n = reduction.doubled, len(gb.state_order)
+    out = []
+    for sigma in enumerate_strategies(doubled, MAX):
+        for tau in enumerate_strategies(doubled, MIN):
+            pair = StrategyPair(sigma, tau)
+            chain = induced_chain(doubled, pair)
+            values, occupation = mean_values(chain).values, unichain_stationary(chain).mass
+            halves = [(mean_values(c).values, unichain_stationary(c).mass)
+                      for c in (induced_chain(gb, half)
+                                for half in decompose_mirror_strategies(pair, reduction))]
+            expected = (halves[0][0][0] - halves[1][0][0]) / 2
+            found = [{"kind": "nonconstant-copy-value", "copy": copy}
+                     for copy, (vector, _) in enumerate(halves, 1) if len(set(vector)) > 1]
+            found += [{"kind": "mirror-identity", "state": s, "lhs": format_rational(v),
+                       "rhs": format_rational(expected)}
+                      for s, v in zip(doubled.state_order, values) if v != expected]
+            found += [{"kind": "component-mass", "copy": copy,
+                       "mass": format_rational(sum(occupation[(copy - 1) * n:copy * n]))}
+                      for copy in (1, 2) if sum(occupation[(copy - 1) * n:copy * n]) != F(1, 2)]
+            found += [{"kind": "copy-stationary", "copy": copy, "state": s,
+                       "scaled": format_rational(2 * occupation[(copy - 1) * n + i]),
+                       "stationary": format_rational(reference[i])}
+                      for copy, (_, reference) in enumerate(halves, 1)
+                      for i, s in enumerate(gb.state_order)
+                      if 2 * occupation[(copy - 1) * n + i] != reference[i]]
+            out += [{**v, **strategy_pair_to_json_dict(pair)} for v in found]
+    return tuple(out)
+
+
+def _spy_doubled_solves(monkeypatch, n_source):
+    """The chains on more than ``n_source`` states that reach
+    recurrent_stationary, in a list that fills as verify_star2 runs."""
+    solved = []
+    real = smpg.evaluate.recurrent_stationary
+
+    def spy(chain):
+        if len(chain.state_order) > n_source:
+            solved.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(smpg.evaluate, "recurrent_stationary", spy)
+    return solved
+
+
+def test_verify_star2_solves_a_chain_its_wrong_redirect_breaks(monkeypatch):
+    """A copy-1 redirect to the wrong copy-2 state breaks the residual check
+    on the 32 pairs that play it; those are solved, and report exactly the
+    violations the solve finds, the others stay certified."""
+    game = _three_state_game()
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    _install_doubled(reduction, redirect={("s21", "a4", "s02"): "s22"})
+    expected = _solved_violations(gb, reduction)
+    solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
+    report = verify_star2(gb, reduction)
+    assert len(solved) == 32
+    assert {v["kind"] for v in expected} == {"mirror-identity", "copy-stationary"}
+    assert report.violations == expected
+
+
+def test_verify_star2_certifies_a_chain_with_wrong_copy_two_rewards(monkeypatch):
+    """Wrong copy-2 rewards leave pi* stationary: no doubled chain is solved,
+    and the certified gain reports the mirror identity as the solve does,
+    with the left side above the right on some pairs and below on others."""
+    game = _three_state_game()
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    _install_doubled(reduction, rewards={"a4'": F(7, 2), "a5'": F(-3, 4)})
+    expected = _solved_violations(gb, reduction)
+    solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
+    report = verify_star2(gb, reduction)
+    assert solved == []
+    assert {F(v["lhs"]) > F(v["rhs"]) for v in expected} == {True, False}
+    assert report.violations == expected
+
+
+def test_verify_star2_rejects_a_stationary_candidate_of_a_two_class_chain(monkeypatch):
+    """b is transient in the reset chain from a, so pi* puts no mass on b1 or
+    b2.  Rewiring them into a closed cycle of their own keeps pi* P = pi*;
+    only the reach check sees the second class, and the solve ends in
+    NotUnichain."""
+    game = build_game([State("a", MAX), State("b", MIN)], {"X": F(1), "Y": F(0)},
+                      [("a", "X", "a", F(1)), ("b", "Y", "a", F(1))])
+    gb, reduction = beta_recurrent(game, F(1, 2), "a")
+    doubled = _install_doubled(reduction, redirect={
+        ("b1", "Y", "a1"): "b2", ("b1", "Y", "a2"): "b2",
+        ("b2", "Y'", "a2"): "b1", ("b2", "Y'", "a1"): "b1"})
+    chain = induced_chain(doubled, pair_of({"a1": "X", "b2": "Y'"}, {"a2": "X'", "b1": "Y"}))
+    candidate = (F(1, 2), F(0), F(1, 2), F(0))  # a1, b1, a2, b2
+    assert tuple(sum(candidate[i] * chain.matrix[i][j] for i in range(4))
+                 for j in range(4)) == candidate
+    with pytest.raises(NotUnichain):
+        verify_star2(gb, reduction)
 
 
 def _full_table_selection(game, criterion, beta):
@@ -783,9 +903,13 @@ def test_verify_star_holds_from_every_start(seed, states, beta):
 @settings(max_examples=40, deadline=None)
 @small_reductions
 def test_verify_star2_holds_on_every_reset_game(seed, states, beta):
+    """Every valid reduction is certified: no doubled chain is solved."""
     game = _small_generated_game(seed, states)
-    for s0 in game.state_order:
-        assert verify_star2(*beta_recurrent(game, beta, s0)).violations == ()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        solved = _spy_doubled_solves(monkeypatch, states)
+        for s0 in game.state_order:
+            assert verify_star2(*beta_recurrent(game, beta, s0)).violations == ()
+    assert solved == []
 
 
 @settings(max_examples=40, deadline=None)
