@@ -14,7 +14,10 @@ brute-force mean values, the same with 1 added at the first state, and the
 first pair's mean values; each record holds the witness pair or the error
 report, as the command line writes them.
 Each game's runs go to their own directory under --out, one `<run>.txt` per
-run.  Two checkouts give the same answers exactly when `diff -r` finds no
+run.  The malformed inputs of tests/test_cli.py (its MALFORMED table, which
+holds the PINNED and UNWRITABLE cases) go to --out/malformed: each case runs
+on its own freshly written inputs, and its record holds the exit code and
+the error report or usage message.  Two checkouts give the same answers exactly when `diff -r` finds no
 difference between their output directories:
 
     PYTHONPATH=src python scripts/sweep.py --out /tmp/sweep
@@ -45,6 +48,8 @@ from smpg.serialize import (
 from smpg.solvers import DISCOUNTED, MEAN, brute_force_solve, evaluate_pair, reference_recovery_oracle
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO))
+from tests.test_cli import MALFORMED, malformed_inputs  # noqa: E402  the one list of malformed cases
 BETAS = ("0", "1/3", "1/2", "9/10")
 SEEDS = range(8)  # seeded games per state count
 
@@ -123,6 +128,18 @@ def sweep_game(name: str, game: Game, out: Path) -> dict:
     return {run_name: run(out, run_name, call) for run_name, call in calls.items()}
 
 
+def sweep_malformed(out: Path) -> dict:
+    """Every malformed-input case, written under out/malformed; returns the
+    exit code of each run by case name."""
+    out = out / "malformed"
+    codes = {}
+    for case, argv in MALFORMED.items():
+        (out / case).mkdir(parents=True)
+        files = malformed_inputs(out / case)
+        codes[case] = run(out, case, partial(smpg, [files.get(arg, arg) for arg in argv]))
+    return codes
+
+
 def sweep_games() -> dict[str, Game]:
     """g1, g2 and the seeded games, by the name of their output directory."""
     games = {name: load_game(REPO / "games" / f"{name}.json") for name in ("g1", "g2")}
@@ -142,9 +159,10 @@ def main() -> int:
     start = time.perf_counter()
     games = sweep_games()
     codes = [code for name, game in games.items() for code in sweep_game(name, game, args.out).values()]
+    malformed = sweep_malformed(args.out)
     nonzero = sum(code != 0 for code in codes)
     print(f"{len(codes)} runs on {len(games)} games ({nonzero} with a nonzero exit) "
-          f"in {time.perf_counter() - start:.1f} s")
+          f"and {len(malformed)} on malformed inputs in {time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -86,6 +86,18 @@ def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
             == (golden / "pipeline_discounted_values.json").read_bytes())
 
 
+def test_sweep_records_every_malformed_case(tmp_path):
+    """The sweep's malformed-input runs: one record per MALFORMED case of
+    tests/test_cli.py, each ending in a report (exit 1) or a usage message
+    (exit 2), with no input path left in the record."""
+    sweep = load_sweep()
+    codes = sweep.sweep_malformed(tmp_path)
+    assert list(codes) == list(sweep.MALFORMED)
+    assert set(codes.values()) <= {1, 2}
+    for case in codes:
+        assert str(tmp_path) not in (tmp_path / "malformed" / f"{case}.txt").read_text()
+
+
 def directory_digest(root: Path) -> str:
     """sha256 over every file under root: its relative path and its bytes."""
     digest = hashlib.sha256()
