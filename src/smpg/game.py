@@ -319,7 +319,12 @@ def validate_game(raw: dict) -> Game:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed game description: {exc!r}") from exc
     if len(actions) != len(raw["actions"]):
-        raise ParseError("duplicate action id")
+        seen = set()
+        for a in raw["actions"]:
+            action = str(a["id"])
+            if action in seen:
+                raise ParseError(f"duplicate action id {action!r}", action=action)
+            seen.add(action)
     return build_game(states, actions, transitions)
 
 

@@ -73,8 +73,9 @@ def config_from_json_dict(raw: dict) -> GeneratorConfig:
             max_states_fraction=parse_rational(raw["max_states_fraction"]),
             seed=integer("seed"),
         )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed generator config: {exc!r}") from exc
+    except KeyError as exc:
+        field = exc.args[0]
+        raise ParseError(f"missing generator config field {field!r}", field=field) from exc
 
 
 def config_to_json_dict(config: GeneratorConfig) -> dict:

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, canonical output, artifact files."""
 
+import gc
 import json
 import shutil
 import subprocess
@@ -148,6 +149,26 @@ def test_eval_mean_on_two_cycle(capsys, g2_file, g2_pair_file):
                        "--criterion", "mean")
     assert code == 0
     assert json.loads(out) == {"a": "0", "b": "0"}
+
+
+def test_eval_leaves_no_argparse_object_in_cyclic_garbage(capsys, g2_file, g2_pair_file):
+    """After the first call has built the parser, an eval request leaves
+    nothing of argparse's for the cyclic collector."""
+    argv = ["eval", g2_file, "--strategy", g2_pair_file, "--criterion", "mean"]
+    assert main(argv) == 0
+    flags, garbage = gc.get_debug(), gc.garbage[:]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        assert main(argv) == 0
+        gc.collect()
+        left = [type(obj).__qualname__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = garbage
+    capsys.readouterr()
+    assert left == []
 
 
 def test_eval_discounted_without_beta_is_usage_error(capsys, g2_file,
@@ -463,7 +484,7 @@ PINNED = {
         "error": "ParseError", "message": "game description needs a 'states' array",
         "field": "states"}),
     "duplicate-action-id": (["validate", "DUPLICATE_ACTION"], lambda files: {
-        "error": "ParseError", "message": "duplicate action id"}),
+        "error": "ParseError", "message": "duplicate action id 'X'", "action": "X"}),
     "game-file-is-not-json": (["validate", "NOT_JSON"], lambda files: {
         "error": "ParseError", "path": files["NOT_JSON"],
         "message": f"invalid JSON in {files['NOT_JSON']}: Expecting value: line 1 column 1 (char 0)"}),
@@ -475,7 +496,8 @@ PINNED = {
             "error": "ParseError", "message": "value file missing states ['b']", "states": ["b"]}),
     "config-without-seed": (
         ["generate", "--config", "CONFIG_WITHOUT_SEED", "--out", "OUT"], lambda files: {
-            "error": "ParseError", "message": "malformed generator config: KeyError('seed')"}),
+            "error": "ParseError", "message": "missing generator config field 'seed'",
+            "field": "seed"}),
 }
 
 

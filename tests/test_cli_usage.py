@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from smpg import cli
 from smpg.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -151,3 +152,21 @@ def test_handler_usage_errors_come_before_any_read(case, capsys, tmp_path):
     code = main([missing if arg in ("GAME", "PAIR", "VALUES", "MAP") else arg for arg in CASES[case]])
     captured = capsys.readouterr()
     assert record(code, captured.out, captured.err) == (GOLDEN / f"{case}.txt").read_text()
+
+
+def test_one_parser_serves_every_call_byte_for_byte(capsys, monkeypatch, tmp_path):
+    """The process builds one parser and every call reuses it: after a
+    successful eval, every case in reverse order, twice, still gives its
+    golden bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    files = input_files(tmp_path)
+    assert main(["eval", files["GAME"], "--strategy", files["PAIR"], "--criterion", "mean"]) == 0
+    capsys.readouterr()
+    results = []
+    for case in [*reversed(CASES)] * 2:
+        code = main([files.get(arg, arg) for arg in CASES[case]])
+        captured = capsys.readouterr()
+        results.append((case, record(code, captured.out, captured.err)))
+    for case, result in results:
+        assert result == (GOLDEN / f"{case}.txt").read_text(), case
+    assert cli.build_parser() is cli.build_parser()
