@@ -17,8 +17,9 @@ Each game's runs go to their own directory under --out, one `<run>.txt` per
 run.  The malformed inputs of tests/test_cli.py (its MALFORMED table, which
 holds the PINNED and UNWRITABLE cases) go to --out/malformed: each case runs
 on its own freshly written inputs, and its record holds the exit code and
-the error report or usage message.  Two checkouts give the same answers exactly when `diff -r` finds no
-difference between their output directories:
+the error report or usage message.  Two checkouts give the same answers
+exactly when `diff -r` finds no difference between their output
+directories:
 
     PYTHONPATH=src python scripts/sweep.py --out /tmp/sweep
 """
@@ -48,8 +49,8 @@ from smpg.serialize import (
 from smpg.solvers import DISCOUNTED, MEAN, brute_force_solve, evaluate_pair, reference_recovery_oracle
 
 REPO = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO))
-from tests.test_cli import MALFORMED, malformed_inputs  # noqa: E402  the one list of malformed cases
+sys.path.insert(0, str(REPO))  # the malformed cases are listed once, in tests/test_cli.py
+from tests.test_cli import MALFORMED, malformed_inputs
 BETAS = ("0", "1/3", "1/2", "9/10")
 SEEDS = range(8)  # seeded games per state count
 

@@ -151,7 +151,7 @@ def test_eval_mean_on_two_cycle(capsys, g2_file, g2_pair_file):
     assert json.loads(out) == {"a": "0", "b": "0"}
 
 
-def test_eval_leaves_no_argparse_object_in_cyclic_garbage(capsys, g2_file, g2_pair_file):
+def test_eval_leaves_no_argparse_object_in_cyclic_garbage(g2_file, g2_pair_file):
     """After the first call has built the parser, an eval request leaves
     nothing of argparse's for the cyclic collector."""
     argv = ["eval", g2_file, "--strategy", g2_pair_file, "--criterion", "mean"]
@@ -167,7 +167,6 @@ def test_eval_leaves_no_argparse_object_in_cyclic_garbage(capsys, g2_file, g2_pa
     finally:
         gc.set_debug(flags)
         gc.garbage[:] = garbage
-    capsys.readouterr()
     assert left == []
 
 

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from smpg import cli
-from smpg.cli import main
+from smpg.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden" / "cli_usage"
@@ -169,4 +168,4 @@ def test_one_parser_serves_every_call_byte_for_byte(capsys, monkeypatch, tmp_pat
         results.append((case, record(code, captured.out, captured.err)))
     for case, result in results:
         assert result == (GOLDEN / f"{case}.txt").read_text(), case
-    assert cli.build_parser() is cli.build_parser()
+    assert build_parser() is build_parser()
