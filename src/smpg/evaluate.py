@@ -6,10 +6,11 @@ classes and transient states, each class gets the gain of its exact
 stationary distribution, and transient states mix class gains by exact
 absorption probabilities.  One closed class takes no absorption system:
 every state is absorbed into it, so every state gets its gain (Puterman
-1994, ch. 8).  The restart-occupation recursion is one more
-system.  Each of them is built in integers straight from the chain's rows,
-every row scaled by the denominators it reads.  ``linalg.solve_scaled``
-hands back integers (det, y), x = y / det; stationary masses, absorption
+1994, ch. 8).  Each system is built in integers straight from the chain's
+rows, every row scaled by the denominators it reads.  A law known from
+elsewhere, such as the restart-occupation recursion's, is certified, not
+solved again (``certify_stationary``).  ``linalg.solve_scaled`` hands
+back integers (det, y), x = y / det; stationary masses, absorption
 sums and gains stay integers over one denominator, and Fractions are only
 views (discounted values, gains, ``Distribution.mass``); the solvers compare
 value vectors through their integer view ``ValueVector.scaled``.  The Monte
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 
 from . import linalg
 from .errors import (
@@ -304,10 +305,15 @@ def mean_values(chain: InducedChain) -> ValueVector:
     state = next((s for s, g in zip(chain.state_order, gains) if g is None), None)
     if state is not None:
         raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
-    values = ValueVector(chain.state_order, tuple(gains))
-    if len(class_gains) == 1:
-        # what scale(values.values) gives for n copies of one lowest-terms value
-        values.__dict__["scaled"] = (gain.denominator, (gain.numerator,) * n)
+    return (uniform_values(chain.state_order, gain) if len(class_gains) == 1
+            else ValueVector(chain.state_order, tuple(gains)))
+
+
+def uniform_values(state_order: tuple[str, ...], value: Fraction) -> ValueVector:
+    """``value`` at every state, with the integer view ``scaled`` filled in:
+    what ``scale`` gives for n copies of one lowest-terms value."""
+    values = ValueVector(state_order, (value,) * len(state_order))
+    values.__dict__["scaled"] = (value.denominator, (value.numerator,) * len(state_order))
     return values
 
 
@@ -326,42 +332,62 @@ def unichain_stationary(chain: InducedChain) -> Distribution:
     return Distribution(chain.state_order, dist.denominator, tuple(nums))
 
 
+def certify_stationary(chain: InducedChain, x: list[int] | tuple[int, ...], start: int) -> bool:
+    """Whether x / sum(x) is the chain's one stationary law, for non-negative
+    integers x, not all zero, in the chain's state order.
+
+    The residual check tests x P = x in one integer pass over the rows; the
+    reach check tests, by one reverse search, that every state reaches the
+    state at index ``start``.  Then every closed class holds ``start``, so
+    there is one, and a chain with one closed class has one stationary law
+    (Puterman 1994, sec. 8.2), which the residual shows is x / sum(x).
+    """
+    n = len(chain.rows)
+    common_den = lcm(*(den for den, _ in chain.rows))
+    flow = [0] * n  # common_den * (x P)_j
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, ((den, entries), xi) in enumerate(zip(chain.rows, x)):
+        weight = xi * (common_den // den)
+        for j, num in entries:
+            flow[j] += weight * num
+            pred[j].append(i)
+    if any(f != common_den * xi for f, xi in zip(flow, x)):
+        return False
+    reached, todo = {start}, [start]
+    while todo:
+        for i in pred[todo.pop()]:
+            if i not in reached:
+                reached.add(i)
+                todo.append(i)
+    return len(reached) == n
+
+
 def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) -> Distribution:
     """Check the reset-transform occupation identity on a chain.
 
     A chain induced on the reset transform of some game satisfies
-    P = beta Q + (1 - beta) 1 e0^T with Q the source chain's matrix.  The
-    unique solution of mu = (1 - beta) e0 + beta Q^T mu must then equal the
-    chain's stationary distribution.  Solves that fixed point exactly and
-    asserts the match; raises NotUnichain when the chain cannot have come
-    from the reset transform.  With beta = b/c, the system it solves is
-    c (I - P^T + (1 - beta) e0 1^T) mu = (c - b) e0 in x_j = mu_j / den_j.
+    P = beta Q + (1 - beta) 1 e0^T with Q the source chain's matrix, which
+    the reset mass check keeps non-negative.  The one solution of
+    mu = (1 - beta) e0 + beta Q^T mu (beta < 1) must then be the chain's
+    stationary law, which it returns; raises NotUnichain when the chain
+    cannot have come from the reset transform.  For a distribution mu,
+    beta Q^T mu = P^T mu - (1 - beta) e0, so the recursion holds exactly when
+    mu P = mu: ``unichain_stationary``'s law is certified, not solved again.
     """
     beta = check_beta(beta)
     if s0 not in chain.state_index:
         raise UnknownState(f"no state {s0!r} in chain", state=s0)
     b, c = beta.numerator, beta.denominator
-    n = len(chain.state_order)
     origin = chain.state_index[s0]
-    matrix = [[0] * n for _ in range(n)]
-    for j, (state, (den, entries)) in enumerate(zip(chain.state_order, chain.rows)):
+    for state, (den, entries) in zip(chain.state_order, chain.rows):
         # beta Q = P - (1 - beta) 1 e0^T is non-negative exactly when the
         # reset mass is there; at beta = 0 that puts every row on s0
         if c * dict(entries).get(origin, 0) < (c - b) * den:
             raise NotUnichain(
                 f"chain is not the image of a reset transform: row {state} lacks the reset mass",
                 state=state)
-        matrix[j][j] += c * den
-        matrix[origin][j] += (c - b) * den
-        for i, num in entries:
-            matrix[i][j] -= c * num
-    det, y = linalg.solve_scaled(matrix, [[(c - b) * (i == origin)] for i in range(n)])
-
-    stationary = unichain_stationary(chain)
-    # mu_j = den_j y_j / det; equal in lowest common terms exactly when equal
-    mu = Distribution(chain.state_order, det,
-                      tuple(den * yj for (den, _), (yj,) in zip(chain.rows, y)))
-    if mu != stationary:
+    mu = unichain_stationary(chain)
+    if not certify_stationary(chain, mu.numerators, origin):
         raise NotUnichain(
             "occupation recursion disagrees with the stationary distribution; "
             "the chain did not come from a reset transform",

@@ -11,10 +11,14 @@ all-zero claim, restriction back to the source game.
 
 Strategy iteration and greedy recovery compare one-step lookaheads as
 integers over one positive denominator per state (``_Lookahead``), so no
-Fraction arithmetic runs per action.  They, the pair scans, the recovery
-oracle and the mirror checks read value vectors through their integer view
-(D, y = D v), compare integer cross-products, and build Fractions only for
-what they return.
+Fraction arithmetic runs per action.  ``_one_step`` is the one check of the
+one-step optimality equations: it certifies strategy iteration's stop, and
+it certifies greedy recovery's pair without solving the pair again.  The
+mirror check certifies the doubled chain's predicted stationary law with
+``evaluate.certify_stationary`` instead of solving the chain.  All of them,
+the pair scans and the recovery oracle read value vectors through their
+integer view (D, y = D v), compare integer cross-products, and build
+Fractions only for what they return.
 
 Brute force and the two verifiers scan every strategy pair (``_PairScan``),
 since each needs every entry.  The recovery oracle does not share that
@@ -42,9 +46,11 @@ from .errors import (
 from .evaluate import (
     Distribution,
     ValueVector,
+    certify_stationary,
     check_beta,
     discounted_values,
     mean_values,
+    uniform_values,
     unichain_stationary,
 )
 from .game import (
@@ -266,6 +272,21 @@ def _first_extreme(q: dict[str, int], maximize: bool) -> str:
     return (max if maximize else min)(q, key=q.__getitem__)
 
 
+def _one_step(game: Game, lookahead: _Lookahead, scaled) -> tuple[dict[str, str], str | None]:
+    """The one-step optimality equations at a value vector's integer view
+    (Shapley 1953, "Stochastic games"): every state's first extreme action
+    (maximum for its maximizer, minimum for its minimizer), and the first
+    state whose extreme q is not its own value, or None when the equations
+    hold at every state."""
+    choices, off = {}, None
+    for s, ys in zip(game.state_order, scaled[1]):
+        q = lookahead.q(s, scaled)
+        best = choices[s] = _first_extreme(q, game.owner[s] == MAX)
+        if off is None and q[best] != lookahead.unit[s] * ys:
+            off = s
+    return choices, off
+
+
 def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
     """Two-player strategy iteration for the discounted criterion.
 
@@ -313,14 +334,13 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
             break
 
     # the one-step optimality equations are the certificate; re-check them
-    d, y = scaled
-    for s, v, ys in zip(game.state_order, values.values, y):
-        q = lookahead.q(s, scaled)
-        extreme = q[_first_extreme(q, game.owner[s] == MAX)]
-        if extreme != lookahead.unit[s] * ys:
-            raise DeterminacyViolation(
-                f"strategy iteration stopped at a non-equilibrium: state {s!r}",
-                state=s, value=v, one_step=Fraction(extreme, lookahead.unit[s] * d))
+    choices, off = _one_step(game, lookahead, scaled)
+    if off is not None:
+        extreme = lookahead.q(off, scaled)[choices[off]]
+        raise DeterminacyViolation(
+            f"strategy iteration stopped at a non-equilibrium: state {off!r}",
+            state=off, value=values.at(off),
+            one_step=Fraction(extreme, lookahead.unit[off] * scaled[0]))
 
     certificate = Certificate(game.state_order, values.values, values.values)
     return Solution(DISCOUNTED, beta, values, pair, certificate)
@@ -329,28 +349,32 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
 def greedy_recovery_discounted(game: Game, beta: Fraction,
                                values: ValueVector) -> StrategyPair:
     """Recover an optimal pair from the true discounted values by one-step
-    lookahead, then certify by exact re-evaluation.
+    lookahead, certified by the one-step optimality equations.
 
     Picks the argmax (maximizer) or argmin (minimizer) of
     (1 - beta) r(A) + beta * sum p * values, breaking ties toward the
-    lexicographically smallest action id.  If the pair does not re-evaluate
-    to the supplied values exactly, they were not the true values:
-    InconsistentValues.
+    lexicographically smallest action id.  The equations hold at every
+    state exactly when the claim is a fixed point v = (1 - beta) r + beta P v
+    of the greedy pair, and for beta < 1 I - beta P is nonsingular, so that
+    fixed point is the pair's value vector (Puterman 1994, sec. 6.1): the
+    pair is not solved again.  When the equations fail the claim was not the
+    true values, and the pair is solved to report the first state where its
+    values differ from the claim: InconsistentValues.
     """
     beta = check_beta(beta)
     claimed = _aligned(game, values)
-    lookahead = _Lookahead(game, beta)
-    choices = {s: _first_extreme(lookahead.q(s, claimed.scaled), game.owner[s] == MAX)
-               for s in game.state_order}
+    choices, off = _one_step(game, _Lookahead(game, beta), claimed.scaled)
     pair = StrategyPair.from_choices(choices, game.owner)
+    if off is None:
+        return pair
     check = discounted_values(induced_chain(game, pair), beta)
-    for s, v in zip(game.state_order, claimed.values):
-        if check.at(s) != v:
-            raise InconsistentValues(
-                f"greedy pair re-evaluates to {rational_text(check.at(s))} at {s!r}, "
-                f"claimed {rational_text(v)}",
-                state=s, claimed=v, reevaluated=check.at(s))
-    return pair
+    # a pair whose values are the claim satisfies the equations, so only a
+    # faulty evaluation finds no difference; it is reported at ``off``
+    s = next((s for s, v, w in zip(game.state_order, claimed.values, check.values) if v != w), off)
+    raise InconsistentValues(
+        f"greedy pair re-evaluates to {rational_text(check.at(s))} at {s!r}, "
+        f"claimed {rational_text(claimed.at(s))}",
+        state=s, claimed=claimed.at(s), reevaluated=check.at(s))
 
 
 def reference_recovery_oracle(game: Game, claimed: ValueVector,
@@ -429,9 +453,7 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     for s in game.state_order:
         reduction = Reduction(game, beta, s)
         doubled = reduction.doubled
-        zero = ValueVector(doubled.state_order,
-                           tuple(Fraction(0) for _ in doubled.state_order))
-        witness = oracle(doubled, zero)
+        witness = oracle(doubled, uniform_values(doubled.state_order, Fraction(0)))
         pair_one, _pair_two = decompose_mirror_strategies(witness, reduction)
         value_at_s = mean_values(induced_chain(reduction.reset_game, pair_one)).at(s)
         assembled.append(value_at_s)
@@ -475,44 +497,19 @@ def _mirror_certificate(chain: InducedChain, halves, copy_indices, start: int
     """The doubled chain's mean values, if the mirror lemma's candidate law
     pi* = pi_1 / 2 (+) pi_2 / 2 of the two source ``halves`` (their
     stationary distributions, copy k on ``copy_indices[k]``) is certified as
-    its one stationary law; None if a check fails.
-
-    pi* is a distribution by construction.  The residual check tests
-    pi* P = pi* in one integer pass over the rows; the reach check tests,
-    by one reverse search, that every state reaches ``start``.  Then every
-    closed class holds ``start``, so there is one, and a chain with one
-    closed class has one stationary law, pi*; every state's mean value is
-    its gain sum(pi*_i r_i) (Puterman 1994, sec. 8.2)."""
+    its one stationary law by ``certify_stationary``; None if it is not.
+    pi* is a distribution by construction, and every state's mean value is
+    then its gain sum(pi*_i r_i) (Puterman 1994, sec. 8.2)."""
     (d1, nums_one), (d2, nums_two) = ((dist.denominator, dist.numerators) for dist in halves)
-    n = len(chain.rows)
-    x = [0] * n  # pi*_i = x_i / (2 d1 d2)
+    x = [0] * len(chain.rows)  # pi*_i = x_i / (2 d1 d2)
     for indices, nums, other in ((copy_indices[1], nums_one, d2), (copy_indices[2], nums_two, d1)):
         for i, num in zip(indices, nums):
             x[i] = num * other
-    common_den = lcm(*(den for den, _ in chain.rows))
-    flow = [0] * n  # common_den * (x P)_j
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, ((den, entries), xi) in enumerate(zip(chain.rows, x)):
-        weight = xi * (common_den // den)
-        for j, num in entries:
-            flow[j] += weight * num
-            pred[j].append(i)
-    if any(f != common_den * xi for f, xi in zip(flow, x)):
-        return None
-    reached, todo = {start}, [start]
-    while todo:
-        for i in pred[todo.pop()]:
-            if i not in reached:
-                reached.add(i)
-                todo.append(i)
-    if len(reached) < n:
+    if not certify_stationary(chain, x, start):
         return None
     common, rewards = scale(chain.rewards)
-    gain = Fraction(sum(xi * r for xi, r in zip(x, rewards)), 2 * d1 * d2 * common)
-    values = ValueVector(chain.state_order, (gain,) * n)
-    # what scale(values.values) gives for n copies of one lowest-terms value
-    values.__dict__["scaled"] = (gain.denominator, (gain.numerator,) * n)
-    return values
+    return uniform_values(chain.state_order,
+                          Fraction(sum(xi * r for xi, r in zip(x, rewards)), 2 * d1 * d2 * common))
 
 
 def verify_star2(gb: Game, reduction: Reduction,
@@ -530,7 +527,7 @@ def verify_star2(gb: Game, reduction: Reduction,
     The doubled chain is not solved when the lemma's prediction can be
     certified: pi* = pi_1 / 2 (+) pi_2 / 2, built from the two restrictions'
     stationary distributions, satisfies pi* P = pi* exactly and every state
-    reaches the copy-1 start (``_mirror_certificate``).  Then pi* is the
+    reaches the copy-1 start (``certify_stationary``).  Then pi* is the
     chain's one stationary law, so the two mass identities hold by
     construction, and the doubled values are its gain from the doubled
     chain's own rewards, still compared literally with the half-difference.

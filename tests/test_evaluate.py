@@ -30,6 +30,7 @@ from smpg.evaluate import (
     Distribution,
     ValueVector,
     _decomposition,
+    certify_stationary,
     discounted_values,
     mean_values,
     recurrent_stationary,
@@ -360,6 +361,38 @@ def test_stationary_recursion_reports_a_disagreeing_stationary_distribution(
         "error": "NotUnichain", "s0": "a",
         "message": "occupation recursion disagrees with the stationary distribution; "
                    "the chain did not come from a reset transform"}
+
+
+def test_stationary_recursion_solves_only_the_stationary_system(monkeypatch, g2, g2_pair):
+    """The recursion is certified on unichain_stationary's law, not solved
+    as a second system: one elimination per call, that law's."""
+    gb, _ = beta_recurrent(g2, F(1, 2), "a")
+    assert counted_solves(monkeypatch, induced_chain(gb, g2_pair),
+                          lambda chain: verify_stationary_recursion(chain, F(1, 2), "a")) == [1]
+
+
+def test_certify_stationary_accepts_the_law_of_a_one_class_chain(g2, g2_pair):
+    chain = induced_chain(g2, g2_pair)  # a and b swap every step: law (1/2, 1/2)
+    assert certify_stationary(chain, [1, 1], 0)
+    assert certify_stationary(chain, [3, 3], 1)
+
+
+def test_certify_stationary_rejects_a_wrong_law_by_its_residual(g2, g2_pair):
+    assert not certify_stationary(induced_chain(g2, g2_pair), [2, 1], 0)
+
+
+def test_certify_stationary_rejects_a_law_of_one_of_two_closed_classes():
+    """On t -> {u, w} with self-loops at u and w, mass on u alone is
+    stationary, so the residual passes; w never reaches u, so only the
+    reach check can reject it."""
+    chain = two_loops_chain()
+    x = [0, 1, 0]
+    flow = [0, 0, 0]
+    for xi, (den, entries) in zip(x, chain.rows):
+        for j, num in entries:
+            flow[j] += F(xi * num, den)
+    assert flow == x
+    assert not certify_stationary(chain, x, 1)
 
 
 def test_value_vector_guards_its_length_and_its_states():
@@ -707,7 +740,9 @@ def test_reduction_chains_have_one_recurrent_class(seed, beta):
             assert len(recurrent_stationary(chain).classes) == 1
 
 
-def counted_solves(monkeypatch, chain):
+def counted_solves(monkeypatch, chain, evaluation=mean_values):
+    """The right-hand-side column counts of the eliminations that
+    ``evaluation(chain)`` runs."""
     calls = []
     solve = linalg.solve_scaled
 
@@ -716,7 +751,7 @@ def counted_solves(monkeypatch, chain):
         return solve(matrix, rhs_rows)
 
     monkeypatch.setattr("smpg.evaluate.linalg.solve_scaled", solve_scaled)
-    mean_values(chain)
+    evaluation(chain)
     return calls
 
 

@@ -55,18 +55,55 @@ def test_blackwell_sweep_golden_stdout():
     assert proc.stdout == (REPO / "tests" / "golden" / "blackwell_sweep.out").read_text()
 
 
-def load_sweep():
-    spec = importlib.util.spec_from_file_location("sweep", REPO / "scripts" / "sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    return sweep
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LOC_SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+
+def f(x):
+    """A function docstring."""
+    # a comment line
+    text = """a string
+that is code"""
+    return (x +
+            1)
+
+
+class C:
+    """A class docstring."""
+
+    y = 1
+'''
+
+
+def test_loc_counts_code_lines_only():
+    """Blank, comment and docstring lines are not code; every line of a
+    string that is not a docstring, and of a bracketed expression, is."""
+    assert load_script("loc").code_lines(LOC_SAMPLE) == 8
+
+
+def test_loc_prints_each_module_and_the_total():
+    proc = run_script("loc.py")
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = [line.split() for line in proc.stdout.splitlines()]
+    package = REPO / "src" / "smpg"
+    assert [name for name, _ in modules] == sorted(p.name for p in package.glob("*.py"))
+    assert total == ["total", str(sum(int(count) for _, count in modules))]
 
 
 def test_sweep_on_g2_matches_the_golden_bytes(tmp_path):
     """The parent-vs-change sweep, on g2 only: every run exits 0 but the
     recoveries and the oracle call from perturbed values, which exit 1, and
     its records at beta 1/3 carry the pinned verify and pipeline bytes."""
-    sweep = load_sweep()
+    sweep = load_script("sweep")
     codes = sweep.sweep_game("g2", load_game(REPO / "games" / "g2.json"), tmp_path)
     assert len(codes) == 2 + 3 + 4 * (6 + 2 * 4)
     perturbed = {run for run in codes if run.startswith(("recover-perturbed-", "oracle-perturbed"))}
@@ -90,7 +127,7 @@ def test_sweep_records_every_malformed_case(tmp_path):
     """The sweep's malformed-input runs: one record per MALFORMED case of
     tests/test_cli.py, each ending in a report (exit 1) or a usage message
     (exit 2), with no input path left in the record."""
-    sweep = load_sweep()
+    sweep = load_script("sweep")
     codes = sweep.sweep_malformed(tmp_path)
     assert list(codes) == list(sweep.MALFORMED)
     assert set(codes.values()) <= {1, 2}
@@ -114,7 +151,7 @@ def test_sweep_slice_matches_the_committed_digests(tmp_path):
     still evaluated every strategy pair.  A mismatch means some CLI or
     oracle byte changed: rerun scripts/sweep.py in both checkouts and
     diff -r the outputs."""
-    sweep = load_sweep()
+    sweep = load_script("sweep")
     pinned = json.loads((REPO / "tests" / "golden" / "sweep_slice.json").read_text())
     games = sweep.sweep_games()
     digests = {}

@@ -15,6 +15,7 @@ import smpg.transforms
 from smpg.errors import (
     CombinatorialLimitExceeded,
     DeterminacyViolation,
+    GameError,
     InconsistentValues,
     InvalidBeta,
     NoConsistentStrategy,
@@ -158,6 +159,88 @@ def test_greedy_recovery_rejects_wrong_values(g1b):
     assert report["claimed"] == "<a rational with 5001 digits>"
     assert report["message"] == ("greedy pair re-evaluates to 4 at 's0', "
                                  "claimed <a rational with 5001 digits>")
+
+
+def _independent_last_state_game():
+    """a and b swap through X and Y (a may also loop on W); c plays Z to a
+    or to itself.  Nothing reaches c, so its value moves no other state's
+    one-step lookahead.  True values at beta = 1/2: 1/3, -1/3 and 13/9."""
+    return validate_game({
+        "states": [{"id": "a", "owner": "max"}, {"id": "b", "owner": "min"},
+                   {"id": "c", "owner": "max"}],
+        "actions": [{"id": "W", "reward": "0"}, {"id": "X", "reward": "1"},
+                    {"id": "Y", "reward": "-1"}, {"id": "Z", "reward": "2"}],
+        "transitions": [{"from": "a", "action": "W", "to": "a", "prob": "1"},
+                        {"from": "a", "action": "X", "to": "b", "prob": "1"},
+                        {"from": "b", "action": "Y", "to": "a", "prob": "1"},
+                        {"from": "c", "action": "Z", "to": "a", "prob": "1/2"},
+                        {"from": "c", "action": "Z", "to": "c", "prob": "1/2"}]})
+
+
+def _count_discounted_solves(monkeypatch):
+    calls = []
+    real = smpg.solvers.discounted_values
+
+    def spy(chain, beta):
+        calls.append(chain)
+        return real(chain, beta)
+
+    monkeypatch.setattr(smpg.solvers, "discounted_values", spy)
+    return calls
+
+
+def test_greedy_recovery_certifies_true_values_without_a_solve(monkeypatch):
+    game = _independent_last_state_game()
+    calls = _count_discounted_solves(monkeypatch)
+    pair = greedy_recovery_discounted(game, F(1, 2), ValueVector(game.state_order,
+                                                                 (F(1, 3), F(-1, 3), F(13, 9))))
+    assert strategy_pair_to_json_dict(pair) == {"max": {"a": "X", "c": "Z"}, "min": {"b": "Y"}}
+    assert calls == []
+
+
+def test_greedy_recovery_checks_the_last_state_too(monkeypatch):
+    """The claim satisfies the one-step equations everywhere but at the last
+    state: the pair is solved once, to report that state as before."""
+    game = _independent_last_state_game()
+    calls = _count_discounted_solves(monkeypatch)
+    with pytest.raises(InconsistentValues) as info:
+        greedy_recovery_discounted(game, F(1, 2), ValueVector(game.state_order,
+                                                              (F(1, 3), F(-1, 3), F(22, 9))))
+    assert info.value.to_json_dict() == {
+        "error": "InconsistentValues", "message": "greedy pair re-evaluates to 13/9 at 'c', "
+                                                  "claimed 22/9",
+        "state": "c", "claimed": "22/9", "reevaluated": "13/9"}
+    assert info.value.payload == {"state": "c", "claimed": F(22, 9), "reevaluated": F(13, 9)}
+    assert len(calls) == 1
+
+
+def test_strategy_iteration_certificate_checks_the_last_state_too(monkeypatch):
+    """Values shifted at the last state only leave every switch as it was
+    (nothing reaches c); the stop rule must still see the broken equation."""
+    game = _independent_last_state_game()
+    real = smpg.solvers.discounted_values
+    monkeypatch.setattr(
+        smpg.solvers, "discounted_values",
+        lambda chain, beta: ValueVector(chain.state_order, tuple(
+            v + (i == 2) for i, v in enumerate(real(chain, beta).values))))
+    with pytest.raises(DeterminacyViolation) as info:
+        strategy_iteration_discounted(game, F(1, 2))
+    assert str(info.value) == "strategy iteration stopped at a non-equilibrium: state 'c'"
+    # q(Z) = 1/2 * 2 + 1/2 * (1/2 * 1/3 + 1/2 * 22/9)
+    assert info.value.payload == {"state": "c", "value": F(22, 9), "one_step": F(61, 36)}
+
+
+def test_greedy_recovery_fails_when_a_faulty_solve_agrees_with_a_wrong_claim(monkeypatch):
+    """A claim off the one-step equations is never the greedy pair's value;
+    an evaluation that says it is anyway must still end in a domain error,
+    never in a returned pair or a StopIteration."""
+    game = _independent_last_state_game()
+    claim = ValueVector(game.state_order, (F(1, 3), F(-1, 3), F(22, 9)))
+    monkeypatch.setattr(smpg.solvers, "discounted_values", lambda chain, beta: claim)
+    with pytest.raises(GameError) as info:
+        greedy_recovery_discounted(game, F(1, 2), claim)
+    assert isinstance(info.value, InconsistentValues)
+    assert info.value.payload["state"] == "c"
 
 
 def test_greedy_recovery_rejects_unknown_state(g1b):
