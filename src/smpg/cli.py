@@ -203,7 +203,8 @@ def _cmd_pipeline(args) -> int:
         write(out_dir / f"witness_{state}.json", strategy_pair_to_json_dict(witness))
         recovered[state] = format_rational(value)
 
-    oracle = lambda g, claimed: reference_recovery_oracle(g, claimed, cap=args.cap)
+    oracle = lambda g, claimed, evaluator: reference_recovery_oracle(g, claimed, cap=args.cap,
+                                                                     evaluator=evaluator)
     solution = strategic_via_recovery(game, args.beta, oracle, on_stage=on_stage)
     write(out_dir / "discounted_values.json", recovered)
     write(out_dir / "solution.json", solution_to_json_dict(solution))

@@ -9,11 +9,14 @@ every state is absorbed into it, so every state gets its gain (Puterman
 1994, ch. 8).  Each system is built in integers straight from the chain's
 rows, every row scaled by the denominators it reads.  A law known from
 elsewhere, such as the restart-occupation recursion's, is certified, not
-solved again (``certify_stationary``).  ``linalg.solve_scaled`` hands
-back integers (det, y), x = y / det; stationary masses, absorption
-sums and gains stay integers over one denominator, and Fractions are only
-views (discounted values, gains, ``Distribution.mass``); the solvers compare
-value vectors through their integer view ``ValueVector.scaled``.  The Monte
+solved again (``certify_stationary``), and so is a gain known from
+elsewhere, such as a reset chain's from its source's discounted values,
+by the chain's Poisson equation (``certify_poisson``).
+``linalg.solve_scaled`` hands back integers (det, y), x = y / det;
+stationary masses, absorption sums and gains stay integers over one
+denominator, and Fractions are only views (discounted values, gains,
+``Distribution.mass``); the solvers compare value vectors through their
+integer view ``ValueVector.scaled``.  The Monte
 Carlo simulator at the bottom is the single floating-point component of the
 package and is never consulted by any exactness check.
 """
@@ -360,6 +363,36 @@ def certify_stationary(chain: InducedChain, x: list[int] | tuple[int, ...], star
                 reached.add(i)
                 todo.append(i)
     return len(reached) == n
+
+
+def certify_poisson(chain: InducedChain, beta: Fraction, values: ValueVector, start: int) -> bool:
+    """Whether the gain g = v(start) and the bias h = v / (1 - beta), for
+    values v in the chain's state order, solve the chain's Poisson equation
+    g 1 + h = r + P h exactly.  Then g is every state's long-run average
+    reward, and no reach check is needed: for any finite chain, the equation
+    times P^t, summed over t < T, telescopes to
+    sum_{t<T} P^t r = T g 1 + h - P^T h, where P^T h stays bounded, so the
+    average over T steps tends to g from every state (Puterman 1994,
+    sec. 8.2).
+
+    On a reset chain P = beta Q + (1 - beta) 1 e^T (e the unit vector at
+    ``start``), with v the source chain's discounted values
+    v = (1 - beta) r + beta Q v, the equation holds:
+    P h = beta Q v / (1 - beta) + g 1 = h - r + g 1.
+
+    One integer equality per row: with beta = b/c, v's integer view (D, y)
+    and r_i = R_i / C (``scale``), row i of the equation times
+    (c - b) C D den_i is
+    den_i ((c - b) C y_start + c C y_i) = (c - b) D den_i R_i + c C sum_j num_ij y_j.
+    """
+    b, c = beta.numerator, beta.denominator
+    d, y = values.scaled
+    common, rewards = scale(chain.rewards)
+    unit, reward_unit = c * common, (c - b) * d
+    gain = (c - b) * common * y[start]
+    return all(den * (gain + unit * yi - reward_unit * r)
+               == unit * sum(num * y[j] for j, num in entries)
+               for (den, entries), yi, r in zip(chain.rows, y, rewards))
 
 
 def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) -> Distribution:

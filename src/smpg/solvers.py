@@ -13,9 +13,16 @@ Strategy iteration and greedy recovery compare one-step lookaheads as
 integers over one positive denominator per state (``_Lookahead``), so no
 Fraction arithmetic runs per action.  ``_one_step`` is the one check of the
 one-step optimality equations: it certifies strategy iteration's stop, and
-it certifies greedy recovery's pair without solving the pair again.  The
-mirror check certifies the doubled chain's predicted stationary law with
-``evaluate.certify_stationary`` instead of solving the chain.  All of them,
+it certifies greedy recovery's pair without solving the pair again.  Along
+the reduction chain, identities whose values are already known are
+certified, and a chain is solved only when its certificate fails.
+``_MirrorEvaluator`` is the one place that turns a pair of a reduction's
+double game into values: it certifies the mirror lemma's stationary law,
+built from two memoised source laws, with ``evaluate.certify_stationary``;
+``verify_star2`` and the pipeline's recovery oracle both read it.
+``verify_star`` certifies the reset chain's mean value by its Poisson
+equation, from the discounted values it already solves
+(``evaluate.certify_poisson``).  All of them,
 the pair scans and the recovery oracle read value vectors through their
 integer view (D, y = D v), compare integer cross-products, and build
 Fractions only for what they return.
@@ -46,6 +53,7 @@ from .errors import (
 from .evaluate import (
     Distribution,
     ValueVector,
+    certify_poisson,
     certify_stationary,
     check_beta,
     discounted_values,
@@ -61,6 +69,7 @@ from .game import (
     InducedChain,
     PositionalStrategy,
     StrategyPair,
+    check_pair,
     enumerate_strategies,
     format_rational,
     induced_chain,
@@ -68,14 +77,16 @@ from .game import (
     strategy_count,
     strategy_pair_to_json_dict,
 )
-from .transforms import Reduction, beta_recurrent, decompose_mirror_strategies, mirror
+from .transforms import Reduction, beta_recurrent, mirror
 
 MEAN = "mean"
 DISCOUNTED = "discounted"
 
 # A recovery oracle maps (game, claimed per-state values) to a strategy
-# pair witnessing the claim.  reference_recovery_oracle below is one.
-RecoveryOracle = Callable[[Game, ValueVector], StrategyPair]
+# pair witnessing the claim, evaluating pairs with the keyword argument
+# ``evaluator`` (pair -> mean values) that strategic_via_recovery passes.
+# reference_recovery_oracle below is one.
+RecoveryOracle = Callable[..., StrategyPair]
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,10 @@ def evaluate_pair(game: Game, pair: StrategyPair, criterion: str,
 
 
 def _aligned(game: Game, claimed: ValueVector) -> ValueVector:
-    """Reorder a claimed value vector to the game's state order."""
+    """A claimed value vector in the game's state order: the claim itself,
+    with its integer view, when it already is."""
+    if claimed.state_order == game.state_order:
+        return claimed
     if set(claimed.state_order) != set(game.state_order):
         missing = sorted(set(game.state_order) - set(claimed.state_order))
         raise UnknownState(f"claimed values missing states {missing}", states=missing)
@@ -378,8 +392,17 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
 
 
 def reference_recovery_oracle(game: Game, claimed: ValueVector,
-                              cap: int = DEFAULT_ENUMERATION_CAP) -> StrategyPair:
+                              cap: int = DEFAULT_ENUMERATION_CAP, *,
+                              evaluator: Callable[[StrategyPair], ValueVector] | None = None
+                              ) -> StrategyPair:
     """Recovery oracle by exhaustion, for the mean-payoff criterion.
+
+    A pair's mean values come from ``evaluator`` when one is given, and
+    from ``evaluate_pair(game, pair, MEAN)`` otherwise.
+    ``strategic_via_recovery`` hands in its reduction's
+    ``_MirrorEvaluator``, whose values are the doubled chain's mean values,
+    certified by the mirror lemma or solved: evaluating a fixed pair is not
+    solving the game, so the oracle's model is unchanged.
 
     Returns the lexicographically first pair that both evaluates to the
     claimed values at every state and is a saddle point (no unilateral
@@ -402,10 +425,12 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
     target = _aligned(game, claimed)
     max_strats, min_strats = _strategies(game, cap)
     d, y = target.scaled
+    if evaluator is None:
+        evaluator = lambda pair: evaluate_pair(game, pair, MEAN)
 
     def difference(sigma: PositionalStrategy, tau: PositionalStrategy) -> list[int]:
         """Per state, an integer with the sign of the pair's mean value minus the claim."""
-        den, values = evaluate_pair(game, StrategyPair(sigma, tau), MEAN).scaled
+        den, values = evaluator(StrategyPair(sigma, tau)).scaled
         return [v * d - t * den for v, t in zip(values, y)]
 
     def row_at_claim(sigma: PositionalStrategy) -> list[bool] | None:
@@ -444,6 +469,13 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     mean-payoff evaluation.  For beta close enough to one this coincides
     exactly with the brute-force mean-payoff solution.
 
+    The oracle is called as ``oracle(doubled, claim, evaluator=...)`` with
+    the reduction's ``_MirrorEvaluator``, so each doubled pair it tries is
+    evaluated from two memoised source solves and one certificate pass, and
+    solved only when the certificate fails.  The copy-1 value is the
+    evaluator's memoised source value of the witness's copy-1 restriction,
+    the mean values of that pair's reset chain, not a second solve of it.
+
     ``on_stage``, if given, is called once per start state with
     (state, reduction, witness, value); the pipeline subcommand uses it to
     write per-stage artifacts.
@@ -453,9 +485,11 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     for s in game.state_order:
         reduction = Reduction(game, beta, s)
         doubled = reduction.doubled
-        witness = oracle(doubled, uniform_values(doubled.state_order, Fraction(0)))
-        pair_one, _pair_two = decompose_mirror_strategies(witness, reduction)
-        value_at_s = mean_values(induced_chain(reduction.reset_game, pair_one)).at(s)
+        evaluator = _MirrorEvaluator(reduction)
+        witness = oracle(doubled, uniform_values(doubled.state_order, Fraction(0)),
+                         evaluator=evaluator)
+        check_pair(doubled, witness)
+        value_at_s = evaluator.source(witness, 1)[0].at(s)
         assembled.append(value_at_s)
         if on_stage is not None:
             on_stage(s, reduction, witness, value_at_s)
@@ -471,15 +505,26 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     """Check, pair by pair, that the mean value of the reset transform at
     its start state equals the source game's discounted value there.
 
-    The reported value is the exact optimal discounted value at s0,
-    computed as max-min over the enumerated pairs.
+    The mean side is certified, not solved: the pair's discounted values v
+    give g = v(s0) and h = v / (1 - beta), and ``certify_poisson`` checks
+    that they solve the reset chain's Poisson equation g 1 + h = r + P h.
+    Then g is the reset chain's mean value from every state, so the
+    identity holds.  A chain that fails the check is solved by
+    ``mean_values`` and the two sides compared, so every violation is
+    reported as the solve finds it.  The reported value is the exact
+    optimal discounted value at s0, computed as max-min over the enumerated
+    pairs.
     """
     reset_game, reduction = beta_recurrent(game, beta, s0)
+    start = game.state_index[s0]
     violations = []
 
     def entry(pair: StrategyPair) -> ValueVector:
-        mean_side = mean_values(induced_chain(reset_game, pair)).at(s0)
+        reset_chain = induced_chain(reset_game, pair)
         disc = discounted_values(induced_chain(game, pair), reduction.beta)
+        if certify_poisson(reset_chain, reduction.beta, disc, start):
+            return disc
+        mean_side = mean_values(reset_chain).at(s0)
         if mean_side != disc.at(s0):
             violations.append({
                 "kind": "reset-identity",
@@ -489,27 +534,72 @@ def verify_star(game: Game, beta: Fraction, s0: str,
             })
         return disc
 
-    return _PairScan(game, cap, entry).report(violations, game.state_index[s0])
+    return _PairScan(game, cap, entry).report(violations, start)
 
 
-def _mirror_certificate(chain: InducedChain, halves, copy_indices, start: int
-                        ) -> ValueVector | None:
-    """The doubled chain's mean values, if the mirror lemma's candidate law
-    pi* = pi_1 / 2 (+) pi_2 / 2 of the two source ``halves`` (their
-    stationary distributions, copy k on ``copy_indices[k]``) is certified as
-    its one stationary law by ``certify_stationary``; None if it is not.
-    pi* is a distribution by construction, and every state's mean value is
-    then its gain sum(pi*_i r_i) (Puterman 1994, sec. 8.2)."""
-    (d1, nums_one), (d2, nums_two) = ((dist.denominator, dist.numerators) for dist in halves)
-    x = [0] * len(chain.rows)  # pi*_i = x_i / (2 d1 d2)
-    for indices, nums, other in ((copy_indices[1], nums_one, d2), (copy_indices[2], nums_two, d1)):
-        for i, num in zip(indices, nums):
-            x[i] = num * other
-    if not certify_stationary(chain, x, start):
-        return None
-    common, rewards = scale(chain.rewards)
-    return uniform_values(chain.state_order,
-                          Fraction(sum(xi * r for xi, r in zip(x, rewards)), 2 * d1 * d2 * common))
+def _constant(vector: ValueVector) -> bool:
+    """Whether the values are one value at every state."""
+    return len(set(vector.scaled[1])) == 1
+
+
+class _MirrorEvaluator:
+    """The mean values of the pairs of one reduction's double game: the one
+    place that turns a doubled pair into values.
+
+    The mirror lemma predicts a doubled chain's stationary law from its two
+    copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
+    copy's states.  When both copy values are constant, as a reset chain's
+    always are, and ``certify_stationary`` shows pi* P = pi* with every
+    state reaching the copy-1 start, pi* is the chain's one stationary law
+    (Puterman 1994, sec. 8.2), and every state's mean value is its gain
+    sum(pi*_i r_i), from the doubled chain's own rewards.  Otherwise the
+    chain is solved by ``mean_values``.  Either way the values are the
+    chain's mean values.  Each source pair's mean values and stationary law
+    are computed once, keyed by its actions (``Reduction.copy_actions``),
+    the first time a copy plays it: each of the N source pairs recurs in
+    about N of the N^2 doubled pairs.
+    """
+
+    def __init__(self, reduction: Reduction):
+        doubled, state_map = reduction.doubled, reduction.state_map
+        self.reduction = reduction
+        self.copy_indices = {copy: [doubled.state_index[state_map[s][copy - 1]]
+                                    for s in reduction.game.state_order]
+                             for copy in (1, 2)}
+        self.start = doubled.state_index[state_map[reduction.s0][0]]
+        self.sources: dict[tuple[str, ...], tuple[ValueVector, Distribution]] = {}
+
+    def source(self, pair: StrategyPair, copy: int) -> tuple[ValueVector, Distribution]:
+        """Mean values and stationary law of the copy-``copy`` restriction
+        of a doubled pair, on the reset game."""
+        reduction = self.reduction
+        key = reduction.copy_actions(pair, copy)
+        if key not in self.sources:
+            chain = induced_chain(reduction.reset_game, reduction.restrict(pair, copy))
+            self.sources[key] = (mean_values(chain), unichain_stationary(chain))
+        return self.sources[key]
+
+    def evaluate(self, pair: StrategyPair) -> tuple[ValueVector, InducedChain | None, tuple]:
+        """The pair's mean values; its chain when they were solved, None
+        when certified; and the two copies' ``source``."""
+        chain = induced_chain(self.reduction.doubled, pair)
+        sources = (self.source(pair, 1), self.source(pair, 2))
+        if _constant(sources[0][0]) and _constant(sources[1][0]):
+            (d1, nums_one), (d2, nums_two) = ((law.denominator, law.numerators)
+                                              for _, law in sources)
+            x = [0] * len(chain.rows)  # pi*_i = x_i / (2 d1 d2)
+            for indices, nums, other in ((self.copy_indices[1], nums_one, d2),
+                                         (self.copy_indices[2], nums_two, d1)):
+                for i, num in zip(indices, nums):
+                    x[i] = num * other
+            if certify_stationary(chain, x, self.start):
+                common, rewards = scale(chain.rewards)
+                gain = Fraction(sum(xi * r for xi, r in zip(x, rewards)), 2 * d1 * d2 * common)
+                return uniform_values(chain.state_order, gain), None, sources
+        return mean_values(chain), chain, sources
+
+    def __call__(self, pair: StrategyPair) -> ValueVector:
+        return self.evaluate(pair)[0]
 
 
 def verify_star2(gb: Game, reduction: Reduction,
@@ -524,53 +614,29 @@ def verify_star2(gb: Game, reduction: Reduction,
     the reset-transformed game.  The reported value is the max-min of the
     double game's value at its first state.
 
-    The doubled chain is not solved when the lemma's prediction can be
-    certified: pi* = pi_1 / 2 (+) pi_2 / 2, built from the two restrictions'
-    stationary distributions, satisfies pi* P = pi* exactly and every state
-    reaches the copy-1 start (``certify_stationary``).  Then pi* is the
-    chain's one stationary law, so the two mass identities hold by
-    construction, and the doubled values are its gain from the doubled
-    chain's own rewards, still compared literally with the half-difference.
-    When a check fails, or a copy value is not constant, the chain is
-    solved and every identity compared, so a violation is reported as
-    before and a chain with two closed classes ends in NotUnichain.
-    ``induced_chain`` checks each doubled pair once; each source pair is
-    built by ``Reduction.restrict`` and solved once, the first time a copy
-    plays it.
+    The pairs are evaluated by the reduction's ``_MirrorEvaluator``.  When
+    it certifies the lemma's law pi*, pi* is the chain's one stationary
+    law, so the two mass identities hold by construction, and the certified
+    values are still compared literally with the half-difference.  When it
+    solves the chain, every identity is compared, so a violation is
+    reported as before and a chain with two closed classes ends in
+    NotUnichain.  ``induced_chain`` checks each doubled pair once; each
+    source pair is built by ``Reduction.restrict`` and solved once.
     """
     doubled, reduction = mirror(gb, reduction)
-    copy_indices = {copy: [doubled.state_index[reduction.state_map[s][copy - 1]]
-                           for s in gb.state_order]
-                    for copy in (1, 2)}
-    start = doubled.state_index[reduction.state_map[reduction.s0][0]]
+    evaluator = _MirrorEvaluator(reduction)
     violations = []
-    # mean values and stationary distribution once per source pair, keyed by
-    # its actions: each of the N source pairs recurs in about N of the N^2
-    # doubled pairs
-    sources: dict[tuple[str, ...], tuple[ValueVector, Distribution]] = {}
-
-    def source(pair: StrategyPair, copy: int) -> tuple[ValueVector, Distribution]:
-        key = reduction.copy_actions(pair, copy)
-        if key not in sources:
-            chain = induced_chain(gb, reduction.restrict(pair, copy))
-            sources[key] = (mean_values(chain), unichain_stationary(chain))
-        return sources[key]
 
     def entry(pair: StrategyPair) -> ValueVector:
         def violation(**fields) -> None:
             violations.append({**fields, **strategy_pair_to_json_dict(pair)})
 
-        chain = induced_chain(doubled, pair)
-        source_pairs = {copy: source(pair, copy) for copy in (1, 2)}
-        nonconstant = [copy for copy, (vector, _) in source_pairs.items()
-                       if len(set(vector.scaled[1])) > 1]
-        certified = None if nonconstant else _mirror_certificate(
-            chain, [dist for _, dist in source_pairs.values()], copy_indices, start)
-        doubled_values = mean_values(chain) if certified is None else certified
-        for copy in nonconstant:
-            violation(kind="nonconstant-copy-value", copy=copy)
+        doubled_values, chain, sources = evaluator.evaluate(pair)
+        for copy, (vector, _) in enumerate(sources, 1):
+            if not _constant(vector):
+                violation(kind="nonconstant-copy-value", copy=copy)
         # expected = copy_1 / 2 - copy_2 / 2 = num / den, each copy at its first state
-        (d1, (y1, *_)), (d2, (y2, *_)) = (vector.scaled for vector, _ in source_pairs.values())
+        (d1, (y1, *_)), (d2, (y2, *_)) = (vector.scaled for vector, _ in sources)
         num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
         d, y = doubled_values.scaled
         for state, v in zip(doubled.state_order, y):
@@ -578,19 +644,20 @@ def verify_star2(gb: Game, reduction: Reduction,
                 violation(kind="mirror-identity", state=state,
                           lhs=format_rational(doubled_values.at(state)),
                           rhs=format_rational(Fraction(num, den)))
-        if certified is not None:
+        if chain is None:
             return doubled_values
 
         occupation = unichain_stationary(chain)
         d, nums = occupation.denominator, occupation.numerators
-        for copy, indices in copy_indices.items():
+        for copy, indices in evaluator.copy_indices.items():
             copy_mass = sum(nums[i] for i in indices)
             if 2 * copy_mass != d:
                 violation(kind="component-mass", copy=copy,
                           mass=format_rational(Fraction(copy_mass, d)))
-        for copy, (_, reference) in source_pairs.items():
+        for copy, (_, reference) in enumerate(sources, 1):
             d_ref = reference.denominator
-            for s, i, n_ref in zip(gb.state_order, copy_indices[copy], reference.numerators):
+            for s, i, n_ref in zip(gb.state_order, evaluator.copy_indices[copy],
+                                   reference.numerators):
                 if 2 * nums[i] * d_ref != n_ref * d:
                     violation(kind="copy-stationary", copy=copy, state=s,
                               scaled=format_rational(Fraction(2 * nums[i], d)),

@@ -22,7 +22,13 @@ from smpg.errors import (
     NotUnichain,
     UnknownState,
 )
-from smpg.evaluate import Distribution, ValueVector, mean_values, unichain_stationary
+from smpg.evaluate import (
+    Distribution,
+    ValueVector,
+    mean_values,
+    uniform_values,
+    unichain_stationary,
+)
 from smpg.game import (
     MAX,
     MIN,
@@ -50,10 +56,12 @@ from smpg.solvers import (
     strategy_iteration_discounted,
     verify_star,
     verify_star2,
+    _aligned,
     _first_extreme,
     _Lookahead,
+    _MirrorEvaluator,
 )
-from smpg.transforms import beta_recurrent, decompose_mirror_strategies, mirror
+from smpg.transforms import Reduction, beta_recurrent, decompose_mirror_strategies, mirror
 
 from .conftest import pair_of
 
@@ -246,6 +254,16 @@ def test_greedy_recovery_fails_when_a_faulty_solve_agrees_with_a_wrong_claim(mon
 def test_greedy_recovery_rejects_unknown_state(g1b):
     with pytest.raises(UnknownState):
         greedy_recovery_discounted(g1b, F(1, 2), ValueVector(("zz",), (F(4),)))
+
+
+def test_an_aligned_claim_comes_back_as_itself(g2):
+    """A claim already in the game's state order keeps its pre-filled
+    integer view; another order is rebuilt in the game's order."""
+    claim = uniform_values(g2.state_order, F(0))
+    assert _aligned(g2, claim) is claim
+    assert claim.__dict__["scaled"] == (1, (0, 0))
+    swapped = _aligned(g2, ValueVector(("b", "a"), (F(2), F(1))))
+    assert (swapped.state_order, swapped.values) == (("a", "b"), (F(1), F(2)))
 
 
 def test_greedy_recovery_reproduces_optimal_play_on_seeded_games():
@@ -451,6 +469,154 @@ def test_verify_star_reports_a_broken_reset_identity(monkeypatch, g2):
         '[{"kind": "reset-identity", "max": {"a": "X"}, "min": {"b": "Y"}, '
         '"mean_at_start": "1/3", "discounted_at_start": "8/15"}]')
     assert report.value == F(8, 15)
+
+
+def _install_reset_rewards(monkeypatch, rewards):
+    """Make verify_star see a reset game whose ``rewards`` (action id ->
+    reward) replace the true ones; the source game keeps its rewards."""
+    real = smpg.solvers.beta_recurrent
+
+    def faulty(game, beta, s0):
+        reset_game, reduction = real(game, beta, s0)
+        edges = [(t.source, t.action, t.target, t.prob) for t in reset_game.transitions]
+        return build_game(reset_game.states, {**reset_game.actions, **rewards}, edges), reduction
+
+    monkeypatch.setattr(smpg.solvers, "beta_recurrent", faulty)
+
+
+def _poisson_rows_off(chain, beta, values, start):
+    """The rows where g + h_i != r_i + sum_j P_ij h_j, with g = v(start) and
+    h = v / (1 - beta), in Fractions."""
+    g, h = values.values[start], [v / (1 - beta) for v in values.values]
+    return [i for i, (row, r) in enumerate(zip(chain.matrix, chain.rewards))
+            if g + h[i] != r + sum(p * hj for p, hj in zip(row, h))]
+
+
+@pytest.mark.parametrize("action, row, mean_at_start", [
+    pytest.param("Y", 1, "5/3", id="last-row"),  # stationary law (2/3, 1/3), rewards 1 and 3
+    pytest.param("X", 0, "1", id="first-row"),  # rewards 2 and -1
+])
+def test_verify_star_solves_a_reset_chain_one_poisson_row_rejects(monkeypatch, g2, action, row,
+                                                                  mean_at_start):
+    """A wrong reward at one state of the reset game breaks that state's
+    Poisson row alone.  The chain is then solved, and the violation is the
+    one the solve finds, so a residual that skips a row reports nothing."""
+    _install_reset_rewards(monkeypatch, {action: F(row + 2)})
+    reset_game, _ = smpg.solvers.beta_recurrent(g2, F(1, 2), "a")
+    pair = pair_of({"a": "X"}, {"b": "Y"})
+    values = evaluate_pair(g2, pair, DISCOUNTED, F(1, 2))
+    assert _poisson_rows_off(induced_chain(reset_game, pair), F(1, 2), values, 0) == [row]
+    report = verify_star(g2, F(1, 2), "a")
+    assert json.dumps(list(report.violations)) == (
+        '[{"kind": "reset-identity", "max": {"a": "X"}, "min": {"b": "Y"}, '
+        f'"mean_at_start": "{mean_at_start}", "discounted_at_start": "1/3"}}]')
+    assert report.value == F(1, 3)
+
+
+def _spy_mean_values(monkeypatch):
+    """The chains solvers.mean_values solves from now on."""
+    solved = []
+    real = smpg.solvers.mean_values
+
+    def spy(chain):
+        solved.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(smpg.solvers, "mean_values", spy)
+    return solved
+
+
+def test_verify_star_certifies_every_reset_chain(monkeypatch):
+    game = _three_state_game()
+    solved = _spy_mean_values(monkeypatch)
+    for s0 in game.state_order:
+        assert verify_star(game, F(1, 3), s0).ok
+    assert solved == []
+
+
+def test_pipeline_solves_no_doubled_chain(monkeypatch):
+    """The oracle's doubled pairs and the copy-1 values come from the
+    mirror evaluator: only reset-game chains, memoised, and the recovered
+    pair's source chain are solved."""
+    game = _three_state_game()
+    expected = strategic_via_recovery(game, F(1, 3), reference_recovery_oracle)
+    solved = _spy_mean_values(monkeypatch)
+    assert strategic_via_recovery(game, F(1, 3), reference_recovery_oracle) == expected
+    assert solved and {len(chain.state_order) for chain in solved} == {len(game.state_order)}
+
+
+def _wrong_laws(monkeypatch):
+    """Make solvers.unichain_stationary return a point mass where the true
+    law is not one, so the mirror evaluator's candidate law is wrong."""
+    real = smpg.solvers.unichain_stationary
+
+    def wrong(chain):
+        dist = real(chain)
+        at = next(i for i, num in enumerate(dist.numerators) if num != dist.denominator)
+        return Distribution(dist.state_order, 1,
+                            tuple(int(i == at) for i in range(len(chain.rows))))
+
+    monkeypatch.setattr(smpg.solvers, "unichain_stationary", wrong)
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(_wrong_laws, id="wrong-source-laws"),
+    pytest.param(lambda monkeypatch: monkeypatch.setattr(
+        smpg.solvers, "certify_stationary", lambda chain, x, start: False), id="rejected-residual"),
+])
+def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
+    """When the mirror certificate fails on every doubled pair, each pair the
+    oracle tries is solved, and the pipeline finds the same witnesses, the
+    same copy-1 values and the same solution."""
+    game = _three_state_game()
+
+    def run():
+        stages = []
+        solution = strategic_via_recovery(
+            game, F(1, 3), reference_recovery_oracle,
+            on_stage=lambda state, reduction, witness, value: stages.append((witness, value)))
+        return stages, solution
+
+    expected = run()
+    fault(monkeypatch)
+    built = []
+    real_chain = smpg.solvers.induced_chain
+
+    def spy_chain(on, pair):
+        chain = real_chain(on, pair)
+        if len(on.state_order) > len(game.state_order):
+            built.append(chain)
+        return chain
+
+    monkeypatch.setattr(smpg.solvers, "induced_chain", spy_chain)
+    solved = _spy_mean_values(monkeypatch)
+    assert run() == expected
+    doubled_solved = [chain for chain in solved if len(chain.state_order) > len(game.state_order)]
+    assert built and list(map(id, doubled_solved)) == list(map(id, built))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=1, max_value=3),
+    beta=st.sampled_from([F(0), F(1, 2), F(9, 10)]),
+)
+def test_certificates_agree_with_the_solves_they_replace(seed, states, beta):
+    """On every doubled pair the mirror evaluator gives the solved mean
+    values, and verify_star's report is the one its mean_values fallback
+    gives on every pair; at beta 0 every reset row goes to s0 alone."""
+    game = _small_generated_game(seed, states)
+    for s0 in game.state_order:
+        reduction = Reduction(game, beta, s0)
+        doubled, evaluator = reduction.doubled, _MirrorEvaluator(reduction)
+        for sigma in enumerate_strategies(doubled, MAX):
+            for tau in enumerate_strategies(doubled, MIN):
+                pair = StrategyPair(sigma, tau)
+                assert evaluator(pair) == evaluate_pair(doubled, pair, MEAN)
+        certified = verify_star(game, beta, s0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(smpg.solvers, "certify_poisson", lambda *args: False)
+            assert verify_star(game, beta, s0) == certified
 
 
 def _two_by_two_game():
