@@ -1,0 +1,93 @@
+"""Time two smpg source trees against each other, op by op, in one process.
+
+    python scripts/paired_ab.py --parent OTHER/src --change src --workload reduction-n3 --ops 48
+
+Each tree's ``smpg`` package is imported under its own name (``smpg_parent``
+and ``smpg_change``), so the two live side by side.  Ops come from one
+workload of ``bench/workloads.py``: for op i, each side makes input i with
+its own package, runs the op once and checks its output exactly.  The sides
+alternate op by op, and the side that runs first swaps every op, so a drift
+in machine speed over seconds slows both alike.  The script prints each
+side's median op time and the median of the per-op ratios change / parent,
+and exits 1 when an output fails its check.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+MODULES = ("linalg", "game", "evaluate", "transforms", "solvers", "generate", "serialize", "cli")
+SIDES = ("parent", "change")
+
+
+def import_tree(src: Path, name: str):
+    """The ``smpg`` package under ``src``, imported as ``name`` with every
+    submodule; its relative imports resolve inside it."""
+    package = src / "smpg"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"paired_ab: no smpg package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    lib = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    for module in MODULES:
+        importlib.import_module(f"{name}.{module}")
+    return lib
+
+
+def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path) -> dict:
+    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn."""
+    wl = WORKLOADS[workload]
+    times = {side: [] for side in SIDES}
+    for index in range(ops):
+        for side in (SIDES if index % 2 == 0 else SIDES[::-1]):
+            lib = libs[side]
+            folder = directory / side
+            folder.mkdir(exist_ok=True)
+            inp = wl.make_input(lib, seed, index, folder)
+            start = time.perf_counter()
+            output = wl.op(lib, inp)
+            times[side].append(time.perf_counter() - start)
+            problems = wl.check(lib, inp, output)
+            if problems:
+                raise SystemExit(f"paired_ab: {side} op {index}: {problems[0]}")
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True, help="the parent's src directory")
+    parser.add_argument("--change", type=Path, required=True, help="the change's src directory")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="reduction-n3")
+    parser.add_argument("--ops", type=int, default=48)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.ops < 1:
+        parser.error("--ops must be positive")
+
+    libs = {side: import_tree(getattr(args, side).resolve(), f"smpg_{side}") for side in SIDES}
+    with tempfile.TemporaryDirectory() as directory:
+        times = paired_times(libs, args.workload, args.ops, args.seed, Path(directory))
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    for side in SIDES:
+        print(f"{side}: median op {statistics.median(times[side]) * 1e3:.3f} ms "
+              f"({args.ops} ops, {args.workload}, seed {args.seed})")
+    print(f"change/parent per-op ratio: median {statistics.median(ratios):.4f}, "
+          f"range {min(ratios):.4f}..{max(ratios):.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,12 @@ rows, every row scaled by the denominators it reads.  A law known from
 elsewhere, such as the restart-occupation recursion's, is certified, not
 solved again (``certify_stationary``), and so is a gain known from
 elsewhere, such as a reset chain's from its source's discounted values,
-by the chain's Poisson equation (``certify_poisson``).
+by the chain's Poisson equation (``certify_poisson``).  The stationary
+certificate has two halves, each with one home here: the integer residual
+x P = x over rows brought to one denominator (``common_rows``,
+``is_stationary``), and the reach search (``attractor``), which also runs
+on a whole game's action menus, so that one search covers every strategy
+pair's chain.
 ``linalg.solve_scaled`` hands back integers (det, y), x = y / det;
 stationary masses, absorption sums and gains stay integers over one
 denominator, and Fractions are only views (discounted values, gains,
@@ -335,34 +340,69 @@ def unichain_stationary(chain: InducedChain) -> Distribution:
     return Distribution(chain.state_order, dist.denominator, tuple(nums))
 
 
+def common_rows(rows) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """Chain rows (den, ((j, num), ...)) over one common denominator L, the
+    lcm of their dens: (L, [((j, num L / den), ...), ...])."""
+    rows = list(rows)
+    common = lcm(*(den for den, _ in rows))
+    return common, [tuple((j, num * (common // den)) for j, num in entries)
+                    for den, entries in rows]
+
+
+def is_stationary(common: int, rows, x) -> bool:
+    """Whether x P = x, for the chain rows P_i = rows[i] / common of
+    ``common_rows``, in one integer multiply-add pass; rows where x is 0
+    add nothing and are skipped."""
+    flow = [0] * len(x)  # common * (x P)_j
+    for entries, xi in zip(rows, x):
+        if xi:
+            for j, num in entries:
+                flow[j] += xi * num
+    return flow == [common * xi for xi in x]
+
+
+def attractor(menus, start: int) -> set[int]:
+    """The states from which every choice of one action per state reaches
+    ``start``: ``menus[i]`` lists, per action of state i, the action's
+    successors.  A state joins once every one of its actions has a successor
+    inside: the attractor of ``start`` when no player steers towards it
+    (Zielonka 1998), so each pair's chain reaches ``start`` from every state
+    inside.  With one action per state it is the set of states that reach
+    ``start``, found by one reverse search."""
+    missing = [len(actions) for actions in menus]  # actions with no successor inside yet
+    pred: list[list[tuple[int, int]]] = [[] for _ in menus]
+    for i, actions in enumerate(menus):
+        for k, targets in enumerate(actions):
+            for j in targets:
+                pred[j].append((i, k))
+    inside, todo, satisfied = {start}, [start], set()
+    while todo:
+        for i, k in pred[todo.pop()]:
+            if i not in inside and (i, k) not in satisfied:
+                satisfied.add((i, k))
+                missing[i] -= 1
+                if not missing[i]:
+                    inside.add(i)
+                    todo.append(i)
+    return inside
+
+
 def certify_stationary(chain: InducedChain, x: list[int] | tuple[int, ...], start: int) -> bool:
     """Whether x / sum(x) is the chain's one stationary law, for non-negative
     integers x, not all zero, in the chain's state order.
 
-    The residual check tests x P = x in one integer pass over the rows; the
-    reach check tests, by one reverse search, that every state reaches the
-    state at index ``start``.  Then every closed class holds ``start``, so
-    there is one, and a chain with one closed class has one stationary law
-    (Puterman 1994, sec. 8.2), which the residual shows is x / sum(x).
+    The residual (``is_stationary``) tests x P = x in one integer pass over
+    the rows brought to one denominator (``common_rows``); the reach check
+    tests that every state reaches the state at index ``start``, as the
+    ``attractor`` of ``start`` with one action per state.  Then every closed
+    class holds ``start``, so there is one, and a chain with one closed
+    class has one stationary law (Puterman 1994, sec. 8.2), which the
+    residual shows is x / sum(x).
     """
-    n = len(chain.rows)
-    common_den = lcm(*(den for den, _ in chain.rows))
-    flow = [0] * n  # common_den * (x P)_j
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, ((den, entries), xi) in enumerate(zip(chain.rows, x)):
-        weight = xi * (common_den // den)
-        for j, num in entries:
-            flow[j] += weight * num
-            pred[j].append(i)
-    if any(f != common_den * xi for f, xi in zip(flow, x)):
-        return False
-    reached, todo = {start}, [start]
-    while todo:
-        for i in pred[todo.pop()]:
-            if i not in reached:
-                reached.add(i)
-                todo.append(i)
-    return len(reached) == n
+    common, rows = common_rows(chain.rows)
+    return (is_stationary(common, rows, x)
+            and len(attractor([[[j for j, _ in entries]] for _, entries in chain.rows], start))
+            == len(rows))
 
 
 def certify_poisson(chain: InducedChain, beta: Fraction, values: ValueVector, start: int) -> bool:

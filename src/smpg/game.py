@@ -362,10 +362,16 @@ def check_pair(game: Game, pair: StrategyPair) -> None:
                     state=state, action=action)
 
 
+def pair_actions(game: Game, pair: StrategyPair) -> list[str]:
+    """The action the pair plays at each state, in state order, once
+    ``check_pair`` has passed; the pair's ``choices`` are read once."""
+    check_pair(game, pair)
+    return list(map(pair.choices.__getitem__, game.state_order))
+
+
 def induced_chain(game: Game, pair: StrategyPair) -> InducedChain:
     """The Markov chain obtained by fixing both players' choices."""
-    check_pair(game, pair)
-    actions = list(map(pair.choices.__getitem__, game.state_order))
+    actions = pair_actions(game, pair)
     return InducedChain(game.state_order,
                         tuple(map(game.chain_row, game.state_order, actions)),
                         tuple(map(game.actions.__getitem__, actions)))

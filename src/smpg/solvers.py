@@ -17,9 +17,13 @@ it certifies greedy recovery's pair without solving the pair again.  Along
 the reduction chain, identities whose values are already known are
 certified, and a chain is solved only when its certificate fails.
 ``_MirrorEvaluator`` is the one place that turns a pair of a reduction's
-double game into values: it certifies the mirror lemma's stationary law,
-built from two memoised source laws, with ``evaluate.certify_stationary``;
-``verify_star2`` and the pipeline's recovery oracle both read it.
+double game into values.  Once per reduction it brings the double game's
+rows and rewards to common denominators and certifies that every pair's
+chain reaches the copy-1 start (``evaluate.attractor``); per pair it
+certifies the mirror lemma's stationary law, built from two memoised
+source laws, by one residual pass (``evaluate.is_stationary``) and sums
+its gain in integers.  ``verify_star2`` and the pipeline's recovery
+oracle both read it.
 ``verify_star`` certifies the reset chain's mean value by its Poisson
 equation, from the discounted values it already solves
 (``evaluate.certify_poisson``).  All of them,
@@ -53,10 +57,12 @@ from .errors import (
 from .evaluate import (
     Distribution,
     ValueVector,
+    attractor,
     certify_poisson,
-    certify_stationary,
     check_beta,
+    common_rows,
     discounted_values,
+    is_stationary,
     mean_values,
     uniform_values,
     unichain_stationary,
@@ -73,6 +79,7 @@ from .game import (
     enumerate_strategies,
     format_rational,
     induced_chain,
+    pair_actions,
     scale,
     strategy_count,
     strategy_pair_to_json_dict,
@@ -549,15 +556,23 @@ class _MirrorEvaluator:
     The mirror lemma predicts a doubled chain's stationary law from its two
     copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
     copy's states.  When both copy values are constant, as a reset chain's
-    always are, and ``certify_stationary`` shows pi* P = pi* with every
-    state reaching the copy-1 start, pi* is the chain's one stationary law
+    always are, pi* P = pi* holds (``is_stationary``), and every state
+    reaches the copy-1 start, pi* is the chain's one stationary law
     (Puterman 1994, sec. 8.2), and every state's mean value is its gain
     sum(pi*_i r_i), from the doubled chain's own rewards.  Otherwise the
     chain is solved by ``mean_values``.  Either way the values are the
-    chain's mean values.  Each source pair's mean values and stationary law
-    are computed once, keyed by its actions (``Reduction.copy_actions``),
-    the first time a copy plays it: each of the N source pairs recurs in
-    about N of the N^2 doubled pairs.
+    chain's mean values.
+
+    What does not depend on the pair is done once, here: every (state,
+    action) row of the double game over one common denominator
+    (``common_rows``), every action reward over one denominator, and the
+    reach half of the certificate for all pairs at once, as the
+    ``attractor`` of the copy-1 start.  When the attractor misses a state,
+    no pair is certified.  A pair then costs ``check_pair``, one read of its
+    choices, one residual pass and one sum.  Each source pair's mean values
+    and stationary law are computed once, keyed by its actions
+    (``Reduction.copy_actions``), the first time a copy plays it: each of
+    the N source pairs recurs in about N of the N^2 doubled pairs.
     """
 
     def __init__(self, reduction: Reduction):
@@ -568,34 +583,52 @@ class _MirrorEvaluator:
                              for copy in (1, 2)}
         self.start = doubled.state_index[state_map[reduction.s0][0]]
         self.sources: dict[tuple[str, ...], tuple[ValueVector, Distribution]] = {}
+        menus = [[(action, doubled.chain_row(state, action))
+                  for action in doubled.available_actions[state]]
+                 for state in doubled.state_order]
+        self.common, rows = common_rows(row for menu in menus for _, row in menu)
+        rows = iter(rows)
+        self.rows = [{action: next(rows) for action, _ in menu} for menu in menus]
+        self.reward_den, rewards = scale(doubled.actions.values())
+        self.rewards = dict(zip(doubled.actions, rewards))
+        self.certifiable = len(attractor(
+            [[[j for j, _ in entries] for _, (_, entries) in menu] for menu in menus],
+            self.start)) == len(menus)
 
-    def source(self, pair: StrategyPair, copy: int) -> tuple[ValueVector, Distribution]:
-        """Mean values and stationary law of the copy-``copy`` restriction
-        of a doubled pair, on the reset game."""
-        reduction = self.reduction
-        key = reduction.copy_actions(pair, copy)
+    def _source(self, key: tuple[str, ...], pair: StrategyPair, copy: int
+                ) -> tuple[ValueVector, Distribution]:
         if key not in self.sources:
+            reduction = self.reduction
             chain = induced_chain(reduction.reset_game, reduction.restrict(pair, copy))
             self.sources[key] = (mean_values(chain), unichain_stationary(chain))
         return self.sources[key]
 
+    def source(self, pair: StrategyPair, copy: int) -> tuple[ValueVector, Distribution]:
+        """Mean values and stationary law of the copy-``copy`` restriction
+        of a doubled pair, on the reset game."""
+        return self._source(self.reduction.copy_actions(pair, copy), pair, copy)
+
     def evaluate(self, pair: StrategyPair) -> tuple[ValueVector, InducedChain | None, tuple]:
         """The pair's mean values; its chain when they were solved, None
         when certified; and the two copies' ``source``."""
-        chain = induced_chain(self.reduction.doubled, pair)
-        sources = (self.source(pair, 1), self.source(pair, 2))
-        if _constant(sources[0][0]) and _constant(sources[1][0]):
+        doubled, inverse = self.reduction.doubled, self.reduction.inverse_actions
+        actions = pair_actions(doubled, pair)
+        sources = tuple(self._source(tuple(inverse[actions[i]] for i in indices), pair, copy)
+                        for copy, indices in self.copy_indices.items())
+        if self.certifiable and _constant(sources[0][0]) and _constant(sources[1][0]):
             (d1, nums_one), (d2, nums_two) = ((law.denominator, law.numerators)
                                               for _, law in sources)
-            x = [0] * len(chain.rows)  # pi*_i = x_i / (2 d1 d2)
+            x = [0] * len(actions)  # pi*_i = x_i / (2 d1 d2)
             for indices, nums, other in ((self.copy_indices[1], nums_one, d2),
                                          (self.copy_indices[2], nums_two, d1)):
                 for i, num in zip(indices, nums):
                     x[i] = num * other
-            if certify_stationary(chain, x, self.start):
-                common, rewards = scale(chain.rewards)
-                gain = Fraction(sum(xi * r for xi, r in zip(x, rewards)), 2 * d1 * d2 * common)
-                return uniform_values(chain.state_order, gain), None, sources
+            if is_stationary(self.common, list(map(dict.__getitem__, self.rows, actions)), x):
+                rewards = self.rewards
+                gain = Fraction(sum(xi * rewards[a] for xi, a in zip(x, actions)),
+                                2 * d1 * d2 * self.reward_den)
+                return uniform_values(doubled.state_order, gain), None, sources
+        chain = induced_chain(doubled, pair)
         return mean_values(chain), chain, sources
 
     def __call__(self, pair: StrategyPair) -> ValueVector:
@@ -620,7 +653,7 @@ def verify_star2(gb: Game, reduction: Reduction,
     values are still compared literally with the half-difference.  When it
     solves the chain, every identity is compared, so a violation is
     reported as before and a chain with two closed classes ends in
-    NotUnichain.  ``induced_chain`` checks each doubled pair once; each
+    NotUnichain.  ``check_pair`` checks each doubled pair once; each
     source pair is built by ``Reduction.restrict`` and solved once.
     """
     doubled, reduction = mirror(gb, reduction)

@@ -30,6 +30,7 @@ from smpg.evaluate import (
     Distribution,
     ValueVector,
     _decomposition,
+    attractor,
     certify_poisson,
     certify_stationary,
     discounted_values,
@@ -394,6 +395,49 @@ def test_certify_stationary_rejects_a_law_of_one_of_two_closed_classes():
             flow[j] += F(xi * num, den)
     assert flow == x
     assert not certify_stationary(chain, x, 1)
+
+
+def _reaching(succ, start):
+    """The states whose forward breadth-first search over ``succ`` meets ``start``."""
+    out = set()
+    for origin in range(len(succ)):
+        seen, frontier = {origin}, [origin]
+        while frontier:
+            frontier = [j for i in frontier for j in succ[i] if j not in seen]
+            seen.update(frontier)
+        if start in seen:
+            out.add(origin)
+    return out
+
+
+successor_lists = st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+             min_size=n, max_size=n),
+    st.integers(0, n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(successor_lists)
+def test_attractor_of_one_action_per_state_is_plain_reachability(chain):
+    """With one action per state the attractor is the reverse search that
+    certify_stationary's reach half always was."""
+    succ, start = chain
+    assert attractor([[targets] for targets in succ], start) == _reaching(succ, start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+                      min_size=1, max_size=2), min_size=n, max_size=n),
+    st.integers(0, n - 1))))
+def test_attractor_is_where_every_choice_of_actions_reaches_start(menus):
+    """A state is in the attractor exactly when the chain of every choice of
+    one action per state reaches ``start`` from it."""
+    menus, start = menus
+    everywhere = set(range(len(menus)))
+    for choice in itertools.product(*menus):
+        everywhere &= _reaching(choice, start)
+    assert attractor(menus, start) == everywhere
 
 
 @pytest.mark.parametrize("beta, gain", [(F(1, 2), F(1, 3)), (F(0), F(1))])

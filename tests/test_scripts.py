@@ -39,6 +39,20 @@ def test_traced_benchmark_ops_pass_the_output_gate(workload):
     assert result["failed"] == 0 and result["attempted"] > 0
 
 
+def test_paired_ab_runs_one_tree_against_itself():
+    """The paired timing script imports the same src tree under both
+    package names, runs two reduction-n3 ops on each side and checks them."""
+    src = str(REPO / "src")
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "paired_ab.py"),
+                           "--parent", src, "--change", src, "--workload", "reduction-n3",
+                           "--ops", "2"], capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    parent, change, ratio = proc.stdout.splitlines()
+    assert parent.startswith("parent: median op ") and parent.endswith("(2 ops, reduction-n3, seed 0)")
+    assert change.startswith("change: median op ")
+    assert ratio.startswith("change/parent per-op ratio: median ")
+
+
 def test_verify_reduction_finds_no_violation():
     proc = run_script("verify_reduction.py")
     assert proc.returncode == 0, proc.stderr

@@ -562,7 +562,7 @@ def _wrong_laws(monkeypatch):
 @pytest.mark.parametrize("fault", [
     pytest.param(_wrong_laws, id="wrong-source-laws"),
     pytest.param(lambda monkeypatch: monkeypatch.setattr(
-        smpg.solvers, "certify_stationary", lambda chain, x, start: False), id="rejected-residual"),
+        smpg.solvers, "is_stationary", lambda common, rows, x: False), id="rejected-residual"),
 ])
 def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     """When the mirror certificate fails on every doubled pair, each pair the
@@ -662,8 +662,9 @@ def test_brute_force_reports_values_no_single_pair_attains(monkeypatch):
 
 
 def test_verify_star2_checks_each_pair_once(monkeypatch):
-    """64 doubled pairs, each checked by induced_chain on the double game and
-    split without a second check, plus the 8 distinct source pairs."""
+    """64 doubled pairs, each checked once by the mirror evaluator
+    (``game.pair_actions``) and split without a second check, plus the 8
+    distinct source pairs, checked by induced_chain."""
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     checked = []
@@ -697,8 +698,9 @@ def _three_state_game():
     pytest.param(lambda g2: _three_state_game(), id="three-states"),
 ])
 def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, make_game):
-    """Every chain is built once.  The doubled chains are certified, so none
-    is decomposed; each distinct source pair's chain is decomposed once."""
+    """The doubled pairs are certified from the evaluator's tables, so no
+    doubled chain is built or decomposed; each distinct source pair's chain
+    is built once and decomposed once."""
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     expected = verify_star2(gb, reduction)
@@ -722,11 +724,13 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
     report = verify_star2(gb, reduction)
     assert report == expected
 
-    doubled_pairs = [pair for on, pair, _ in built if on is reduction.doubled]
     source_pairs = [pair for on, pair, _ in built if on is gb]
-    assert len(doubled_pairs) + len(source_pairs) == len(built)
-    assert len(doubled_pairs) == report.pairs_checked
+    assert len(source_pairs) == len(built)  # no doubled chain
     # one gb chain per distinct source pair the doubled pairs restrict to
+    doubled = reduction.doubled
+    doubled_pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
+                     for tau in enumerate_strategies(doubled, MIN)]
+    assert len(doubled_pairs) == report.pairs_checked
     restricted = {_choices_key(half) for pair in doubled_pairs
                   for half in decompose_mirror_strategies(pair, reduction)}
     assert sorted(_choices_key(p) for p in source_pairs) == sorted(restricted)
@@ -918,6 +922,43 @@ def test_verify_star2_rejects_a_stationary_candidate_of_a_two_class_chain(monkey
                  for j in range(4)) == candidate
     with pytest.raises(NotUnichain):
         verify_star2(gb, reduction)
+
+
+def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(monkeypatch):
+    """b is transient in the reset chain from a, so pi* puts no mass on b1
+    or b2 and the residual passes on every doubled pair.  Rewiring b1's Y
+    into a self-loop lets the pairs that play Y keep b1 from the copy-1
+    start: the attractor of a1 misses b1, so no pair is certified.  Each is
+    solved to its mean values, and verify_star2 ends in the NotUnichain that
+    solving every pair gives.  Without the reach half the evaluator would
+    certify every pair, with gain 0 at b1, whose self-loop pays 3."""
+    game = build_game([State("a", MAX), State("b", MIN)], {"X": F(1), "Y": F(3), "Z": F(2)},
+                      [("a", "X", "a", F(1)), ("b", "Y", "a", F(1)), ("b", "Z", "a", F(1))])
+    gb, reduction = beta_recurrent(game, F(1, 2), "a")
+    doubled = _install_doubled(reduction, redirect={("b1", "Y", "a1"): "b1",
+                                                    ("b1", "Y", "a2"): "b1"})
+    pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
+             for tau in enumerate_strategies(doubled, MIN)]
+    expected = [evaluate_pair(doubled, pair, MEAN) for pair in pairs]
+    assert {values.at("b1") for values in expected} == {F(3), F(0)}
+
+    with pytest.MonkeyPatch.context() as no_reach:
+        no_reach.setattr(smpg.solvers, "attractor", lambda menus, start: set(range(len(menus))))
+        solved = _spy_doubled_solves(no_reach, len(gb.state_order))
+        certified = [_MirrorEvaluator(reduction)(pair) for pair in pairs]
+        assert solved == []
+        assert {values.at("b1") for values in certified} == {F(0)}
+
+    evaluator = _MirrorEvaluator(reduction)
+    assert not evaluator.certifiable
+    solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
+    assert [evaluator(pair) for pair in pairs] == expected
+    assert len(solved) == len(pairs) == 4
+
+    with pytest.raises(NotUnichain) as info:
+        verify_star2(gb, reduction)
+    assert info.value.to_json_dict() == {
+        "error": "NotUnichain", "message": "chain has 2 recurrent classes", "classes": 2}
 
 
 def _full_table_selection(game, criterion, beta):
