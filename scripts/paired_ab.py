@@ -10,15 +10,24 @@ alternate op by op, and the side that runs first swaps every op, so a drift
 in machine speed over seconds slows both alike.  The script prints each
 side's median op time and the median of the per-op ratios change / parent,
 and exits 1 when an output fails its check.
+
+After the timed ops, one untimed pass per side measures retained memory:
+it makes ``HELD`` inputs, runs their ops while holding every input, as
+``bench/run.py`` holds a batch, and prints the KB per input that
+``tracemalloc`` still finds allocated after a full collection: what each
+input keeps once its op is done.  A time ratio does not show what the
+inputs keep; a benchmark's peak RSS does, over a whole run.
 """
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +37,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 MODULES = ("linalg", "game", "evaluate", "transforms", "solvers", "generate", "serialize", "cli")
 SIDES = ("parent", "change")
+HELD = 16  # inputs held by the retained-memory pass, one bench/run.py batch
 
 
 def import_tree(src: Path, name: str):
@@ -65,6 +75,24 @@ def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path
     return times
 
 
+def retained_kb(lib, workload: str, seed: int, directory: Path) -> float:
+    """KB per input still allocated after the ops of ``HELD`` held inputs
+    and a full collection; the inputs are made before tracing starts."""
+    wl = WORKLOADS[workload]
+    directory.mkdir(exist_ok=True)
+    inputs = [wl.make_input(lib, seed, index, directory) for index in range(HELD)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for inp in inputs:
+            wl.op(lib, inp)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / HELD / 1024
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -80,12 +108,16 @@ def main(argv=None) -> int:
     libs = {side: import_tree(getattr(args, side).resolve(), f"smpg_{side}") for side in SIDES}
     with tempfile.TemporaryDirectory() as directory:
         times = paired_times(libs, args.workload, args.ops, args.seed, Path(directory))
+        retained = {side: retained_kb(libs[side], args.workload, args.seed,
+                                      Path(directory) / f"held-{side}") for side in SIDES}
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     for side in SIDES:
         print(f"{side}: median op {statistics.median(times[side]) * 1e3:.3f} ms "
               f"({args.ops} ops, {args.workload}, seed {args.seed})")
     print(f"change/parent per-op ratio: median {statistics.median(ratios):.4f}, "
           f"range {min(ratios):.4f}..{max(ratios):.4f}")
+    print("retained per input: " + ", ".join(f"{side} {retained[side]:.1f} KB" for side in SIDES)
+          + f" ({HELD} inputs held, tracemalloc)")
     return 0
 
 

@@ -13,8 +13,10 @@ solved again (``certify_stationary``), and so is a gain known from
 elsewhere, such as a reset chain's from its source's discounted values,
 by the chain's Poisson equation (``certify_poisson``).  The stationary
 certificate has two halves, each with one home here: the integer residual
-x P = x over rows brought to one denominator (``common_rows``,
-``is_stationary``), and the reach search (``attractor``), which also runs
+x P - x over rows brought to one denominator (``common_rows``,
+``stationary_residual``, whose verdict is ``is_stationary``), which also
+sums over part of the states, so that a law made of parts has one
+residual per part, and the reach search (``attractor``), which also runs
 on a whole game's action menus, so that one search covers every strategy
 pair's chain.
 ``linalg.solve_scaled`` hands back integers (det, y), x = y / det;
@@ -349,16 +351,24 @@ def common_rows(rows) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
                     for den, entries in rows]
 
 
+def stationary_residual(common: int, n: int, weighted) -> list[int]:
+    """common (x P - x) on n states, in one integer multiply-add pass, for
+    x given as (i, x_i, row_i) triples, row_i the entries of P_i = row_i /
+    common from ``common_rows``, and x 0 at every state not given; rows
+    where x is 0 add nothing and are skipped."""
+    out = [0] * n
+    for i, xi, entries in weighted:
+        if xi:
+            out[i] -= common * xi
+            for j, num in entries:
+                out[j] += xi * num
+    return out
+
+
 def is_stationary(common: int, rows, x) -> bool:
     """Whether x P = x, for the chain rows P_i = rows[i] / common of
-    ``common_rows``, in one integer multiply-add pass; rows where x is 0
-    add nothing and are skipped."""
-    flow = [0] * len(x)  # common * (x P)_j
-    for entries, xi in zip(rows, x):
-        if xi:
-            for j, num in entries:
-                flow[j] += xi * num
-    return flow == [common * xi for xi in x]
+    ``common_rows``: whether the ``stationary_residual`` is 0."""
+    return not any(stationary_residual(common, len(x), zip(range(len(x)), x, rows)))
 
 
 def attractor(menus, start: int) -> set[int]:

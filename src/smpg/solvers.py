@@ -21,9 +21,14 @@ double game into values.  Once per reduction it brings the double game's
 rows and rewards to common denominators and certifies that every pair's
 chain reaches the copy-1 start (``evaluate.attractor``); per pair it
 certifies the mirror lemma's stationary law, built from two memoised
-source laws, by one residual pass (``evaluate.is_stationary``) and sums
-its gain in integers.  ``verify_star2`` and the pipeline's recovery
-oracle both read it.
+source laws, by a residual summed from one part per copy
+(``evaluate.stationary_residual``), and its gain likewise.  ``verify_star2``
+and the pipeline's recovery oracle both read it.  The source laws and
+values are solved once per (game, beta, s0): the source game keeps them,
+with the reset game, per (beta, s0) (``transforms.Reduction.kept``), so
+``verify_star``, ``verify_star2`` and the pipeline at one (beta, s0) share
+one reset game and solve each source pair once.  Nothing kept there
+refers back to the game, so no reference cycle outlives a call.
 ``verify_star`` certifies the reset chain's mean value by its Poisson
 equation, from the discounted values it already solves
 (``evaluate.certify_poisson``).  All of them,
@@ -43,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     CombinatorialLimitExceeded,
@@ -55,15 +60,14 @@ from .errors import (
     rational_text,
 )
 from .evaluate import (
-    Distribution,
     ValueVector,
     attractor,
     certify_poisson,
     check_beta,
     common_rows,
     discounted_values,
-    is_stationary,
     mean_values,
+    stationary_residual,
     uniform_values,
     unichain_stationary,
 )
@@ -496,7 +500,8 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
         witness = oracle(doubled, uniform_values(doubled.state_order, Fraction(0)),
                          evaluator=evaluator)
         check_pair(doubled, witness)
-        value_at_s = evaluator.source(witness, 1)[0].at(s)
+        source = evaluator.source(witness, 1)
+        value_at_s = Fraction(source.value_nums[game.state_index[s]], source.value_den)
         assembled.append(value_at_s)
         if on_stage is not None:
             on_stage(s, reduction, witness, value_at_s)
@@ -544,9 +549,19 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _PairScan(game, cap, entry).report(violations, start)
 
 
-def _constant(vector: ValueVector) -> bool:
-    """Whether the values are one value at every state."""
-    return len(set(vector.scaled[1])) == 1
+class _Source(NamedTuple):
+    """A source pair's entry in the memo its game keeps (``Reduction.kept``),
+    in integers, so that a game keeps no value or law objects: the integer
+    view (D, y = D v) of its mean values on the reset game
+    (``ValueVector.scaled``), its stationary law as numerators over one
+    denominator, and whether the values are one value at every state, as a
+    reset chain's always are."""
+
+    value_den: int
+    value_nums: tuple[int, ...]
+    law_den: int
+    law_nums: tuple[int, ...]
+    constant: bool
 
 
 class _MirrorEvaluator:
@@ -556,23 +571,34 @@ class _MirrorEvaluator:
     The mirror lemma predicts a doubled chain's stationary law from its two
     copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
     copy's states.  When both copy values are constant, as a reset chain's
-    always are, pi* P = pi* holds (``is_stationary``), and every state
-    reaches the copy-1 start, pi* is the chain's one stationary law
-    (Puterman 1994, sec. 8.2), and every state's mean value is its gain
-    sum(pi*_i r_i), from the doubled chain's own rewards.  Otherwise the
-    chain is solved by ``mean_values``.  Either way the values are the
-    chain's mean values.
+    always are, pi* P = pi* holds, and every state reaches the copy-1 start,
+    pi* is the chain's one stationary law (Puterman 1994, sec. 8.2), and
+    every state's mean value is its gain sum(pi*_i r_i), from the doubled
+    chain's own rewards.  Otherwise the chain is solved by ``mean_values``.
+    Either way the values are the chain's mean values.
+
+    The residual is summed per copy.  With pi_c = n_c / d_c and every row
+    over the common denominator L, x = d_2 n_1 (+) d_1 n_2 is 2 d_1 d_2 pi*,
+    and by distributivity L (x P - x) = d_2 r_1 + d_1 r_2, where r_c, the
+    sum over copy c's states i of n_c,i L P_i, less L n_c on copy c
+    (``stationary_residual``), is fixed by copy c's source pair.  So is the
+    gain numerator g_c = sum over copy c of n_c,i R_i, and sum x_i R_i =
+    d_2 g_1 + d_1 g_2.  It is the same integer identity as one residual
+    pass over x, but r_c and g_c are computed once per evaluator, the first
+    time a copy plays its source pair, and a pair then costs ``check_pair``,
+    one read of its choices and one weighted sum of r_1 and r_2.
 
     What does not depend on the pair is done once, here: every (state,
     action) row of the double game over one common denominator
     (``common_rows``), every action reward over one denominator, and the
     reach half of the certificate for all pairs at once, as the
     ``attractor`` of the copy-1 start.  When the attractor misses a state,
-    no pair is certified.  A pair then costs ``check_pair``, one read of its
-    choices, one residual pass and one sum.  Each source pair's mean values
-    and stationary law are computed once, keyed by its actions
-    (``Reduction.copy_actions``), the first time a copy plays it: each of
-    the N source pairs recurs in about N of the N^2 doubled pairs.
+    no pair is certified.  Each source pair's ``_Source`` is made once per
+    (game, beta, s0), in the memo the source game keeps
+    (``Reduction.kept``), keyed by its actions (``Reduction.copy_actions``):
+    each of the N source pairs recurs in about N of the N^2 doubled pairs,
+    and every evaluator at the same (beta, s0) shares the memo.  The
+    evaluator itself, its tables and the double game are not kept.
     """
 
     def __init__(self, reduction: Reduction):
@@ -582,7 +608,10 @@ class _MirrorEvaluator:
                                     for s in reduction.game.state_order]
                              for copy in (1, 2)}
         self.start = doubled.state_index[state_map[reduction.s0][0]]
-        self.sources: dict[tuple[str, ...], tuple[ValueVector, Distribution]] = {}
+        self.sources: dict[tuple[str, ...], _Source] = reduction.kept["sources"]
+        # the double-game actions a copy plays, in state order -> (source, r_c, g_c);
+        # copy 2 plays primed actions only, so the copies never share a key
+        self.copies: dict[tuple[str, ...], tuple[_Source, list[int] | None, int]] = {}
         menus = [[(action, doubled.chain_row(state, action))
                   for action in doubled.available_actions[state]]
                  for state in doubled.state_order]
@@ -595,41 +624,53 @@ class _MirrorEvaluator:
             [[[j for j, _ in entries] for _, (_, entries) in menu] for menu in menus],
             self.start)) == len(menus)
 
-    def _source(self, key: tuple[str, ...], pair: StrategyPair, copy: int
-                ) -> tuple[ValueVector, Distribution]:
-        if key not in self.sources:
+    def _source(self, key: tuple[str, ...], pair: StrategyPair, copy: int) -> _Source:
+        source = self.sources.get(key)
+        if source is None:
             reduction = self.reduction
             chain = induced_chain(reduction.reset_game, reduction.restrict(pair, copy))
-            self.sources[key] = (mean_values(chain), unichain_stationary(chain))
-        return self.sources[key]
+            d, y = mean_values(chain).scaled
+            law = unichain_stationary(chain)
+            source = self.sources[key] = _Source(d, y, law.denominator, law.numerators,
+                                                 len(set(y)) == 1)
+        return source
 
-    def source(self, pair: StrategyPair, copy: int) -> tuple[ValueVector, Distribution]:
-        """Mean values and stationary law of the copy-``copy`` restriction
-        of a doubled pair, on the reset game."""
+    def source(self, pair: StrategyPair, copy: int) -> _Source:
+        """The ``_Source`` of the copy-``copy`` restriction of a doubled pair."""
         return self._source(self.reduction.copy_actions(pair, copy), pair, copy)
+
+    def _copy(self, pair: StrategyPair, copy: int, actions: list[str]
+              ) -> tuple[_Source, list[int] | None, int]:
+        """Copy ``copy``'s source, r_c and g_c for a pair playing ``actions``
+        on the double game; r_c is None when the copy cannot be certified."""
+        indices = self.copy_indices[copy]
+        played = tuple(map(actions.__getitem__, indices))
+        part = self.copies.get(played)
+        if part is None:
+            inverse = self.reduction.inverse_actions
+            source = self._source(tuple(map(inverse.__getitem__, played)), pair, copy)
+            r_c, g_c = None, 0
+            if self.certifiable and source.constant:
+                nums = source.law_nums
+                r_c = stationary_residual(self.common, len(actions), zip(
+                    indices, nums, (self.rows[i][a] for i, a in zip(indices, played))))
+                g_c = sum(num * self.rewards[a] for num, a in zip(nums, played))
+            part = self.copies[played] = (source, r_c, g_c)
+        return part
 
     def evaluate(self, pair: StrategyPair) -> tuple[ValueVector, InducedChain | None, tuple]:
         """The pair's mean values; its chain when they were solved, None
-        when certified; and the two copies' ``source``."""
-        doubled, inverse = self.reduction.doubled, self.reduction.inverse_actions
+        when certified; and the two copies' ``_Source``."""
+        doubled = self.reduction.doubled
         actions = pair_actions(doubled, pair)
-        sources = tuple(self._source(tuple(inverse[actions[i]] for i in indices), pair, copy)
-                        for copy, indices in self.copy_indices.items())
-        if self.certifiable and _constant(sources[0][0]) and _constant(sources[1][0]):
-            (d1, nums_one), (d2, nums_two) = ((law.denominator, law.numerators)
-                                              for _, law in sources)
-            x = [0] * len(actions)  # pi*_i = x_i / (2 d1 d2)
-            for indices, nums, other in ((self.copy_indices[1], nums_one, d2),
-                                         (self.copy_indices[2], nums_two, d1)):
-                for i, num in zip(indices, nums):
-                    x[i] = num * other
-            if is_stationary(self.common, list(map(dict.__getitem__, self.rows, actions)), x):
-                rewards = self.rewards
-                gain = Fraction(sum(xi * rewards[a] for xi, a in zip(x, actions)),
-                                2 * d1 * d2 * self.reward_den)
-                return uniform_values(doubled.state_order, gain), None, sources
+        (one, r_1, g_1), (two, r_2, g_2) = (self._copy(pair, copy, actions) for copy in (1, 2))
+        if r_1 is not None and r_2 is not None:
+            d_1, d_2 = one.law_den, two.law_den
+            if not any(d_2 * a + d_1 * b for a, b in zip(r_1, r_2)):
+                gain = Fraction(d_2 * g_1 + d_1 * g_2, 2 * d_1 * d_2 * self.reward_den)
+                return uniform_values(doubled.state_order, gain), None, (one, two)
         chain = induced_chain(doubled, pair)
-        return mean_values(chain), chain, sources
+        return mean_values(chain), chain, (one, two)
 
     def __call__(self, pair: StrategyPair) -> ValueVector:
         return self.evaluate(pair)[0]
@@ -665,11 +706,11 @@ def verify_star2(gb: Game, reduction: Reduction,
             violations.append({**fields, **strategy_pair_to_json_dict(pair)})
 
         doubled_values, chain, sources = evaluator.evaluate(pair)
-        for copy, (vector, _) in enumerate(sources, 1):
-            if not _constant(vector):
+        for copy, source in enumerate(sources, 1):
+            if not source.constant:
                 violation(kind="nonconstant-copy-value", copy=copy)
         # expected = copy_1 / 2 - copy_2 / 2 = num / den, each copy at its first state
-        (d1, (y1, *_)), (d2, (y2, *_)) = (vector.scaled for vector, _ in sources)
+        (d1, y1), (d2, y2) = ((source.value_den, source.value_nums[0]) for source in sources)
         num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
         d, y = doubled_values.scaled
         for state, v in zip(doubled.state_order, y):
@@ -687,10 +728,10 @@ def verify_star2(gb: Game, reduction: Reduction,
             if 2 * copy_mass != d:
                 violation(kind="component-mass", copy=copy,
                           mass=format_rational(Fraction(copy_mass, d)))
-        for copy, (_, reference) in enumerate(sources, 1):
-            d_ref = reference.denominator
+        for copy, source in enumerate(sources, 1):
+            d_ref = source.law_den
             for s, i, n_ref in zip(gb.state_order, evaluator.copy_indices[copy],
-                                   reference.numerators):
+                                   source.law_nums):
                 if 2 * nums[i] * d_ref != n_ref * d:
                     violation(kind="copy-stationary", copy=copy, state=s,
                               scaled=format_rational(Fraction(2 * nums[i], d)),

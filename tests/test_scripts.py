@@ -4,6 +4,7 @@ and a slice of the parent-vs-change sweep."""
 import hashlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,16 +42,20 @@ def test_traced_benchmark_ops_pass_the_output_gate(workload):
 
 def test_paired_ab_runs_one_tree_against_itself():
     """The paired timing script imports the same src tree under both
-    package names, runs two reduction-n3 ops on each side and checks them."""
+    package names, runs two reduction-n3 ops on each side and checks them,
+    then reports each side's retained memory per held input."""
     src = str(REPO / "src")
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / "paired_ab.py"),
                            "--parent", src, "--change", src, "--workload", "reduction-n3",
                            "--ops", "2"], capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
-    parent, change, ratio = proc.stdout.splitlines()
+    parent, change, ratio, retained = proc.stdout.splitlines()
     assert parent.startswith("parent: median op ") and parent.endswith("(2 ops, reduction-n3, seed 0)")
     assert change.startswith("change: median op ")
     assert ratio.startswith("change/parent per-op ratio: median ")
+    match = re.fullmatch(r"retained per input: parent (\d+\.\d) KB, change (\d+\.\d) KB "
+                         r"\(16 inputs held, tracemalloc\)", retained)
+    assert match and abs(float(match[1]) - float(match[2])) <= 1  # one tree on both sides
 
 
 def test_verify_reduction_finds_no_violation():

@@ -1,6 +1,9 @@
 """Solving, recovery, and the two verification drivers."""
 
+import gc
 import json
+import weakref
+from collections import Counter
 from fractions import Fraction as F
 from itertools import cycle
 
@@ -25,6 +28,7 @@ from smpg.errors import (
 from smpg.evaluate import (
     Distribution,
     ValueVector,
+    is_stationary,
     mean_values,
     uniform_values,
     unichain_stationary,
@@ -562,18 +566,20 @@ def _wrong_laws(monkeypatch):
 @pytest.mark.parametrize("fault", [
     pytest.param(_wrong_laws, id="wrong-source-laws"),
     pytest.param(lambda monkeypatch: monkeypatch.setattr(
-        smpg.solvers, "is_stationary", lambda common, rows, x: False), id="rejected-residual"),
+        smpg.solvers, "stationary_residual", lambda common, n, weighted: [1] * n),
+        id="rejected-residual"),
 ])
 def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     """When the mirror certificate fails on every doubled pair, each pair the
     oracle tries is solved, and the pipeline finds the same witnesses, the
-    same copy-1 values and the same solution."""
+    same copy-1 values and the same solution.  Each run has its own equal
+    game, since a game keeps its source memo from one run to the next."""
     game = _three_state_game()
 
     def run():
         stages = []
         solution = strategic_via_recovery(
-            game, F(1, 3), reference_recovery_oracle,
+            _three_state_game(), F(1, 3), reference_recovery_oracle,
             on_stage=lambda state, reduction, witness, value: stages.append((witness, value)))
         return stages, solution
 
@@ -694,16 +700,18 @@ def _three_state_game():
 
 
 @pytest.mark.parametrize("make_game", [
-    pytest.param(lambda g2: g2, id="g2"),
+    pytest.param(lambda g2: validate_game(game_to_json_dict(g2)), id="g2"),
     pytest.param(lambda g2: _three_state_game(), id="three-states"),
 ])
 def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, make_game):
     """The doubled pairs are certified from the evaluator's tables, so no
     doubled chain is built or decomposed; each distinct source pair's chain
-    is built once and decomposed once."""
+    is built once and decomposed once.  The spied run has its own equal
+    game, since a game keeps its source memo from one run to the next."""
+    game = make_game(g2)
+    expected = verify_star2(*beta_recurrent(game, F(1, 3), game.state_order[0]))
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
-    expected = verify_star2(gb, reduction)
 
     built = []  # (game, pair, chain); holding the chains keeps their ids unique
     decomposed = []
@@ -1211,3 +1219,123 @@ def test_pipeline_assembles_the_brute_force_discounted_values(seed, states, beta
                            on_stage=lambda state, reduction, witness, value:
                            assembled.append(value))
     assert tuple(assembled) == brute_force_solve(game, DISCOUNTED, beta).values.values
+
+
+def _reduction_op(game, beta):
+    """What a reduction-n3 benchmark op runs: verify_star and verify_star2
+    from every start state, then the pipeline."""
+    reports = [(verify_star(game, beta, s0), verify_star2(*beta_recurrent(game, beta, s0)))
+               for s0 in game.state_order]
+    return reports, strategic_via_recovery(game, beta, reference_recovery_oracle)
+
+
+def test_what_a_game_keeps_does_not_refer_back_to_it():
+    """With the collector off, the game of a full reduction op is freed as
+    soon as its last reference goes: nothing it keeps per (beta, s0) refers
+    back to it, so no reference cycle holds it until a full collection."""
+    game = _three_state_game()
+    gc.collect()
+    gc.disable()
+    try:
+        output = _reduction_op(game, F(1, 3))
+        kept = len(game.__dict__["_reductions"])
+        alive = weakref.ref(game)
+        del game, output
+        freed = alive() is None
+    finally:
+        gc.enable()
+    assert kept == 3 and freed
+
+
+def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
+    """At each (beta, s0), verify_star, verify_star2 and the pipeline share
+    the reset game and the source memo the game keeps.  On the three-state
+    game (8 source pairs, 3 start states) the op builds 3 reset games and 6
+    double games, one per verify_star2 call and one per pipeline stage, and
+    solves each of the 3 x 8 source pairs once, plus the recovered pair; no
+    doubled chain is solved."""
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(smpg.transforms, "build_game")
+    count(smpg.solvers, "mean_values")
+    count(smpg.solvers, "unichain_stationary")
+    _reduction_op(_three_state_game(), F(1, 3))
+    assert counts == {"build_game": 9, "mean_values": 25, "unichain_stationary": 24}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=1, max_value=3),
+    betas=st.lists(st.sampled_from([F(0), F(1, 3), F(9, 10)]), min_size=2, max_size=2,
+                   unique=True),
+    data=st.data(),
+)
+def test_what_a_game_keeps_gives_what_a_fresh_game_gives(seed, states, betas, data):
+    """One game used at two betas from every start state, by verify_star,
+    verify_star2 and the pipeline in any order, each beta given as a
+    Fraction or a string, answers every call as a fresh equal game does; it
+    keeps one entry per (beta, s0), keyed by the beta check_beta gives."""
+    game = _small_generated_game(seed, states)
+
+    def star2(on, beta, s0):
+        return verify_star2(*beta_recurrent(on, beta, s0))
+
+    def pipeline(on, beta, s0):
+        return strategic_via_recovery(on, beta, reference_recovery_oracle)
+
+    calls = [(call, beta, s0) for beta in betas for s0 in game.state_order
+             for call in (verify_star, star2)]
+    calls += [(pipeline, beta, None) for beta in betas]
+    for call, beta, s0 in data.draw(st.permutations(calls)):
+        given_beta = data.draw(st.sampled_from([beta, str(beta)]))
+        assert call(game, given_beta, s0) == call(validate_game(game_to_json_dict(game)), beta, s0)
+    assert sorted(game.__dict__["_reductions"]) == sorted(
+        (beta, s0) for beta in betas for s0 in game.state_order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    states=st.integers(min_value=2, max_value=3),
+    beta=st.sampled_from([F(0), F(1, 3), F(9, 10)]),
+    wrong=st.booleans(),
+)
+def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, wrong):
+    """On every doubled pair the mirror evaluator certifies the pair exactly
+    when is_stationary accepts the lemma's law pi* over the pair's rows, and
+    exactly when pi* P = pi* in Fractions, with the source laws right or
+    wrong (_wrong_laws)."""
+    game = _small_generated_game(seed, states)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if wrong:
+            _wrong_laws(monkeypatch)
+        for s0 in game.state_order:
+            reduction = Reduction(game, beta, s0)
+            doubled, evaluator = reduction.doubled, _MirrorEvaluator(reduction)
+            assert evaluator.certifiable
+            for sigma in enumerate_strategies(doubled, MAX):
+                for tau in enumerate_strategies(doubled, MIN):
+                    pair = StrategyPair(sigma, tau)
+                    _, chain, (one, two) = evaluator.evaluate(pair)
+                    assert one.constant and two.constant
+                    x = [0] * len(doubled.state_order)  # 2 d_1 d_2 pi*
+                    for source, copy, other in ((one, 1, two), (two, 2, one)):
+                        for i, num in zip(evaluator.copy_indices[copy], source.law_nums):
+                            x[i] = num * other.law_den
+                    rows = [evaluator.rows[i][pair.choices[s]]
+                            for i, s in enumerate(doubled.state_order)]
+                    assert (chain is None) == is_stationary(evaluator.common, rows, x)
+                    matrix = induced_chain(doubled, pair).matrix
+                    assert (chain is None) == all(
+                        sum(xi * row[j] for xi, row in zip(x, matrix)) == x[j]
+                        for j in range(len(x)))
