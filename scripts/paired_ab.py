@@ -9,7 +9,9 @@ its own package, runs the op once and checks its output exactly.  The sides
 alternate op by op, and the side that runs first swaps every op, so a drift
 in machine speed over seconds slows both alike.  The script prints each
 side's median op time and the median of the per-op ratios change / parent,
-and exits 1 when an output fails its check.
+and exits 1 when an output fails its check, or when the two sides' outputs
+of one op differ in their canonical bytes (``Workload.canonical``), naming
+the first such op: one run checks a byte-identity claim with the timing.
 
 After the timed ops, one untimed pass per side measures retained memory:
 it makes ``HELD`` inputs, runs their ops while holding every input, as
@@ -57,10 +59,13 @@ def import_tree(src: Path, name: str):
 
 
 def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path) -> dict:
-    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn."""
+    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn; exits
+    at the first op whose output fails its check or whose canonical bytes
+    differ between the sides."""
     wl = WORKLOADS[workload]
     times = {side: [] for side in SIDES}
     for index in range(ops):
+        canonical = {}
         for side in (SIDES if index % 2 == 0 else SIDES[::-1]):
             lib = libs[side]
             folder = directory / side
@@ -72,6 +77,9 @@ def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path
             problems = wl.check(lib, inp, output)
             if problems:
                 raise SystemExit(f"paired_ab: {side} op {index}: {problems[0]}")
+            canonical[side] = wl.canonical(lib, output)
+        if canonical["parent"] != canonical["change"]:
+            raise SystemExit(f"paired_ab: op {index}: the canonical output bytes differ")
     return times
 
 

@@ -9,16 +9,16 @@ every state is absorbed into it, so every state gets its gain (Puterman
 1994, ch. 8).  Each system is built in integers straight from the chain's
 rows, every row scaled by the denominators it reads.  A law known from
 elsewhere, such as the restart-occupation recursion's, is certified, not
-solved again (``certify_stationary``), and so is a gain known from
-elsewhere, such as a reset chain's from its source's discounted values,
-by the chain's Poisson equation (``certify_poisson``).  The stationary
+solved again (``certify_stationary``).  The reset identity (a reset
+chain's mean value equals its source's discounted value) has no
+certificate here: ``solvers.verify_star`` checks it by comparing two exact
+solves, ``mean_values`` and ``discounted_values``.  The stationary
 certificate has two halves, each with one home here: the integer residual
 x P - x over rows brought to one denominator (``common_rows``,
-``stationary_residual``, whose verdict is ``is_stationary``), which also
-sums over part of the states, so that a law made of parts has one
-residual per part, and the reach search (``attractor``), which also runs
-on a whole game's action menus, so that one search covers every strategy
-pair's chain.
+``stationary_residual``), which also sums over part of the states, so
+that a law made of parts has one residual per part, and the reach search
+(``attractor``), which also runs on a whole game's action menus, so that
+one search covers every strategy pair's chain.
 ``linalg.solve_scaled`` hands back integers (det, y), x = y / det;
 stationary masses, absorption sums and gains stay integers over one
 denominator, and Fractions are only views (discounted values, gains,
@@ -365,12 +365,6 @@ def stationary_residual(common: int, n: int, weighted) -> list[int]:
     return out
 
 
-def is_stationary(common: int, rows, x) -> bool:
-    """Whether x P = x, for the chain rows P_i = rows[i] / common of
-    ``common_rows``: whether the ``stationary_residual`` is 0."""
-    return not any(stationary_residual(common, len(x), zip(range(len(x)), x, rows)))
-
-
 def attractor(menus, start: int) -> set[int]:
     """The states from which every choice of one action per state reaches
     ``start``: ``menus[i]`` lists, per action of state i, the action's
@@ -401,48 +395,18 @@ def certify_stationary(chain: InducedChain, x: list[int] | tuple[int, ...], star
     """Whether x / sum(x) is the chain's one stationary law, for non-negative
     integers x, not all zero, in the chain's state order.
 
-    The residual (``is_stationary``) tests x P = x in one integer pass over
-    the rows brought to one denominator (``common_rows``); the reach check
-    tests that every state reaches the state at index ``start``, as the
-    ``attractor`` of ``start`` with one action per state.  Then every closed
+    The residual (``stationary_residual``) tests x P = x in one integer pass
+    over the rows brought to one denominator (``common_rows``); the reach
+    check tests that every state reaches the state at index ``start``, as
+    the ``attractor`` of ``start`` with one action per state.  Then every closed
     class holds ``start``, so there is one, and a chain with one closed
     class has one stationary law (Puterman 1994, sec. 8.2), which the
     residual shows is x / sum(x).
     """
     common, rows = common_rows(chain.rows)
-    return (is_stationary(common, rows, x)
+    return (not any(stationary_residual(common, len(x), zip(range(len(x)), x, rows)))
             and len(attractor([[[j for j, _ in entries]] for _, entries in chain.rows], start))
             == len(rows))
-
-
-def certify_poisson(chain: InducedChain, beta: Fraction, values: ValueVector, start: int) -> bool:
-    """Whether the gain g = v(start) and the bias h = v / (1 - beta), for
-    values v in the chain's state order, solve the chain's Poisson equation
-    g 1 + h = r + P h exactly.  Then g is every state's long-run average
-    reward, and no reach check is needed: for any finite chain, the equation
-    times P^t, summed over t < T, telescopes to
-    sum_{t<T} P^t r = T g 1 + h - P^T h, where P^T h stays bounded, so the
-    average over T steps tends to g from every state (Puterman 1994,
-    sec. 8.2).
-
-    On a reset chain P = beta Q + (1 - beta) 1 e^T (e the unit vector at
-    ``start``), with v the source chain's discounted values
-    v = (1 - beta) r + beta Q v, the equation holds:
-    P h = beta Q v / (1 - beta) + g 1 = h - r + g 1.
-
-    One integer equality per row: with beta = b/c, v's integer view (D, y)
-    and r_i = R_i / C (``scale``), row i of the equation times
-    (c - b) C D den_i is
-    den_i ((c - b) C y_start + c C y_i) = (c - b) D den_i R_i + c C sum_j num_ij y_j.
-    """
-    b, c = beta.numerator, beta.denominator
-    d, y = values.scaled
-    common, rewards = scale(chain.rewards)
-    unit, reward_unit = c * common, (c - b) * d
-    gain = (c - b) * common * y[start]
-    return all(den * (gain + unit * yi - reward_unit * r)
-               == unit * sum(num * y[j] for j, num in entries)
-               for (den, entries), yi, r in zip(chain.rows, y, rewards))
 
 
 def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) -> Distribution:

@@ -24,17 +24,18 @@ certifies the mirror lemma's stationary law, built from two memoised
 source laws, by a residual summed from one part per copy
 (``evaluate.stationary_residual``), and its gain likewise.  ``verify_star2``
 and the pipeline's recovery oracle both read it.  The source laws and
-values are solved once per (game, beta, s0): the source game keeps them,
+values are solved once per (game, beta, s0), by ``_source``, the one place
+a source pair is solved on the reset game: the source game keeps them,
 with the reset game, per (beta, s0) (``transforms.Reduction.kept``), so
 ``verify_star``, ``verify_star2`` and the pipeline at one (beta, s0) share
 one reset game and solve each source pair once.  Nothing kept there
 refers back to the game, so no reference cycle outlives a call.
-``verify_star`` certifies the reset chain's mean value by its Poisson
-equation, from the discounted values it already solves
-(``evaluate.certify_poisson``).  All of them,
-the pair scans and the recovery oracle read value vectors through their
-integer view (D, y = D v), compare integer cross-products, and build
-Fractions only for what they return.
+``verify_star`` checks the reset identity by comparing two exact solves:
+each source pair's discounted values on the source game, and its reset
+chain's mean values from that memo.  All of them, the pair scans and the
+recovery oracle read value vectors through their integer view
+(D, y = D v), compare integer cross-products, and build Fractions only
+for what they return.
 
 Brute force and the two verifiers scan every strategy pair (``_PairScan``),
 since each needs every entry.  The recovery oracle does not share that
@@ -45,6 +46,7 @@ column, never the value table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -62,7 +64,6 @@ from .errors import (
 from .evaluate import (
     ValueVector,
     attractor,
-    certify_poisson,
     check_beta,
     common_rows,
     discounted_values,
@@ -79,7 +80,6 @@ from .game import (
     InducedChain,
     PositionalStrategy,
     StrategyPair,
-    check_pair,
     enumerate_strategies,
     format_rational,
     induced_chain,
@@ -88,7 +88,7 @@ from .game import (
     strategy_count,
     strategy_pair_to_json_dict,
 )
-from .transforms import Reduction, beta_recurrent, mirror
+from .transforms import Reduction, mirror
 
 MEAN = "mean"
 DISCOUNTED = "discounted"
@@ -153,12 +153,20 @@ def evaluate_pair(game: Game, pair: StrategyPair, criterion: str,
 
 def _aligned(game: Game, claimed: ValueVector) -> ValueVector:
     """A claimed value vector in the game's state order: the claim itself,
-    with its integer view, when it already is."""
+    with its integer view, when it already is.  Otherwise UnknownState
+    names the states the claim repeats, or those it misses and those the
+    game does not have."""
     if claimed.state_order == game.state_order:
         return claimed
-    if set(claimed.state_order) != set(game.state_order):
-        missing = sorted(set(game.state_order) - set(claimed.state_order))
-        raise UnknownState(f"claimed values missing states {missing}", states=missing)
+    given = claimed.state_order
+    repeated = sorted(s for s, count in Counter(given).items() if count > 1)
+    if repeated:
+        raise UnknownState(f"claimed values repeat states {repeated}", states=repeated)
+    missing = sorted(set(game.state_order) - set(given))
+    extra = sorted(set(given) - set(game.state_order))
+    if missing or extra:
+        raise UnknownState(f"claimed values missing states {missing}, unknown states {extra}",
+                           missing=missing, unknown=extra)
     return ValueVector(game.state_order, tuple(claimed.at(s) for s in game.state_order))
 
 
@@ -484,8 +492,9 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     the reduction's ``_MirrorEvaluator``, so each doubled pair it tries is
     evaluated from two memoised source solves and one certificate pass, and
     solved only when the certificate fails.  The copy-1 value is the
-    evaluator's memoised source value of the witness's copy-1 restriction,
-    the mean values of that pair's reset chain, not a second solve of it.
+    memoised source value of the witness's copy-1 restriction, read from
+    the evaluator's per-copy table (``_MirrorEvaluator.part``): the mean
+    values of that pair's reset chain, not a second solve of it.
 
     ``on_stage``, if given, is called once per start state with
     (state, reduction, witness, value); the pipeline subcommand uses it to
@@ -499,8 +508,7 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
         evaluator = _MirrorEvaluator(reduction)
         witness = oracle(doubled, uniform_values(doubled.state_order, Fraction(0)),
                          evaluator=evaluator)
-        check_pair(doubled, witness)
-        source = evaluator.source(witness, 1)
+        source = evaluator.part(1, pair_actions(doubled, witness))[0]
         value_at_s = Fraction(source.value_nums[game.state_index[s]], source.value_den)
         assembled.append(value_at_s)
         if on_stage is not None:
@@ -510,43 +518,6 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     pair = greedy_recovery_discounted(game, beta, discounted_vector)
     values = mean_values(induced_chain(game, pair))
     return Solution(MEAN, beta, values, pair, certificate=None)
-
-
-def verify_star(game: Game, beta: Fraction, s0: str,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
-    """Check, pair by pair, that the mean value of the reset transform at
-    its start state equals the source game's discounted value there.
-
-    The mean side is certified, not solved: the pair's discounted values v
-    give g = v(s0) and h = v / (1 - beta), and ``certify_poisson`` checks
-    that they solve the reset chain's Poisson equation g 1 + h = r + P h.
-    Then g is the reset chain's mean value from every state, so the
-    identity holds.  A chain that fails the check is solved by
-    ``mean_values`` and the two sides compared, so every violation is
-    reported as the solve finds it.  The reported value is the exact
-    optimal discounted value at s0, computed as max-min over the enumerated
-    pairs.
-    """
-    reset_game, reduction = beta_recurrent(game, beta, s0)
-    start = game.state_index[s0]
-    violations = []
-
-    def entry(pair: StrategyPair) -> ValueVector:
-        reset_chain = induced_chain(reset_game, pair)
-        disc = discounted_values(induced_chain(game, pair), reduction.beta)
-        if certify_poisson(reset_chain, reduction.beta, disc, start):
-            return disc
-        mean_side = mean_values(reset_chain).at(s0)
-        if mean_side != disc.at(s0):
-            violations.append({
-                "kind": "reset-identity",
-                **strategy_pair_to_json_dict(pair),
-                "mean_at_start": format_rational(mean_side),
-                "discounted_at_start": format_rational(disc.at(s0)),
-            })
-        return disc
-
-    return _PairScan(game, cap, entry).report(violations, start)
 
 
 class _Source(NamedTuple):
@@ -562,6 +533,60 @@ class _Source(NamedTuple):
     law_den: int
     law_nums: tuple[int, ...]
     constant: bool
+
+
+def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
+    """The ``_Source`` of the source pair that plays ``actions``, one per
+    source state in state order: the one place a source pair is solved on
+    the reset game.  Its reset chain is solved once per (game, beta, s0),
+    into the memo the source game keeps (``Reduction.kept``), keyed by
+    ``actions``; every later call at that (beta, s0) reads the memo."""
+    sources = reduction.kept["sources"]
+    source = sources.get(actions)
+    if source is None:
+        game = reduction.game
+        pair = StrategyPair.from_choices(dict(zip(game.state_order, actions)), game.owner)
+        chain = induced_chain(reduction.reset_game, pair)
+        d, y = mean_values(chain).scaled
+        law = unichain_stationary(chain)
+        source = sources[actions] = _Source(d, y, law.denominator, law.numerators,
+                                            len(set(y)) == 1)
+    return source
+
+
+def verify_star(game: Game, beta: Fraction, s0: str,
+                cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
+    """Check, pair by pair, that the mean value of the reset transform at
+    its start state equals the source game's discounted value there.
+
+    The identity is checked by comparing two exact solves of each pair:
+    its discounted values on the source game, and its reset chain's mean
+    values (``_source``), which the source game keeps per (beta, s0), so
+    ``verify_star2`` and the pipeline at the same (beta, s0) read them
+    without solving again.  The two sides are compared as integers, and
+    Fractions are built only for a violation.  The reported value is the
+    exact optimal discounted value at s0, computed as max-min over the
+    enumerated pairs.
+    """
+    reduction = Reduction(game, beta, s0)
+    start = game.state_index[s0]
+    violations = []
+
+    def entry(pair: StrategyPair) -> ValueVector:
+        disc = discounted_values(induced_chain(game, pair), reduction.beta)
+        source = _source(reduction, tuple(map(pair.choices.__getitem__, game.state_order)))
+        d, y = disc.scaled
+        if source.value_nums[start] * d != y[start] * source.value_den:
+            violations.append({
+                "kind": "reset-identity",
+                **strategy_pair_to_json_dict(pair),
+                "mean_at_start": format_rational(
+                    Fraction(source.value_nums[start], source.value_den)),
+                "discounted_at_start": format_rational(disc.at(s0)),
+            })
+        return disc
+
+    return _PairScan(game, cap, entry).report(violations, start)
 
 
 class _MirrorEvaluator:
@@ -593,12 +618,12 @@ class _MirrorEvaluator:
     (``common_rows``), every action reward over one denominator, and the
     reach half of the certificate for all pairs at once, as the
     ``attractor`` of the copy-1 start.  When the attractor misses a state,
-    no pair is certified.  Each source pair's ``_Source`` is made once per
-    (game, beta, s0), in the memo the source game keeps
-    (``Reduction.kept``), keyed by its actions (``Reduction.copy_actions``):
-    each of the N source pairs recurs in about N of the N^2 doubled pairs,
-    and every evaluator at the same (beta, s0) shares the memo.  The
-    evaluator itself, its tables and the double game are not kept.
+    no pair is certified.  Each source pair's ``_Source`` comes from
+    ``_source``, made once per (game, beta, s0) in the memo the source game
+    keeps: each of the N source pairs recurs in about N of the N^2 doubled
+    pairs, and every evaluator at the same (beta, s0), and ``verify_star``
+    there, shares the memo.  The evaluator itself, its tables and the
+    double game are not kept.
     """
 
     def __init__(self, reduction: Reduction):
@@ -608,7 +633,6 @@ class _MirrorEvaluator:
                                     for s in reduction.game.state_order]
                              for copy in (1, 2)}
         self.start = doubled.state_index[state_map[reduction.s0][0]]
-        self.sources: dict[tuple[str, ...], _Source] = reduction.kept["sources"]
         # the double-game actions a copy plays, in state order -> (source, r_c, g_c);
         # copy 2 plays primed actions only, so the copies never share a key
         self.copies: dict[tuple[str, ...], tuple[_Source, list[int] | None, int]] = {}
@@ -624,46 +648,31 @@ class _MirrorEvaluator:
             [[[j for j, _ in entries] for _, (_, entries) in menu] for menu in menus],
             self.start)) == len(menus)
 
-    def _source(self, key: tuple[str, ...], pair: StrategyPair, copy: int) -> _Source:
-        source = self.sources.get(key)
-        if source is None:
-            reduction = self.reduction
-            chain = induced_chain(reduction.reset_game, reduction.restrict(pair, copy))
-            d, y = mean_values(chain).scaled
-            law = unichain_stationary(chain)
-            source = self.sources[key] = _Source(d, y, law.denominator, law.numerators,
-                                                 len(set(y)) == 1)
-        return source
-
-    def source(self, pair: StrategyPair, copy: int) -> _Source:
-        """The ``_Source`` of the copy-``copy`` restriction of a doubled pair."""
-        return self._source(self.reduction.copy_actions(pair, copy), pair, copy)
-
-    def _copy(self, pair: StrategyPair, copy: int, actions: list[str]
-              ) -> tuple[_Source, list[int] | None, int]:
-        """Copy ``copy``'s source, r_c and g_c for a pair playing ``actions``
-        on the double game; r_c is None when the copy cannot be certified."""
+    def part(self, copy: int, actions: list[str]) -> tuple[_Source, list[int] | None, int]:
+        """Copy ``copy``'s source, r_c and g_c for a checked pair playing
+        ``actions`` on the double game, in its state order; r_c is None when
+        the copy cannot be certified."""
         indices = self.copy_indices[copy]
         played = tuple(map(actions.__getitem__, indices))
-        part = self.copies.get(played)
-        if part is None:
+        entry = self.copies.get(played)
+        if entry is None:
             inverse = self.reduction.inverse_actions
-            source = self._source(tuple(map(inverse.__getitem__, played)), pair, copy)
+            source = _source(self.reduction, tuple(map(inverse.__getitem__, played)))
             r_c, g_c = None, 0
             if self.certifiable and source.constant:
                 nums = source.law_nums
                 r_c = stationary_residual(self.common, len(actions), zip(
                     indices, nums, (self.rows[i][a] for i, a in zip(indices, played))))
                 g_c = sum(num * self.rewards[a] for num, a in zip(nums, played))
-            part = self.copies[played] = (source, r_c, g_c)
-        return part
+            entry = self.copies[played] = (source, r_c, g_c)
+        return entry
 
     def evaluate(self, pair: StrategyPair) -> tuple[ValueVector, InducedChain | None, tuple]:
         """The pair's mean values; its chain when they were solved, None
         when certified; and the two copies' ``_Source``."""
         doubled = self.reduction.doubled
         actions = pair_actions(doubled, pair)
-        (one, r_1, g_1), (two, r_2, g_2) = (self._copy(pair, copy, actions) for copy in (1, 2))
+        (one, r_1, g_1), (two, r_2, g_2) = (self.part(copy, actions) for copy in (1, 2))
         if r_1 is not None and r_2 is not None:
             d_1, d_2 = one.law_den, two.law_den
             if not any(d_2 * a + d_1 * b for a, b in zip(r_1, r_2)):
@@ -695,7 +704,7 @@ def verify_star2(gb: Game, reduction: Reduction,
     solves the chain, every identity is compared, so a violation is
     reported as before and a chain with two closed classes ends in
     NotUnichain.  ``check_pair`` checks each doubled pair once; each
-    source pair is built by ``Reduction.restrict`` and solved once.
+    source pair is solved once, by ``_source``.
     """
     doubled, reduction = mirror(gb, reduction)
     evaluator = _MirrorEvaluator(reduction)

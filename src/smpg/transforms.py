@@ -14,12 +14,12 @@ parallel edges, so the double game is built from the splits.  The second
 copy swaps the two players' roles: state owners are switched and every
 action is replaced by a primed twin whose reward is negated.  A pair of
 the double game splits into one source pair per copy in
-``Reduction.restrict``, which does not check the pair: its callers have,
-by ``check_pair`` or ``induced_chain`` on the double game.
+``Reduction.restrict``, which does not check the pair: its caller has, by
+``check_pair`` on the double game.
 
 What does not depend on the pair is made once per (game, beta, s0), not
 once per ``Reduction``: the source game keeps, per (beta, s0), the reset
-game and the mirror evaluator's source memo (``Reduction.kept``), as
+game and the source memo of the reduction checks (``Reduction.kept``), as
 ``Game.chain_row`` keeps its rows, so every ``Reduction`` of it at that
 (beta, s0), and every verifier that makes one, shares them.  Nothing kept
 refers back to the source game: a ``Reduction`` or an evaluator kept
@@ -83,8 +83,8 @@ class Reduction:
     def kept(self) -> dict:
         """What the source game keeps for this (beta, s0), in its
         ``__dict__``: ``"reset"``, the reset game once built, and
-        ``"sources"``, the mirror evaluator's source memo.  Keyed by the
-        beta ``check_beta`` gives, so equal betas share."""
+        ``"sources"``, the source memo that ``solvers._source`` fills.
+        Keyed by the beta ``check_beta`` gives, so equal betas share."""
         return self.game.__dict__.setdefault("_reductions", {}).setdefault(
             (self.beta, self.s0), {"sources": {}})
 
@@ -143,19 +143,15 @@ class Reduction:
                       (one, plain, start_two, second), (two, primed, start_one, second)]
         return _nonzero_game(states, actions, edges)
 
-    def copy_actions(self, pair: StrategyPair, copy: int) -> tuple[str, ...]:
-        """The source actions that copy ``copy`` (1 or 2) of a pair of
-        ``doubled`` plays, one per source state in state order, primed
-        actions mapped back; unchecked."""
-        choices, inverse, state_map = pair.choices, self.inverse_actions, self.state_map
-        return tuple(inverse[choices[state_map[s][copy - 1]]] for s in self.game.state_order)
-
     def restrict(self, pair: StrategyPair, copy: int) -> StrategyPair:
-        """The copy-``copy`` restriction of a pair of ``doubled``, unchecked:
-        its ``copy_actions``, each source state played by its owner."""
-        actions = self.copy_actions(pair, copy)
-        return StrategyPair.from_choices(dict(zip(self.game.state_order, actions)),
-                                         self.game.owner)
+        """The copy-``copy`` restriction (copy 1 or 2) of a pair of
+        ``doubled``, unchecked: the source action that copy plays at each
+        source state, primed actions mapped back, played by the state's
+        owner."""
+        choices, inverse, state_map = pair.choices, self.inverse_actions, self.state_map
+        return StrategyPair.from_choices(
+            {s: inverse[choices[state_map[s][copy - 1]]] for s in self.game.state_order},
+            self.game.owner)
 
 
 def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:

@@ -31,7 +31,6 @@ from smpg.evaluate import (
     ValueVector,
     _decomposition,
     attractor,
-    certify_poisson,
     certify_stationary,
     discounted_values,
     mean_values,
@@ -438,38 +437,6 @@ def test_attractor_is_where_every_choice_of_actions_reaches_start(menus):
     for choice in itertools.product(*menus):
         everywhere &= _reaching(choice, start)
     assert attractor(menus, start) == everywhere
-
-
-@pytest.mark.parametrize("beta, gain", [(F(1, 2), F(1, 3)), (F(0), F(1))])
-def test_certify_poisson_accepts_a_reset_chain_at_its_source_values(g2, g2_pair, beta, gain):
-    """The reset chain from a, with g = v(a) and h = v / (1 - beta) from
-    the source pair's discounted values v; at beta 0 every row goes to a."""
-    gb, _ = beta_recurrent(g2, beta, "a")
-    chain = induced_chain(gb, g2_pair)
-    values = discounted_values(induced_chain(g2, g2_pair), beta)
-    assert certify_poisson(chain, beta, values, 0)
-    assert mean_values(chain).values == (gain, gain) == (values.at("a"),) * 2
-
-
-def test_certify_poisson_rejects_the_gain_of_another_start(g2, g2_pair):
-    gb, _ = beta_recurrent(g2, F(1, 2), "a")
-    values = discounted_values(induced_chain(g2, g2_pair), F(1, 2))
-    assert not certify_poisson(induced_chain(gb, g2_pair), F(1, 2), values, 1)
-
-
-def test_certify_poisson_is_sound_without_a_reach_check():
-    """t -> {u, w} with self-loops at u and w has two closed classes, and w
-    never reaches u.  Both loops pay 2, so g = 2 and h = (7, 4, 4) solve the
-    Poisson equation, v = h / 2 at beta 1/2 with v(u) = g, and g is every
-    state's mean value: the residual needs no reach search."""
-    chain = InducedChain(("t", "u", "w"),
-                         ((2, ((1, 1), (2, 1))), (1, ((1, 1),)), (1, ((2, 1),))),
-                         (F(5), F(2), F(2)))
-    assert len(recurrent_stationary(chain).classes) == 2
-    values = ValueVector(chain.state_order, (F(7, 2), F(2), F(2)))
-    assert certify_poisson(chain, F(1, 2), values, 1)
-    assert mean_values(chain).values == (F(2),) * 3
-    assert not certify_poisson(chain, F(1, 2), values, 0)
 
 
 def test_value_vector_guards_its_length_and_its_states():

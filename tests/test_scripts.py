@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,27 @@ def test_paired_ab_runs_one_tree_against_itself():
     match = re.fullmatch(r"retained per input: parent (\d+\.\d) KB, change (\d+\.\d) KB "
                          r"\(16 inputs held, tracemalloc\)", retained)
     assert match and abs(float(match[1]) - float(match[2])) <= 1  # one tree on both sides
+
+
+def test_paired_ab_names_the_first_op_whose_bytes_differ(tmp_path):
+    """A copied tree whose reports carry one more key passes every output
+    check, but its canonical bytes differ from the parent's on the first
+    op, and the script exits 1 naming that op."""
+    changed = tmp_path / "src"
+    shutil.copytree(REPO / "src" / "smpg", changed / "smpg",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    serialize = changed / "smpg" / "serialize.py"
+    text = serialize.read_text()
+    key = '        "pairs_checked": report.pairs_checked,\n'
+    assert text.count(key) == 1
+    serialize.write_text(text.replace(key, key + '        "extra": 1,\n'))
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "paired_ab.py"),
+                           "--parent", str(REPO / "src"), "--change", str(changed),
+                           "--workload", "reduction-n3", "--ops", "2"],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 1
+    assert proc.stderr == "paired_ab: op 0: the canonical output bytes differ\n"
+    assert proc.stdout == ""
 
 
 def test_verify_reduction_finds_no_violation():

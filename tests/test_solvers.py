@@ -28,8 +28,8 @@ from smpg.errors import (
 from smpg.evaluate import (
     Distribution,
     ValueVector,
-    is_stationary,
     mean_values,
+    stationary_residual,
     uniform_values,
     unichain_stationary,
 )
@@ -260,6 +260,28 @@ def test_greedy_recovery_rejects_unknown_state(g1b):
         greedy_recovery_discounted(g1b, F(1, 2), ValueVector(("zz",), (F(4),)))
 
 
+@pytest.mark.parametrize("recover", [
+    pytest.param(lambda game, claim: greedy_recovery_discounted(game, F(1, 2), claim), id="greedy"),
+    pytest.param(reference_recovery_oracle, id="oracle"),
+])
+@pytest.mark.parametrize("states, message, payload", [
+    pytest.param(("a", "a", "b"), "claimed values repeat states ['a']", {"states": ["a"]},
+                 id="repeated"),
+    pytest.param(("b", "c", "a"), "claimed values missing states [], unknown states ['c']",
+                 {"missing": [], "unknown": ["c"]}, id="extra"),
+    pytest.param(("c", "b"), "claimed values missing states ['a'], unknown states ['c']",
+                 {"missing": ["a"], "unknown": ["c"]}, id="missing-and-extra"),
+])
+def test_a_claim_in_another_order_names_each_state_once(g2, recover, states, message, payload):
+    """A claim in another state order than the game's must hold each of the
+    game's states once and no other: UnknownState names the states it
+    repeats, or those it misses and those the game does not have."""
+    claim = ValueVector(states, (F(5), F(1, 3), F(-1, 3))[:len(states)])
+    with pytest.raises(UnknownState) as info:
+        recover(g2, claim)
+    assert info.value.to_json_dict() == {"error": "UnknownState", "message": message, **payload}
+
+
 def test_an_aligned_claim_comes_back_as_itself(g2):
     """A claim already in the game's state order keeps its pre-filled
     integer view; another order is rebuilt in the game's order."""
@@ -475,17 +497,16 @@ def test_verify_star_reports_a_broken_reset_identity(monkeypatch, g2):
     assert report.value == F(8, 15)
 
 
-def _install_reset_rewards(monkeypatch, rewards):
-    """Make verify_star see a reset game whose ``rewards`` (action id ->
-    reward) replace the true ones; the source game keeps its rewards."""
-    real = smpg.solvers.beta_recurrent
-
-    def faulty(game, beta, s0):
-        reset_game, reduction = real(game, beta, s0)
-        edges = [(t.source, t.action, t.target, t.prob) for t in reset_game.transitions]
-        return build_game(reset_game.states, {**reset_game.actions, **rewards}, edges), reduction
-
-    monkeypatch.setattr(smpg.solvers, "beta_recurrent", faulty)
+def _install_reset_rewards(game, beta, s0, rewards):
+    """Put into what ``game`` keeps at (beta, s0) a reset game whose
+    ``rewards`` (action id -> reward) replace the true ones, so every
+    reduction check there reads it; the source game keeps its rewards."""
+    reduction = Reduction(game, beta, s0)
+    reset_game = reduction.reset_game
+    edges = [(t.source, t.action, t.target, t.prob) for t in reset_game.transitions]
+    reduction.kept["reset"] = build_game(reset_game.states, {**reset_game.actions, **rewards},
+                                         edges)
+    return reduction.kept["reset"]
 
 
 def _poisson_rows_off(chain, beta, values, start):
@@ -500,13 +521,14 @@ def _poisson_rows_off(chain, beta, values, start):
     pytest.param("Y", 1, "5/3", id="last-row"),  # stationary law (2/3, 1/3), rewards 1 and 3
     pytest.param("X", 0, "1", id="first-row"),  # rewards 2 and -1
 ])
-def test_verify_star_solves_a_reset_chain_one_poisson_row_rejects(monkeypatch, g2, action, row,
+def test_verify_star_solves_a_reset_chain_one_poisson_row_rejects(g2, action, row,
                                                                   mean_at_start):
     """A wrong reward at one state of the reset game breaks that state's
-    Poisson row alone.  The chain is then solved, and the violation is the
-    one the solve finds, so a residual that skips a row reports nothing."""
-    _install_reset_rewards(monkeypatch, {action: F(row + 2)})
-    reset_game, _ = smpg.solvers.beta_recurrent(g2, F(1, 2), "a")
+    row of the reset chain's Poisson equation alone, the first row or the
+    last.  verify_star solves the reset chain it finds in what the fresh
+    game keeps, so the violation is the one that solve finds, whichever
+    row is off."""
+    reset_game = _install_reset_rewards(g2, F(1, 2), "a", {action: F(row + 2)})
     pair = pair_of({"a": "X"}, {"b": "Y"})
     values = evaluate_pair(g2, pair, DISCOUNTED, F(1, 2))
     assert _poisson_rows_off(induced_chain(reset_game, pair), F(1, 2), values, 0) == [row]
@@ -530,12 +552,18 @@ def _spy_mean_values(monkeypatch):
     return solved
 
 
-def test_verify_star_certifies_every_reset_chain(monkeypatch):
+def test_verify_star_solves_each_reset_chain_once(monkeypatch):
+    """From each start state, verify_star alone solves the reset chain of
+    each of the 8 source pairs once, into what the game keeps, and a
+    verify_star2 after it at the same (beta, s0) solves no chain."""
     game = _three_state_game()
     solved = _spy_mean_values(monkeypatch)
     for s0 in game.state_order:
+        solved.clear()
         assert verify_star(game, F(1, 3), s0).ok
-    assert solved == []
+        assert len({(chain.rows, chain.rewards) for chain in solved}) == len(solved) == 8
+        assert verify_star2(*beta_recurrent(game, F(1, 3), s0)).ok
+        assert len(solved) == 8
 
 
 def test_pipeline_solves_no_doubled_chain(monkeypatch):
@@ -609,8 +637,7 @@ def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
 )
 def test_certificates_agree_with_the_solves_they_replace(seed, states, beta):
     """On every doubled pair the mirror evaluator gives the solved mean
-    values, and verify_star's report is the one its mean_values fallback
-    gives on every pair; at beta 0 every reset row goes to s0 alone."""
+    values; at beta 0 every reset row goes to s0 alone."""
     game = _small_generated_game(seed, states)
     for s0 in game.state_order:
         reduction = Reduction(game, beta, s0)
@@ -619,10 +646,6 @@ def test_certificates_agree_with_the_solves_they_replace(seed, states, beta):
             for tau in enumerate_strategies(doubled, MIN):
                 pair = StrategyPair(sigma, tau)
                 assert evaluator(pair) == evaluate_pair(doubled, pair, MEAN)
-        certified = verify_star(game, beta, s0)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(smpg.solvers, "certify_poisson", lambda *args: False)
-            assert verify_star(game, beta, s0) == certified
 
 
 def _two_by_two_game():
@@ -1312,9 +1335,9 @@ def test_what_a_game_keeps_gives_what_a_fresh_game_gives(seed, states, betas, da
 )
 def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, wrong):
     """On every doubled pair the mirror evaluator certifies the pair exactly
-    when is_stationary accepts the lemma's law pi* over the pair's rows, and
-    exactly when pi* P = pi* in Fractions, with the source laws right or
-    wrong (_wrong_laws)."""
+    when the whole stationary_residual of the lemma's law pi* over the
+    pair's rows is 0, and exactly when pi* P = pi* in Fractions, with the
+    source laws right or wrong (_wrong_laws)."""
     game = _small_generated_game(seed, states)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if wrong:
@@ -1334,7 +1357,9 @@ def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, 
                             x[i] = num * other.law_den
                     rows = [evaluator.rows[i][pair.choices[s]]
                             for i, s in enumerate(doubled.state_order)]
-                    assert (chain is None) == is_stationary(evaluator.common, rows, x)
+                    residual = stationary_residual(evaluator.common, len(x),
+                                                   zip(range(len(x)), x, rows))
+                    assert (chain is None) == (not any(residual))
                     matrix = induced_chain(doubled, pair).matrix
                     assert (chain is None) == all(
                         sum(xi * row[j] for xi, row in zip(x, matrix)) == x[j]
