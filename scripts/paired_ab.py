@@ -19,6 +19,9 @@ it makes ``HELD`` inputs, runs their ops while holding every input, as
 ``tracemalloc`` still finds allocated after a full collection: what each
 input keeps once its op is done.  A time ratio does not show what the
 inputs keep; a benchmark's peak RSS does, over a whole run.
+
+Last it prints each tree's code lines as ``scripts/loc.py`` counts them,
+so one run reports a change's bytes, time, retained memory and size.
 """
 
 import argparse
@@ -33,8 +36,9 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "scripts")]
 
+from loc import code_lines  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 MODULES = ("linalg", "game", "evaluate", "transforms", "solvers", "generate", "serialize", "cli")
@@ -126,6 +130,10 @@ def main(argv=None) -> int:
           f"range {min(ratios):.4f}..{max(ratios):.4f}")
     print("retained per input: " + ", ".join(f"{side} {retained[side]:.1f} KB" for side in SIDES)
           + f" ({HELD} inputs held, tracemalloc)")
+    lines = {side: sum(code_lines(path.read_text())
+                       for path in (getattr(args, side) / "smpg").glob("*.py")) for side in SIDES}
+    print("code lines: " + ", ".join(f"{side} {lines[side]}" for side in SIDES)
+          + f" ({lines['change'] - lines['parent']:+d}, scripts/loc.py)")
     return 0
 
 

@@ -62,7 +62,6 @@ from .solvers import (
 from .transforms import (
     Reduction,
     beta_recurrent,
-    compose_mirror_strategies,
     decompose_mirror_strategies,
     mirror,
 )

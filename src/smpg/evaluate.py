@@ -23,7 +23,8 @@ one search covers every strategy pair's chain.
 stationary masses, absorption sums and gains stay integers over one
 denominator, and Fractions are only views (discounted values, gains,
 ``Distribution.mass``); the solvers compare value vectors through their
-integer view ``ValueVector.scaled``.  The Monte
+integer view ``ValueVector.scaled``, the one form in which a pair's
+values pass between them.  The Monte
 Carlo simulator at the bottom is the single floating-point component of the
 package and is never consulted by any exactness check.
 """
@@ -260,8 +261,7 @@ def mean_values(chain: InducedChain) -> ValueVector:
 
     A recurrent state gets its class gain, a transient one the class gains
     mixed by its absorption probabilities.  With one closed class that mix
-    is the class gain, so no absorption system is solved, and the result's
-    integer view ``scaled`` comes with it.
+    is the class gain, so no absorption system is solved.
     """
     decomposition = _decomposition(chain)
     n = len(chain.state_order)
@@ -315,16 +315,7 @@ def mean_values(chain: InducedChain) -> ValueVector:
     state = next((s for s, g in zip(chain.state_order, gains) if g is None), None)
     if state is not None:
         raise ProbabilitySumMismatch(f"state {state!r} reaches no recurrent class", state=state)
-    return (uniform_values(chain.state_order, gain) if len(class_gains) == 1
-            else ValueVector(chain.state_order, tuple(gains)))
-
-
-def uniform_values(state_order: tuple[str, ...], value: Fraction) -> ValueVector:
-    """``value`` at every state, with the integer view ``scaled`` filled in:
-    what ``scale`` gives for n copies of one lowest-terms value."""
-    values = ValueVector(state_order, (value,) * len(state_order))
-    values.__dict__["scaled"] = (value.denominator, (value.numerator,) * len(state_order))
-    return values
+    return ValueVector(chain.state_order, tuple(gains))
 
 
 def unichain_stationary(chain: InducedChain) -> Distribution:

@@ -78,18 +78,6 @@ def config_from_json_dict(raw: dict) -> GeneratorConfig:
         raise ParseError(f"missing generator config field {field!r}", field=field) from exc
 
 
-def config_to_json_dict(config: GeneratorConfig) -> dict:
-    return {
-        "states": config.states,
-        "actions_per_state": list(config.actions_per_state),
-        "transitions_per_action": list(config.transitions_per_action),
-        "reward_bound": config.reward_bound,
-        "denominator_bound": config.denominator_bound,
-        "max_states_fraction": str(config.max_states_fraction),
-        "seed": config.seed,
-    }
-
-
 def generate_game(config: GeneratorConfig) -> Game:
     """Draw a game; the same config always produces the identical game."""
     rng = random.Random(config.seed)

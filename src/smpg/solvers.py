@@ -32,10 +32,12 @@ one reset game and solve each source pair once.  Nothing kept there
 refers back to the game, so no reference cycle outlives a call.
 ``verify_star`` checks the reset identity by comparing two exact solves:
 each source pair's discounted values on the source game, and its reset
-chain's mean values from that memo.  All of them, the pair scans and the
-recovery oracle read value vectors through their integer view
-(D, y = D v), compare integer cross-products, and build Fractions only
-for what they return.
+chain's mean values from that memo.  A pair's values travel as their
+integer view (D, y = D v, ``View``): the pair scans' entries and the
+mirror evaluator hand views over, and the scans and the recovery oracle
+compare them by integer cross-products, building Fractions only for what
+they return.  A certified doubled pair is a view and nothing more: no
+Fraction and no ``ValueVector`` is made for it.
 
 Brute force and the two verifiers scan every strategy pair (``_PairScan``),
 since each needs every entry.  The recovery oracle does not share that
@@ -69,7 +71,6 @@ from .evaluate import (
     discounted_values,
     mean_values,
     stationary_residual,
-    uniform_values,
     unichain_stationary,
 )
 from .game import (
@@ -93,10 +94,14 @@ from .transforms import Reduction, mirror
 MEAN = "mean"
 DISCOUNTED = "discounted"
 
+# The integer view (D, y = D v) of a value vector v, D > 0, as
+# ``ValueVector.scaled`` gives it; a view need not be in lowest terms.
+View = tuple[int, tuple[int, ...]]
+
 # A recovery oracle maps (game, claimed per-state values) to a strategy
 # pair witnessing the claim, evaluating pairs with the keyword argument
-# ``evaluator`` (pair -> mean values) that strategic_via_recovery passes.
-# reference_recovery_oracle below is one.
+# ``evaluator`` (pair -> the View of its mean values) that
+# strategic_via_recovery passes.  reference_recovery_oracle below is one.
 RecoveryOracle = Callable[..., StrategyPair]
 
 
@@ -194,16 +199,16 @@ def _strategies(game: Game, cap: int) -> tuple[list[PositionalStrategy], list[Po
 
 class _PairScan:
     """One pass over every positional strategy pair, a row per maximizer
-    strategy and a column per minimizer strategy.  ``entry(pair)`` is a
-    value vector; the scan holds one row at a time and keeps only the
-    componentwise row minima and running column maxima, as the (y_s, D)
-    pairs of the entries' integer views."""
+    strategy and a column per minimizer strategy.  ``entry(pair)`` is the
+    integer view of the pair's values; the scan holds one row at a time and
+    keeps only the componentwise row minima and running column maxima, as
+    (y_s, D) pairs."""
 
-    def __init__(self, game: Game, cap: int, entry: Callable[[StrategyPair], ValueVector]):
+    def __init__(self, game: Game, cap: int, entry: Callable[[StrategyPair], View]):
         self.max_strats, self.min_strats = _strategies(game, cap)
         self.row_min, self.col_max = [], None
         for sigma in self.max_strats:
-            views = (entry(StrategyPair(sigma, tau)).scaled for tau in self.min_strats)
+            views = (entry(StrategyPair(sigma, tau)) for tau in self.min_strats)
             row = [[(v, d) for v in y] for d, y in views]
             self.row_min.append(_fold(list(row[0]), row, 1))
             self.col_max = row if self.col_max is None else [
@@ -236,11 +241,11 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
 
     Returns the per-state value (lower = upper, certified), and the
     lexicographically first pair that attains it simultaneously at every
-    state.  DeterminacyViolation is a hard error.
+    state.  DeterminacyViolation is a hard error.  The mean criterion reads
+    no beta, so its solution carries none, whatever is given.
     """
-    if criterion == DISCOUNTED:
-        beta = check_beta(beta)
-    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta))
+    beta = check_beta(beta) if criterion == DISCOUNTED else None
+    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta).scaled)
     lower = tuple(Fraction(*cell) for cell in scan.lower)
     upper = tuple(Fraction(*cell) for cell in _fold(list(scan.col_max[0]), scan.col_max, 1))
     if lower != upper:
@@ -412,16 +417,17 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
 
 def reference_recovery_oracle(game: Game, claimed: ValueVector,
                               cap: int = DEFAULT_ENUMERATION_CAP, *,
-                              evaluator: Callable[[StrategyPair], ValueVector] | None = None
+                              evaluator: Callable[[StrategyPair], View] | None = None
                               ) -> StrategyPair:
     """Recovery oracle by exhaustion, for the mean-payoff criterion.
 
-    A pair's mean values come from ``evaluator`` when one is given, and
-    from ``evaluate_pair(game, pair, MEAN)`` otherwise.
-    ``strategic_via_recovery`` hands in its reduction's
-    ``_MirrorEvaluator``, whose values are the doubled chain's mean values,
-    certified by the mirror lemma or solved: evaluating a fixed pair is not
-    solving the game, so the oracle's model is unchanged.
+    A pair's mean values come as their integer view (D, y = D v) from
+    ``evaluator`` when one is given, and from ``evaluate_pair(game, pair,
+    MEAN).scaled`` otherwise.  ``strategic_via_recovery`` hands in its
+    reduction's ``_MirrorEvaluator``, whose views are of the doubled
+    chain's mean values, certified by the mirror lemma or solved:
+    evaluating a fixed pair is not solving the game, so the oracle's model
+    is unchanged.
 
     Returns the lexicographically first pair that both evaluates to the
     claimed values at every state and is a saddle point (no unilateral
@@ -445,11 +451,11 @@ def reference_recovery_oracle(game: Game, claimed: ValueVector,
     max_strats, min_strats = _strategies(game, cap)
     d, y = target.scaled
     if evaluator is None:
-        evaluator = lambda pair: evaluate_pair(game, pair, MEAN)
+        evaluator = lambda pair: evaluate_pair(game, pair, MEAN).scaled
 
     def difference(sigma: PositionalStrategy, tau: PositionalStrategy) -> list[int]:
         """Per state, an integer with the sign of the pair's mean value minus the claim."""
-        den, values = evaluator(StrategyPair(sigma, tau)).scaled
+        den, values = evaluator(StrategyPair(sigma, tau))
         return [v * d - t * den for v, t in zip(values, y)]
 
     def row_at_claim(sigma: PositionalStrategy) -> list[bool] | None:
@@ -506,8 +512,8 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
         reduction = Reduction(game, beta, s)
         doubled = reduction.doubled
         evaluator = _MirrorEvaluator(reduction)
-        witness = oracle(doubled, uniform_values(doubled.state_order, Fraction(0)),
-                         evaluator=evaluator)
+        claim = ValueVector(doubled.state_order, (Fraction(0),) * len(doubled.state_order))
+        witness = oracle(doubled, claim, evaluator=evaluator)
         source = evaluator.part(1, pair_actions(doubled, witness))[0]
         value_at_s = Fraction(source.value_nums[game.state_index[s]], source.value_den)
         assembled.append(value_at_s)
@@ -572,7 +578,7 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     start = game.state_index[s0]
     violations = []
 
-    def entry(pair: StrategyPair) -> ValueVector:
+    def entry(pair: StrategyPair) -> View:
         disc = discounted_values(induced_chain(game, pair), reduction.beta)
         source = _source(reduction, tuple(map(pair.choices.__getitem__, game.state_order)))
         d, y = disc.scaled
@@ -584,14 +590,14 @@ def verify_star(game: Game, beta: Fraction, s0: str,
                     Fraction(source.value_nums[start], source.value_den)),
                 "discounted_at_start": format_rational(disc.at(s0)),
             })
-        return disc
+        return d, y
 
     return _PairScan(game, cap, entry).report(violations, start)
 
 
 class _MirrorEvaluator:
-    """The mean values of the pairs of one reduction's double game: the one
-    place that turns a doubled pair into values.
+    """The mean values of the pairs of one reduction's double game, as
+    integer views: the one place that turns a doubled pair into values.
 
     The mirror lemma predicts a doubled chain's stationary law from its two
     copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
@@ -667,21 +673,23 @@ class _MirrorEvaluator:
             entry = self.copies[played] = (source, r_c, g_c)
         return entry
 
-    def evaluate(self, pair: StrategyPair) -> tuple[ValueVector, InducedChain | None, tuple]:
-        """The pair's mean values; its chain when they were solved, None
-        when certified; and the two copies' ``_Source``."""
+    def evaluate(self, pair: StrategyPair) -> tuple[View, InducedChain | None, tuple]:
+        """The integer view of the pair's mean values; its chain when they
+        were solved, None when certified; and the two copies' ``_Source``.
+        A certified view is the gain (d_2 g_1 + d_1 g_2) / (2 d_1 d_2) over
+        the reward denominator at every state, not brought to lowest terms."""
         doubled = self.reduction.doubled
         actions = pair_actions(doubled, pair)
         (one, r_1, g_1), (two, r_2, g_2) = (self.part(copy, actions) for copy in (1, 2))
         if r_1 is not None and r_2 is not None:
             d_1, d_2 = one.law_den, two.law_den
             if not any(d_2 * a + d_1 * b for a, b in zip(r_1, r_2)):
-                gain = Fraction(d_2 * g_1 + d_1 * g_2, 2 * d_1 * d_2 * self.reward_den)
-                return uniform_values(doubled.state_order, gain), None, (one, two)
+                view = (2 * d_1 * d_2 * self.reward_den, (d_2 * g_1 + d_1 * g_2,) * len(actions))
+                return view, None, (one, two)
         chain = induced_chain(doubled, pair)
-        return mean_values(chain), chain, (one, two)
+        return mean_values(chain).scaled, chain, (one, two)
 
-    def __call__(self, pair: StrategyPair) -> ValueVector:
+    def __call__(self, pair: StrategyPair) -> View:
         return self.evaluate(pair)[0]
 
 
@@ -710,25 +718,24 @@ def verify_star2(gb: Game, reduction: Reduction,
     evaluator = _MirrorEvaluator(reduction)
     violations = []
 
-    def entry(pair: StrategyPair) -> ValueVector:
+    def entry(pair: StrategyPair) -> View:
         def violation(**fields) -> None:
             violations.append({**fields, **strategy_pair_to_json_dict(pair)})
 
-        doubled_values, chain, sources = evaluator.evaluate(pair)
+        view, chain, sources = evaluator.evaluate(pair)
         for copy, source in enumerate(sources, 1):
             if not source.constant:
                 violation(kind="nonconstant-copy-value", copy=copy)
         # expected = copy_1 / 2 - copy_2 / 2 = num / den, each copy at its first state
         (d1, y1), (d2, y2) = ((source.value_den, source.value_nums[0]) for source in sources)
         num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
-        d, y = doubled_values.scaled
+        d, y = view
         for state, v in zip(doubled.state_order, y):
             if v * den != num * d:
-                violation(kind="mirror-identity", state=state,
-                          lhs=format_rational(doubled_values.at(state)),
+                violation(kind="mirror-identity", state=state, lhs=format_rational(Fraction(v, d)),
                           rhs=format_rational(Fraction(num, den)))
         if chain is None:
-            return doubled_values
+            return view
 
         occupation = unichain_stationary(chain)
         d, nums = occupation.denominator, occupation.numerators
@@ -745,6 +752,6 @@ def verify_star2(gb: Game, reduction: Reduction,
                     violation(kind="copy-stationary", copy=copy, state=s,
                               scaled=format_rational(Fraction(2 * nums[i], d)),
                               stationary=format_rational(Fraction(n_ref, d_ref)))
-        return doubled_values
+        return view
 
     return _PairScan(doubled, cap, entry).report(violations, 0)

@@ -13,9 +13,8 @@ redirected to the other copy's start state.  The reset game merges
 parallel edges, so the double game is built from the splits.  The second
 copy swaps the two players' roles: state owners are switched and every
 action is replaced by a primed twin whose reward is negated.  A pair of
-the double game splits into one source pair per copy in
-``Reduction.restrict``, which does not check the pair: its caller has, by
-``check_pair`` on the double game.
+the double game splits into one source pair per copy in one place,
+``decompose_mirror_strategies``, after ``check_pair`` on the double game.
 
 What does not depend on the pair is made once per (game, beta, s0), not
 once per ``Reduction``: the source game keeps, per (beta, s0), the reset
@@ -143,16 +142,6 @@ class Reduction:
                       (one, plain, start_two, second), (two, primed, start_one, second)]
         return _nonzero_game(states, actions, edges)
 
-    def restrict(self, pair: StrategyPair, copy: int) -> StrategyPair:
-        """The copy-``copy`` restriction (copy 1 or 2) of a pair of
-        ``doubled``, unchecked: the source action that copy plays at each
-        source state, primed actions mapped back, played by the state's
-        owner."""
-        choices, inverse, state_map = pair.choices, self.inverse_actions, self.state_map
-        return StrategyPair.from_choices(
-            {s: inverse[choices[state_map[s][copy - 1]]] for s in self.game.state_order},
-            self.game.owner)
-
 
 def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:
     """The reset transform of ``game`` at ``beta`` from ``s0``, and the
@@ -180,21 +169,14 @@ def decompose_mirror_strategies(pair: StrategyPair, reduction: Reduction
     """Split a strategy pair of the mirrored game into two source pairs.
 
     StrategyDomainMismatch unless the pair fits the double game
-    (``check_pair``); then ``Reduction.restrict``: the first returned pair
-    is both players' copy-1 restrictions, the second the copy-2
-    restrictions with primed actions mapped back and the players' roles
+    (``check_pair``).  The first returned pair is both players' copy-1
+    restrictions, the second the copy-2 restrictions: at each source state,
+    the source action that copy plays, primed actions mapped back, played
+    by the state's owner in the source game, so the players' roles are
     swapped back.
     """
     check_pair(reduction.doubled, pair)
-    return reduction.restrict(pair, 1), reduction.restrict(pair, 2)
-
-
-def compose_mirror_strategies(pair_one: StrategyPair, pair_two: StrategyPair,
-                              reduction: Reduction) -> StrategyPair:
-    """Inverse of decompose_mirror_strategies: each choice goes to the
-    double game's owner of the state's copy."""
-    choices = {}
-    for copy, half in enumerate((pair_one, pair_two)):
-        for s, action in half.choices.items():
-            choices[reduction.state_map[s][copy]] = reduction.action_map[action][copy]
-    return StrategyPair.from_choices(choices, reduction.doubled.owner)
+    game, choices, inverse = reduction.game, pair.choices, reduction.inverse_actions
+    return tuple(StrategyPair.from_choices(
+        {s: inverse[choices[reduction.state_map[s][copy]]] for s in game.state_order}, game.owner)
+        for copy in (0, 1))

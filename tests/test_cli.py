@@ -275,6 +275,15 @@ def test_solve_si_matches_oracle_method(capsys, g2_file):
     assert json.loads(si_out)["values"] == {"a": "1/3", "b": "-1/3"}
 
 
+def test_mean_solve_ignores_a_stray_beta(capsys, g2_file):
+    """The mean criterion reads no beta, so a given one, even out of range,
+    leaves the output byte for byte as without it."""
+    code, plain, _ = run(capsys, "solve", g2_file, "--criterion", "mean")
+    assert code == 0
+    code, out, err = run(capsys, "solve", g2_file, "--criterion", "mean", "--beta", "7")
+    assert (code, out, err) == (0, plain, "")
+
+
 def test_solve_si_rejects_mean_criterion(capsys, g2_file):
     code, _, err = run(capsys, "solve", g2_file, "--method", "si",
                        "--criterion", "mean")

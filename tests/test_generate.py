@@ -1,6 +1,8 @@
 """Seeded random game generation."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from smpg.game import MAX, game_to_json_dict, validate_game
 from smpg.generate import (
     GeneratorConfig,
     config_from_json_dict,
-    config_to_json_dict,
     generate_game,
 )
 
@@ -39,8 +40,9 @@ def test_different_seeds_differ():
 
 
 def test_config_json_round_trip():
-    cfg = config(5)
-    assert config_from_json_dict(config_to_json_dict(cfg)) == cfg
+    """The committed generator config parses to the config it spells out."""
+    path = Path(__file__).resolve().parents[1] / "games" / "generator_small.json"
+    assert config_from_json_dict(json.loads(path.read_text())) == config(7)
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from smpg.evaluate import (
     ValueVector,
     mean_values,
     stationary_residual,
-    uniform_values,
     unichain_stationary,
 )
 from smpg.game import (
@@ -283,11 +282,11 @@ def test_a_claim_in_another_order_names_each_state_once(g2, recover, states, mes
 
 
 def test_an_aligned_claim_comes_back_as_itself(g2):
-    """A claim already in the game's state order keeps its pre-filled
-    integer view; another order is rebuilt in the game's order."""
-    claim = uniform_values(g2.state_order, F(0))
+    """A claim already in the game's state order comes back as the same
+    object, with its integer view if made; another order is rebuilt in
+    the game's order."""
+    claim = ValueVector(g2.state_order, (F(0), F(0)))
     assert _aligned(g2, claim) is claim
-    assert claim.__dict__["scaled"] == (1, (0, 0))
     swapped = _aligned(g2, ValueVector(("b", "a"), (F(2), F(1))))
     assert (swapped.state_order, swapped.values) == (("a", "b"), (F(1), F(2)))
 
@@ -636,8 +635,8 @@ def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     beta=st.sampled_from([F(0), F(1, 2), F(9, 10)]),
 )
 def test_certificates_agree_with_the_solves_they_replace(seed, states, beta):
-    """On every doubled pair the mirror evaluator gives the solved mean
-    values; at beta 0 every reset row goes to s0 alone."""
+    """On every doubled pair the mirror evaluator's integer view is of the
+    solved mean values; at beta 0 every reset row goes to s0 alone."""
     game = _small_generated_game(seed, states)
     for s0 in game.state_order:
         reduction = Reduction(game, beta, s0)
@@ -645,7 +644,34 @@ def test_certificates_agree_with_the_solves_they_replace(seed, states, beta):
         for sigma in enumerate_strategies(doubled, MAX):
             for tau in enumerate_strategies(doubled, MIN):
                 pair = StrategyPair(sigma, tau)
-                assert evaluator(pair) == evaluate_pair(doubled, pair, MEAN)
+                assert _view_values(evaluator(pair)) == evaluate_pair(doubled, pair, MEAN).values
+
+
+def _view_values(view):
+    """The values an integer view (D, y = D v) stands for, with D > 0 checked."""
+    d, y = view
+    assert d > 0
+    return tuple(F(v, d) for v in y)
+
+
+def test_a_certified_doubled_pair_makes_no_value_vector(monkeypatch):
+    """Once verify_star has filled the source memo at (beta, s0), every
+    doubled pair of verify_star2 there is certified, and none of the 64
+    makes a ValueVector: the pair's values travel as an integer view."""
+    game = _three_state_game()
+    s0 = game.state_order[0]
+    assert verify_star(game, F(1, 3), s0).ok
+    made = []
+    real = ValueVector.__post_init__
+
+    def spy(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(smpg.evaluate.ValueVector, "__post_init__", spy)
+    report = verify_star2(*beta_recurrent(game, F(1, 3), s0))
+    assert report.ok and report.pairs_checked == 64
+    assert made == []
 
 
 def _two_by_two_game():
@@ -976,14 +1002,15 @@ def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(mo
     with pytest.MonkeyPatch.context() as no_reach:
         no_reach.setattr(smpg.solvers, "attractor", lambda menus, start: set(range(len(menus))))
         solved = _spy_doubled_solves(no_reach, len(gb.state_order))
-        certified = [_MirrorEvaluator(reduction)(pair) for pair in pairs]
+        certified = [_view_values(_MirrorEvaluator(reduction)(pair)) for pair in pairs]
         assert solved == []
-        assert {values.at("b1") for values in certified} == {F(0)}
+        b1 = doubled.state_index["b1"]
+        assert {values[b1] for values in certified} == {F(0)}
 
     evaluator = _MirrorEvaluator(reduction)
     assert not evaluator.certifiable
     solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
-    assert [evaluator(pair) for pair in pairs] == expected
+    assert [_view_values(evaluator(pair)) for pair in pairs] == [v.values for v in expected]
     assert len(solved) == len(pairs) == 4
 
     with pytest.raises(NotUnichain) as info:

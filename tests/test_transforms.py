@@ -17,16 +17,17 @@ from smpg.evaluate import mean_values, recurrent_stationary
 from smpg.game import (
     MAX,
     MIN,
+    check_pair,
     enumerate_strategies,
     induced_chain,
+    strategy_pair_to_json_dict,
     validate_game,
 )
 from smpg.generate import GeneratorConfig, generate_game
-from smpg.serialize import reduction_from_json_dict, reset_map_to_json_dict
+from smpg.serialize import canonical_dumps, reduction_from_json_dict, reset_map_to_json_dict
 from smpg.transforms import (
     Reduction,
     beta_recurrent,
-    compose_mirror_strategies,
     decompose_mirror_strategies,
     mirror,
 )
@@ -263,13 +264,18 @@ def test_decompose_rejects_pairs_that_do_not_fit_the_double_game(g2):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_compose_inverts_decompose(seed):
+def test_decompose_is_injective_onto_source_pairs(seed):
+    """Distinct doubled pairs split into distinct (copy-1, copy-2) pairs,
+    and each half is a pair of the source game."""
     g = generate_game(small_config(seed))
     s0 = g.state_order[seed % len(g.state_order)]
     gb, tm = beta_recurrent(g, F(1, 2), s0)
     doubled, mm = mirror(gb, tm)
+    split = []
     for smax in enumerate_strategies(doubled, MAX):
         for smin in enumerate_strategies(doubled, MIN):
-            pair = pair_of(smax.choices, smin.choices)
-            one, two = decompose_mirror_strategies(pair, mm)
-            assert compose_mirror_strategies(one, two, mm) == pair
+            halves = decompose_mirror_strategies(pair_of(smax.choices, smin.choices), mm)
+            for half in halves:
+                check_pair(g, half)
+            split.append(canonical_dumps([strategy_pair_to_json_dict(half) for half in halves]))
+    assert len(set(split)) == len(split)
