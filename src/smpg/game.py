@@ -148,10 +148,8 @@ class Game:
         rows = self.__dict__.setdefault("_chain_rows", {})
         row = rows.get((state, action))
         if row is None:
-            out = self.outgoing[(state, action)]
-            den, nums = scale([p for _, p in out])
-            row = rows[(state, action)] = _checked_row(state, den, tuple(
-                (self.state_index[t], num) for (t, _), num in zip(out, nums)), len(self.states))
+            row = rows[(state, action)] = checked_row(state, self.outgoing[(state, action)],
+                                                      self.state_index)
         return row
 
     def states_of(self, player: str) -> tuple[str, ...]:
@@ -188,6 +186,16 @@ class StrategyPair:
 class _CheckedRow(tuple):
     """A chain row (den, entries) that passed _checked_row."""
     __slots__ = ()
+
+
+def checked_row(state: str, out, index: dict[str, int]) -> _CheckedRow:
+    """The chain row (den, ((j, num), ...)) of a (state, action)'s ``out``,
+    ((target, prob), ...) in ``Game.outgoing``'s form, on the states that
+    ``index`` numbers: den the lcm of its probability denominators, checked
+    by ``_checked_row``."""
+    den, nums = scale([p for _, p in out])
+    return _checked_row(state, den, tuple((index[t], num) for (t, _), num in zip(out, nums)),
+                        len(index))
 
 
 def _checked_row(state: str, den: int, entries: tuple, n: int) -> _CheckedRow:

@@ -10,40 +10,27 @@ transform, mirrored double game, a recovery oracle invoked with the
 all-zero claim, restriction back to the source game.
 
 Strategy iteration and greedy recovery compare one-step lookaheads as
-integers over one positive denominator per state (``_Lookahead``), so no
-Fraction arithmetic runs per action.  ``_one_step`` is the one check of the
-one-step optimality equations: it certifies strategy iteration's stop, and
-it certifies greedy recovery's pair without solving the pair again.  Along
-the reduction chain, identities whose values are already known are
-certified, and a chain is solved only when its certificate fails.
-``_MirrorEvaluator`` is the one place that turns a pair of a reduction's
-double game into values.  Once per reduction it brings the double game's
-rows and rewards to common denominators and certifies that every pair's
-chain reaches the copy-1 start (``evaluate.attractor``); per pair it
-certifies the mirror lemma's stationary law, built from two memoised
-source laws, by a residual summed from one part per copy
-(``evaluate.stationary_residual``), and its gain likewise.  ``verify_star2``
-and the pipeline's recovery oracle both read it.  The source laws and
-values are solved once per (game, beta, s0), by ``_source``, the one place
-a source pair is solved on the reset game: the source game keeps them,
-with the reset game, per (beta, s0) (``transforms.Reduction.kept``), so
-``verify_star``, ``verify_star2`` and the pipeline at one (beta, s0) share
-one reset game and solve each source pair once.  Nothing kept there
-refers back to the game, so no reference cycle outlives a call.
-``verify_star`` checks the reset identity by comparing two exact solves:
-each source pair's discounted values on the source game, and its reset
-chain's mean values from that memo.  A pair's values travel as their
-integer view (D, y = D v, ``View``): the pair scans' entries and the
-mirror evaluator hand views over, and the scans and the recovery oracle
-compare them by integer cross-products, building Fractions only for what
-they return.  A certified doubled pair is a view and nothing more: no
-Fraction and no ``ValueVector`` is made for it.
+integers over one positive denominator per state (``_Lookahead``).
+``_one_step`` is the one check of the one-step optimality equations: it
+certifies strategy iteration's stop, and greedy recovery's pair without
+solving it again.  Along the reduction chain, identities whose values are
+already known are certified, and a chain is solved only when its
+certificate fails.  What no pair changes is made once per (game, beta,
+s0) and kept by the source game (``transforms.Reduction.kept``): the reset
+game, the source memo that ``_source`` fills, the one place a source pair
+is solved on the reset game, and the integer tables of the mirror
+evaluator (``_tables``).  Nothing kept refers back to the game.
+``_MirrorEvaluator`` is the one place that turns a doubled pair into
+values: ``verify_star2`` scans the doubled pairs as action tuples without
+building the double game, and the pipeline's oracle hands it checked
+pairs of the built one.
 
-Brute force and the two verifiers scan every strategy pair (``_PairScan``),
-since each needs every entry.  The recovery oracle does not share that
-scan: it looks for its one saddle pair lazily, rejecting a row or a column
-of pairs at its first counterexample to the claim, and holds one flag per
-column, never the value table.
+A pair's values travel as their integer view (D, y = D v, ``View``),
+compared by integer cross-products; Fractions are built only for what is
+returned, and a certified doubled pair is a view and nothing more.  Brute
+force and the two verifiers scan every strategy pair (``_PairScan``).  The
+recovery oracle does not: it looks for its one saddle pair lazily,
+rejecting a row or a column at its first counterexample to the claim.
 """
 
 from __future__ import annotations
@@ -81,6 +68,7 @@ from .game import (
     InducedChain,
     PositionalStrategy,
     StrategyPair,
+    checked_row,
     enumerate_strategies,
     format_rational,
     induced_chain,
@@ -89,7 +77,7 @@ from .game import (
     strategy_count,
     strategy_pair_to_json_dict,
 )
-from .transforms import Reduction, mirror
+from .transforms import Reduction
 
 MEAN = "mean"
 DISCOUNTED = "discounted"
@@ -186,9 +174,10 @@ def _fold(best: list[tuple[int, int]], rows, sign: int) -> list[tuple[int, int]]
 
 
 def _strategies(game: Game, cap: int) -> tuple[list[PositionalStrategy], list[PositionalStrategy]]:
-    """Every positional strategy of the maximizer and of the minimizer, in
-    enumeration order.  Raises CombinatorialLimitExceeded, before anything
-    is enumerated, when they make more than ``cap`` pairs."""
+    """Every positional strategy of the maximizer and of the minimizer of
+    ``game``, a ``Game`` or the ``_Menus`` of one not built, in enumeration
+    order.  Raises CombinatorialLimitExceeded, before anything is
+    enumerated, when they make more than ``cap`` pairs."""
     max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
     if max_count * min_count > cap:
         raise CombinatorialLimitExceeded(
@@ -199,16 +188,16 @@ def _strategies(game: Game, cap: int) -> tuple[list[PositionalStrategy], list[Po
 
 class _PairScan:
     """One pass over every positional strategy pair, a row per maximizer
-    strategy and a column per minimizer strategy.  ``entry(pair)`` is the
-    integer view of the pair's values; the scan holds one row at a time and
-    keeps only the componentwise row minima and running column maxima, as
-    (y_s, D) pairs."""
+    strategy and a column per minimizer strategy.  ``entry(sigma, tau)`` is
+    the integer view of the pair's values; the scan holds one row at a time
+    and keeps only the componentwise row minima and running column maxima,
+    as (y_s, D) pairs."""
 
-    def __init__(self, game: Game, cap: int, entry: Callable[[StrategyPair], View]):
+    def __init__(self, game: Game, cap: int, entry: Callable[..., View]):
         self.max_strats, self.min_strats = _strategies(game, cap)
         self.row_min, self.col_max = [], None
         for sigma in self.max_strats:
-            views = (entry(StrategyPair(sigma, tau)) for tau in self.min_strats)
+            views = (entry(sigma, tau) for tau in self.min_strats)
             row = [[(v, d) for v in y] for d, y in views]
             self.row_min.append(_fold(list(row[0]), row, 1))
             self.col_max = row if self.col_max is None else [
@@ -245,7 +234,8 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
     no beta, so its solution carries none, whatever is given.
     """
     beta = check_beta(beta) if criterion == DISCOUNTED else None
-    scan = _PairScan(game, cap, lambda pair: evaluate_pair(game, pair, criterion, beta).scaled)
+    scan = _PairScan(game, cap, lambda sigma, tau: evaluate_pair(
+        game, StrategyPair(sigma, tau), criterion, beta).scaled)
     lower = tuple(Fraction(*cell) for cell in scan.lower)
     upper = tuple(Fraction(*cell) for cell in _fold(list(scan.col_max[0]), scan.col_max, 1))
     if lower != upper:
@@ -555,8 +545,9 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
         chain = induced_chain(reduction.reset_game, pair)
         d, y = mean_values(chain).scaled
         law = unichain_stationary(chain)
-        source = sources[actions] = _Source(d, y, law.denominator, law.numerators,
-                                            len(set(y)) == 1)
+        constant = len(set(y)) == 1  # then the values share one int
+        source = sources[actions] = _Source(d, (y[0],) * len(y) if constant else y,
+                                            law.denominator, law.numerators, constant)
     return source
 
 
@@ -578,7 +569,8 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     start = game.state_index[s0]
     violations = []
 
-    def entry(pair: StrategyPair) -> View:
+    def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
+        pair = StrategyPair(sigma, tau)
         disc = discounted_values(induced_chain(game, pair), reduction.beta)
         source = _source(reduction, tuple(map(pair.choices.__getitem__, game.state_order)))
         d, y = disc.scaled
@@ -595,6 +587,27 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _PairScan(game, cap, entry).report(violations, start)
 
 
+def _tables(states, actions: dict[str, Fraction], rows, start: int) -> tuple:
+    """The mirror evaluator's tables, in integers, from the double game's
+    pieces (``Reduction.mirrored``): its ``State``s, copy 1's then copy 2's,
+    its rewards and its (state, action) rows in ``Game.outgoing``'s form,
+    each checked once (``checked_row``); ``start`` indexes copy 1's start.
+    They are every row over one common denominator, per doubled state
+    (action -> entries); every reward over one denominator; and whether
+    every pair's chain reaches the start (``evaluate.attractor``)."""
+    index = {s.id: i for i, s in enumerate(states)}
+    menus = [{} for _ in states]
+    for (s, a), out in rows:
+        menus[index[s]][a] = checked_row(s, out, index)
+    common, scaled = common_rows(row for menu in menus for row in menu.values())
+    scaled = iter(scaled)
+    reward_den, rewards = scale(actions.values())
+    reach = attractor([[[j for j, _ in entries] for _, entries in menu.values()]
+                       for menu in menus], start)
+    return (common, tuple({a: next(scaled) for a in menu} for menu in menus), reward_den,
+            dict(zip(actions, rewards)), len(reach) == len(menus))
+
+
 class _MirrorEvaluator:
     """The mean values of the pairs of one reduction's double game, as
     integer views: the one place that turns a doubled pair into values.
@@ -604,58 +617,40 @@ class _MirrorEvaluator:
     copy's states.  When both copy values are constant, as a reset chain's
     always are, pi* P = pi* holds, and every state reaches the copy-1 start,
     pi* is the chain's one stationary law (Puterman 1994, sec. 8.2), and
-    every state's mean value is its gain sum(pi*_i r_i), from the doubled
-    chain's own rewards.  Otherwise the chain is solved by ``mean_values``.
-    Either way the values are the chain's mean values.
+    every state's mean value is its gain sum(pi*_i r_i).  Otherwise the
+    chain is solved by ``mean_values``.
 
     The residual is summed per copy.  With pi_c = n_c / d_c and every row
     over the common denominator L, x = d_2 n_1 (+) d_1 n_2 is 2 d_1 d_2 pi*,
-    and by distributivity L (x P - x) = d_2 r_1 + d_1 r_2, where r_c, the
-    sum over copy c's states i of n_c,i L P_i, less L n_c on copy c
-    (``stationary_residual``), is fixed by copy c's source pair.  So is the
-    gain numerator g_c = sum over copy c of n_c,i R_i, and sum x_i R_i =
-    d_2 g_1 + d_1 g_2.  It is the same integer identity as one residual
-    pass over x, but r_c and g_c are computed once per evaluator, the first
-    time a copy plays its source pair, and a pair then costs ``check_pair``,
-    one read of its choices and one weighted sum of r_1 and r_2.
+    and L (x P - x) = d_2 r_1 + d_1 r_2, where r_c, the sum over copy c's
+    states i of n_c,i L P_i, less L n_c on copy c (``stationary_residual``),
+    is fixed by copy c's source pair.  So is the gain numerator g_c = sum
+    over copy c of n_c,i R_i, and sum x_i R_i = d_2 g_1 + d_1 g_2.  r_c and
+    g_c are computed once per evaluator, the first time a copy plays its
+    source pair; a pair then costs one weighted sum of r_1 and r_2.
 
-    What does not depend on the pair is done once, here: every (state,
-    action) row of the double game over one common denominator
-    (``common_rows``), every action reward over one denominator, and the
-    reach half of the certificate for all pairs at once, as the
-    ``attractor`` of the copy-1 start.  When the attractor misses a state,
-    no pair is certified.  Each source pair's ``_Source`` comes from
-    ``_source``, made once per (game, beta, s0) in the memo the source game
-    keeps: each of the N source pairs recurs in about N of the N^2 doubled
-    pairs, and every evaluator at the same (beta, s0), and ``verify_star``
-    there, shares the memo.  The evaluator itself, its tables and the
-    double game are not kept.
+    The rows over L, the rewards over one denominator and the reach half of
+    the certificate, the ``attractor`` of the copy-1 start for all pairs at
+    once, are made once per (game, beta, s0) by ``_tables``, from the
+    reduction's pieces and not from a double ``Game``, and kept next to the
+    source memo.  When the attractor misses a state, no pair is certified.
+    Only a pair whose certificate fails reads the double game, to build its
+    chain.
     """
 
     def __init__(self, reduction: Reduction):
-        doubled, state_map = reduction.doubled, reduction.state_map
-        self.reduction = reduction
-        self.copy_indices = {copy: [doubled.state_index[state_map[s][copy - 1]]
-                                    for s in reduction.game.state_order]
-                             for copy in (1, 2)}
-        self.start = doubled.state_index[state_map[reduction.s0][0]]
+        self.reduction, kept = reduction, reduction.kept
+        if "mirror" not in kept:
+            kept["mirror"] = _tables(*reduction.mirrored, reduction.game.state_index[reduction.s0])
+        self.common, self.rows, self.reward_den, self.rewards, self.certifiable = kept["mirror"]
+        n = len(self.rows) // 2  # copy 1's states come first, then copy 2's
+        self.copy_indices = {1: range(n), 2: range(n, 2 * n)}
         # the double-game actions a copy plays, in state order -> (source, r_c, g_c);
         # copy 2 plays primed actions only, so the copies never share a key
         self.copies: dict[tuple[str, ...], tuple[_Source, list[int] | None, int]] = {}
-        menus = [[(action, doubled.chain_row(state, action))
-                  for action in doubled.available_actions[state]]
-                 for state in doubled.state_order]
-        self.common, rows = common_rows(row for menu in menus for _, row in menu)
-        rows = iter(rows)
-        self.rows = [{action: next(rows) for action, _ in menu} for menu in menus]
-        self.reward_den, rewards = scale(doubled.actions.values())
-        self.rewards = dict(zip(doubled.actions, rewards))
-        self.certifiable = len(attractor(
-            [[[j for j, _ in entries] for _, (_, entries) in menu] for menu in menus],
-            self.start)) == len(menus)
 
-    def part(self, copy: int, actions: list[str]) -> tuple[_Source, list[int] | None, int]:
-        """Copy ``copy``'s source, r_c and g_c for a checked pair playing
+    def part(self, copy: int, actions) -> tuple[_Source, list[int] | None, int]:
+        """Copy ``copy``'s source, r_c and g_c for the pair playing
         ``actions`` on the double game, in its state order; r_c is None when
         the copy cannot be certified."""
         indices = self.copy_indices[copy]
@@ -673,24 +668,41 @@ class _MirrorEvaluator:
             entry = self.copies[played] = (source, r_c, g_c)
         return entry
 
-    def evaluate(self, pair: StrategyPair) -> tuple[View, InducedChain | None, tuple]:
-        """The integer view of the pair's mean values; its chain when they
-        were solved, None when certified; and the two copies' ``_Source``.
-        A certified view is the gain (d_2 g_1 + d_1 g_2) / (2 d_1 d_2) over
-        the reward denominator at every state, not brought to lowest terms."""
-        doubled = self.reduction.doubled
-        actions = pair_actions(doubled, pair)
+    def evaluate(self, actions) -> tuple[View, InducedChain | None, tuple]:
+        """For the doubled pair that plays ``actions``, one per doubled state
+        in state order and taken as valid: the integer view of its mean
+        values; its chain when they were solved, None when certified; and
+        the two copies' ``_Source``.  A certified view is the gain (d_2 g_1 +
+        d_1 g_2) / (2 d_1 d_2) over the reward denominator at every state,
+        not brought to lowest terms."""
         (one, r_1, g_1), (two, r_2, g_2) = (self.part(copy, actions) for copy in (1, 2))
         if r_1 is not None and r_2 is not None:
             d_1, d_2 = one.law_den, two.law_den
             if not any(d_2 * a + d_1 * b for a, b in zip(r_1, r_2)):
-                view = (2 * d_1 * d_2 * self.reward_den, (d_2 * g_1 + d_1 * g_2,) * len(actions))
+                view = (2 * d_1 * d_2 * self.reward_den,
+                        (d_2 * g_1 + d_1 * g_2,) * len(actions))
                 return view, None, (one, two)
-        chain = induced_chain(doubled, pair)
+        doubled = self.reduction.doubled
+        chain = induced_chain(doubled, StrategyPair.from_choices(
+            dict(zip(doubled.state_order, actions)), doubled.owner))
         return mean_values(chain).scaled, chain, (one, two)
 
     def __call__(self, pair: StrategyPair) -> View:
-        return self.evaluate(pair)[0]
+        """The integer view of a pair of the double game, once ``check_pair``
+        has passed on it."""
+        return self.evaluate(pair_actions(self.reduction.doubled, pair))[0]
+
+
+class _Menus(NamedTuple):
+    """What ``strategy_count`` and ``enumerate_strategies`` read of a game,
+    for a double game that is not built: its ``State``s and each state's
+    action ids, sorted."""
+
+    states: list
+    available_actions: dict[str, tuple[str, ...]]
+
+    def states_of(self, player: str) -> tuple[str, ...]:
+        return tuple(s.id for s in self.states if s.owner == player)
 
 
 def verify_star2(gb: Game, reduction: Reduction,
@@ -706,23 +718,30 @@ def verify_star2(gb: Game, reduction: Reduction,
     double game's value at its first state.
 
     The pairs are evaluated by the reduction's ``_MirrorEvaluator``.  When
-    it certifies the lemma's law pi*, pi* is the chain's one stationary
-    law, so the two mass identities hold by construction, and the certified
-    values are still compared literally with the half-difference.  When it
-    solves the chain, every identity is compared, so a violation is
-    reported as before and a chain with two closed classes ends in
-    NotUnichain.  ``check_pair`` checks each doubled pair once; each
-    source pair is solved once, by ``_source``.
+    it certifies the lemma's law pi*, the two mass identities hold by
+    construction, and the certified values are still compared literally
+    with the half-difference.  When it solves the chain, every identity is
+    compared, and a chain with two closed classes ends in NotUnichain.
+    ``gb`` must be the reduction's reset game (MissingKindAnnotation), but
+    the double game is not built: ``enumerate_strategies`` enumerates its
+    pairs from the evaluator's tables (``_Menus``), in the order it gives
+    on the built game, and each pair is read as the tuple of its actions,
+    valid by construction, so no ``check_pair`` runs; a ``StrategyPair`` is
+    built only for a violation.
     """
-    doubled, reduction = mirror(gb, reduction)
+    reduction.check_reset(gb)
     evaluator = _MirrorEvaluator(reduction)
+    states = [s.id for s in reduction.mirrored[0]]
+    menus = _Menus(reduction.mirrored[0],
+                   {s: tuple(sorted(row)) for s, row in zip(states, evaluator.rows)})
     violations = []
 
-    def entry(pair: StrategyPair) -> View:
+    def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
         def violation(**fields) -> None:
-            violations.append({**fields, **strategy_pair_to_json_dict(pair)})
+            violations.append({**fields, **strategy_pair_to_json_dict(StrategyPair(sigma, tau))})
 
-        view, chain, sources = evaluator.evaluate(pair)
+        choices = {**sigma.choices, **tau.choices}
+        view, chain, sources = evaluator.evaluate(tuple(map(choices.__getitem__, states)))
         for copy, source in enumerate(sources, 1):
             if not source.constant:
                 violation(kind="nonconstant-copy-value", copy=copy)
@@ -730,7 +749,7 @@ def verify_star2(gb: Game, reduction: Reduction,
         (d1, y1), (d2, y2) = ((source.value_den, source.value_nums[0]) for source in sources)
         num, den = y1 * d2 - y2 * d1, 2 * d1 * d2
         d, y = view
-        for state, v in zip(doubled.state_order, y):
+        for state, v in zip(states, y):
             if v * den != num * d:
                 violation(kind="mirror-identity", state=state, lhs=format_rational(Fraction(v, d)),
                           rhs=format_rational(Fraction(num, den)))
@@ -754,4 +773,4 @@ def verify_star2(gb: Game, reduction: Reduction,
                               stationary=format_rational(Fraction(n_ref, d_ref)))
         return view
 
-    return _PairScan(doubled, cap, entry).report(violations, 0)
+    return _PairScan(menus, cap, entry).report(violations, 0)

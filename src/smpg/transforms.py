@@ -5,28 +5,32 @@ beta and a start state s0, so one ``Reduction`` object holds those and
 derives everything else.  The reset transform splits every source
 transition of probability p into a scaled copy (first kind, mass beta * p,
 same target) and a reset edge to s0 (second kind, mass (1 - beta) * p).
-``Reduction.splits`` is that table, read by both games and the map file.
+``Reduction.splits`` is that table, read by the reset game and the map file.
 
 The mirrored double game chains two copies of the reset-transformed game:
 first-kind transitions stay inside their copy, second-kind transitions are
 redirected to the other copy's start state.  The reset game merges
-parallel edges, so the double game is built from the splits.  The second
-copy swaps the two players' roles: state owners are switched and every
-action is replaced by a primed twin whose reward is negated.  A pair of
-the double game splits into one source pair per copy in one place,
+parallel edges, so the double game is made from the source rows, split
+as ``splits`` splits them.  The second copy swaps the two players' roles:
+state owners are switched and every action is replaced by a primed twin
+whose reward is negated.  ``Reduction.mirrored`` holds the double game's
+pieces, its states, actions and rows, and ``Reduction.doubled`` builds a
+``Game`` from them only when one is asked for.  A pair of the double game
+splits into one source pair per copy in one place,
 ``decompose_mirror_strategies``, after ``check_pair`` on the double game.
 
 What does not depend on the pair is made once per (game, beta, s0), not
 once per ``Reduction``: the source game keeps, per (beta, s0), the reset
-game and the source memo of the reduction checks (``Reduction.kept``), as
+game, the source memo of the reduction checks and the mirror evaluator's
+integer tables, made from ``mirrored`` (``Reduction.kept``), as
 ``Game.chain_row`` keeps its rows, so every ``Reduction`` of it at that
 (beta, s0), and every verifier that makes one, shares them.  Nothing kept
 refers back to the source game: a ``Reduction`` or an evaluator kept
 there would make a reference cycle through the game, so the game would
 outlive its last reference until a full collection.  The double game is
-built per ``Reduction`` and not kept: with its rows it would more than
-double what a game keeps (about 50 KB more per 3-state game of the
-benchmark, against about 34 KB for its reset games and memo).
+not kept: with its rows it would more than double what a game keeps.
+``verify_star2`` does not build it; ``mirror``, the pipeline's oracle and
+a pair whose certificate fails do, once per ``Reduction``.
 """
 
 from __future__ import annotations
@@ -48,18 +52,14 @@ from .game import (
 )
 
 
-def _nonzero_game(states, actions, edges) -> Game:
-    # at beta = 0 every first-kind mass is 0, and a game has no zero-mass edge
-    return build_game(states, actions, [edge for edge in edges if edge[3]])
-
-
 @dataclass(frozen=True)
 class Reduction:
     """The reduction of ``game`` at discount ``beta`` from start state ``s0``.
 
     ``state_map`` sends each source state to its (copy-1, copy-2) ids in the
     double game, ``action_map`` each source action to its (plain, primed)
-    ids.  The reset game and the double game are built on first use.
+    ids.  The reset game, the double game's pieces and the double game are
+    made on first use.
     """
 
     game: Game
@@ -81,8 +81,9 @@ class Reduction:
     @cached_property
     def kept(self) -> dict:
         """What the source game keeps for this (beta, s0), in its
-        ``__dict__``: ``"reset"``, the reset game once built, and
-        ``"sources"``, the source memo that ``solvers._source`` fills.
+        ``__dict__``: ``"reset"``, the reset game once built,
+        ``"sources"``, the source memo that ``solvers._source`` fills, and
+        ``"mirror"``, the mirror evaluator's tables (``solvers._tables``).
         Keyed by the beta ``check_beta`` gives, so equal betas share."""
         return self.game.__dict__.setdefault("_reductions", {}).setdefault(
             (self.beta, self.s0), {"sources": {}})
@@ -98,7 +99,9 @@ class Reduction:
             for t, first, second in self.splits:
                 edges += [(t.source, t.action, t.target, first),
                           (t.source, t.action, self.s0, second)]
-            kept["reset"] = _nonzero_game(self.game.states, self.game.actions, edges)
+            # at beta = 0 every first-kind mass is 0, and a game has no zero-mass edge
+            kept["reset"] = build_game(self.game.states, self.game.actions,
+                                       [edge for edge in edges if edge[3]])
         return kept["reset"]
 
     @cached_property
@@ -123,24 +126,39 @@ class Reduction:
         return {action: source for source, ids in self.action_map.items() for action in ids}
 
     @cached_property
+    def mirrored(self) -> tuple[list[State], dict[str, Fraction], list[tuple]]:
+        """The double game's pieces: its states (copy 1 in source order,
+        then copy 2 with every owner switched), its actions (every source
+        action, then every primed twin with the negated reward), and each
+        (state, action) with its ((target, mass), ...) in ``Game.outgoing``'s
+        form, targets in state order.  A source row's masses split as
+        ``splits`` splits them: beta p stays in the copy, and the row's
+        second-kind masses, 1 - beta in all, go to the other copy's start."""
+        game, beta, state_map, action_map = self.game, self.beta, self.state_map, self.action_map
+        states = [State(state_map[s.id][0], s.owner) for s in game.states]
+        states += [State(state_map[s.id][1], MIN if s.owner == MAX else MAX) for s in game.states]
+        actions = {**game.actions, **{action_map[a][1]: -r for a, r in game.actions.items()}}
+        starts, rows = state_map[self.s0], []
+        for (s, a), out in game.outgoing.items():
+            first = [(t, beta * p) for t, p in out if beta]  # none at beta = 0
+            for copy in (0, 1):
+                stay = tuple((state_map[t][copy], p) for t, p in first)
+                back = ((starts[1 - copy], 1 - beta),)
+                # copy 1's states come first, so the back edge ends its rows and starts copy 2's
+                rows.append(((state_map[s][copy], action_map[a][copy]),
+                             stay + back if copy == 0 else back + stay))
+        return states, actions, rows
+
+    @cached_property
     def doubled(self) -> Game:
         """The mirrored double game of ``reset_game``."""
-        state_map, action_map = self.state_map, self.action_map
-        states = [State(state_map[s.id][0], s.owner) for s in self.game.states]
-        states += [State(state_map[s.id][1], MIN if s.owner == MAX else MAX)
-                   for s in self.game.states]
-        actions = dict(self.game.actions)
-        for a, reward in self.game.actions.items():
-            actions[action_map[a][1]] = -reward
+        states, actions, rows = self.mirrored
+        return build_game(states, actions, [(s, a, t, p) for (s, a), out in rows for t, p in out])
 
-        start_one, start_two = state_map[self.s0]
-        edges = []
-        for t, first, second in self.splits:
-            (one, two), (plain, primed) = state_map[t.source], action_map[t.action]
-            target_one, target_two = state_map[t.target]
-            edges += [(one, plain, target_one, first), (two, primed, target_two, first),
-                      (one, plain, start_two, second), (two, primed, start_one, second)]
-        return _nonzero_game(states, actions, edges)
+    def check_reset(self, gb: Game) -> None:
+        """MissingKindAnnotation unless ``gb`` is this reduction's reset game."""
+        if gb != self.reset_game:
+            raise MissingKindAnnotation("split record does not describe this game")
 
 
 def beta_recurrent(game: Game, beta: Fraction, s0: str) -> tuple[Game, Reduction]:
@@ -159,8 +177,7 @@ def mirror(gb: Game, reduction: Reduction) -> tuple[Game, Reduction]:
     replaced by its primed twin carrying the negated reward.  ``gb`` must be
     the reduction's reset game; MissingKindAnnotation otherwise.
     """
-    if gb != reduction.reset_game:
-        raise MissingKindAnnotation("split record does not describe this game")
+    reduction.check_reset(gb)
     return reduction.doubled, reduction
 
 

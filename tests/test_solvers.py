@@ -23,6 +23,7 @@ from smpg.errors import (
     InvalidBeta,
     NoConsistentStrategy,
     NotUnichain,
+    StrategyDomainMismatch,
     UnknownState,
 )
 from smpg.evaluate import (
@@ -42,6 +43,7 @@ from smpg.game import (
     format_rational,
     game_to_json_dict,
     induced_chain,
+    pair_actions,
     strategy_pair_to_json_dict,
     validate_game,
 )
@@ -717,9 +719,9 @@ def test_brute_force_reports_values_no_single_pair_attains(monkeypatch):
 
 
 def test_verify_star2_checks_each_pair_once(monkeypatch):
-    """64 doubled pairs, each checked once by the mirror evaluator
-    (``game.pair_actions``) and split without a second check, plus the 8
-    distinct source pairs, checked by induced_chain."""
+    """The 64 doubled pairs are enumerated as action tuples, valid by
+    construction, so none is checked; the 8 distinct source pairs are
+    checked once each, by induced_chain, and no double game is built."""
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     checked = []
@@ -732,9 +734,10 @@ def test_verify_star2_checks_each_pair_once(monkeypatch):
     monkeypatch.setattr(smpg.game, "check_pair", spy)
     monkeypatch.setattr(smpg.transforms, "check_pair", spy)
     assert verify_star2(gb, reduction).ok
-    assert [on is reduction.doubled for on in checked].count(True) == 64
+    assert "doubled" not in reduction.__dict__
+    assert [on is reduction.doubled for on in checked].count(True) == 0
     assert [on is gb for on in checked].count(True) == 8
-    assert len(checked) == 72
+    assert len(checked) == 8
 
 
 def _choices_key(pair):
@@ -800,9 +803,11 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
     pytest.param(lambda g2: _three_state_game(), id="three-states"),
 ])
 def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
-    """Rows are checked where Game.chain_row builds them: once per distinct
-    (state, action) row of the reset and doubled games, not once per pair
-    and state (64 pairs of 6 states on the three-state game)."""
+    """Rows are checked where they are built: once per distinct (state,
+    action) row of the reset game (``Game.chain_row``) and of the mirror
+    evaluator's tables, which hold one row per (state, action) of the double
+    game, not once per pair and state (64 pairs of 6 states on the
+    three-state game)."""
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     checked = []
@@ -814,12 +819,15 @@ def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
 
     monkeypatch.setattr(smpg.game, "_checked_row", spy_check)
     report = verify_star2(gb, reduction)
-    doubled = reduction.doubled
     assert report.ok
-    assert len(checked) == len(gb.outgoing) + len(doubled.outgoing)
-    assert ({(state, n) for state, _, _, n in checked}
-            == {(s, len(gb.states)) for s, _ in gb.outgoing}
-            | {(s, len(doubled.states)) for s, _ in doubled.outgoing})
+    table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.mirrored[0],
+                                                               _MirrorEvaluator(reduction).rows)]
+    n = len(table_rows)
+    assert len(checked) == len(gb.outgoing) + sum(count for _, count in table_rows)
+    assert ({(state, n_states) for state, _, _, n_states in checked}
+            == {(s, len(gb.states)) for s, _ in gb.outgoing} | {(s, n) for s, _ in table_rows})
+    doubled = reduction.doubled
+    assert sorted(table_rows) == sorted(Counter(s for s, _ in doubled.outgoing).items())
 
 
 def _shifted_mean_values(monkeypatch, gb, doubled_shift, source_shift):
@@ -873,14 +881,21 @@ def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
 
 def _install_doubled(reduction, rewards=(), redirect=()):
     """Give ``reduction`` a faulty double game, the one ``mirror`` then hands
-    out: ``rewards`` maps action ids to replaced rewards, ``redirect`` maps
-    (source, action, target) edges to a replaced target."""
+    out, and put the same fault into the mirror evaluator's tables that its
+    game keeps at (beta, s0), made by ``_tables`` from the faulty game's own
+    rows: ``rewards`` maps action ids to replaced rewards, ``redirect`` maps
+    (source, action, target) edges to a replaced target.  Each call needs a
+    fresh game: the tables are kept on it."""
     doubled = reduction.doubled
     redirect = dict(redirect)
     edges = [(t.source, t.action, redirect.get((t.source, t.action, t.target), t.target), t.prob)
              for t in doubled.transitions]
     faulty = build_game(doubled.states, {**doubled.actions, **dict(rewards)}, edges)
     reduction.__dict__["doubled"] = faulty  # where the cached property keeps it
+    assert "mirror" not in reduction.kept
+    reduction.kept["mirror"] = smpg.solvers._tables(
+        faulty.states, faulty.actions, faulty.outgoing.items(),
+        faulty.state_index[reduction.state_map[reduction.s0][0]])
     return faulty
 
 
@@ -988,25 +1003,31 @@ def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(mo
     start: the attractor of a1 misses b1, so no pair is certified.  Each is
     solved to its mean values, and verify_star2 ends in the NotUnichain that
     solving every pair gives.  Without the reach half the evaluator would
-    certify every pair, with gain 0 at b1, whose self-loop pays 3."""
-    game = build_game([State("a", MAX), State("b", MIN)], {"X": F(1), "Y": F(3), "Z": F(2)},
-                      [("a", "X", "a", F(1)), ("b", "Y", "a", F(1)), ("b", "Z", "a", F(1))])
-    gb, reduction = beta_recurrent(game, F(1, 2), "a")
-    doubled = _install_doubled(reduction, redirect={("b1", "Y", "a1"): "b1",
-                                                    ("b1", "Y", "a2"): "b1"})
-    pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
-             for tau in enumerate_strategies(doubled, MIN)]
-    expected = [evaluate_pair(doubled, pair, MEAN) for pair in pairs]
-    assert {values.at("b1") for values in expected} == {F(3), F(0)}
+    certify every pair, with gain 0 at b1, whose self-loop pays 3.  The
+    tables are kept per game, so each half has its own fresh game."""
+    def faulty_reduction():
+        game = build_game([State("a", MAX), State("b", MIN)],
+                          {"X": F(1), "Y": F(3), "Z": F(2)},
+                          [("a", "X", "a", F(1)), ("b", "Y", "a", F(1)), ("b", "Z", "a", F(1))])
+        gb, reduction = beta_recurrent(game, F(1, 2), "a")
+        doubled = _install_doubled(reduction, redirect={("b1", "Y", "a1"): "b1",
+                                                        ("b1", "Y", "a2"): "b1"})
+        return gb, reduction, doubled
 
     with pytest.MonkeyPatch.context() as no_reach:
         no_reach.setattr(smpg.solvers, "attractor", lambda menus, start: set(range(len(menus))))
+        gb, reduction, doubled = faulty_reduction()
+        pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
+                 for tau in enumerate_strategies(doubled, MIN)]
+        expected = [evaluate_pair(doubled, pair, MEAN) for pair in pairs]
+        assert {values.at("b1") for values in expected} == {F(3), F(0)}
         solved = _spy_doubled_solves(no_reach, len(gb.state_order))
         certified = [_view_values(_MirrorEvaluator(reduction)(pair)) for pair in pairs]
         assert solved == []
         b1 = doubled.state_index["b1"]
         assert {values[b1] for values in certified} == {F(0)}
 
+    gb, reduction, doubled = faulty_reduction()
     evaluator = _MirrorEvaluator(reduction)
     assert not evaluator.certifiable
     solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
@@ -1299,11 +1320,12 @@ def test_what_a_game_keeps_does_not_refer_back_to_it():
 
 def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
     """At each (beta, s0), verify_star, verify_star2 and the pipeline share
-    the reset game and the source memo the game keeps.  On the three-state
-    game (8 source pairs, 3 start states) the op builds 3 reset games and 6
-    double games, one per verify_star2 call and one per pipeline stage, and
-    solves each of the 3 x 8 source pairs once, plus the recovered pair; no
-    doubled chain is solved."""
+    the reset game, the source memo and the mirror evaluator's tables that
+    the game keeps.  On the three-state game (8 source pairs, 3 start
+    states) the op builds 3 reset games, 3 double games, one per pipeline
+    stage and none for verify_star2, and 3 sets of tables; it solves each
+    of the 3 x 8 source pairs once, plus the recovered pair; no doubled
+    chain is solved."""
     counts = Counter()
 
     def count(module, name):
@@ -1316,10 +1338,11 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(smpg.transforms, "build_game")
+    count(smpg.solvers, "_tables")
     count(smpg.solvers, "mean_values")
     count(smpg.solvers, "unichain_stationary")
     _reduction_op(_three_state_game(), F(1, 3))
-    assert counts == {"build_game": 9, "mean_values": 25, "unichain_stationary": 24}
+    assert counts == {"build_game": 6, "_tables": 3, "mean_values": 25, "unichain_stationary": 24}
 
 
 @settings(max_examples=15, deadline=None)
@@ -1376,7 +1399,7 @@ def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, 
             for sigma in enumerate_strategies(doubled, MAX):
                 for tau in enumerate_strategies(doubled, MIN):
                     pair = StrategyPair(sigma, tau)
-                    _, chain, (one, two) = evaluator.evaluate(pair)
+                    _, chain, (one, two) = evaluator.evaluate(pair_actions(doubled, pair))
                     assert one.constant and two.constant
                     x = [0] * len(doubled.state_order)  # 2 d_1 d_2 pi*
                     for source, copy, other in ((one, 1, two), (two, 2, one)):
@@ -1391,3 +1414,122 @@ def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, 
                     assert (chain is None) == all(
                         sum(xi * row[j] for xi, row in zip(x, matrix)) == x[j]
                         for j in range(len(x)))
+
+
+@settings(max_examples=30, deadline=None)
+@small_reductions
+def test_the_tables_from_the_source_rows_are_the_double_games(seed, states, beta):
+    """The double game's pieces (``Reduction.mirrored``) are the built
+    double game's states, actions and rows, and the mirror evaluator's
+    tables made from them are those made from the built game's rows."""
+    game = _small_generated_game(seed, states)
+    for s0 in game.state_order:
+        reduction = Reduction(game, beta, s0)
+        doubled = reduction.doubled
+        pieces = reduction.mirrored
+        assert (tuple(pieces[0]), pieces[1], dict(pieces[2])) == (
+            doubled.states, doubled.actions, doubled.outgoing)
+        start = doubled.state_index[reduction.state_map[s0][0]]
+        assert smpg.solvers._tables(*pieces, start) == smpg.solvers._tables(
+            doubled.states, doubled.actions, doubled.outgoing.items(), start)
+
+
+def _interleaved_game():
+    """States s and s1, whose copy ids sort interleaved (s1, s11, s12, s2),
+    and actions x and x! at s, whose primed twins sort the other way round
+    (x!' before x')."""
+    return build_game([State("s", MAX), State("s1", MIN)],
+                      {"x": F(1), "x!": F(-2), "y": F(3), "z": F(0)},
+                      [("s", "x", "s1", F(1)), ("s", "x!", "s", F(1, 2)), ("s", "x!", "s1", F(1, 2)),
+                       ("s1", "y", "s", F(1)), ("s1", "z", "s1", F(1, 3)), ("s1", "z", "s", F(2, 3))])
+
+
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda g2: g2, id="g2"),
+    pytest.param(lambda g2: _three_state_game(), id="three-states"),
+    pytest.param(lambda g2: _interleaved_game(), id="interleaved-ids"),
+])
+def test_the_action_tuple_scan_is_enumerate_strategies_order(monkeypatch, g2, make_game):
+    """verify_star2 scans the doubled pairs without the double game: the
+    evaluator gets each pair's actions as pair_actions reads them off the
+    built double game, in the order enumerate_strategies gives over it, and
+    a violation names the pair with its choices in that order too.  Every
+    pair is made to break the mirror identity at every state, by one added
+    to its values."""
+    game = make_game(g2)
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    played = []
+    real = _MirrorEvaluator.evaluate
+
+    def shifted(self, actions):
+        played.append(actions)
+        (d, y), chain, sources = real(self, actions)
+        return (d, tuple(v + d for v in y)), chain, sources
+
+    monkeypatch.setattr(_MirrorEvaluator, "evaluate", shifted)
+    report = verify_star2(gb, reduction)
+    assert "doubled" not in reduction.__dict__
+    doubled = reduction.doubled
+    pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
+             for tau in enumerate_strategies(doubled, MIN)]
+    assert played == [tuple(pair_actions(doubled, pair)) for pair in pairs]
+    n = len(doubled.states)
+    assert report.pairs_checked == len(pairs) and len(report.violations) == n * len(pairs)
+    assert [json.dumps({"max": v["max"], "min": v["min"]}) for v in report.violations[::n]] == [
+        json.dumps(strategy_pair_to_json_dict(pair)) for pair in pairs]
+    assert [v["state"] for v in report.violations[:n]] == list(doubled.state_order)
+
+
+def test_verify_star2_checks_the_cap_before_evaluating(monkeypatch):
+    """The scan's cap is checked on the doubled strategy counts, before any
+    pair is evaluated, with the report the other pair scans give."""
+    game = _three_state_game()
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    evaluated = []
+    monkeypatch.setattr(_MirrorEvaluator, "evaluate", lambda self, actions: evaluated.append(1))
+    with pytest.raises(CombinatorialLimitExceeded) as info:
+        verify_star2(gb, reduction, cap=63)
+    assert evaluated == []
+    assert info.value.to_json_dict() == {
+        "error": "CombinatorialLimitExceeded", "message": "8 x 8 strategy pairs exceed cap 63",
+        "count": 64, "cap": 63}
+    monkeypatch.undo()
+    assert verify_star2(gb, reduction, cap=64).pairs_checked == 64
+
+
+def _witness_oracle(pair):
+    return lambda game, claim, evaluator: pair
+
+
+def _callback_oracle(pair):
+    return lambda game, claim, evaluator: evaluator(pair)
+
+
+@pytest.mark.parametrize("bad, error", [
+    pytest.param(pair_of({"a1": "X"}, {"a2": "X'", "b1": "Y"}), {
+        "error": "StrategyDomainMismatch",
+        "message": "max strategy domain ['a1'] != owned states ['a1', 'b2']",
+        "player": "max", "domain": ["a1"], "owned": ["a1", "b2"]}, id="missing-state"),
+    pytest.param(pair_of({"a1": "X", "b2": "Y"}, {"a2": "X'", "b1": "Y"}), {
+        "error": "StrategyDomainMismatch", "message": "action 'Y' not available at state 'b2'",
+        "state": "b2", "action": "Y"}, id="unavailable-action"),
+])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g2, bad: decompose_mirror_strategies(
+        bad, Reduction(g2, F(1, 2), "a")), id="decompose_mirror_strategies"),
+    pytest.param(lambda g2, bad: strategic_via_recovery(g2, F(1, 2), _callback_oracle(bad)),
+                 id="pipeline-evaluator-callback"),
+    pytest.param(lambda g2, bad: strategic_via_recovery(g2, F(1, 2), _witness_oracle(bad)),
+                 id="pipeline-oracle-witness"),
+    pytest.param(lambda g2, bad: evaluate_pair(Reduction(g2, F(1, 2), "a").doubled, bad, MEAN),
+                 id="evaluate_pair"),
+])
+def test_check_pair_guards_every_doubled_pair_from_outside(g2, bad, error, call):
+    """A malformed doubled pair that enters through a public function, or
+    through a custom oracle, is rejected by check_pair with the error it
+    always gave, also once verify_star2 has scanned the same reduction
+    without checking its own pairs."""
+    verify_star2(*beta_recurrent(g2, F(1, 2), "a"))
+    with pytest.raises(StrategyDomainMismatch) as info:
+        call(g2, bad)
+    assert info.value.to_json_dict() == error

@@ -25,6 +25,7 @@ from smpg.game import (
 )
 from smpg.generate import GeneratorConfig, generate_game
 from smpg.serialize import canonical_dumps, reduction_from_json_dict, reset_map_to_json_dict
+from smpg.solvers import verify_star2
 from smpg.transforms import (
     Reduction,
     beta_recurrent,
@@ -219,9 +220,13 @@ def test_mirror_requires_restart_annotations(g2):
         split["first_mass"], split["second_mass"] = split["second_mass"], split["first_mass"]
     with pytest.raises(MissingKindAnnotation):
         mirror(gb3, reduction_from_json_dict(raw3, gb3))
-    # a reduction of another reset game does not describe this one
+    # a reduction of another reset game does not describe this one, and
+    # verify_star2 makes the same check without building the double game
     with pytest.raises(MissingKindAnnotation):
         mirror(gb3, tm)
+    with pytest.raises(MissingKindAnnotation):
+        verify_star2(gb3, tm)
+    assert "doubled" not in tm.__dict__
 
 
 # ------------------------------------------------- strategy correspondence
