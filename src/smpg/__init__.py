@@ -17,7 +17,6 @@ from .evaluate import (
     recurrent_stationary,
     simulate_mean_payoff,
     unichain_stationary,
-    verify_stationary_recursion,
 )
 from .game import (
     MAX,

@@ -100,8 +100,10 @@ class InvalidBeta(GameError):
 
 
 class NotUnichain(GameError):
-    """The chain does not have exactly one recurrent class, or is otherwise
-    inconsistent with having come from the reset transform."""
+    """The chain does not have exactly one recurrent class
+    (``evaluate.unichain_stationary``): a doubled chain that
+    ``verify_star2`` solves ends here when its tables break the mirror
+    lemma's one closed class."""
 
 
 class MissingKindAnnotation(GameError):

@@ -7,18 +7,19 @@ stationary distribution, and transient states mix class gains by exact
 absorption probabilities.  One closed class takes no absorption system:
 every state is absorbed into it, so every state gets its gain (Puterman
 1994, ch. 8).  Each system is built in integers straight from the chain's
-rows, every row scaled by the denominators it reads.  A law known from
-elsewhere, such as the restart-occupation recursion's, is certified, not
-solved again (``certify_stationary``).  The reset identity (a reset
-chain's mean value equals its source's discounted value) has no
+rows, every row scaled by the denominators it reads.  The reset identity
+(a reset chain's mean value equals its source's discounted value) has no
 certificate here: ``solvers.verify_star`` checks it by comparing two exact
-solves, ``mean_values`` and ``discounted_values``.  The stationary
-certificate has two halves, each with one home here: the integer residual
-x P - x over rows brought to one denominator (``common_rows``,
+solves, ``mean_values`` and ``discounted_values``.  A law known from
+elsewhere, such as the mirror lemma's, is certified, not solved again,
+by two halves, each with one home here: the integer residual x P - x
+over rows brought to one denominator (``common_rows``,
 ``stationary_residual``), which also sums over part of the states, so
 that a law made of parts has one residual per part, and the reach search
 (``attractor``), which also runs on a whole game's action menus, so that
-one search covers every strategy pair's chain.
+one search covers every strategy pair's chain: the double game's tables
+(``transforms.Reduction.tables``) run it once, and
+``solvers._MirrorEvaluator`` sums the residuals.
 ``linalg.solve_scaled`` hands back integers (det, y), x = y / det;
 stationary masses, absorption sums and gains stay integers over one
 denominator, and Fractions are only views (discounted values, gains,
@@ -380,57 +381,6 @@ def attractor(menus, start: int) -> set[int]:
                     inside.add(i)
                     todo.append(i)
     return inside
-
-
-def certify_stationary(chain: InducedChain, x: list[int] | tuple[int, ...], start: int) -> bool:
-    """Whether x / sum(x) is the chain's one stationary law, for non-negative
-    integers x, not all zero, in the chain's state order.
-
-    The residual (``stationary_residual``) tests x P = x in one integer pass
-    over the rows brought to one denominator (``common_rows``); the reach
-    check tests that every state reaches the state at index ``start``, as
-    the ``attractor`` of ``start`` with one action per state.  Then every closed
-    class holds ``start``, so there is one, and a chain with one closed
-    class has one stationary law (Puterman 1994, sec. 8.2), which the
-    residual shows is x / sum(x).
-    """
-    common, rows = common_rows(chain.rows)
-    return (not any(stationary_residual(common, len(x), zip(range(len(x)), x, rows)))
-            and len(attractor([[[j for j, _ in entries]] for _, entries in chain.rows], start))
-            == len(rows))
-
-
-def verify_stationary_recursion(chain: InducedChain, beta: Fraction, s0: str) -> Distribution:
-    """Check the reset-transform occupation identity on a chain.
-
-    A chain induced on the reset transform of some game satisfies
-    P = beta Q + (1 - beta) 1 e0^T with Q the source chain's matrix, which
-    the reset mass check keeps non-negative.  The one solution of
-    mu = (1 - beta) e0 + beta Q^T mu (beta < 1) must then be the chain's
-    stationary law, which it returns; raises NotUnichain when the chain
-    cannot have come from the reset transform.  For a distribution mu,
-    beta Q^T mu = P^T mu - (1 - beta) e0, so the recursion holds exactly when
-    mu P = mu: ``unichain_stationary``'s law is certified, not solved again.
-    """
-    beta = check_beta(beta)
-    if s0 not in chain.state_index:
-        raise UnknownState(f"no state {s0!r} in chain", state=s0)
-    b, c = beta.numerator, beta.denominator
-    origin = chain.state_index[s0]
-    for state, (den, entries) in zip(chain.state_order, chain.rows):
-        # beta Q = P - (1 - beta) 1 e0^T is non-negative exactly when the
-        # reset mass is there; at beta = 0 that puts every row on s0
-        if c * dict(entries).get(origin, 0) < (c - b) * den:
-            raise NotUnichain(
-                f"chain is not the image of a reset transform: row {state} lacks the reset mass",
-                state=state)
-    mu = unichain_stationary(chain)
-    if not certify_stationary(chain, mu.numerators, origin):
-        raise NotUnichain(
-            "occupation recursion disagrees with the stationary distribution; "
-            "the chain did not come from a reset transform",
-            s0=s0)
-    return mu
 
 
 @dataclass(frozen=True)

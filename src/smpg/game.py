@@ -148,8 +148,10 @@ class Game:
         rows = self.__dict__.setdefault("_chain_rows", {})
         row = rows.get((state, action))
         if row is None:
-            row = rows[(state, action)] = checked_row(state, self.outgoing[(state, action)],
-                                                      self.state_index)
+            out, index = self.outgoing[(state, action)], self.state_index
+            den, nums = scale([p for _, p in out])
+            row = rows[(state, action)] = _checked_row(state, den, tuple(
+                (index[t], num) for (t, _), num in zip(out, nums)), len(index))
         return row
 
     def states_of(self, player: str) -> tuple[str, ...]:
@@ -186,16 +188,6 @@ class StrategyPair:
 class _CheckedRow(tuple):
     """A chain row (den, entries) that passed _checked_row."""
     __slots__ = ()
-
-
-def checked_row(state: str, out, index: dict[str, int]) -> _CheckedRow:
-    """The chain row (den, ((j, num), ...)) of a (state, action)'s ``out``,
-    ((target, prob), ...) in ``Game.outgoing``'s form, on the states that
-    ``index`` numbers: den the lcm of its probability denominators, checked
-    by ``_checked_row``."""
-    den, nums = scale([p for _, p in out])
-    return _checked_row(state, den, tuple((index[t], num) for (t, _), num in zip(out, nums)),
-                        len(index))
 
 
 def _checked_row(state: str, den: int, entries: tuple, n: int) -> _CheckedRow:
@@ -235,10 +227,6 @@ class InducedChain:
             if type(row) is not _CheckedRow or row[1][-1][0] >= n:
                 den, entries = row
                 _checked_row(state, den, entries, n)
-
-    @cached_property
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.state_order)}
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -18,12 +18,13 @@ already known are certified, and a chain is solved only when its
 certificate fails.  What no pair changes is made once per (game, beta,
 s0) and kept by the source game (``transforms.Reduction.kept``): the reset
 game, the source memo that ``_source`` fills, the one place a source pair
-is solved on the reset game, and the integer tables of the mirror
-evaluator (``_tables``).  Nothing kept refers back to the game.
+is solved on the reset game, and the double game's integer tables
+(``Reduction.tables``).  Nothing kept refers back to the game.
 ``_MirrorEvaluator`` is the one place that turns a doubled pair into
-values: ``verify_star2`` scans the doubled pairs as action tuples without
-building the double game, and the pipeline's oracle hands it checked
-pairs of the built one.
+values, read off the tables alone, a fallback chain included:
+``verify_star2`` scans the doubled pairs as action tuples without building
+the double game, and the pipeline's oracle hands it checked pairs of the
+built one, the tables' ``Game`` view.
 
 A pair's values travel as their integer view (D, y = D v, ``View``),
 compared by integer cross-products; Fractions are built only for what is
@@ -52,9 +53,7 @@ from .errors import (
 )
 from .evaluate import (
     ValueVector,
-    attractor,
     check_beta,
-    common_rows,
     discounted_values,
     mean_values,
     stationary_residual,
@@ -68,12 +67,10 @@ from .game import (
     InducedChain,
     PositionalStrategy,
     StrategyPair,
-    checked_row,
     enumerate_strategies,
     format_rational,
     induced_chain,
     pair_actions,
-    scale,
     strategy_count,
     strategy_pair_to_json_dict,
 )
@@ -587,27 +584,6 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _PairScan(game, cap, entry).report(violations, start)
 
 
-def _tables(states, actions: dict[str, Fraction], rows, start: int) -> tuple:
-    """The mirror evaluator's tables, in integers, from the double game's
-    pieces (``Reduction.mirrored``): its ``State``s, copy 1's then copy 2's,
-    its rewards and its (state, action) rows in ``Game.outgoing``'s form,
-    each checked once (``checked_row``); ``start`` indexes copy 1's start.
-    They are every row over one common denominator, per doubled state
-    (action -> entries); every reward over one denominator; and whether
-    every pair's chain reaches the start (``evaluate.attractor``)."""
-    index = {s.id: i for i, s in enumerate(states)}
-    menus = [{} for _ in states]
-    for (s, a), out in rows:
-        menus[index[s]][a] = checked_row(s, out, index)
-    common, scaled = common_rows(row for menu in menus for row in menu.values())
-    scaled = iter(scaled)
-    reward_den, rewards = scale(actions.values())
-    reach = attractor([[[j for j, _ in entries] for _, entries in menu.values()]
-                       for menu in menus], start)
-    return (common, tuple({a: next(scaled) for a in menu} for menu in menus), reward_den,
-            dict(zip(actions, rewards)), len(reach) == len(menus))
-
-
 class _MirrorEvaluator:
     """The mean values of the pairs of one reduction's double game, as
     integer views: the one place that turns a doubled pair into values.
@@ -629,20 +605,21 @@ class _MirrorEvaluator:
     g_c are computed once per evaluator, the first time a copy plays its
     source pair; a pair then costs one weighted sum of r_1 and r_2.
 
-    The rows over L, the rewards over one denominator and the reach half of
-    the certificate, the ``attractor`` of the copy-1 start for all pairs at
-    once, are made once per (game, beta, s0) by ``_tables``, from the
-    reduction's pieces and not from a double ``Game``, and kept next to the
-    source memo.  When the attractor misses a state, no pair is certified.
-    Only a pair whose certificate fails reads the double game, to build its
-    chain.
+    The evaluator reads only the double game's tables
+    (``Reduction.tables``), made once per (game, beta, s0) from the source
+    rows and kept next to the source memo: the rows over L, the rewards
+    over one denominator and the reach half of the certificate, the
+    ``attractor`` of the copy-1 start for all pairs at once.  When the
+    attractor misses a state, no pair is certified.  A pair whose
+    certificate fails is solved on its chain, made from the same tables,
+    so the double ``Game`` is read only to check a pair from outside
+    (``__call__``).
     """
 
     def __init__(self, reduction: Reduction):
-        self.reduction, kept = reduction, reduction.kept
-        if "mirror" not in kept:
-            kept["mirror"] = _tables(*reduction.mirrored, reduction.game.state_index[reduction.s0])
-        self.common, self.rows, self.reward_den, self.rewards, self.certifiable = kept["mirror"]
+        self.reduction = reduction
+        self.common, self.rows, self.reward_den, self.rewards, self.certifiable = reduction.tables
+        self.state_order = tuple(s.id for s in reduction.doubled_states)
         n = len(self.rows) // 2  # copy 1's states come first, then copy 2's
         self.copy_indices = {1: range(n), 2: range(n, 2 * n)}
         # the double-game actions a copy plays, in state order -> (source, r_c, g_c);
@@ -682,9 +659,9 @@ class _MirrorEvaluator:
                 view = (2 * d_1 * d_2 * self.reward_den,
                         (d_2 * g_1 + d_1 * g_2,) * len(actions))
                 return view, None, (one, two)
-        doubled = self.reduction.doubled
-        chain = induced_chain(doubled, StrategyPair.from_choices(
-            dict(zip(doubled.state_order, actions)), doubled.owner))
+        chain = InducedChain(self.state_order,
+                             tuple((self.common, row[a]) for row, a in zip(self.rows, actions)),
+                             tuple(Fraction(self.rewards[a], self.reward_den) for a in actions))
         return mean_values(chain).scaled, chain, (one, two)
 
     def __call__(self, pair: StrategyPair) -> View:
@@ -698,7 +675,7 @@ class _Menus(NamedTuple):
     for a double game that is not built: its ``State``s and each state's
     action ids, sorted."""
 
-    states: list
+    states: tuple
     available_actions: dict[str, tuple[str, ...]]
 
     def states_of(self, player: str) -> tuple[str, ...]:
@@ -731,8 +708,8 @@ def verify_star2(gb: Game, reduction: Reduction,
     """
     reduction.check_reset(gb)
     evaluator = _MirrorEvaluator(reduction)
-    states = [s.id for s in reduction.mirrored[0]]
-    menus = _Menus(reduction.mirrored[0],
+    states = evaluator.state_order
+    menus = _Menus(reduction.doubled_states,
                    {s: tuple(sorted(row)) for s, row in zip(states, evaluator.rows)})
     violations = []
 

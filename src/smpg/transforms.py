@@ -9,28 +9,30 @@ same target) and a reset edge to s0 (second kind, mass (1 - beta) * p).
 
 The mirrored double game chains two copies of the reset-transformed game:
 first-kind transitions stay inside their copy, second-kind transitions are
-redirected to the other copy's start state.  The reset game merges
-parallel edges, so the double game is made from the source rows, split
-as ``splits`` splits them.  The second copy swaps the two players' roles:
-state owners are switched and every action is replaced by a primed twin
-whose reward is negated.  ``Reduction.mirrored`` holds the double game's
-pieces, its states, actions and rows, and ``Reduction.doubled`` builds a
-``Game`` from them only when one is asked for.  A pair of the double game
-splits into one source pair per copy in one place,
-``decompose_mirror_strategies``, after ``check_pair`` on the double game.
+redirected to the other copy's start state.  The second copy swaps the two
+players' roles: state owners are switched and every action is replaced by
+a primed twin whose reward is negated.  ``Reduction.tables`` is the double
+game's one description, in integers: every (state, action) row over one
+common denominator, made from the source game's checked rows and beta =
+b/c as ``splits`` splits them (over c den, b num stays in the copy and
+(c - b) den crosses to the other copy's start), every reward over one
+denominator, and whether every pair's chain reaches copy 1's start.  The
+reset game merges parallel edges, so the rows are made from the source
+rows, not from it.  ``Reduction.doubled`` is the tables' ``Game`` view,
+built only when one is asked for: by ``mirror``, by the pipeline's oracle
+and by ``decompose_mirror_strategies``, the one place a pair of the double
+game splits into one source pair per copy, after ``check_pair`` on it.
 
 What does not depend on the pair is made once per (game, beta, s0), not
 once per ``Reduction``: the source game keeps, per (beta, s0), the reset
-game, the source memo of the reduction checks and the mirror evaluator's
-integer tables, made from ``mirrored`` (``Reduction.kept``), as
-``Game.chain_row`` keeps its rows, so every ``Reduction`` of it at that
-(beta, s0), and every verifier that makes one, shares them.  Nothing kept
-refers back to the source game: a ``Reduction`` or an evaluator kept
-there would make a reference cycle through the game, so the game would
-outlive its last reference until a full collection.  The double game is
-not kept: with its rows it would more than double what a game keeps.
-``verify_star2`` does not build it; ``mirror``, the pipeline's oracle and
-a pair whose certificate fails do, once per ``Reduction``.
+game, the source memo of the reduction checks and the tables
+(``Reduction.kept``), as ``Game.chain_row`` keeps its rows, so every
+``Reduction`` of it at that (beta, s0), and every verifier that makes one,
+shares them.  Nothing kept refers back to the source game: a
+``Reduction`` or an evaluator kept there would make a reference cycle
+through the game, so the game would outlive its last reference until a
+full collection.  The double game's states and the double ``Game`` are
+not kept: each ``Reduction`` derives them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MissingKindAnnotation, UnknownState
-from .evaluate import check_beta
+from .evaluate import attractor, check_beta, common_rows
 from .game import (
     MAX,
     MIN,
@@ -49,6 +51,7 @@ from .game import (
     StrategyPair,
     build_game,
     check_pair,
+    scale,
 )
 
 
@@ -58,8 +61,8 @@ class Reduction:
 
     ``state_map`` sends each source state to its (copy-1, copy-2) ids in the
     double game, ``action_map`` each source action to its (plain, primed)
-    ids.  The reset game, the double game's pieces and the double game are
-    made on first use.
+    ids.  The reset game, the tables, the double game's states and the
+    double game are made on first use.
     """
 
     game: Game
@@ -83,7 +86,7 @@ class Reduction:
         """What the source game keeps for this (beta, s0), in its
         ``__dict__``: ``"reset"``, the reset game once built,
         ``"sources"``, the source memo that ``solvers._source`` fills, and
-        ``"mirror"``, the mirror evaluator's tables (``solvers._tables``).
+        ``"mirror"``, the double game's ``tables``.
         Keyed by the beta ``check_beta`` gives, so equal betas share."""
         return self.game.__dict__.setdefault("_reductions", {}).setdefault(
             (self.beta, self.s0), {"sources": {}})
@@ -126,34 +129,59 @@ class Reduction:
         return {action: source for source, ids in self.action_map.items() for action in ids}
 
     @cached_property
-    def mirrored(self) -> tuple[list[State], dict[str, Fraction], list[tuple]]:
-        """The double game's pieces: its states (copy 1 in source order,
-        then copy 2 with every owner switched), its actions (every source
-        action, then every primed twin with the negated reward), and each
-        (state, action) with its ((target, mass), ...) in ``Game.outgoing``'s
-        form, targets in state order.  A source row's masses split as
-        ``splits`` splits them: beta p stays in the copy, and the row's
-        second-kind masses, 1 - beta in all, go to the other copy's start."""
-        game, beta, state_map, action_map = self.game, self.beta, self.state_map, self.action_map
-        states = [State(state_map[s.id][0], s.owner) for s in game.states]
-        states += [State(state_map[s.id][1], MIN if s.owner == MAX else MAX) for s in game.states]
-        actions = {**game.actions, **{action_map[a][1]: -r for a, r in game.actions.items()}}
-        starts, rows = state_map[self.s0], []
-        for (s, a), out in game.outgoing.items():
-            first = [(t, beta * p) for t, p in out if beta]  # none at beta = 0
-            for copy in (0, 1):
-                stay = tuple((state_map[t][copy], p) for t, p in first)
-                back = ((starts[1 - copy], 1 - beta),)
-                # copy 1's states come first, so the back edge ends its rows and starts copy 2's
-                rows.append(((state_map[s][copy], action_map[a][copy]),
-                             stay + back if copy == 0 else back + stay))
-        return states, actions, rows
+    def tables(self) -> tuple:
+        """The double game in integers, made once per (game, beta, s0)
+        (``kept``): (L, rows, R, rewards, certifiable).  ``rows`` holds, per
+        doubled state (copy 1's states in source order, then copy 2's), a
+        dict action -> ((j, num), ...) with targets ascending, P = num / L
+        over the one common denominator L.  A source row (den, entries)
+        from ``Game.chain_row``, checked there, becomes two rows over c den,
+        beta = b/c: b num stays at each target inside the copy (none at beta
+        = 0) and (c - b) den goes to the other copy's start, which ends copy
+        1's rows and starts copy 2's.  ``rewards`` maps every action, then
+        every primed twin with the negated reward, to its numerator over
+        one denominator R.  ``certifiable`` says whether every state reaches
+        copy 1's start in every pair's chain (``evaluate.attractor``)."""
+        kept = self.kept
+        if "mirror" not in kept:
+            game, b, c = self.game, self.beta.numerator, self.beta.denominator
+            n, start, action_map = len(game.states), game.state_index[self.s0], self.action_map
+            menus = [{} for _ in range(2 * n)]
+            for s, a in game.outgoing:
+                den, entries = game.chain_row(s, a)
+                stay, back = tuple((j, b * num) for j, num in entries if b), (c - b) * den
+                i = game.state_index[s]
+                menus[i][a] = (c * den, stay + ((n + start, back),))
+                menus[n + i][action_map[a][1]] = (c * den, ((start, back),) + tuple(
+                    (n + j, num) for j, num in stay))
+            common, scaled = common_rows(row for menu in menus for row in menu.values())
+            scaled = iter(scaled)
+            actions = {**game.actions, **{action_map[a][1]: -r for a, r in game.actions.items()}}
+            reward_den, rewards = scale(actions.values())
+            reach = attractor([[[j for j, _ in entries] for _, entries in menu.values()]
+                               for menu in menus], start)
+            kept["mirror"] = (common, tuple({a: next(scaled) for a in menu} for menu in menus),
+                              reward_den, dict(zip(actions, rewards)), len(reach) == 2 * n)
+        return kept["mirror"]
+
+    @cached_property
+    def doubled_states(self) -> tuple[State, ...]:
+        """The double game's states: copy 1 in source order, then copy 2
+        with every owner switched."""
+        switched = {MAX: MIN, MIN: MAX}
+        return (*(State(self.state_map[s.id][0], s.owner) for s in self.game.states),
+                *(State(self.state_map[s.id][1], switched[s.owner]) for s in self.game.states))
 
     @cached_property
     def doubled(self) -> Game:
-        """The mirrored double game of ``reset_game``."""
-        states, actions, rows = self.mirrored
-        return build_game(states, actions, [(s, a, t, p) for (s, a), out in rows for t, p in out])
+        """The mirrored double game of ``reset_game``: the ``Game`` view of
+        ``tables``."""
+        common, rows, reward_den, rewards, _ = self.tables
+        ids = [s.id for s in self.doubled_states]
+        return build_game(self.doubled_states,
+                          {a: Fraction(r, reward_den) for a, r in rewards.items()},
+                          [(s, a, ids[j], Fraction(num, common)) for s, menu in zip(ids, rows)
+                           for a, entries in menu.items() for j, num in entries])
 
     def check_reset(self, gb: Game) -> None:
         """MissingKindAnnotation unless ``gb`` is this reduction's reset game."""

@@ -31,13 +31,13 @@ from smpg.evaluate import (
     ValueVector,
     _decomposition,
     attractor,
-    certify_stationary,
+    common_rows,
     discounted_values,
     mean_values,
     recurrent_stationary,
     simulate_mean_payoff,
+    stationary_residual,
     unichain_stationary,
-    verify_stationary_recursion,
 )
 from smpg.game import (
     MAX,
@@ -321,79 +321,55 @@ def test_discounted_approaches_mean_near_one():
 # ------------------------------------------------- stationary via recursion
 
 
+def occupation(source_chain, beta, s0):
+    """The one solution of the restart-occupation recursion mu = (1 - beta)
+    e0 + beta Q^T mu, Q the source chain's matrix, e0 the point mass at
+    index s0: (I - beta Q^T) mu = (1 - beta) e0, solved in Fractions."""
+    q = source_chain.matrix
+    n = len(q)
+    system = [[F(i == j) - beta * q[j][i] for j in range(n)] for i in range(n)]
+    return tuple(x for x, in gauss_jordan(system, [[(1 - beta) * (i == s0)] for i in range(n)]))
+
+
 def test_stationary_recursion_on_reset_two_cycle(g2, g2_pair):
     gb, _ = beta_recurrent(g2, F(1, 2), "a")
-    chain = induced_chain(gb, g2_pair)
-    mu = verify_stationary_recursion(chain, F(1, 2), "a")
-    assert mu.mass == (F(2, 3), F(1, 3))
+    mu = occupation(induced_chain(g2, g2_pair), F(1, 2), 0)
+    assert mu == unichain_stationary(induced_chain(gb, g2_pair)).mass == (F(2, 3), F(1, 3))
 
 
 def test_stationary_recursion_beta_zero_is_point_mass(g2, g2_pair):
     gb, _ = beta_recurrent(g2, F(0), "a")
-    chain = induced_chain(gb, g2_pair)
-    mu = verify_stationary_recursion(chain, F(0), "a")
-    assert mu.mass == (F(1), F(0))
+    mu = occupation(induced_chain(g2, g2_pair), F(0), 0)
+    assert mu == unichain_stationary(induced_chain(gb, g2_pair)).mass == (F(1), F(0))
 
 
 def test_stationary_recursion_rejects_chain_without_reset_mass(g2, g2_pair):
+    """The recursion's solution is the law of the reset chain, not of the
+    source chain, which has no reset mass: a and b swap, law (1/2, 1/2)."""
     chain = induced_chain(g2, g2_pair)
-    with pytest.raises(NotUnichain):
-        verify_stationary_recursion(chain, F(1, 2), "a")
+    assert occupation(chain, F(1, 2), 0) != unichain_stationary(chain).mass
 
 
-def test_stationary_recursion_rejects_unknown_start(g2, g2_pair):
-    gb, _ = beta_recurrent(g2, F(1, 2), "a")
-    chain = induced_chain(gb, g2_pair)
-    with pytest.raises(UnknownState):
-        verify_stationary_recursion(chain, F(1, 2), "zz")
+def test_stationary_residual_is_zero_at_the_law_of_a_one_class_chain(g2, g2_pair):
+    common, rows = common_rows(induced_chain(g2, g2_pair).rows)  # a and b swap: law (1/2, 1/2)
+    for x in ([1, 1], [3, 3]):
+        assert stationary_residual(common, 2, zip(range(2), x, rows)) == [0, 0]
 
 
-def test_stationary_recursion_reports_a_disagreeing_stationary_distribution(
-        monkeypatch, g2, g2_pair):
-    """The recursion equals the stationary distribution of every chain that
-    keeps the reset mass, so only a faulty unichain_stationary reaches this guard."""
-    gb, _ = beta_recurrent(g2, F(1, 2), "a")
-    chain = induced_chain(gb, g2_pair)
-    monkeypatch.setattr("smpg.evaluate.unichain_stationary",
-                        lambda chain: Distribution(chain.state_order, 2, (1, 1)))
-    with pytest.raises(NotUnichain) as info:
-        verify_stationary_recursion(chain, F(1, 2), "a")
-    assert info.value.to_json_dict() == {
-        "error": "NotUnichain", "s0": "a",
-        "message": "occupation recursion disagrees with the stationary distribution; "
-                   "the chain did not come from a reset transform"}
+def test_stationary_residual_is_not_zero_at_a_wrong_law(g2, g2_pair):
+    common, rows = common_rows(induced_chain(g2, g2_pair).rows)
+    assert any(stationary_residual(common, 2, zip(range(2), [2, 1], rows)))
 
 
-def test_stationary_recursion_solves_only_the_stationary_system(monkeypatch, g2, g2_pair):
-    """The recursion is certified on unichain_stationary's law, not solved
-    as a second system: one elimination per call, that law's."""
-    gb, _ = beta_recurrent(g2, F(1, 2), "a")
-    assert counted_solves(monkeypatch, induced_chain(gb, g2_pair),
-                          lambda chain: verify_stationary_recursion(chain, F(1, 2), "a")) == [1]
-
-
-def test_certify_stationary_accepts_the_law_of_a_one_class_chain(g2, g2_pair):
-    chain = induced_chain(g2, g2_pair)  # a and b swap every step: law (1/2, 1/2)
-    assert certify_stationary(chain, [1, 1], 0)
-    assert certify_stationary(chain, [3, 3], 1)
-
-
-def test_certify_stationary_rejects_a_wrong_law_by_its_residual(g2, g2_pair):
-    assert not certify_stationary(induced_chain(g2, g2_pair), [2, 1], 0)
-
-
-def test_certify_stationary_rejects_a_law_of_one_of_two_closed_classes():
+def test_attractor_misses_the_other_closed_class():
     """On t -> {u, w} with self-loops at u and w, mass on u alone is
-    stationary, so the residual passes; w never reaches u, so only the
-    reach check can reject it."""
+    stationary, so the residual is 0; w never reaches u, so only the
+    attractor of u, which misses w, tells that the chain has a second
+    closed class."""
     chain = two_loops_chain()
-    x = [0, 1, 0]
-    flow = [0, 0, 0]
-    for xi, (den, entries) in zip(x, chain.rows):
-        for j, num in entries:
-            flow[j] += F(xi * num, den)
-    assert flow == x
-    assert not certify_stationary(chain, x, 1)
+    common, rows = common_rows(chain.rows)
+    assert stationary_residual(common, 3, zip(range(3), [0, 1, 0], rows)) == [0, 0, 0]
+    assert attractor([[[j for j, _ in entries]] for _, entries in chain.rows], 1) == {0, 1}
 
 
 def _reaching(succ, start):
@@ -418,8 +394,8 @@ successor_lists = st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tup
 @settings(max_examples=200, deadline=None)
 @given(successor_lists)
 def test_attractor_of_one_action_per_state_is_plain_reachability(chain):
-    """With one action per state the attractor is the reverse search that
-    certify_stationary's reach half always was."""
+    """With one action per state the attractor is the plain reverse search
+    of the states that reach ``start``."""
     succ, start = chain
     assert attractor([[targets] for targets in succ], start) == _reaching(succ, start)
 
@@ -453,15 +429,17 @@ def test_value_vector_guards_its_length_and_its_states():
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    beta=st.sampled_from([F(1, 4), F(1, 2), F(9, 10)]),
+    beta=st.sampled_from([F(0), F(1, 4), F(1, 2), F(9, 10)]),
 )
 def test_stationary_recursion_matches_direct_stationary(seed, beta):
+    """The reset-chain occupation lemma: the stationary law of a pair's
+    chain on the reset game is the recursion's solution on its source chain."""
     g = generate_game(small_config(seed))
-    s0 = g.state_order[seed % len(g.state_order)]
-    gb, _ = beta_recurrent(g, beta, s0)
-    chain = induced_chain(gb, first_pair(gb))
-    mu = verify_stationary_recursion(chain, beta, s0)
-    assert mu.mass == unichain_stationary(chain).mass
+    start = seed % len(g.state_order)
+    gb, _ = beta_recurrent(g, beta, g.state_order[start])
+    pair = first_pair(g)
+    assert (occupation(induced_chain(g, pair), beta, start)
+            == unichain_stationary(induced_chain(gb, pair)).mass)
 
 
 def _g2_evaluations(g2, g2_pair):
@@ -471,7 +449,7 @@ def _g2_evaluations(g2, g2_pair):
     return (discounted_values(induced_chain(g2, g2_pair), beta),
             mean_values(induced_chain(g2, g2_pair)),
             unichain_stationary(induced_chain(g2, g2_pair)),
-            verify_stationary_recursion(induced_chain(gb, g2_pair), beta, "a"),
+            unichain_stationary(induced_chain(gb, g2_pair)),
             strategy_iteration_discounted(g2, beta),
             verify_star2(gb, reduction))
 

@@ -5,6 +5,10 @@ The golden files under ``golden/g2_beta_1_3`` are the restart transform of
 each with the map file written beside it, plus the stdout of ``verify star``
 from each state, of ``verify star2`` and of ``pipeline`` on the same game and
 beta (``*.out``), and the ``discounted_values.json`` the pipeline writes.
+The files under ``golden/interleaved`` are ``transform mirror``'s output on
+a two-state game whose copy ids sort interleaved (s1, s11, s12, s2) and
+whose primed twins sort the other way round from their actions (x!' before
+x'), from each start state at beta 0 and 1/3.
 """
 
 import json
@@ -17,6 +21,7 @@ from smpg.cli import main
 REPO = Path(__file__).resolve().parents[1]
 G2 = str(REPO / "games" / "g2.json")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "g2_beta_1_3"
+INTERLEAVED = GOLDEN.parent / "interleaved"
 
 NOT_DESCRIBED = ('{\n'
                  '  "error": "MissingKindAnnotation",\n'
@@ -58,6 +63,21 @@ def test_transform_golden_bytes_g2_beta_1_3(capsys, tmp_path):
 
     for name in ("reset.json", "reset.map.json", "mirror.json", "mirror.map.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("start", ["s", "s1"])
+@pytest.mark.parametrize("beta, tag", [("0", "0"), ("1/3", "1_3")])
+def test_mirror_golden_bytes_on_interleaved_ids(capsys, tmp_path, start, beta, tag):
+    reset = str(tmp_path / "reset.json")
+    code, _, _ = run(capsys, "transform", "beta-recurrent", str(INTERLEAVED / "game.json"),
+                     "--beta", beta, "--start", start, "--out", reset)
+    assert code == 0
+    name = f"mirror_{start}_beta_{tag}"
+    code, _, err = run(capsys, "transform", "mirror", reset,
+                       "--map", str(tmp_path / "reset.map.json"), "--out", str(tmp_path / f"{name}.json"))
+    assert (code, err) == (0, "")
+    for file in (f"{name}.json", f"{name}.map.json"):
+        assert (tmp_path / file).read_bytes() == (INTERLEAVED / file).read_bytes(), file
 
 
 def _mirror_kind_map(tmp_path):

@@ -44,6 +44,7 @@ from smpg.game import (
     game_to_json_dict,
     induced_chain,
     pair_actions,
+    scale,
     strategy_pair_to_json_dict,
     validate_game,
 )
@@ -600,7 +601,8 @@ def _wrong_laws(monkeypatch):
 ])
 def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     """When the mirror certificate fails on every doubled pair, each pair the
-    oracle tries is solved, and the pipeline finds the same witnesses, the
+    oracle tries is solved, on the chain the mirror evaluator makes from the
+    double game's tables, and the pipeline finds the same witnesses, the
     same copy-1 values and the same solution.  Each run has its own equal
     game, since a game keeps its source memo from one run to the next."""
     game = _three_state_game()
@@ -615,15 +617,15 @@ def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     expected = run()
     fault(monkeypatch)
     built = []
-    real_chain = smpg.solvers.induced_chain
+    real_chain = smpg.solvers.InducedChain
 
-    def spy_chain(on, pair):
-        chain = real_chain(on, pair)
-        if len(on.state_order) > len(game.state_order):
+    def spy_chain(*args):
+        chain = real_chain(*args)
+        if len(chain.state_order) > len(game.state_order):
             built.append(chain)
         return chain
 
-    monkeypatch.setattr(smpg.solvers, "induced_chain", spy_chain)
+    monkeypatch.setattr(smpg.solvers, "InducedChain", spy_chain)
     solved = _spy_mean_values(monkeypatch)
     assert run() == expected
     doubled_solved = [chain for chain in solved if len(chain.state_order) > len(game.state_order)]
@@ -804,10 +806,10 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
 ])
 def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
     """Rows are checked where they are built: once per distinct (state,
-    action) row of the reset game (``Game.chain_row``) and of the mirror
-    evaluator's tables, which hold one row per (state, action) of the double
-    game, not once per pair and state (64 pairs of 6 states on the
-    three-state game)."""
+    action) row of the reset game and of the source game (``Game.chain_row``),
+    whose rows the double game's tables are made from, not once per pair
+    and state (64 pairs of 6 states on the three-state game).  The tables
+    hold one row per (state, action) of the double game."""
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     checked = []
@@ -820,12 +822,11 @@ def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
     monkeypatch.setattr(smpg.game, "_checked_row", spy_check)
     report = verify_star2(gb, reduction)
     assert report.ok
-    table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.mirrored[0],
-                                                               _MirrorEvaluator(reduction).rows)]
-    n = len(table_rows)
-    assert len(checked) == len(gb.outgoing) + sum(count for _, count in table_rows)
+    assert len(checked) == len(gb.outgoing) + len(game.outgoing)
     assert ({(state, n_states) for state, _, _, n_states in checked}
-            == {(s, len(gb.states)) for s, _ in gb.outgoing} | {(s, n) for s, _ in table_rows})
+            == {(s, len(gb.states)) for s, _ in gb.outgoing})
+    table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.doubled_states,
+                                                               _MirrorEvaluator(reduction).rows)]
     doubled = reduction.doubled
     assert sorted(table_rows) == sorted(Counter(s for s, _ in doubled.outgoing).items())
 
@@ -880,29 +881,43 @@ def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
 
 
 def _install_doubled(reduction, rewards=(), redirect=()):
-    """Give ``reduction`` a faulty double game, the one ``mirror`` then hands
-    out, and put the same fault into the mirror evaluator's tables that its
-    game keeps at (beta, s0), made by ``_tables`` from the faulty game's own
-    rows: ``rewards`` maps action ids to replaced rewards, ``redirect`` maps
-    (source, action, target) edges to a replaced target.  Each call needs a
-    fresh game: the tables are kept on it."""
-    doubled = reduction.doubled
-    redirect = dict(redirect)
-    edges = [(t.source, t.action, redirect.get((t.source, t.action, t.target), t.target), t.prob)
-             for t in doubled.transitions]
-    faulty = build_game(doubled.states, {**doubled.actions, **dict(rewards)}, edges)
-    reduction.__dict__["doubled"] = faulty  # where the cached property keeps it
-    assert "mirror" not in reduction.kept
-    reduction.kept["mirror"] = smpg.solvers._tables(
-        faulty.states, faulty.actions, faulty.outgoing.items(),
-        faulty.state_index[reduction.state_map[reduction.s0][0]])
-    return faulty
+    """Put a fault into the double game's tables that ``reduction``'s game
+    keeps at (beta, s0), so the mirror evaluator, verify_star2 and the
+    double game ``mirror`` hands out, the tables' view, all read it:
+    ``rewards`` maps action ids to replaced rewards, ``redirect`` maps
+    (source, action, target) edges to a replaced target, merged with an
+    edge that is already there.  The reach verdict is made again from the
+    faulty rows.  Each call needs a fresh game: the tables are kept on it.
+    Returns the faulty double game."""
+    assert "mirror" not in reduction.kept and "doubled" not in reduction.__dict__
+    common, rows, reward_den, true_rewards, _ = reduction.tables
+    ids = [s.id for s in reduction.doubled_states]
+    moved = {edge: ids.index(target) for edge, target in dict(redirect).items()}
+    faulty_rows = []
+    for s, menu in zip(ids, rows):
+        faulty_rows.append({})
+        for a, entries in menu.items():
+            merged = Counter()
+            for j, num in entries:
+                merged[moved.get((s, a, ids[j]), j)] += num
+            faulty_rows[-1][a] = tuple(sorted(merged.items()))
+    values = {**{a: F(r, reward_den) for a, r in true_rewards.items()}, **dict(rewards)}
+    den, nums = scale(values.values())
+    start = ids.index(reduction.state_map[reduction.s0][0])
+    reach = smpg.transforms.attractor([[[j for j, _ in entries] for entries in menu.values()]
+                                       for menu in faulty_rows], start)
+    reduction.kept["mirror"] = reduction.__dict__["tables"] = (
+        common, tuple(faulty_rows), den, dict(zip(values, nums)), len(reach) == len(ids))
+    return reduction.doubled
 
 
 def _solved_violations(gb, reduction):
-    """The violations verify_star2 reports, found by solving every doubled
-    chain: mean_values and unichain_stationary on it and on its two source
-    chains, compared in Fractions.  Copy k holds states (k - 1) n to k n - 1."""
+    """The violations verify_star2 reports, found by solving every chain of
+    the built double game: mean_values and unichain_stationary on it and on
+    its two source chains, compared in Fractions.  The laws come from
+    solvers.unichain_stationary, so a fault put there reaches both sides.
+    Copy k holds states (k - 1) n to k n - 1."""
+    unichain_stationary = smpg.solvers.unichain_stationary
     doubled, n = reduction.doubled, len(gb.state_order)
     out = []
     for sigma in enumerate_strategies(doubled, MAX):
@@ -1015,7 +1030,8 @@ def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(mo
         return gb, reduction, doubled
 
     with pytest.MonkeyPatch.context() as no_reach:
-        no_reach.setattr(smpg.solvers, "attractor", lambda menus, start: set(range(len(menus))))
+        no_reach.setattr(smpg.transforms, "attractor",
+                         lambda menus, start: set(range(len(menus))))
         gb, reduction, doubled = faulty_reduction()
         pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
                  for tau in enumerate_strategies(doubled, MIN)]
@@ -1323,9 +1339,9 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
     the reset game, the source memo and the mirror evaluator's tables that
     the game keeps.  On the three-state game (8 source pairs, 3 start
     states) the op builds 3 reset games, 3 double games, one per pipeline
-    stage and none for verify_star2, and 3 sets of tables; it solves each
-    of the 3 x 8 source pairs once, plus the recovered pair; no doubled
-    chain is solved."""
+    stage and none for verify_star2, and 3 sets of tables, one common_rows
+    pass each; it solves each of the 3 x 8 source pairs once, plus the
+    recovered pair; no doubled chain is solved."""
     counts = Counter()
 
     def count(module, name):
@@ -1338,11 +1354,12 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(smpg.transforms, "build_game")
-    count(smpg.solvers, "_tables")
+    count(smpg.transforms, "common_rows")  # once per set of tables
     count(smpg.solvers, "mean_values")
     count(smpg.solvers, "unichain_stationary")
     _reduction_op(_three_state_game(), F(1, 3))
-    assert counts == {"build_game": 6, "_tables": 3, "mean_values": 25, "unichain_stationary": 24}
+    assert counts == {"build_game": 6, "common_rows": 3, "mean_values": 25,
+                      "unichain_stationary": 24}
 
 
 @settings(max_examples=15, deadline=None)
@@ -1416,22 +1433,96 @@ def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, 
                         for j in range(len(x)))
 
 
+def _paper_double_game(game, beta, s0):
+    """The mirrored double game of the reset transform of ``game`` at
+    ``beta`` from ``s0``, built by ``build_game`` from the source
+    transitions in Fractions, as the paper builds it: each transition of
+    probability p from s under action a is, in each copy, an edge of mass
+    beta p to its target in that copy (none at beta = 0) and one of mass
+    (1 - beta) p to the other copy's start; copy 2 switches every owner and
+    plays each action's primed twin, whose reward is negated.  The ids are
+    ``Reduction.state_map`` and ``Reduction.action_map``'s."""
+    reduction = Reduction(game, beta, s0)
+    states, actions = reduction.state_map, reduction.action_map
+    switched = {MAX: MIN, MIN: MAX}
+    edges = []
+    for t in game.transitions:
+        for copy in (0, 1):
+            s, a = states[t.source][copy], actions[t.action][copy]
+            if beta:
+                edges.append((s, a, states[t.target][copy], beta * t.prob))
+            edges.append((s, a, states[s0][1 - copy], (1 - beta) * t.prob))
+    return build_game(
+        [State(states[s.id][0], s.owner) for s in game.states]
+        + [State(states[s.id][1], switched[s.owner]) for s in game.states],
+        {**game.actions, **{actions[a][1]: -r for a, r in game.actions.items()}}, edges)
+
+
+def _assert_tables_are_the_paper_double_game(game, beta):
+    """From every start state, the double game is the paper's, and every
+    row and reward of the tables it is the view of has the paper's exact
+    value; every state reaches copy 1's start in every pair's chain."""
+    for s0 in game.state_order:
+        reference = _paper_double_game(game, beta, s0)
+        reduction = Reduction(game, beta, s0)
+        common, rows, reward_den, rewards, certifiable = reduction.tables
+        assert certifiable
+        assert [s.id for s in reduction.doubled_states] == list(reference.state_order)
+        for s, menu in zip(reference.state_order, rows):
+            assert sorted(menu) == list(reference.available_actions[s])
+            for a, entries in menu.items():
+                assert [(reference.state_order[j], F(num, common)) for j, num in entries] == list(
+                    reference.outgoing[(s, a)])
+        assert {a: F(r, reward_den) for a, r in rewards.items()} == reference.actions
+        assert reduction.doubled == reference
+        assert game_to_json_dict(reduction.doubled) == game_to_json_dict(reference)
+
+
 @settings(max_examples=30, deadline=None)
 @small_reductions
 def test_the_tables_from_the_source_rows_are_the_double_games(seed, states, beta):
-    """The double game's pieces (``Reduction.mirrored``) are the built
-    double game's states, actions and rows, and the mirror evaluator's
-    tables made from them are those made from the built game's rows."""
-    game = _small_generated_game(seed, states)
-    for s0 in game.state_order:
-        reduction = Reduction(game, beta, s0)
-        doubled = reduction.doubled
-        pieces = reduction.mirrored
-        assert (tuple(pieces[0]), pieces[1], dict(pieces[2])) == (
-            doubled.states, doubled.actions, doubled.outgoing)
-        start = doubled.state_index[reduction.state_map[s0][0]]
-        assert smpg.solvers._tables(*pieces, start) == smpg.solvers._tables(
-            doubled.states, doubled.actions, doubled.outgoing.items(), start)
+    _assert_tables_are_the_paper_double_game(_small_generated_game(seed, states), beta)
+
+
+@pytest.mark.parametrize("beta", [F(0), F(1, 3)])
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda: _three_state_game(), id="three-states"),
+    pytest.param(lambda: _interleaved_game(), id="interleaved-ids"),
+])
+def test_the_tables_are_the_paper_double_game(make_game, beta):
+    _assert_tables_are_the_paper_double_game(make_game(), beta)
+
+
+class _WithoutDoubleGame(Reduction):
+    """A reduction whose double ``Game`` cannot be read."""
+
+    @property
+    def doubled(self):
+        raise AssertionError("the double game was read")
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda monkeypatch: None, id="valid"),
+    pytest.param(_wrong_laws, id="wrong-source-laws"),
+])
+def test_verify_star2_reads_only_the_tables(monkeypatch, fault):
+    """verify_star2 and the mirror evaluator read the double game's tables
+    and never ``Reduction.doubled``: on a valid game every pair is
+    certified, and with wrong source laws every pair is solved, on chains
+    made from the tables, and the report holds exactly the violations that
+    solving every chain of the built double game finds.  The reduction that
+    cannot read its double game is of a fresh equal game, so its tables are
+    made by verify_star2 itself."""
+    fault(monkeypatch)
+    game = _three_state_game()
+    s0 = game.state_order[0]
+    expected = _solved_violations(*beta_recurrent(game, F(1, 3), s0))
+    game = _three_state_game()
+    gb, _ = beta_recurrent(game, F(1, 3), s0)
+    solved = _spy_doubled_solves(monkeypatch, len(game.state_order))
+    report = verify_star2(gb, _WithoutDoubleGame(game, F(1, 3), s0))
+    assert report.pairs_checked == 64 and report.violations == expected
+    assert len(solved) == (0 if report.ok else 64)
 
 
 def _interleaved_game():
