@@ -137,10 +137,6 @@ class Game:
             out.setdefault((t.source, t.action), []).append((t.target, t.prob))
         return {k: tuple(v) for k, v in out.items()}
 
-    @cached_property
-    def owned(self) -> dict[str, frozenset[str]]:
-        return {player: frozenset(self.states_of(player)) for player in PLAYERS}
-
     def chain_row(self, state: str, action: str) -> tuple[int, tuple[tuple[int, int], ...]]:
         """The InducedChain row (den, ((j, num), ...)) of ``action`` at
         ``state``, den the lcm of its probability denominators; built and
@@ -153,6 +149,12 @@ class Game:
             row = rows[(state, action)] = _checked_row(state, den, tuple(
                 (index[t], num) for (t, _), num in zip(out, nums)), len(index))
         return row
+
+    def chain(self, actions) -> InducedChain:
+        """The chain of the pair that plays ``actions``, one per state in
+        state order, taken as valid: ``induced_chain`` checks a pair first."""
+        return InducedChain(self.state_order, tuple(map(self.chain_row, self.state_order, actions)),
+                            tuple(map(self.actions.__getitem__, actions)))
 
     def states_of(self, player: str) -> tuple[str, ...]:
         return tuple(s.id for s in self.states if s.owner == player)
@@ -340,14 +342,15 @@ def strategy_pair_to_json_dict(pair: StrategyPair) -> dict:
             "min": dict(pair.min_strategy.choices)}
 
 
-def check_pair(game: Game, pair: StrategyPair) -> None:
-    """Raise StrategyDomainMismatch unless the pair exactly fits the game."""
+def check_pair(game, pair: StrategyPair) -> None:
+    """Raise StrategyDomainMismatch unless the pair exactly fits the game, a
+    ``Game`` or any view with its ``states_of`` and ``available_actions``."""
     for strategy, player in ((pair.max_strategy, MAX), (pair.min_strategy, MIN)):
         if strategy.player != player:
             raise StrategyDomainMismatch(
                 f"strategy labelled {strategy.player!r} used for player {player!r}", player=player)
-        if strategy.choices.keys() != game.owned[player]:
-            domain, owned = sorted(strategy.choices), sorted(game.owned[player])
+        if strategy.choices.keys() != set(game.states_of(player)):
+            domain, owned = sorted(strategy.choices), sorted(game.states_of(player))
             raise StrategyDomainMismatch(
                 f"{player} strategy domain {domain} != owned states {owned}",
                 player=player, domain=domain, owned=owned)
@@ -358,19 +361,17 @@ def check_pair(game: Game, pair: StrategyPair) -> None:
                     state=state, action=action)
 
 
-def pair_actions(game: Game, pair: StrategyPair) -> list[str]:
+def pair_actions(game, pair: StrategyPair) -> list[str]:
     """The action the pair plays at each state, in state order, once
-    ``check_pair`` has passed; the pair's ``choices`` are read once."""
+    ``check_pair`` has passed; the pair's ``choices`` are read once.
+    ``game`` may be any view ``check_pair`` takes that has a ``state_order``."""
     check_pair(game, pair)
     return list(map(pair.choices.__getitem__, game.state_order))
 
 
 def induced_chain(game: Game, pair: StrategyPair) -> InducedChain:
     """The Markov chain obtained by fixing both players' choices."""
-    actions = pair_actions(game, pair)
-    return InducedChain(game.state_order,
-                        tuple(map(game.chain_row, game.state_order, actions)),
-                        tuple(map(game.actions.__getitem__, actions)))
+    return game.chain(pair_actions(game, pair))
 
 
 def strategy_count(game: Game, player: str) -> int:

@@ -21,10 +21,13 @@ game, the source memo that ``_source`` fills, the one place a source pair
 is solved on the reset game, and the double game's integer tables
 (``Reduction.tables``).  Nothing kept refers back to the game.
 ``_MirrorEvaluator`` is the one place that turns a doubled pair into
-values, read off the tables alone, a fallback chain included:
-``verify_star2`` scans the doubled pairs as action tuples without building
-the double game, and the pipeline's oracle hands it checked pairs of the
-built one, the tables' ``Game`` view.
+values, read off the tables alone, a fallback chain included.  No double
+``Game`` is built on a computation path: ``verify_star2`` scans the doubled
+pairs as action tuples over the tables' menus (``Reduction.menus``), and
+the pipeline's oracle searches the same menus and hands the evaluator
+pairs that ``check_pair`` checks against them.  A pair the library
+enumerated itself is not checked again: ``verify_star`` and ``_source``
+build its chain straight from its actions (``Game.chain``).
 
 A pair's values travel as their integer view (D, y = D v, ``View``),
 compared by integer cross-products; Fractions are built only for what is
@@ -84,9 +87,10 @@ DISCOUNTED = "discounted"
 View = tuple[int, tuple[int, ...]]
 
 # A recovery oracle maps (game, claimed per-state values) to a strategy
-# pair witnessing the claim, evaluating pairs with the keyword argument
-# ``evaluator`` (pair -> the View of its mean values) that
-# strategic_via_recovery passes.  reference_recovery_oracle below is one.
+# pair witnessing the claim.  strategic_via_recovery passes the double
+# game's ``Menus`` as the game, its strategy space only, and values pairs
+# only through the keyword argument ``evaluator`` (pair -> the View of its
+# mean values).  reference_recovery_oracle below is one.
 RecoveryOracle = Callable[..., StrategyPair]
 
 
@@ -170,9 +174,9 @@ def _fold(best: list[tuple[int, int]], rows, sign: int) -> list[tuple[int, int]]
     return best
 
 
-def _strategies(game: Game, cap: int) -> tuple[list[PositionalStrategy], list[PositionalStrategy]]:
+def _strategies(game, cap: int) -> tuple[list[PositionalStrategy], list[PositionalStrategy]]:
     """Every positional strategy of the maximizer and of the minimizer of
-    ``game``, a ``Game`` or the ``_Menus`` of one not built, in enumeration
+    ``game``, a ``Game`` or the ``Menus`` of one not built, in enumeration
     order.  Raises CombinatorialLimitExceeded, before anything is
     enumerated, when they make more than ``cap`` pairs."""
     max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
@@ -190,7 +194,7 @@ class _PairScan:
     and keeps only the componentwise row minima and running column maxima,
     as (y_s, D) pairs."""
 
-    def __init__(self, game: Game, cap: int, entry: Callable[..., View]):
+    def __init__(self, game, cap: int, entry: Callable[..., View]):
         self.max_strats, self.min_strats = _strategies(game, cap)
         self.row_min, self.col_max = [], None
         for sigma in self.max_strats:
@@ -215,10 +219,10 @@ class _PairScan:
             return None
         return StrategyPair(self.max_strats[i], self.min_strats[j])
 
-    def report(self, violations, index: int) -> VerificationReport:
-        """A report valued at the max-min of the entries' component ``index``."""
+    def report(self, violations) -> VerificationReport:
+        """A report valued at the max-min of the entries' first component."""
         return VerificationReport(len(self.max_strats) * len(self.min_strats),
-                                  tuple(violations), Fraction(*self.lower[index]))
+                                  tuple(violations), Fraction(*self.lower[0]))
 
 
 def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
@@ -402,19 +406,21 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
         state=s, claimed=claimed.at(s), reevaluated=check.at(s))
 
 
-def reference_recovery_oracle(game: Game, claimed: ValueVector,
+def reference_recovery_oracle(game, claimed: ValueVector,
                               cap: int = DEFAULT_ENUMERATION_CAP, *,
                               evaluator: Callable[[StrategyPair], View] | None = None
                               ) -> StrategyPair:
     """Recovery oracle by exhaustion, for the mean-payoff criterion.
 
-    A pair's mean values come as their integer view (D, y = D v) from
-    ``evaluator`` when one is given, and from ``evaluate_pair(game, pair,
-    MEAN).scaled`` otherwise.  ``strategic_via_recovery`` hands in its
-    reduction's ``_MirrorEvaluator``, whose views are of the doubled
-    chain's mean values, certified by the mirror lemma or solved:
-    evaluating a fixed pair is not solving the game, so the oracle's model
-    is unchanged.
+    ``game`` gives the strategy space: a ``Game``, or the ``Menus`` of a
+    double game that is not built.  A pair's mean values come as their
+    integer view (D, y = D v) from ``evaluator`` when one is given, and
+    from ``evaluate_pair(game, pair, MEAN).scaled`` otherwise, which needs
+    a ``Game``.  ``strategic_via_recovery`` hands in the double game's
+    ``Menus`` and its reduction's ``_MirrorEvaluator``, whose views are of
+    the doubled chain's mean values, certified by the mirror lemma or
+    solved: evaluating a fixed pair is not solving the game, so the
+    oracle's model is unchanged.
 
     Returns the lexicographically first pair that both evaluates to the
     claimed values at every state and is a saddle point (no unilateral
@@ -481,13 +487,15 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     mean-payoff evaluation.  For beta close enough to one this coincides
     exactly with the brute-force mean-payoff solution.
 
-    The oracle is called as ``oracle(doubled, claim, evaluator=...)`` with
-    the reduction's ``_MirrorEvaluator``, so each doubled pair it tries is
-    evaluated from two memoised source solves and one certificate pass, and
-    solved only when the certificate fails.  The copy-1 value is the
-    memoised source value of the witness's copy-1 restriction, read from
-    the evaluator's per-copy table (``_MirrorEvaluator.part``): the mean
-    values of that pair's reset chain, not a second solve of it.
+    The oracle is called as ``oracle(menus, claim, evaluator=...)`` with
+    the double game's ``Menus`` (``Reduction.menus``) and the reduction's
+    ``_MirrorEvaluator``, so no double ``Game`` is built and each doubled
+    pair it tries is checked against the menus, evaluated from two
+    memoised source solves and one certificate pass, and solved only when
+    the certificate fails.  The copy-1 value is the memoised source value
+    of the witness's copy-1 restriction, read from the evaluator's
+    per-copy table (``_MirrorEvaluator.part``): the mean values of that
+    pair's reset chain, not a second solve of it.
 
     ``on_stage``, if given, is called once per start state with
     (state, reduction, witness, value); the pipeline subcommand uses it to
@@ -497,11 +505,10 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     assembled = []
     for s in game.state_order:
         reduction = Reduction(game, beta, s)
-        doubled = reduction.doubled
-        evaluator = _MirrorEvaluator(reduction)
-        claim = ValueVector(doubled.state_order, (Fraction(0),) * len(doubled.state_order))
-        witness = oracle(doubled, claim, evaluator=evaluator)
-        source = evaluator.part(1, pair_actions(doubled, witness))[0]
+        menus, evaluator = reduction.menus, _MirrorEvaluator(reduction)
+        claim = ValueVector(menus.state_order, (Fraction(0),) * len(menus.state_order))
+        witness = oracle(menus, claim, evaluator=evaluator)
+        source = evaluator.part(1, pair_actions(menus, witness))[0]
         value_at_s = Fraction(source.value_nums[game.state_index[s]], source.value_den)
         assembled.append(value_at_s)
         if on_stage is not None:
@@ -533,13 +540,13 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
     source state in state order: the one place a source pair is solved on
     the reset game.  Its reset chain is solved once per (game, beta, s0),
     into the memo the source game keeps (``Reduction.kept``), keyed by
-    ``actions``; every later call at that (beta, s0) reads the memo."""
+    ``actions``; every later call at that (beta, s0) reads the memo.  The
+    actions come from the library's own enumerations, so the chain is
+    built from them unchecked (``Game.chain``)."""
     sources = reduction.kept["sources"]
     source = sources.get(actions)
     if source is None:
-        game = reduction.game
-        pair = StrategyPair.from_choices(dict(zip(game.state_order, actions)), game.owner)
-        chain = induced_chain(reduction.reset_game, pair)
+        chain = reduction.reset_game.chain(actions)
         d, y = mean_values(chain).scaled
         law = unichain_stationary(chain)
         constant = len(set(y)) == 1  # then the values share one int
@@ -560,28 +567,32 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     without solving again.  The two sides are compared as integers, and
     Fractions are built only for a violation.  The reported value is the
     exact optimal discounted value at s0, computed as max-min over the
-    enumerated pairs.
+    enumerated pairs.  Each enumerated pair is read as the tuple of its
+    actions, valid by construction, so its chain is built with no
+    ``check_pair`` (``Game.chain``), and the scan folds only the start
+    state's value.
     """
     reduction = Reduction(game, beta, s0)
     start = game.state_index[s0]
     violations = []
 
     def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
-        pair = StrategyPair(sigma, tau)
-        disc = discounted_values(induced_chain(game, pair), reduction.beta)
-        source = _source(reduction, tuple(map(pair.choices.__getitem__, game.state_order)))
+        choices = {**sigma.choices, **tau.choices}
+        actions = tuple(map(choices.__getitem__, game.state_order))
+        disc = discounted_values(game.chain(actions), reduction.beta)
+        source = _source(reduction, actions)
         d, y = disc.scaled
         if source.value_nums[start] * d != y[start] * source.value_den:
             violations.append({
                 "kind": "reset-identity",
-                **strategy_pair_to_json_dict(pair),
+                **strategy_pair_to_json_dict(StrategyPair(sigma, tau)),
                 "mean_at_start": format_rational(
                     Fraction(source.value_nums[start], source.value_den)),
                 "discounted_at_start": format_rational(disc.at(s0)),
             })
-        return d, y
+        return d, (y[start],)
 
-    return _PairScan(game, cap, entry).report(violations, start)
+    return _PairScan(game, cap, entry).report(violations)
 
 
 class _MirrorEvaluator:
@@ -612,14 +623,14 @@ class _MirrorEvaluator:
     ``attractor`` of the copy-1 start for all pairs at once.  When the
     attractor misses a state, no pair is certified.  A pair whose
     certificate fails is solved on its chain, made from the same tables,
-    so the double ``Game`` is read only to check a pair from outside
-    (``__call__``).
+    and a pair from outside is checked against the tables' menus
+    (``Reduction.menus``, ``__call__``): no double ``Game`` is read.
     """
 
     def __init__(self, reduction: Reduction):
         self.reduction = reduction
         self.common, self.rows, self.reward_den, self.rewards, self.certifiable = reduction.tables
-        self.state_order = tuple(s.id for s in reduction.doubled_states)
+        self.state_order = reduction.menus.state_order
         n = len(self.rows) // 2  # copy 1's states come first, then copy 2's
         self.copy_indices = {1: range(n), 2: range(n, 2 * n)}
         # the double-game actions a copy plays, in state order -> (source, r_c, g_c);
@@ -666,20 +677,8 @@ class _MirrorEvaluator:
 
     def __call__(self, pair: StrategyPair) -> View:
         """The integer view of a pair of the double game, once ``check_pair``
-        has passed on it."""
-        return self.evaluate(pair_actions(self.reduction.doubled, pair))[0]
-
-
-class _Menus(NamedTuple):
-    """What ``strategy_count`` and ``enumerate_strategies`` read of a game,
-    for a double game that is not built: its ``State``s and each state's
-    action ids, sorted."""
-
-    states: tuple
-    available_actions: dict[str, tuple[str, ...]]
-
-    def states_of(self, player: str) -> tuple[str, ...]:
-        return tuple(s.id for s in self.states if s.owner == player)
+        has passed on it against the menus."""
+        return self.evaluate(pair_actions(self.reduction.menus, pair))[0]
 
 
 def verify_star2(gb: Game, reduction: Reduction,
@@ -701,16 +700,15 @@ def verify_star2(gb: Game, reduction: Reduction,
     compared, and a chain with two closed classes ends in NotUnichain.
     ``gb`` must be the reduction's reset game (MissingKindAnnotation), but
     the double game is not built: ``enumerate_strategies`` enumerates its
-    pairs from the evaluator's tables (``_Menus``), in the order it gives
-    on the built game, and each pair is read as the tuple of its actions,
-    valid by construction, so no ``check_pair`` runs; a ``StrategyPair`` is
-    built only for a violation.
+    pairs over the tables' menus (``Reduction.menus``), in the order it
+    gives on the built game, and each pair is read as the tuple of its
+    actions, valid by construction, so no ``check_pair`` runs; a
+    ``StrategyPair`` is built only for a violation.  The scan folds only
+    the first state's value.
     """
     reduction.check_reset(gb)
     evaluator = _MirrorEvaluator(reduction)
     states = evaluator.state_order
-    menus = _Menus(reduction.doubled_states,
-                   {s: tuple(sorted(row)) for s, row in zip(states, evaluator.rows)})
     violations = []
 
     def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
@@ -730,8 +728,9 @@ def verify_star2(gb: Game, reduction: Reduction,
             if v * den != num * d:
                 violation(kind="mirror-identity", state=state, lhs=format_rational(Fraction(v, d)),
                           rhs=format_rational(Fraction(num, den)))
+        scanned = d, y[:1]  # the first state's value is all the scan folds
         if chain is None:
-            return view
+            return scanned
 
         occupation = unichain_stationary(chain)
         d, nums = occupation.denominator, occupation.numerators
@@ -748,6 +747,6 @@ def verify_star2(gb: Game, reduction: Reduction,
                     violation(kind="copy-stationary", copy=copy, state=s,
                               scaled=format_rational(Fraction(2 * nums[i], d)),
                               stationary=format_rational(Fraction(n_ref, d_ref)))
-        return view
+        return scanned
 
-    return _PairScan(menus, cap, entry).report(violations, 0)
+    return _PairScan(reduction.menus, cap, entry).report(violations)

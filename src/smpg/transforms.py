@@ -18,10 +18,14 @@ b/c as ``splits`` splits them (over c den, b num stays in the copy and
 (c - b) den crosses to the other copy's start), every reward over one
 denominator, and whether every pair's chain reaches copy 1's start.  The
 reset game merges parallel edges, so the rows are made from the source
-rows, not from it.  ``Reduction.doubled`` is the tables' ``Game`` view,
-built only when one is asked for: by ``mirror``, by the pipeline's oracle
-and by ``decompose_mirror_strategies``, the one place a pair of the double
-game splits into one source pair per copy, after ``check_pair`` on it.
+rows, not from it.  ``Reduction.menus`` is the tables' strategy space
+(``Menus``): the double game's states, in order, and each state's sorted
+actions.  It is the one view of the double game on a computation path:
+the verifier's scan, the recovery oracle, the check of a pair from
+outside (``check_pair``) and ``decompose_mirror_strategies``, the one
+place a pair of the double game splits into one source pair per copy,
+all read it.  ``Reduction.doubled`` is the tables' ``Game`` view, built
+only for output: ``mirror`` and the pipeline's artifacts.
 
 What does not depend on the pair is made once per (game, beta, s0), not
 once per ``Reduction``: the source game keeps, per (beta, s0), the reset
@@ -31,8 +35,8 @@ game, the source memo of the reduction checks and the tables
 shares them.  Nothing kept refers back to the source game: a
 ``Reduction`` or an evaluator kept there would make a reference cycle
 through the game, so the game would outlive its last reference until a
-full collection.  The double game's states and the double ``Game`` are
-not kept: each ``Reduction`` derives them.
+full collection.  The menus and the double ``Game`` are not kept: each
+``Reduction`` derives them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import MissingKindAnnotation, UnknownState
 from .evaluate import attractor, check_beta, common_rows
@@ -53,6 +58,20 @@ from .game import (
     check_pair,
     scale,
 )
+
+
+class Menus(NamedTuple):
+    """What ``check_pair``, ``pair_actions``, ``strategy_count`` and
+    ``enumerate_strategies`` read of a game, for a double game that is not
+    built: its ``State``s, their ids in order and each state's action ids,
+    sorted."""
+
+    states: tuple[State, ...]
+    state_order: tuple[str, ...]
+    available_actions: dict[str, tuple[str, ...]]
+
+    def states_of(self, player: str) -> tuple[str, ...]:
+        return tuple(s.id for s in self.states if s.owner == player)
 
 
 @dataclass(frozen=True)
@@ -165,20 +184,24 @@ class Reduction:
         return kept["mirror"]
 
     @cached_property
-    def doubled_states(self) -> tuple[State, ...]:
-        """The double game's states: copy 1 in source order, then copy 2
-        with every owner switched."""
+    def menus(self) -> Menus:
+        """The double game's strategy space, made from ``tables`` per
+        ``Reduction`` and not kept: copy 1's states in source order, then
+        copy 2's with every owner switched, and each state's table actions,
+        sorted."""
         switched = {MAX: MIN, MIN: MAX}
-        return (*(State(self.state_map[s.id][0], s.owner) for s in self.game.states),
-                *(State(self.state_map[s.id][1], switched[s.owner]) for s in self.game.states))
+        states = (*(State(self.state_map[s.id][0], s.owner) for s in self.game.states),
+                  *(State(self.state_map[s.id][1], switched[s.owner]) for s in self.game.states))
+        ids = tuple(s.id for s in states)
+        return Menus(states, ids, {s: tuple(sorted(menu)) for s, menu in zip(ids, self.tables[1])})
 
     @cached_property
     def doubled(self) -> Game:
         """The mirrored double game of ``reset_game``: the ``Game`` view of
-        ``tables``."""
+        ``tables``, for output only."""
         common, rows, reward_den, rewards, _ = self.tables
-        ids = [s.id for s in self.doubled_states]
-        return build_game(self.doubled_states,
+        states, ids, _ = self.menus
+        return build_game(states,
                           {a: Fraction(r, reward_den) for a, r in rewards.items()},
                           [(s, a, ids[j], Fraction(num, common)) for s, menu in zip(ids, rows)
                            for a, entries in menu.items() for j, num in entries])
@@ -213,14 +236,14 @@ def decompose_mirror_strategies(pair: StrategyPair, reduction: Reduction
                                 ) -> tuple[StrategyPair, StrategyPair]:
     """Split a strategy pair of the mirrored game into two source pairs.
 
-    StrategyDomainMismatch unless the pair fits the double game
-    (``check_pair``).  The first returned pair is both players' copy-1
-    restrictions, the second the copy-2 restrictions: at each source state,
-    the source action that copy plays, primed actions mapped back, played
-    by the state's owner in the source game, so the players' roles are
-    swapped back.
+    StrategyDomainMismatch unless the pair fits the double game's
+    ``menus`` (``check_pair``).  The first returned pair is both players'
+    copy-1 restrictions, the second the copy-2 restrictions: at each source
+    state, the source action that copy plays, primed actions mapped back,
+    played by the state's owner in the source game, so the players' roles
+    are swapped back.
     """
-    check_pair(reduction.doubled, pair)
+    check_pair(reduction.menus, pair)
     game, choices, inverse = reduction.game, pair.choices, reduction.inverse_actions
     return tuple(StrategyPair.from_choices(
         {s: inverse[choices[reduction.state_map[s][copy]]] for s in game.state_order}, game.owner)

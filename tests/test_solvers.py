@@ -36,6 +36,7 @@ from smpg.evaluate import (
 from smpg.game import (
     MAX,
     MIN,
+    Game,
     State,
     StrategyPair,
     build_game,
@@ -722,8 +723,9 @@ def test_brute_force_reports_values_no_single_pair_attains(monkeypatch):
 
 def test_verify_star2_checks_each_pair_once(monkeypatch):
     """The 64 doubled pairs are enumerated as action tuples, valid by
-    construction, so none is checked; the 8 distinct source pairs are
-    checked once each, by induced_chain, and no double game is built."""
+    construction, so none is checked; nor is any of the 8 distinct source
+    pairs, whose chains are built from their actions (Game.chain), and no
+    double game is built."""
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     checked = []
@@ -737,14 +739,7 @@ def test_verify_star2_checks_each_pair_once(monkeypatch):
     monkeypatch.setattr(smpg.transforms, "check_pair", spy)
     assert verify_star2(gb, reduction).ok
     assert "doubled" not in reduction.__dict__
-    assert [on is reduction.doubled for on in checked].count(True) == 0
-    assert [on is gb for on in checked].count(True) == 8
-    assert len(checked) == 8
-
-
-def _choices_key(pair):
-    return (tuple(sorted(pair.max_strategy.choices.items())),
-            tuple(sorted(pair.min_strategy.choices.items())))
+    assert checked == []
 
 
 def _three_state_game():
@@ -760,42 +755,43 @@ def _three_state_game():
 def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, make_game):
     """The doubled pairs are certified from the evaluator's tables, so no
     doubled chain is built or decomposed; each distinct source pair's chain
-    is built once and decomposed once.  The spied run has its own equal
-    game, since a game keeps its source memo from one run to the next."""
+    is built once, from its actions (Game.chain), and decomposed once.  The
+    spied run has its own equal game, since a game keeps its source memo
+    from one run to the next."""
     game = make_game(g2)
     expected = verify_star2(*beta_recurrent(game, F(1, 3), game.state_order[0]))
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
 
-    built = []  # (game, pair, chain); holding the chains keeps their ids unique
+    built = []  # (game, actions, chain); holding the chains keeps their ids unique
     decomposed = []
-    real_chain = smpg.solvers.induced_chain
+    real_chain = Game.chain
     real_decompose = smpg.evaluate.recurrent_stationary
 
-    def spy_chain(on, pair):
-        chain = real_chain(on, pair)
-        built.append((on, pair, chain))
+    def spy_chain(on, actions):
+        chain = real_chain(on, actions)
+        built.append((on, actions, chain))
         return chain
 
     def spy_decompose(chain):
         decomposed.append(chain)
         return real_decompose(chain)
 
-    monkeypatch.setattr(smpg.solvers, "induced_chain", spy_chain)
+    monkeypatch.setattr(Game, "chain", spy_chain)
     monkeypatch.setattr(smpg.evaluate, "recurrent_stationary", spy_decompose)
     report = verify_star2(gb, reduction)
     assert report == expected
 
-    source_pairs = [pair for on, pair, _ in built if on is gb]
+    source_pairs = [actions for on, actions, _ in built if on is gb]
     assert len(source_pairs) == len(built)  # no doubled chain
     # one gb chain per distinct source pair the doubled pairs restrict to
     doubled = reduction.doubled
     doubled_pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
                      for tau in enumerate_strategies(doubled, MIN)]
     assert len(doubled_pairs) == report.pairs_checked
-    restricted = {_choices_key(half) for pair in doubled_pairs
+    restricted = {tuple(map(half.choices.__getitem__, game.state_order)) for pair in doubled_pairs
                   for half in decompose_mirror_strategies(pair, reduction)}
-    assert sorted(_choices_key(p) for p in source_pairs) == sorted(restricted)
+    assert sorted(source_pairs) == sorted(restricted)
     # the source chains are decomposed, each exactly once, and no doubled chain
     assert sorted(map(id, decomposed)) == sorted(id(chain) for on, _, chain in built if on is gb)
 
@@ -825,7 +821,7 @@ def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
     assert len(checked) == len(gb.outgoing) + len(game.outgoing)
     assert ({(state, n_states) for state, _, _, n_states in checked}
             == {(s, len(gb.states)) for s, _ in gb.outgoing})
-    table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.doubled_states,
+    table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.menus.states,
                                                                _MirrorEvaluator(reduction).rows)]
     doubled = reduction.doubled
     assert sorted(table_rows) == sorted(Counter(s for s, _ in doubled.outgoing).items())
@@ -891,7 +887,7 @@ def _install_doubled(reduction, rewards=(), redirect=()):
     Returns the faulty double game."""
     assert "mirror" not in reduction.kept and "doubled" not in reduction.__dict__
     common, rows, reward_den, true_rewards, _ = reduction.tables
-    ids = [s.id for s in reduction.doubled_states]
+    ids = list(reduction.menus.state_order)
     moved = {edge: ids.index(target) for edge, target in dict(redirect).items()}
     faulty_rows = []
     for s, menu in zip(ids, rows):
@@ -1280,20 +1276,26 @@ small_reductions = given(
 @settings(max_examples=40, deadline=None)
 @small_reductions
 def test_verify_star_holds_from_every_start(seed, states, beta):
+    """The reset identity holds at every pair, and the report's value is
+    the optimal discounted value at the start state."""
     game = _small_generated_game(seed, states)
+    values = brute_force_solve(game, DISCOUNTED, beta).values
     for s0 in game.state_order:
-        assert verify_star(game, beta, s0).violations == ()
+        report = verify_star(game, beta, s0)
+        assert report.violations == () and report.value == values.at(s0)
 
 
 @settings(max_examples=40, deadline=None)
 @small_reductions
 def test_verify_star2_holds_on_every_reset_game(seed, states, beta):
-    """Every valid reduction is certified: no doubled chain is solved."""
+    """Every valid reduction is certified: no doubled chain is solved, and
+    the double game's value is 0."""
     game = _small_generated_game(seed, states)
     with pytest.MonkeyPatch.context() as monkeypatch:
         solved = _spy_doubled_solves(monkeypatch, states)
         for s0 in game.state_order:
-            assert verify_star2(*beta_recurrent(game, beta, s0)).violations == ()
+            report = verify_star2(*beta_recurrent(game, beta, s0))
+            assert report.violations == () and report.value == 0
     assert solved == []
 
 
@@ -1338,10 +1340,10 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
     """At each (beta, s0), verify_star, verify_star2 and the pipeline share
     the reset game, the source memo and the mirror evaluator's tables that
     the game keeps.  On the three-state game (8 source pairs, 3 start
-    states) the op builds 3 reset games, 3 double games, one per pipeline
-    stage and none for verify_star2, and 3 sets of tables, one common_rows
-    pass each; it solves each of the 3 x 8 source pairs once, plus the
-    recovered pair; no doubled chain is solved."""
+    states) the op builds 3 reset games, no double game (verify_star2 and
+    the pipeline's oracle read the tables' menus), and 3 sets of tables,
+    one common_rows pass each; it solves each of the 3 x 8 source pairs
+    once, plus the recovered pair; no doubled chain is solved."""
     counts = Counter()
 
     def count(module, name):
@@ -1358,7 +1360,7 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
     count(smpg.solvers, "mean_values")
     count(smpg.solvers, "unichain_stationary")
     _reduction_op(_three_state_game(), F(1, 3))
-    assert counts == {"build_game": 6, "common_rows": 3, "mean_values": 25,
+    assert counts == {"build_game": 3, "common_rows": 3, "mean_values": 25,
                       "unichain_stationary": 24}
 
 
@@ -1461,13 +1463,18 @@ def _paper_double_game(game, beta, s0):
 def _assert_tables_are_the_paper_double_game(game, beta):
     """From every start state, the double game is the paper's, and every
     row and reward of the tables it is the view of has the paper's exact
-    value; every state reaches copy 1's start in every pair's chain."""
+    value; the tables' menus hold the paper's states, in order, and its
+    sorted actions; every state reaches copy 1's start in every pair's
+    chain."""
     for s0 in game.state_order:
         reference = _paper_double_game(game, beta, s0)
         reduction = Reduction(game, beta, s0)
         common, rows, reward_den, rewards, certifiable = reduction.tables
         assert certifiable
-        assert [s.id for s in reduction.doubled_states] == list(reference.state_order)
+        menus = reduction.menus
+        assert menus.states == reference.states
+        assert menus.state_order == reference.state_order
+        assert menus.available_actions == reference.available_actions
         for s, menu in zip(reference.state_order, rows):
             assert sorted(menu) == list(reference.available_actions[s])
             for a, entries in menu.items():
@@ -1523,6 +1530,21 @@ def test_verify_star2_reads_only_the_tables(monkeypatch, fault):
     report = verify_star2(gb, _WithoutDoubleGame(game, F(1, 3), s0))
     assert report.pairs_checked == 64 and report.violations == expected
     assert len(solved) == (0 if report.ok else 64)
+
+
+@pytest.mark.parametrize("beta", [F(0), F(1, 3)])
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda: _three_state_game(), id="three-states"),
+    pytest.param(lambda: _interleaved_game(), id="interleaved-ids"),
+])
+def test_the_pipeline_builds_no_double_game(monkeypatch, make_game, beta):
+    """With no on_stage to write artifacts, strategic_via_recovery never
+    reads ``Reduction.doubled``: the oracle searches the tables' menus, so
+    a run whose reductions cannot read their double game returns the
+    unpatched run's solution.  Each run has its own equal game."""
+    expected = strategic_via_recovery(make_game(), beta, reference_recovery_oracle)
+    monkeypatch.setattr(smpg.solvers, "Reduction", _WithoutDoubleGame)
+    assert strategic_via_recovery(make_game(), beta, reference_recovery_oracle) == expected
 
 
 def _interleaved_game():

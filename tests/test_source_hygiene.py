@@ -4,7 +4,8 @@ No module other than ``__init__`` (which re-exports) imports a name it never
 reads, a local of the same name not counting as a read, and every private
 top-level function or class is referenced somewhere in the package outside
 its own definition: a deletion that leaves an import or a helper behind
-fails here.
+fails here.  The double ``Game`` (``Reduction.doubled``) is for output
+only: no module but ``cli`` and ``transforms`` reads the attribute.
 """
 
 import ast
@@ -94,3 +95,9 @@ def test_every_private_definition_is_referenced(module, definition):
     elsewhere = [node for name, tree in MODULES.items() for node in tree.body
                  if not (name == module and node is definition)]
     assert definition.name in _references(*elsewhere)
+
+
+def test_only_the_output_modules_read_the_double_game():
+    readers = {module for module, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "doubled"}
+    assert readers <= {"cli", "transforms"}
