@@ -18,8 +18,9 @@ over rows brought to one denominator (``common_rows``,
 that a law made of parts has one residual per part, and the reach search
 (``attractor``), which also runs on a whole game's action menus, so that
 one search covers every strategy pair's chain: the double game's tables
-(``transforms.Reduction.tables``) run it once, and
-``solvers._MirrorEvaluator`` sums the residuals.
+(``transforms.Reduction.tables``) run it once, and each source pair's
+record (``solvers._source``) keeps its two copies' residuals, which
+``solvers._mirror`` sums.
 ``linalg.solve_scaled`` hands back integers (det, y), x = y / det;
 stationary masses, absorption sums and gains stay integers over one
 denominator, and Fractions are only views (discounted values, gains,

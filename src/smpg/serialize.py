@@ -49,7 +49,7 @@ def load_json(path) -> dict:
         raise ParseError(f"JSON in {path} is nested too deeply", path=str(path)) from exc
 
 
-def _unwritable(path, exc: OSError) -> ParseError:
+def _unwritable(path, exc: OSError | ValueError) -> ParseError:
     return ParseError(f"cannot write {path}: {exc}", path=str(path))
 
 
@@ -57,7 +57,7 @@ def write_json(path, obj) -> None:
     text = canonical_dumps(obj)
     try:
         Path(path).write_text(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise _unwritable(path, exc) from exc
 
 

@@ -19,13 +19,15 @@ certificate fails.  What no pair changes is made once per (game, beta,
 s0) and kept by the source game (``transforms.Reduction.kept``): the reset
 game, the source memo that ``_source`` fills, the one place a source pair
 is solved on the reset game, and the double game's integer tables
-(``Reduction.tables``).  Nothing kept refers back to the game.
-``_MirrorEvaluator`` is the one place that turns a doubled pair into
-values, read off the tables alone, a fallback chain included.  No double
-``Game`` is built on a computation path: ``verify_star2`` scans the doubled
-pairs as action tuples over the tables' menus (``Reduction.menus``), and
-the pipeline's oracle searches the same menus and hands the evaluator
-pairs that ``check_pair`` checks against them.  A pair the library
+(``Reduction.tables``).  Nothing kept refers back to the game.  A source
+pair's record (``_Source``) holds all the mirror lemma needs of it, its
+two copies' residual and gain parts included, so ``_mirror``, the one
+place that turns a doubled pair into values, reads only the two copies'
+records and the tables, a fallback chain included.  No double ``Game`` is
+built on a computation path: ``verify_star2`` scans the doubled pairs as
+action tuples over the tables' menus (``Reduction.menus``), and the
+pipeline's oracle searches the same menus and hands its evaluator pairs
+that ``check_pair`` checks against them.  A pair the library
 enumerated itself is not checked again: ``verify_star`` and ``_source``
 build its chain straight from its actions (``Game.chain``).
 
@@ -90,7 +92,7 @@ View = tuple[int, tuple[int, ...]]
 # pair witnessing the claim.  strategic_via_recovery passes the double
 # game's ``Menus`` as the game, its strategy space only, and values pairs
 # only through the keyword argument ``evaluator`` (pair -> the View of its
-# mean values).  reference_recovery_oracle below is one.
+# mean values, from ``_mirror``).  reference_recovery_oracle below is one.
 RecoveryOracle = Callable[..., StrategyPair]
 
 
@@ -301,19 +303,20 @@ def _first_extreme(q: dict[str, int], maximize: bool) -> str:
     return (max if maximize else min)(q, key=q.__getitem__)
 
 
-def _one_step(game: Game, lookahead: _Lookahead, scaled) -> tuple[dict[str, str], str | None]:
+def _one_step(game: Game, lookahead: _Lookahead, scaled
+              ) -> tuple[dict[str, str], str | None, dict[str, dict[str, int]]]:
     """The one-step optimality equations at a value vector's integer view
     (Shapley 1953, "Stochastic games"): every state's first extreme action
-    (maximum for its maximizer, minimum for its minimizer), and the first
+    (maximum for its maximizer, minimum for its minimizer), the first
     state whose extreme q is not its own value, or None when the equations
-    hold at every state."""
-    choices, off = {}, None
+    hold at every state, and every state's q (``_Lookahead.q``)."""
+    choices, off, qs = {}, None, {}
     for s, ys in zip(game.state_order, scaled[1]):
-        q = lookahead.q(s, scaled)
+        q = qs[s] = lookahead.q(s, scaled)
         best = choices[s] = _first_extreme(q, game.owner[s] == MAX)
         if off is None and q[best] != lookahead.unit[s] * ys:
             off = s
-    return choices, off
+    return choices, off, qs
 
 
 def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
@@ -322,57 +325,47 @@ def strategy_iteration_discounted(game: Game, beta: Fraction) -> Solution:
     Repeatedly: fix the minimizer, compute the maximizer's best response by
     single-player policy iteration (exact evaluation plus greedy
     improvement, switching only on strict gain), then let the minimizer
-    switch every state with a strictly improving action.  Stops when the
-    minimizer has none; the final values then satisfy the one-step
-    optimality equations, which is checked and returned as the certificate.
-    Each strategy pair is evaluated once: the evaluation at which the
-    maximizer stops switching is the one the minimizer improves on.  Exact
-    switching never returns to a pair, so a pair that comes back means a
-    faulty evaluation or lookahead and raises DeterminacyViolation.
+    switch every state with a strictly improving action.  Stops when
+    neither player has one; the final values then satisfy the one-step
+    optimality equations, which the same pass checks (``_one_step``) and
+    which are returned as the certificate.  Each strategy pair is
+    evaluated once, on the chain of its actions in state order
+    (``Game.chain``): the evaluation at which the maximizer stops switching
+    is the one the minimizer improves on.  Exact switching never returns
+    to a pair, so a pair that comes back means a faulty evaluation or
+    lookahead and raises DeterminacyViolation.
     """
     beta = check_beta(beta)
     lookahead = _Lookahead(game, beta)
-    sigma = {s: game.available_actions[s][0] for s in game.states_of(MAX)}
-    tau = {s: game.available_actions[s][0] for s in game.states_of(MIN)}
-
-    def switch(choices: dict[str, str], maximize: bool, scaled) -> bool:
-        """Move every state to its first extreme action where that is a
-        strict improvement on the current one; whether any state moved."""
-        switched = False
-        for s in choices:
-            q = lookahead.q(s, scaled)
-            best = _first_extreme(q, maximize)
-            if q[best] != q[choices[s]]:
-                choices[s] = best
-                switched = True
-        return switched
-
+    actions = {s: game.available_actions[s][0] for s in game.state_order}
     seen = set()
     while True:
-        pair = StrategyPair(PositionalStrategy(MAX, dict(sigma)),
-                            PositionalStrategy(MIN, dict(tau)))
-        key = (tuple(sigma.values()), tuple(tau.values()))
+        key = tuple(actions.values())
         if key in seen:
             raise DeterminacyViolation("strategy iteration came back to a strategy pair",
-                                       **strategy_pair_to_json_dict(pair))
+                                       **strategy_pair_to_json_dict(
+                                           StrategyPair.from_choices(actions, game.owner)))
         seen.add(key)
-        values = discounted_values(induced_chain(game, pair), beta)
+        values = discounted_values(game.chain(key), beta)
         scaled = values.scaled
-        # the minimizer moves only once the maximizer has stopped switching
-        if not switch(sigma, True, scaled) and not switch(tau, False, scaled):
+        choices, off, q = _one_step(game, lookahead, scaled)
+        strict = {s: a for s, a in choices.items() if q[s][a] != q[s][actions[s]]}
+        # the minimizer moves only once the maximizer has no strict improvement
+        better = {s: a for s, a in strict.items() if game.owner[s] == MAX} or strict
+        if not better:
             break
+        actions.update(better)
 
-    # the one-step optimality equations are the certificate; re-check them
-    choices, off = _one_step(game, lookahead, scaled)
+    # the one-step optimality equations are the certificate
     if off is not None:
-        extreme = lookahead.q(off, scaled)[choices[off]]
         raise DeterminacyViolation(
             f"strategy iteration stopped at a non-equilibrium: state {off!r}",
             state=off, value=values.at(off),
-            one_step=Fraction(extreme, lookahead.unit[off] * scaled[0]))
+            one_step=Fraction(q[off][choices[off]], lookahead.unit[off] * scaled[0]))
 
     certificate = Certificate(game.state_order, values.values, values.values)
-    return Solution(DISCOUNTED, beta, values, pair, certificate)
+    return Solution(DISCOUNTED, beta, values, StrategyPair.from_choices(actions, game.owner),
+                    certificate)
 
 
 def greedy_recovery_discounted(game: Game, beta: Fraction,
@@ -392,7 +385,7 @@ def greedy_recovery_discounted(game: Game, beta: Fraction,
     """
     beta = check_beta(beta)
     claimed = _aligned(game, values)
-    choices, off = _one_step(game, _Lookahead(game, beta), claimed.scaled)
+    choices, off, _ = _one_step(game, _Lookahead(game, beta), claimed.scaled)
     pair = StrategyPair.from_choices(choices, game.owner)
     if off is None:
         return pair
@@ -417,10 +410,10 @@ def reference_recovery_oracle(game, claimed: ValueVector,
     integer view (D, y = D v) from ``evaluator`` when one is given, and
     from ``evaluate_pair(game, pair, MEAN).scaled`` otherwise, which needs
     a ``Game``.  ``strategic_via_recovery`` hands in the double game's
-    ``Menus`` and its reduction's ``_MirrorEvaluator``, whose views are of
-    the doubled chain's mean values, certified by the mirror lemma or
-    solved: evaluating a fixed pair is not solving the game, so the
-    oracle's model is unchanged.
+    ``Menus`` and an evaluator whose views, from ``_mirror``, are of the
+    doubled chain's mean values, certified by the mirror lemma or solved:
+    evaluating a fixed pair is not solving the game, so the oracle's model
+    is unchanged.
 
     Returns the lexicographically first pair that both evaluates to the
     claimed values at every state and is a saddle point (no unilateral
@@ -488,14 +481,13 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     exactly with the brute-force mean-payoff solution.
 
     The oracle is called as ``oracle(menus, claim, evaluator=...)`` with
-    the double game's ``Menus`` (``Reduction.menus``) and the reduction's
-    ``_MirrorEvaluator``, so no double ``Game`` is built and each doubled
-    pair it tries is checked against the menus, evaluated from two
-    memoised source solves and one certificate pass, and solved only when
-    the certificate fails.  The copy-1 value is the memoised source value
-    of the witness's copy-1 restriction, read from the evaluator's
-    per-copy table (``_MirrorEvaluator.part``): the mean values of that
-    pair's reset chain, not a second solve of it.
+    the double game's ``Menus`` (``Reduction.menus``), so no double
+    ``Game`` is built, and an evaluator that checks each doubled pair it
+    is handed against the menus (``pair_actions``) and values it by
+    ``_mirror``: from two kept source records and one certificate pass,
+    solved only when the certificate fails.  The copy-1 value is the kept
+    source record of the witness's copy-1 restriction (``_source``): the
+    mean values of that pair's reset chain, not a second solve of it.
 
     ``on_stage``, if given, is called once per start state with
     (state, reduction, witness, value); the pipeline subcommand uses it to
@@ -505,10 +497,11 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
     assembled = []
     for s in game.state_order:
         reduction = Reduction(game, beta, s)
-        menus, evaluator = reduction.menus, _MirrorEvaluator(reduction)
+        menus = reduction.menus
         claim = ValueVector(menus.state_order, (Fraction(0),) * len(menus.state_order))
-        witness = oracle(menus, claim, evaluator=evaluator)
-        source = evaluator.part(1, pair_actions(menus, witness))[0]
+        witness = oracle(menus, claim, evaluator=lambda pair: _mirror(
+            reduction, tuple(pair_actions(menus, pair)))[0])
+        source = _source(reduction, tuple(pair_actions(menus, witness)[:len(game.states)]))
         value_at_s = Fraction(source.value_nums[game.state_index[s]], source.value_den)
         assembled.append(value_at_s)
         if on_stage is not None:
@@ -521,18 +514,25 @@ def strategic_via_recovery(game: Game, beta: Fraction, oracle: RecoveryOracle,
 
 
 class _Source(NamedTuple):
-    """A source pair's entry in the memo its game keeps (``Reduction.kept``),
+    """A source pair's record in the memo its game keeps (``Reduction.kept``),
     in integers, so that a game keeps no value or law objects: the integer
     view (D, y = D v) of its mean values on the reset game
     (``ValueVector.scaled``), its stationary law as numerators over one
-    denominator, and whether the values are one value at every state, as a
-    reset chain's always are."""
+    denominator, whether the values are one value at every state, as a
+    reset chain's always are, and its two mirror ``parts``.
+
+    The mirror lemma's law of a doubled pair is made of its copies' source
+    laws, and each copy's residual and gain are fixed by its source pair:
+    ``parts[c - 1]`` is (r_c, g_c) for the pair played by copy c (``_mirror``),
+    or ``parts`` is None when the values are not constant or the double
+    game's tables cannot certify a pair (``certifiable``)."""
 
     value_den: int
     value_nums: tuple[int, ...]
     law_den: int
     law_nums: tuple[int, ...]
     constant: bool
+    parts: tuple[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] | None
 
 
 def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
@@ -542,7 +542,14 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
     into the memo the source game keeps (``Reduction.kept``), keyed by
     ``actions``; every later call at that (beta, s0) reads the memo.  The
     actions come from the library's own enumerations, so the chain is
-    built from them unchecked (``Game.chain``)."""
+    built from them unchecked (``Game.chain``).
+
+    The mirror parts are summed then, on the double game's tables
+    (``Reduction.tables``), each copy over its own rows: copy 1 plays the
+    actions on states 0..n-1, copy 2 their primed twins
+    (``Reduction.action_map``) on states n..2n-1.  With law n / d, r_c is
+    the sum over copy c's states i of n_i L P_i, less L n on copy c
+    (``stationary_residual``), and g_c the sum of n_i R_i."""
     sources = reduction.kept["sources"]
     source = sources.get(actions)
     if source is None:
@@ -550,9 +557,61 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
         d, y = mean_values(chain).scaled
         law = unichain_stationary(chain)
         constant = len(set(y)) == 1  # then the values share one int
+        common, rows, _, rewards, certifiable = reduction.tables
+        n, nums, parts = len(actions), law.numerators, None
+
+        def part(first: int, played: tuple[str, ...]) -> tuple[tuple[int, ...], int]:
+            """(r_c, g_c) of the copy whose states start at ``first``."""
+            weighted = ((first + i, num, rows[first + i][a])
+                        for i, (num, a) in enumerate(zip(nums, played)))
+            return (tuple(stationary_residual(common, 2 * n, weighted)),
+                    sum(num * rewards[a] for num, a in zip(nums, played)))
+
+        if certifiable and constant:
+            parts = part(0, actions), part(n, tuple(reduction.action_map[a][1] for a in actions))
         source = sources[actions] = _Source(d, (y[0],) * len(y) if constant else y,
-                                            law.denominator, law.numerators, constant)
+                                            law.denominator, nums, constant, parts)
     return source
+
+
+def _mirror(reduction: Reduction, actions: tuple[str, ...]
+            ) -> tuple[View, InducedChain | None, tuple[_Source, _Source]]:
+    """For the doubled pair that plays ``actions``, one per doubled state in
+    state order and taken as valid: the integer view of its mean values;
+    its chain when they were solved, None when certified; and the two
+    copies' ``_Source``.  Copy 1 plays the source actions themselves, copy
+    2 their primed twins, mapped back through ``Reduction.inverse_actions``.
+
+    The mirror lemma predicts a doubled chain's stationary law from its two
+    copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
+    copy's states.  When both copy values are constant, as a reset chain's
+    always are, pi* P = pi* holds, and every state reaches the copy-1 start,
+    pi* is the chain's one stationary law (Puterman 1994, sec. 8.2), and
+    every state's mean value is its gain sum(pi*_i r_i).  With pi_c = n_c /
+    d_c and every row over the common denominator L, x = d_2 n_1 (+) d_1 n_2
+    is 2 d_1 d_2 pi*, L (x P - x) = d_2 r_1 + d_1 r_2 and sum x_i R_i = d_2
+    g_1 + d_1 g_2, with r_c and g_c the copies' ``_Source.parts``.  So a
+    pair costs one weighted sum of r_1 and r_2, and a certified view is the
+    gain (d_2 g_1 + d_1 g_2) / (2 d_1 d_2) over the reward denominator at
+    every state, not brought to lowest terms.  The reach half of the
+    certificate is the tables' ``certifiable``, for all pairs at once;
+    when it fails, no pair is certified.  A pair whose certificate fails is
+    solved by ``mean_values`` on its chain, made from the same tables: no
+    double ``Game`` is read."""
+    common, rows, reward_den, rewards, _ = reduction.tables
+    n = len(actions) // 2  # copy 1's states come first, then copy 2's
+    one = _source(reduction, actions[:n])
+    two = _source(reduction, tuple(map(reduction.inverse_actions.__getitem__, actions[n:])))
+    if one.parts is not None and two.parts is not None:
+        (r_1, g_1), (r_2, g_2) = one.parts[0], two.parts[1]
+        d_1, d_2 = one.law_den, two.law_den
+        if not any(d_2 * a + d_1 * b for a, b in zip(r_1, r_2)):
+            view = 2 * d_1 * d_2 * reward_den, (d_2 * g_1 + d_1 * g_2,) * len(actions)
+            return view, None, (one, two)
+    chain = InducedChain(reduction.menus.state_order,
+                         tuple((common, row[a]) for row, a in zip(rows, actions)),
+                         tuple(Fraction(rewards[a], reward_den) for a in actions))
+    return mean_values(chain).scaled, chain, (one, two)
 
 
 def verify_star(game: Game, beta: Fraction, s0: str,
@@ -595,92 +654,6 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     return _PairScan(game, cap, entry).report(violations)
 
 
-class _MirrorEvaluator:
-    """The mean values of the pairs of one reduction's double game, as
-    integer views: the one place that turns a doubled pair into values.
-
-    The mirror lemma predicts a doubled chain's stationary law from its two
-    copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
-    copy's states.  When both copy values are constant, as a reset chain's
-    always are, pi* P = pi* holds, and every state reaches the copy-1 start,
-    pi* is the chain's one stationary law (Puterman 1994, sec. 8.2), and
-    every state's mean value is its gain sum(pi*_i r_i).  Otherwise the
-    chain is solved by ``mean_values``.
-
-    The residual is summed per copy.  With pi_c = n_c / d_c and every row
-    over the common denominator L, x = d_2 n_1 (+) d_1 n_2 is 2 d_1 d_2 pi*,
-    and L (x P - x) = d_2 r_1 + d_1 r_2, where r_c, the sum over copy c's
-    states i of n_c,i L P_i, less L n_c on copy c (``stationary_residual``),
-    is fixed by copy c's source pair.  So is the gain numerator g_c = sum
-    over copy c of n_c,i R_i, and sum x_i R_i = d_2 g_1 + d_1 g_2.  r_c and
-    g_c are computed once per evaluator, the first time a copy plays its
-    source pair; a pair then costs one weighted sum of r_1 and r_2.
-
-    The evaluator reads only the double game's tables
-    (``Reduction.tables``), made once per (game, beta, s0) from the source
-    rows and kept next to the source memo: the rows over L, the rewards
-    over one denominator and the reach half of the certificate, the
-    ``attractor`` of the copy-1 start for all pairs at once.  When the
-    attractor misses a state, no pair is certified.  A pair whose
-    certificate fails is solved on its chain, made from the same tables,
-    and a pair from outside is checked against the tables' menus
-    (``Reduction.menus``, ``__call__``): no double ``Game`` is read.
-    """
-
-    def __init__(self, reduction: Reduction):
-        self.reduction = reduction
-        self.common, self.rows, self.reward_den, self.rewards, self.certifiable = reduction.tables
-        self.state_order = reduction.menus.state_order
-        n = len(self.rows) // 2  # copy 1's states come first, then copy 2's
-        self.copy_indices = {1: range(n), 2: range(n, 2 * n)}
-        # the double-game actions a copy plays, in state order -> (source, r_c, g_c);
-        # copy 2 plays primed actions only, so the copies never share a key
-        self.copies: dict[tuple[str, ...], tuple[_Source, list[int] | None, int]] = {}
-
-    def part(self, copy: int, actions) -> tuple[_Source, list[int] | None, int]:
-        """Copy ``copy``'s source, r_c and g_c for the pair playing
-        ``actions`` on the double game, in its state order; r_c is None when
-        the copy cannot be certified."""
-        indices = self.copy_indices[copy]
-        played = tuple(map(actions.__getitem__, indices))
-        entry = self.copies.get(played)
-        if entry is None:
-            inverse = self.reduction.inverse_actions
-            source = _source(self.reduction, tuple(map(inverse.__getitem__, played)))
-            r_c, g_c = None, 0
-            if self.certifiable and source.constant:
-                nums = source.law_nums
-                r_c = stationary_residual(self.common, len(actions), zip(
-                    indices, nums, (self.rows[i][a] for i, a in zip(indices, played))))
-                g_c = sum(num * self.rewards[a] for num, a in zip(nums, played))
-            entry = self.copies[played] = (source, r_c, g_c)
-        return entry
-
-    def evaluate(self, actions) -> tuple[View, InducedChain | None, tuple]:
-        """For the doubled pair that plays ``actions``, one per doubled state
-        in state order and taken as valid: the integer view of its mean
-        values; its chain when they were solved, None when certified; and
-        the two copies' ``_Source``.  A certified view is the gain (d_2 g_1 +
-        d_1 g_2) / (2 d_1 d_2) over the reward denominator at every state,
-        not brought to lowest terms."""
-        (one, r_1, g_1), (two, r_2, g_2) = (self.part(copy, actions) for copy in (1, 2))
-        if r_1 is not None and r_2 is not None:
-            d_1, d_2 = one.law_den, two.law_den
-            if not any(d_2 * a + d_1 * b for a, b in zip(r_1, r_2)):
-                view = (2 * d_1 * d_2 * self.reward_den,
-                        (d_2 * g_1 + d_1 * g_2,) * len(actions))
-                return view, None, (one, two)
-        chain = InducedChain(self.state_order,
-                             tuple((self.common, row[a]) for row, a in zip(self.rows, actions)),
-                             tuple(Fraction(self.rewards[a], self.reward_den) for a in actions))
-        return mean_values(chain).scaled, chain, (one, two)
-
-    def __call__(self, pair: StrategyPair) -> View:
-        """The integer view of a pair of the double game, once ``check_pair``
-        has passed on it against the menus."""
-        return self.evaluate(pair_actions(self.reduction.menus, pair))[0]
-
-
 def verify_star2(gb: Game, reduction: Reduction,
                  cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """Check the mirrored double game against its reset transform.
@@ -693,11 +666,13 @@ def verify_star2(gb: Game, reduction: Reduction,
     the reset-transformed game.  The reported value is the max-min of the
     double game's value at its first state.
 
-    The pairs are evaluated by the reduction's ``_MirrorEvaluator``.  When
-    it certifies the lemma's law pi*, the two mass identities hold by
-    construction, and the certified values are still compared literally
-    with the half-difference.  When it solves the chain, every identity is
-    compared, and a chain with two closed classes ends in NotUnichain.
+    The pairs are evaluated by ``_mirror``, from the two copies' source
+    records that the game keeps.  When it certifies the lemma's law pi*,
+    the two mass identities hold by construction, and the certified values
+    are still compared literally with the half-difference.  When it solves
+    the chain, every identity is compared, copy 1 on its first n states and
+    copy 2 on the rest, and a chain with two closed classes ends in
+    NotUnichain.
     ``gb`` must be the reduction's reset game (MissingKindAnnotation), but
     the double game is not built: ``enumerate_strategies`` enumerates its
     pairs over the tables' menus (``Reduction.menus``), in the order it
@@ -707,8 +682,7 @@ def verify_star2(gb: Game, reduction: Reduction,
     the first state's value.
     """
     reduction.check_reset(gb)
-    evaluator = _MirrorEvaluator(reduction)
-    states = evaluator.state_order
+    states, n = reduction.menus.state_order, len(gb.state_order)
     violations = []
 
     def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
@@ -716,7 +690,7 @@ def verify_star2(gb: Game, reduction: Reduction,
             violations.append({**fields, **strategy_pair_to_json_dict(StrategyPair(sigma, tau))})
 
         choices = {**sigma.choices, **tau.choices}
-        view, chain, sources = evaluator.evaluate(tuple(map(choices.__getitem__, states)))
+        view, chain, sources = _mirror(reduction, tuple(map(choices.__getitem__, states)))
         for copy, source in enumerate(sources, 1):
             if not source.constant:
                 violation(kind="nonconstant-copy-value", copy=copy)
@@ -733,19 +707,18 @@ def verify_star2(gb: Game, reduction: Reduction,
             return scanned
 
         occupation = unichain_stationary(chain)
-        d, nums = occupation.denominator, occupation.numerators
-        for copy, indices in evaluator.copy_indices.items():
-            copy_mass = sum(nums[i] for i in indices)
-            if 2 * copy_mass != d:
+        d = occupation.denominator
+        halves = occupation.numerators[:n], occupation.numerators[n:]  # copy 1, copy 2
+        for copy, half in enumerate(halves, 1):
+            if 2 * sum(half) != d:
                 violation(kind="component-mass", copy=copy,
-                          mass=format_rational(Fraction(copy_mass, d)))
-        for copy, source in enumerate(sources, 1):
+                          mass=format_rational(Fraction(sum(half), d)))
+        for copy, (source, half) in enumerate(zip(sources, halves), 1):
             d_ref = source.law_den
-            for s, i, n_ref in zip(gb.state_order, evaluator.copy_indices[copy],
-                                   source.law_nums):
-                if 2 * nums[i] * d_ref != n_ref * d:
+            for s, num, n_ref in zip(gb.state_order, half, source.law_nums):
+                if 2 * num * d_ref != n_ref * d:
                     violation(kind="copy-stationary", copy=copy, state=s,
-                              scaled=format_rational(Fraction(2 * nums[i], d)),
+                              scaled=format_rational(Fraction(2 * num, d)),
                               stationary=format_rational(Fraction(n_ref, d_ref)))
         return scanned
 

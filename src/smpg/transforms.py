@@ -33,10 +33,10 @@ game, the source memo of the reduction checks and the tables
 (``Reduction.kept``), as ``Game.chain_row`` keeps its rows, so every
 ``Reduction`` of it at that (beta, s0), and every verifier that makes one,
 shares them.  Nothing kept refers back to the source game: a
-``Reduction`` or an evaluator kept there would make a reference cycle
-through the game, so the game would outlive its last reference until a
-full collection.  The menus and the double ``Game`` are not kept: each
-``Reduction`` derives them.
+``Reduction`` kept there would make a reference cycle through the game,
+so the game would outlive its last reference until a full collection.
+The menus and the double ``Game`` are not kept: each ``Reduction``
+derives them.
 """
 
 from __future__ import annotations

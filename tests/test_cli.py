@@ -486,6 +486,22 @@ def test_unwritable_output_ends_in_json_error(capsys, tmp_path, case):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_a_state_id_no_file_name_can_hold_ends_in_json_error(capsys, tmp_path):
+    """A NUL byte is valid in a JSON state id but not in a path: the
+    pipeline's artifact for that state cannot be written, the run ends in
+    the report of the path it could not write, and the files it wrote for
+    the earlier state are deleted."""
+    raw = json.loads(json.dumps(raw_g2()).replace('"b"', '"b\\u0000c"'))
+    assert [s["id"] for s in raw["states"]] == ["a", "b\0c"]
+    game, out_dir = write(tmp_path / "nul.json", raw), tmp_path / "out"
+    code, out, err = run(capsys, "pipeline", game, "--beta", "1/2", "--out-dir", str(out_dir))
+    path = str(out_dir / "reset_b\0c.json")
+    assert code == 1 and out == ""
+    assert err == canonical_dumps({"error": "ParseError", "path": path,
+                                   "message": f"cannot write {path}: embedded null byte"})
+    assert list(out_dir.iterdir()) == []
+
+
 # argv with placeholders, and the whole report on stderr given the input paths
 PINNED = {
     "states-is-not-an-array": (["validate", "STATES_IS_3"], lambda files: {

@@ -66,7 +66,8 @@ from smpg.solvers import (
     _aligned,
     _first_extreme,
     _Lookahead,
-    _MirrorEvaluator,
+    _mirror,
+    _source,
 )
 from smpg.transforms import Reduction, beta_recurrent, decompose_mirror_strategies, mirror
 
@@ -571,8 +572,8 @@ def test_verify_star_solves_each_reset_chain_once(monkeypatch):
 
 def test_pipeline_solves_no_doubled_chain(monkeypatch):
     """The oracle's doubled pairs and the copy-1 values come from the
-    mirror evaluator: only reset-game chains, memoised, and the recovered
-    pair's source chain are solved."""
+    mirror certificate (``_mirror``) and the source memo: only reset-game
+    chains, memoised, and the recovered pair's source chain are solved."""
     game = _three_state_game()
     expected = strategic_via_recovery(game, F(1, 3), reference_recovery_oracle)
     solved = _spy_mean_values(monkeypatch)
@@ -582,7 +583,7 @@ def test_pipeline_solves_no_doubled_chain(monkeypatch):
 
 def _wrong_laws(monkeypatch):
     """Make solvers.unichain_stationary return a point mass where the true
-    law is not one, so the mirror evaluator's candidate law is wrong."""
+    law is not one, so the mirror certificate's candidate law is wrong."""
     real = smpg.solvers.unichain_stationary
 
     def wrong(chain):
@@ -602,7 +603,7 @@ def _wrong_laws(monkeypatch):
 ])
 def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     """When the mirror certificate fails on every doubled pair, each pair the
-    oracle tries is solved, on the chain the mirror evaluator makes from the
+    oracle tries is solved, on the chain ``_mirror`` makes from the
     double game's tables, and the pipeline finds the same witnesses, the
     same copy-1 values and the same solution.  Each run has its own equal
     game, since a game keeps its source memo from one run to the next."""
@@ -640,16 +641,17 @@ def test_pipeline_oracle_falls_back_to_the_full_solve(monkeypatch, fault):
     beta=st.sampled_from([F(0), F(1, 2), F(9, 10)]),
 )
 def test_certificates_agree_with_the_solves_they_replace(seed, states, beta):
-    """On every doubled pair the mirror evaluator's integer view is of the
+    """On every doubled pair the integer view ``_mirror`` gives is of the
     solved mean values; at beta 0 every reset row goes to s0 alone."""
     game = _small_generated_game(seed, states)
     for s0 in game.state_order:
         reduction = Reduction(game, beta, s0)
-        doubled, evaluator = reduction.doubled, _MirrorEvaluator(reduction)
+        doubled = reduction.doubled
         for sigma in enumerate_strategies(doubled, MAX):
             for tau in enumerate_strategies(doubled, MIN):
                 pair = StrategyPair(sigma, tau)
-                assert _view_values(evaluator(pair)) == evaluate_pair(doubled, pair, MEAN).values
+                view = _mirror(reduction, tuple(pair_actions(doubled, pair)))[0]
+                assert _view_values(view) == evaluate_pair(doubled, pair, MEAN).values
 
 
 def _view_values(view):
@@ -753,7 +755,7 @@ def _three_state_game():
     pytest.param(lambda g2: _three_state_game(), id="three-states"),
 ])
 def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, make_game):
-    """The doubled pairs are certified from the evaluator's tables, so no
+    """The doubled pairs are certified from the double game's tables, so no
     doubled chain is built or decomposed; each distinct source pair's chain
     is built once, from its actions (Game.chain), and decomposed once.  The
     spied run has its own equal game, since a game keeps its source memo
@@ -822,7 +824,7 @@ def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
     assert ({(state, n_states) for state, _, _, n_states in checked}
             == {(s, len(gb.states)) for s, _ in gb.outgoing})
     table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.menus.states,
-                                                               _MirrorEvaluator(reduction).rows)]
+                                                               reduction.tables[1])]
     doubled = reduction.doubled
     assert sorted(table_rows) == sorted(Counter(s for s, _ in doubled.outgoing).items())
 
@@ -878,7 +880,7 @@ def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
 
 def _install_doubled(reduction, rewards=(), redirect=()):
     """Put a fault into the double game's tables that ``reduction``'s game
-    keeps at (beta, s0), so the mirror evaluator, verify_star2 and the
+    keeps at (beta, s0), so ``_mirror``, verify_star2 and the
     double game ``mirror`` hands out, the tables' view, all read it:
     ``rewards`` maps action ids to replaced rewards, ``redirect`` maps
     (source, action, target) edges to a replaced target, merged with an
@@ -1013,7 +1015,7 @@ def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(mo
     into a self-loop lets the pairs that play Y keep b1 from the copy-1
     start: the attractor of a1 misses b1, so no pair is certified.  Each is
     solved to its mean values, and verify_star2 ends in the NotUnichain that
-    solving every pair gives.  Without the reach half the evaluator would
+    solving every pair gives.  Without the reach half ``_mirror`` would
     certify every pair, with gain 0 at b1, whose self-loop pays 3.  The
     tables are kept per game, so each half has its own fresh game."""
     def faulty_reduction():
@@ -1034,16 +1036,17 @@ def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(mo
         expected = [evaluate_pair(doubled, pair, MEAN) for pair in pairs]
         assert {values.at("b1") for values in expected} == {F(3), F(0)}
         solved = _spy_doubled_solves(no_reach, len(gb.state_order))
-        certified = [_view_values(_MirrorEvaluator(reduction)(pair)) for pair in pairs]
+        certified = [_view_values(_mirror(reduction, tuple(pair_actions(doubled, pair)))[0])
+                     for pair in pairs]
         assert solved == []
         b1 = doubled.state_index["b1"]
         assert {values[b1] for values in certified} == {F(0)}
 
     gb, reduction, doubled = faulty_reduction()
-    evaluator = _MirrorEvaluator(reduction)
-    assert not evaluator.certifiable
+    assert not reduction.tables[4]  # certifiable
     solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
-    assert [_view_values(evaluator(pair)) for pair in pairs] == [v.values for v in expected]
+    assert [_view_values(_mirror(reduction, tuple(pair_actions(doubled, pair)))[0])
+            for pair in pairs] == [v.values for v in expected]
     assert len(solved) == len(pairs) == 4
 
     with pytest.raises(NotUnichain) as info:
@@ -1338,12 +1341,13 @@ def test_what_a_game_keeps_does_not_refer_back_to_it():
 
 def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
     """At each (beta, s0), verify_star, verify_star2 and the pipeline share
-    the reset game, the source memo and the mirror evaluator's tables that
+    the reset game, the source memo and the double game's tables that
     the game keeps.  On the three-state game (8 source pairs, 3 start
     states) the op builds 3 reset games, no double game (verify_star2 and
     the pipeline's oracle read the tables' menus), and 3 sets of tables,
     one common_rows pass each; it solves each of the 3 x 8 source pairs
-    once, plus the recovered pair; no doubled chain is solved."""
+    once, plus the recovered pair, and sums each one's residual once per
+    copy, into its kept record; no doubled chain is solved."""
     counts = Counter()
 
     def count(module, name):
@@ -1359,9 +1363,38 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
     count(smpg.transforms, "common_rows")  # once per set of tables
     count(smpg.solvers, "mean_values")
     count(smpg.solvers, "unichain_stationary")
+    count(smpg.solvers, "stationary_residual")  # once per (source pair, copy)
     _reduction_op(_three_state_game(), F(1, 3))
     assert counts == {"build_game": 3, "common_rows": 3, "mean_values": 25,
-                      "unichain_stationary": 24}
+                      "unichain_stationary": 24, "stationary_residual": 3 * 8 * 2}
+
+
+def test_what_a_game_keeps_is_its_three_records_in_integers():
+    """After a full reduction op, each (beta, s0) entry a game keeps holds
+    the reset game, the source memo and the tables, and nothing else; apart
+    from the reset ``Game``, every leaf is an int, a bool, a str or None, in
+    tuples or dicts, each source record's mirror parts included."""
+    game = _three_state_game()
+    _reduction_op(game, F(1, 3))
+
+    def leaves(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from leaves(key)
+                yield from leaves(item)
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    entries = game.__dict__["_reductions"]
+    assert len(entries) == 3
+    for kept in entries.values():
+        assert set(kept) == {"reset", "sources", "mirror"}
+        assert type(kept["reset"]) is Game
+        assert {type(leaf) for leaf in leaves((kept["sources"], kept["mirror"]))} <= {
+            int, bool, str, type(None)}
 
 
 @settings(max_examples=15, deadline=None)
@@ -1403,31 +1436,36 @@ def test_what_a_game_keeps_gives_what_a_fresh_game_gives(seed, states, betas, da
     wrong=st.booleans(),
 )
 def test_the_per_copy_residual_judges_as_the_whole_residual(seed, states, beta, wrong):
-    """On every doubled pair the mirror evaluator certifies the pair exactly
-    when the whole stationary_residual of the lemma's law pi* over the
-    pair's rows is 0, and exactly when pi* P = pi* in Fractions, with the
-    source laws right or wrong (_wrong_laws)."""
+    """On every doubled pair ``_mirror`` certifies the pair exactly when
+    the whole stationary_residual of the lemma's law pi* over the pair's
+    rows is 0, and exactly when pi* P = pi* in Fractions, with the source
+    laws right or wrong (_wrong_laws); the whole residual is d_2 r_1 + d_1
+    r_2, summed from the two copies' kept ``_Source.parts``."""
     game = _small_generated_game(seed, states)
     with pytest.MonkeyPatch.context() as monkeypatch:
         if wrong:
             _wrong_laws(monkeypatch)
         for s0 in game.state_order:
             reduction = Reduction(game, beta, s0)
-            doubled, evaluator = reduction.doubled, _MirrorEvaluator(reduction)
-            assert evaluator.certifiable
+            doubled, n = reduction.doubled, len(game.state_order)
+            common, table_rows, _, _, certifiable = reduction.tables
+            assert certifiable
             for sigma in enumerate_strategies(doubled, MAX):
                 for tau in enumerate_strategies(doubled, MIN):
                     pair = StrategyPair(sigma, tau)
-                    _, chain, (one, two) = evaluator.evaluate(pair_actions(doubled, pair))
+                    actions = tuple(pair_actions(doubled, pair))
+                    _, chain, (one, two) = _mirror(reduction, actions)
                     assert one.constant and two.constant
+                    assert one == _source(reduction, actions[:n])
                     x = [0] * len(doubled.state_order)  # 2 d_1 d_2 pi*
-                    for source, copy, other in ((one, 1, two), (two, 2, one)):
-                        for i, num in zip(evaluator.copy_indices[copy], source.law_nums):
-                            x[i] = num * other.law_den
-                    rows = [evaluator.rows[i][pair.choices[s]]
+                    x[:n] = [num * two.law_den for num in one.law_nums]  # copy 1
+                    x[n:] = [num * one.law_den for num in two.law_nums]  # copy 2
+                    rows = [table_rows[i][pair.choices[s]]
                             for i, s in enumerate(doubled.state_order)]
-                    residual = stationary_residual(evaluator.common, len(x),
-                                                   zip(range(len(x)), x, rows))
+                    residual = stationary_residual(common, len(x), zip(range(len(x)), x, rows))
+                    (r_1, _), (r_2, _) = one.parts[0], two.parts[1]
+                    assert [two.law_den * a + one.law_den * b
+                            for a, b in zip(r_1, r_2)] == residual
                     assert (chain is None) == (not any(residual))
                     matrix = induced_chain(doubled, pair).matrix
                     assert (chain is None) == all(
@@ -1513,7 +1551,7 @@ class _WithoutDoubleGame(Reduction):
     pytest.param(_wrong_laws, id="wrong-source-laws"),
 ])
 def test_verify_star2_reads_only_the_tables(monkeypatch, fault):
-    """verify_star2 and the mirror evaluator read the double game's tables
+    """verify_star2 and ``_mirror`` read the double game's tables
     and never ``Reduction.doubled``: on a valid game every pair is
     certified, and with wrong source laws every pair is solved, on chains
     made from the tables, and the report holds exactly the violations that
@@ -1572,14 +1610,13 @@ def test_the_action_tuple_scan_is_enumerate_strategies_order(monkeypatch, g2, ma
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     played = []
-    real = _MirrorEvaluator.evaluate
 
-    def shifted(self, actions):
+    def shifted(on, actions):
         played.append(actions)
-        (d, y), chain, sources = real(self, actions)
+        (d, y), chain, sources = _mirror(on, actions)
         return (d, tuple(v + d for v in y)), chain, sources
 
-    monkeypatch.setattr(_MirrorEvaluator, "evaluate", shifted)
+    monkeypatch.setattr(smpg.solvers, "_mirror", shifted)
     report = verify_star2(gb, reduction)
     assert "doubled" not in reduction.__dict__
     doubled = reduction.doubled
@@ -1599,7 +1636,7 @@ def test_verify_star2_checks_the_cap_before_evaluating(monkeypatch):
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     evaluated = []
-    monkeypatch.setattr(_MirrorEvaluator, "evaluate", lambda self, actions: evaluated.append(1))
+    monkeypatch.setattr(smpg.solvers, "_mirror", lambda reduction, actions: evaluated.append(1))
     with pytest.raises(CombinatorialLimitExceeded) as info:
         verify_star2(gb, reduction, cap=63)
     assert evaluated == []
