@@ -1,9 +1,11 @@
 """Exhaustively check both reduction identities over seeded random games.
 
-For every generated game the script checks, strategy pair by strategy pair,
-that the reset transform preserves the discounted value as a mean payoff,
-and that the mirrored double game has the predicted values, zero optimum,
-and balanced occupation masses.
+For every generated game the script checks, at every strategy pair, that
+the reset transform preserves the discounted value as a mean payoff, and
+that the mirrored double game has the predicted values, zero optimum, and
+balanced occupation masses.  ``verify_star2`` judges the double game's
+pairs through its source pairs' records, and checks them one by one only
+when those records' tests fail.
 
     python scripts/verify_reduction.py --games 30 --beta 1/2 --beta 9/10
 """

@@ -21,22 +21,28 @@ game, the source memo that ``_source`` fills, the one place a source pair
 is solved on the reset game, and the double game's integer tables
 (``Reduction.tables``).  Nothing kept refers back to the game.  A source
 pair's record (``_Source``) holds all the mirror lemma needs of it, its
-two copies' residual and gain parts included, so ``_mirror``, the one
-place that turns a doubled pair into values, reads only the two copies'
-records and the tables, a fallback chain included.  No double ``Game`` is
-built on a computation path: ``verify_star2`` scans the doubled pairs as
-action tuples over the tables' menus (``Reduction.menus``), and the
-pipeline's oracle searches the same menus and hands its evaluator pairs
-that ``check_pair`` checks against them.  A pair the library
+two copies' residual and gain parts included, made when they are first
+read (``_with_parts``), so ``_mirror``, the one place that turns a doubled
+pair into values, reads only the two copies' records and the tables, a
+fallback chain included.  No double ``Game`` is built on a computation
+path.  ``verify_star2`` first judges the N^2 doubled pairs through the N
+source records, by two tests per record that hold exactly when ``_mirror``
+would certify every pair with its mirror identity met; only when they
+fail does it scan the doubled pairs as action tuples over the tables'
+menus (``Reduction.menus``).  The pipeline's oracle searches the same
+menus and hands its evaluator pairs that ``check_pair`` checks against
+them, and values each through ``_mirror``.  A pair the library
 enumerated itself is not checked again: ``verify_star`` and ``_source``
 build its chain straight from its actions (``Game.chain``).
 
 A pair's values travel as their integer view (D, y = D v, ``View``),
 compared by integer cross-products; Fractions are built only for what is
 returned, and a certified doubled pair is a view and nothing more.  Brute
-force and the two verifiers scan every strategy pair (``_PairScan``).  The
-recovery oracle does not: it looks for its one saddle pair lazily,
-rejecting a row or a column at its first counterexample to the claim.
+force and ``verify_star`` scan every strategy pair (``_PairScan``), and
+``verify_star2`` every source pair, then every doubled pair only when the
+records' tests fail.  The recovery oracle does not: it looks for its one
+saddle pair lazily, rejecting a row or a column at its first
+counterexample to the claim.
 """
 
 from __future__ import annotations
@@ -176,17 +182,31 @@ def _fold(best: list[tuple[int, int]], rows, sign: int) -> list[tuple[int, int]]
     return best
 
 
-def _strategies(game, cap: int) -> tuple[list[PositionalStrategy], list[PositionalStrategy]]:
-    """Every positional strategy of the maximizer and of the minimizer of
-    ``game``, a ``Game`` or the ``Menus`` of one not built, in enumeration
-    order.  Raises CombinatorialLimitExceeded, before anything is
-    enumerated, when they make more than ``cap`` pairs."""
+def _pair_count(game, cap: int) -> int:
+    """The number of positional strategy pairs of ``game``, a ``Game`` or
+    the ``Menus`` of one not built.  Raises CombinatorialLimitExceeded when
+    it is more than ``cap``."""
     max_count, min_count = strategy_count(game, MAX), strategy_count(game, MIN)
     if max_count * min_count > cap:
         raise CombinatorialLimitExceeded(
             f"{max_count} x {min_count} strategy pairs exceed cap {cap}",
             count=max_count * min_count, cap=cap)
+    return max_count * min_count
+
+
+def _strategies(game, cap: int) -> tuple[list[PositionalStrategy], list[PositionalStrategy]]:
+    """Every positional strategy of the maximizer and of the minimizer of
+    ``game``, a ``Game`` or the ``Menus`` of one not built, in enumeration
+    order, once ``_pair_count`` has checked the cap."""
+    _pair_count(game, cap)
     return list(enumerate_strategies(game, MAX, cap)), list(enumerate_strategies(game, MIN, cap))
+
+
+def _played(state_order: tuple[str, ...], sigma: PositionalStrategy,
+            tau: PositionalStrategy) -> tuple[str, ...]:
+    """The actions an enumerated pair plays, one per state in state order."""
+    choices = {**sigma.choices, **tau.choices}
+    return tuple(map(choices.__getitem__, state_order))
 
 
 class _PairScan:
@@ -206,6 +226,10 @@ class _PairScan:
             self.col_max = row if self.col_max is None else [
                 _fold(col, [cells], -1) for col, cells in zip(self.col_max, row)]
         self.lower = _fold(list(self.row_min[0]), self.row_min, -1)  # the max-min
+
+    def upper(self) -> list[tuple[int, int]]:
+        """The min-max of the entries."""
+        return _fold(list(self.col_max[0]), self.col_max, 1)
 
     def first_saddle(self, target: ValueVector) -> StrategyPair | None:
         """The first pair in row order that is a saddle point with value
@@ -240,7 +264,7 @@ def brute_force_solve(game: Game, criterion: str, beta: Fraction | None = None,
     scan = _PairScan(game, cap, lambda sigma, tau: evaluate_pair(
         game, StrategyPair(sigma, tau), criterion, beta).scaled)
     lower = tuple(Fraction(*cell) for cell in scan.lower)
-    upper = tuple(Fraction(*cell) for cell in _fold(list(scan.col_max[0]), scan.col_max, 1))
+    upper = tuple(Fraction(*cell) for cell in scan.upper())
     if lower != upper:
         state = next(s for s in range(len(lower)) if lower[s] != upper[s])
         raise DeterminacyViolation(
@@ -523,9 +547,10 @@ class _Source(NamedTuple):
 
     The mirror lemma's law of a doubled pair is made of its copies' source
     laws, and each copy's residual and gain are fixed by its source pair:
-    ``parts[c - 1]`` is (r_c, g_c) for the pair played by copy c (``_mirror``),
-    or ``parts`` is None when the values are not constant or the double
-    game's tables cannot certify a pair (``certifiable``)."""
+    ``parts[c - 1]`` is (r_c, g_c) for the pair played by copy c (``_mirror``).
+    ``parts`` is None until ``_with_parts`` first makes them, and stays None
+    when the values are not constant or the double game's tables cannot
+    certify a pair (``certifiable``)."""
 
     value_den: int
     value_nums: tuple[int, ...]
@@ -542,14 +567,9 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
     into the memo the source game keeps (``Reduction.kept``), keyed by
     ``actions``; every later call at that (beta, s0) reads the memo.  The
     actions come from the library's own enumerations, so the chain is
-    built from them unchecked (``Game.chain``).
-
-    The mirror parts are summed then, on the double game's tables
-    (``Reduction.tables``), each copy over its own rows: copy 1 plays the
-    actions on states 0..n-1, copy 2 their primed twins
-    (``Reduction.action_map``) on states n..2n-1.  With law n / d, r_c is
-    the sum over copy c's states i of n_i L P_i, less L n on copy c
-    (``stationary_residual``), and g_c the sum of n_i R_i."""
+    built from them unchecked (``Game.chain``).  The record is made without
+    its mirror parts, so ``verify_star``, which never reads them, makes no
+    double game's tables."""
     sources = reduction.kept["sources"]
     source = sources.get(actions)
     if source is None:
@@ -557,8 +577,23 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
         d, y = mean_values(chain).scaled
         law = unichain_stationary(chain)
         constant = len(set(y)) == 1  # then the values share one int
-        common, rows, _, rewards, certifiable = reduction.tables
-        n, nums, parts = len(actions), law.numerators, None
+        source = sources[actions] = _Source(d, (y[0],) * len(y) if constant else y,
+                                            law.denominator, law.numerators, constant, None)
+    return source
+
+
+def _with_parts(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
+    """The ``_source`` record of ``actions`` with its mirror parts, made on
+    first read into the same memo record.  They are summed on the double
+    game's tables (``Reduction.tables``), each copy over its own rows: copy
+    1 plays the actions on states 0..n-1, copy 2 their primed twins
+    (``Reduction.action_map``) on states n..2n-1.  With law n / d, r_c is
+    the sum over copy c's states i of n_i L P_i, less L n on copy c
+    (``stationary_residual``), and g_c the sum of n_i R_i."""
+    source = _source(reduction, actions)
+    if source.parts is None and source.constant and reduction.tables[4]:
+        common, rows, _, rewards, _ = reduction.tables
+        n, nums = len(actions), source.law_nums
 
         def part(first: int, played: tuple[str, ...]) -> tuple[tuple[int, ...], int]:
             """(r_c, g_c) of the copy whose states start at ``first``."""
@@ -567,10 +602,8 @@ def _source(reduction: Reduction, actions: tuple[str, ...]) -> _Source:
             return (tuple(stationary_residual(common, 2 * n, weighted)),
                     sum(num * rewards[a] for num, a in zip(nums, played)))
 
-        if certifiable and constant:
-            parts = part(0, actions), part(n, tuple(reduction.action_map[a][1] for a in actions))
-        source = sources[actions] = _Source(d, (y[0],) * len(y) if constant else y,
-                                            law.denominator, nums, constant, parts)
+        parts = part(0, actions), part(n, tuple(reduction.action_map[a][1] for a in actions))
+        source = reduction.kept["sources"][actions] = source._replace(parts=parts)
     return source
 
 
@@ -579,8 +612,9 @@ def _mirror(reduction: Reduction, actions: tuple[str, ...]
     """For the doubled pair that plays ``actions``, one per doubled state in
     state order and taken as valid: the integer view of its mean values;
     its chain when they were solved, None when certified; and the two
-    copies' ``_Source``.  Copy 1 plays the source actions themselves, copy
-    2 their primed twins, mapped back through ``Reduction.inverse_actions``.
+    copies' ``_Source``, with their parts (``_with_parts``).  Copy 1 plays
+    the source actions themselves, copy 2 their primed twins, mapped back
+    through ``Reduction.inverse_actions``.
 
     The mirror lemma predicts a doubled chain's stationary law from its two
     copy restrictions: pi* = pi_1 / 2 (+) pi_2 / 2, each source law on its
@@ -600,8 +634,8 @@ def _mirror(reduction: Reduction, actions: tuple[str, ...]
     double ``Game`` is read."""
     common, rows, reward_den, rewards, _ = reduction.tables
     n = len(actions) // 2  # copy 1's states come first, then copy 2's
-    one = _source(reduction, actions[:n])
-    two = _source(reduction, tuple(map(reduction.inverse_actions.__getitem__, actions[n:])))
+    one = _with_parts(reduction, actions[:n])
+    two = _with_parts(reduction, tuple(map(reduction.inverse_actions.__getitem__, actions[n:])))
     if one.parts is not None and two.parts is not None:
         (r_1, g_1), (r_2, g_2) = one.parts[0], two.parts[1]
         d_1, d_2 = one.law_den, two.law_den
@@ -636,8 +670,7 @@ def verify_star(game: Game, beta: Fraction, s0: str,
     violations = []
 
     def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
-        choices = {**sigma.choices, **tau.choices}
-        actions = tuple(map(choices.__getitem__, game.state_order))
+        actions = _played(game.state_order, sigma, tau)
         disc = discounted_values(game.chain(actions), reduction.beta)
         source = _source(reduction, actions)
         d, y = disc.scaled
@@ -664,7 +697,75 @@ def verify_star2(gb: Game, reduction: Reduction,
     exactly one half; and scaling a copy's stationary mass by two
     reproduces the stationary distribution its restricted pair induces on
     the reset-transformed game.  The reported value is the max-min of the
-    double game's value at its first state.
+    double game's value at its first state.  ``gb`` must be the
+    reduction's reset game (MissingKindAnnotation).  The cap is checked on
+    the doubled pair count before any pair is evaluated or any record made.
+
+    A doubled pair is two source pairs, its copy-1 restriction A and its
+    copy-2 restriction B, and ``_mirror`` judges it from their two records
+    alone.  So the N^2 doubled pairs of N source pairs are first judged
+    through the N records (``_with_parts``), by two tests on each record,
+    with d its law denominator, y / D its constant value and R the tables'
+    reward denominator:
+
+    - the residual test: every r_1 / d is one vector u, and every r_2 / d
+      is -u.  Every doubled pair's certificate d_B r_1(A) + d_A r_2(B) = 0
+      holds if and only if this test does: for any fixed A it says that
+      every r_2(B) / d_B is -r_1(A) / d_A.
+    - the gain test: g_1 D = y d R and g_2 D = -y d R.  Then every certified
+      gain (d_B g_1(A) + d_A g_2(B)) / (2 d_A d_B R) is (v_A - v_B) / 2,
+      the mirror identity, at every state.  The test is sufficient, not
+      necessary: gains off by one constant c, g_1 / (d R) = v + c and
+      g_2 / (d R) = -v - c, meet the identity too.
+
+    When both hold, every doubled pair is certified, so no chain is solved
+    and no mass identity is compared, and every value meets the identity:
+    the report has N^2 pairs and no violation.  Its value separates: a
+    doubled maximizer strategy is (sigma_1, tau_2) and a minimizer strategy
+    (tau_1, sigma_2), so the max-min of (v_A - v_B) / 2 is (max_sigma
+    min_tau v - min_tau max_sigma v) / 2 over the records, folded in
+    integers by ``_PairScan``.  Otherwise (a record without parts, because
+    its values are not constant or the tables certify no pair, or a failed
+    test) every doubled pair is scanned (``_star2_scan``), the reference,
+    with every violation it finds.
+    """
+    reduction.check_reset(gb)
+    count = _pair_count(reduction.menus, cap)
+    records = []
+
+    def entry(sigma: PositionalStrategy, tau: PositionalStrategy) -> View:
+        record = _with_parts(reduction, _played(gb.state_order, sigma, tau))
+        records.append(record)
+        return record.value_den, record.value_nums[:1]
+
+    scan = _PairScan(reduction.game, cap, entry)
+    if not _records_certify(reduction, records):
+        return _star2_scan(gb, reduction, cap)
+    lower, upper = Fraction(*scan.lower[0]), Fraction(*scan.upper()[0])
+    return VerificationReport(count, (), (lower - upper) / 2)
+
+
+def _records_certify(reduction: Reduction, records: list[_Source]) -> bool:
+    """Whether every record has parts and passes ``verify_star2``'s residual
+    and gain tests, in integers: r_1 / d and -r_2 / d against the first
+    record's r_1 / d, by cross-products."""
+    if any(record.parts is None for record in records):
+        return False
+    reward_den = reduction.tables[2]
+    (u, _), _ = records[0].parts
+    d_u = records[0].law_den
+    for record in records:
+        (r_1, g_1), (r_2, g_2) = record.parts
+        d, den = record.law_den, record.value_den
+        gain = record.value_nums[0] * d * reward_den
+        if g_1 * den != gain or g_2 * den != -gain or any(
+                d_u * a != d * x or d_u * b != -d * x for a, b, x in zip(r_1, r_2, u)):
+            return False
+    return True
+
+
+def _star2_scan(gb: Game, reduction: Reduction, cap: int) -> VerificationReport:
+    """``verify_star2`` on every doubled pair, one by one.
 
     The pairs are evaluated by ``_mirror``, from the two copies' source
     records that the game keeps.  When it certifies the lemma's law pi*,
@@ -673,15 +774,13 @@ def verify_star2(gb: Game, reduction: Reduction,
     the chain, every identity is compared, copy 1 on its first n states and
     copy 2 on the rest, and a chain with two closed classes ends in
     NotUnichain.
-    ``gb`` must be the reduction's reset game (MissingKindAnnotation), but
-    the double game is not built: ``enumerate_strategies`` enumerates its
+    The double game is not built: ``enumerate_strategies`` enumerates its
     pairs over the tables' menus (``Reduction.menus``), in the order it
     gives on the built game, and each pair is read as the tuple of its
     actions, valid by construction, so no ``check_pair`` runs; a
     ``StrategyPair`` is built only for a violation.  The scan folds only
     the first state's value.
     """
-    reduction.check_reset(gb)
     states, n = reduction.menus.state_order, len(gb.state_order)
     violations = []
 
@@ -689,8 +788,7 @@ def verify_star2(gb: Game, reduction: Reduction,
         def violation(**fields) -> None:
             violations.append({**fields, **strategy_pair_to_json_dict(StrategyPair(sigma, tau))})
 
-        choices = {**sigma.choices, **tau.choices}
-        view, chain, sources = _mirror(reduction, tuple(map(choices.__getitem__, states)))
+        view, chain, sources = _mirror(reduction, _played(states, sigma, tau))
         for copy, source in enumerate(sources, 1):
             if not source.constant:
                 violation(kind="nonconstant-copy-value", copy=copy)

@@ -34,6 +34,7 @@ from smpg.evaluate import (
     unichain_stationary,
 )
 from smpg.game import (
+    DEFAULT_ENUMERATION_CAP,
     MAX,
     MIN,
     Game,
@@ -68,10 +69,14 @@ from smpg.solvers import (
     _Lookahead,
     _mirror,
     _source,
+    _star2_scan,
+    _with_parts,
 )
+from smpg.serialize import canonical_dumps, report_to_json_dict
 from smpg.transforms import Reduction, beta_recurrent, decompose_mirror_strategies, mirror
 
 from .conftest import pair_of
+from .test_acceptance import mirror_instances
 
 
 def test_brute_force_loop_choice_mean(g1b):
@@ -423,7 +428,9 @@ def test_verify_star2_violation_payloads(monkeypatch, g2):
                             (first, *(2 * num for num in middle), 2 * last + first))
 
     monkeypatch.setattr(smpg.solvers, "unichain_stationary", shifted)
+    scanned = _spy_scan(monkeypatch)
     report = verify_star2(*beta_recurrent(g2, F(1, 3), "a"))
+    assert len(scanned) == 1  # the shifted laws fail the residual test
     pair = '"max": {"a1": "X", "b2": "Y\'"}, "min": {"a2": "X\'", "b1": "Y"}'
     assert json.dumps(list(report.violations)) == (
         '[{"kind": "component-mass", "copy": 1, "mass": "5/16", ' + pair + '}, '
@@ -662,9 +669,10 @@ def _view_values(view):
 
 
 def test_a_certified_doubled_pair_makes_no_value_vector(monkeypatch):
-    """Once verify_star has filled the source memo at (beta, s0), every
-    doubled pair of verify_star2 there is certified, and none of the 64
-    makes a ValueVector: the pair's values travel as an integer view."""
+    """Once verify_star has filled the source memo at (beta, s0), neither
+    verify_star2 there, through the records, nor the scan of its 64 doubled
+    pairs, each certified, makes a ValueVector: the pair's values travel as
+    an integer view."""
     game = _three_state_game()
     s0 = game.state_order[0]
     assert verify_star(game, F(1, 3), s0).ok
@@ -676,8 +684,11 @@ def test_a_certified_doubled_pair_makes_no_value_vector(monkeypatch):
         real(self)
 
     monkeypatch.setattr(smpg.evaluate.ValueVector, "__post_init__", spy)
-    report = verify_star2(*beta_recurrent(game, F(1, 3), s0))
-    assert report.ok and report.pairs_checked == 64
+    scanned = _spy_scan(monkeypatch)
+    gb, reduction = beta_recurrent(game, F(1, 3), s0)
+    report = verify_star2(gb, reduction)
+    assert report.ok and report.pairs_checked == 64 and scanned == []
+    assert _star2_scan(gb, reduction, DEFAULT_ENUMERATION_CAP) == report
     assert made == []
 
 
@@ -852,7 +863,9 @@ def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
     the very dicts the Fraction checks gave."""
     gb, reduction = beta_recurrent(g2, F(1, 3), "a")
     _shifted_mean_values(monkeypatch, gb, F(1, 5), F(1, 7))
+    scanned = _spy_scan(monkeypatch)
     report = verify_star2(gb, reduction)
+    assert len(scanned) == 1  # a record whose values are not constant has no parts
     described = {"max": {"a1": "X", "b2": "Y'"}, "min": {"a2": "X'", "b1": "Y"}}
     assert (report.pairs_checked, report.value) == (1, F(1, 5))
     assert report.violations == (
@@ -865,7 +878,9 @@ def test_verify_star2_pins_the_integer_check_payloads(monkeypatch, g2):
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     _install_doubled(reduction, rewards={"a4'": F(7, 2), "a5'": F(-3, 4)})
+    scanned = _spy_scan(monkeypatch)
     report = verify_star2(gb, reduction)
+    assert len(scanned) == 1  # the wrong rewards fail the gain test
     assert (report.pairs_checked, report.value) == (64, F(1, 6))
     assert [v["kind"] for v in report.violations] == ["mirror-identity"] * 64 * 6
     assert report.violations[6] == {
@@ -960,6 +975,102 @@ def _spy_doubled_solves(monkeypatch, n_source):
     return solved
 
 
+def _spy_scan(monkeypatch):
+    """The reductions whose doubled pairs verify_star2 scans one by one
+    (``_star2_scan``), in a list that fills as it runs: empty when the
+    source records alone certified every pair."""
+    scanned = []
+    real = smpg.solvers._star2_scan
+
+    def spy(gb, reduction, cap):
+        scanned.append(reduction)
+        return real(gb, reduction, cap)
+
+    monkeypatch.setattr(smpg.solvers, "_star2_scan", spy)
+    return scanned
+
+
+def test_the_records_value_is_the_scans_where_it_is_not_zero(monkeypatch):
+    """Kept records whose values are matching pennies, 1 where the two
+    players' actions have the same index and 0 elsewhere, with gains to
+    match and their true residuals, pass both record tests.  The source
+    max-min is 0 and the min-max 1, so the doubled max-min is (0 - 1) / 2:
+    verify_star2 gives it through the records, with no violation, as the
+    scan of the 16 doubled pairs does."""
+    game = _two_by_two_game()
+    gb, reduction = beta_recurrent(game, F(1, 2), "a")
+    assert verify_star(game, F(1, 2), "a").ok
+    reward_den = reduction.tables[2]
+    sources = reduction.kept["sources"]
+    for actions in list(sources):
+        record = _with_parts(reduction, actions)
+        y = int(actions[0][1] == actions[1][1])
+        gain = y * record.law_den * reward_den
+        (r_1, _), (r_2, _) = record.parts
+        sources[actions] = record._replace(value_den=1, value_nums=(y, y),
+                                           parts=((r_1, gain), (r_2, -gain)))
+    scanned = _spy_scan(monkeypatch)
+    report = verify_star2(gb, reduction)
+    assert scanned == []
+    assert (report.pairs_checked, report.violations, report.value) == (16, (), F(-1, 2))
+    assert _star2_scan(gb, reduction, DEFAULT_ENUMERATION_CAP) == report
+
+
+def _one_wrong_record(copy, residual):
+    """The three-state game's reduction from its first state at beta = 1/3,
+    with one kept source record, not the first that verify_star2 reads,
+    made wrong in copy ``copy``'s part: the first entry of its residual, or
+    its gain, one too high.  Returns (gb, reduction, the wrong record's
+    actions, the record)."""
+    game = _three_state_game()
+    gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
+    assert verify_star(game, F(1, 3), reduction.s0).ok
+    wrong = sorted(reduction.kept["sources"])[5]
+    record = _with_parts(reduction, wrong)
+    parts = list(record.parts)
+    r_c, g_c = parts[copy - 1]
+    parts[copy - 1] = ((r_c[0] + 1, *r_c[1:]), g_c) if residual else (r_c, g_c + 1)
+    reduction.kept["sources"][wrong] = record._replace(parts=tuple(parts))
+    return gb, reduction, wrong, record
+
+
+@pytest.mark.parametrize("copy", [1, 2])
+def test_a_wrong_gain_in_one_record_reaches_the_scan(monkeypatch, copy):
+    """One kept record's copy-c gain, one too high, fails the gain test, so
+    verify_star2 scans every doubled pair.  The 8 pairs whose copy c plays
+    that source pair stay certified and break the mirror identity at all
+    6 states, each by 1 / (2 d R) more, d the record's law denominator; no
+    other pair does."""
+    gb, reduction, wrong, record = _one_wrong_record(copy, residual=False)
+    scanned = _spy_scan(monkeypatch)
+    report = verify_star2(gb, reduction)
+    assert len(scanned) == 1 and report.pairs_checked == 64
+    assert len(report.violations) == 8 * 6
+    step = F(1, 2 * record.law_den * reduction.tables[2])
+    for violation in report.violations:
+        assert violation["kind"] == "mirror-identity"
+        assert F(violation["lhs"]) - F(violation["rhs"]) == step
+        half = decompose_mirror_strategies(pair_of(violation["max"], violation["min"]),
+                                           reduction)[copy - 1]
+        assert tuple(map(half.choices.__getitem__, gb.state_order)) == wrong
+    assert len({json.dumps([v["max"], v["min"]]) for v in report.violations}) == 8
+
+
+@pytest.mark.parametrize("copy", [1, 2])
+def test_a_wrong_residual_in_one_record_reaches_the_scan(monkeypatch, copy):
+    """One kept record's copy-c residual, one too high at its first entry,
+    fails the residual test, so verify_star2 scans every doubled pair.  The
+    certificate fails on the 8 pairs whose copy c plays that source pair;
+    each is solved on its true chain, which meets every identity, so the
+    report is the valid game's."""
+    gb, reduction, _, _ = _one_wrong_record(copy, residual=True)
+    expected = verify_star2(*beta_recurrent(_three_state_game(), F(1, 3), reduction.s0))
+    scanned = _spy_scan(monkeypatch)
+    solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
+    assert verify_star2(gb, reduction) == expected
+    assert len(scanned) == 1 and len(solved) == 8
+
+
 def test_verify_star2_solves_a_chain_its_wrong_redirect_breaks(monkeypatch):
     """A copy-1 redirect to the wrong copy-2 state breaks the residual check
     on the 32 pairs that play it; those are solved, and report exactly the
@@ -969,7 +1080,9 @@ def test_verify_star2_solves_a_chain_its_wrong_redirect_breaks(monkeypatch):
     _install_doubled(reduction, redirect={("s21", "a4", "s02"): "s22"})
     expected = _solved_violations(gb, reduction)
     solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
+    scanned = _spy_scan(monkeypatch)
     report = verify_star2(gb, reduction)
+    assert len(scanned) == 1  # the redirect fails the residual test
     assert len(solved) == 32
     assert {v["kind"] for v in expected} == {"mirror-identity", "copy-stationary"}
     assert report.violations == expected
@@ -984,7 +1097,9 @@ def test_verify_star2_certifies_a_chain_with_wrong_copy_two_rewards(monkeypatch)
     _install_doubled(reduction, rewards={"a4'": F(7, 2), "a5'": F(-3, 4)})
     expected = _solved_violations(gb, reduction)
     solved = _spy_doubled_solves(monkeypatch, len(gb.state_order))
+    scanned = _spy_scan(monkeypatch)
     report = verify_star2(gb, reduction)
+    assert len(scanned) == 1  # the residual test holds and the gain test fails
     assert solved == []
     assert {F(v["lhs"]) > F(v["rhs"]) for v in expected} == {True, False}
     assert report.violations == expected
@@ -1005,8 +1120,10 @@ def test_verify_star2_rejects_a_stationary_candidate_of_a_two_class_chain(monkey
     candidate = (F(1, 2), F(0), F(1, 2), F(0))  # a1, b1, a2, b2
     assert tuple(sum(candidate[i] * chain.matrix[i][j] for i in range(4))
                  for j in range(4)) == candidate
+    scanned = _spy_scan(monkeypatch)
     with pytest.raises(NotUnichain):
         verify_star2(gb, reduction)
+    assert len(scanned) == 1  # the reach check certifies no pair, so no record has parts
 
 
 def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(monkeypatch):
@@ -1049,8 +1166,10 @@ def test_mirror_evaluator_solves_every_pair_when_the_attractor_misses_a_state(mo
             for pair in pairs] == [v.values for v in expected]
     assert len(solved) == len(pairs) == 4
 
+    scanned = _spy_scan(monkeypatch)
     with pytest.raises(NotUnichain) as info:
         verify_star2(gb, reduction)
+    assert len(scanned) == 1
     assert info.value.to_json_dict() == {
         "error": "NotUnichain", "message": "chain has 2 recurrent classes", "classes": 2}
 
@@ -1296,10 +1415,49 @@ def test_verify_star2_holds_on_every_reset_game(seed, states, beta):
     game = _small_generated_game(seed, states)
     with pytest.MonkeyPatch.context() as monkeypatch:
         solved = _spy_doubled_solves(monkeypatch, states)
+        scanned = _spy_scan(monkeypatch)
         for s0 in game.state_order:
             report = verify_star2(*beta_recurrent(game, beta, s0))
             assert report.violations == () and report.value == 0
-    assert solved == []
+    assert solved == [] and scanned == []
+
+
+def _assert_the_records_report_as_the_scan(game, beta, s0):
+    """verify_star2 at (beta, s0) certifies every doubled pair through the
+    source records, with no scan, and its report has the bytes of the
+    scan's, run on a fresh equal game."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scanned = _spy_scan(monkeypatch)
+        report = verify_star2(*beta_recurrent(game, beta, s0))
+    assert scanned == []
+    gb, reduction = beta_recurrent(validate_game(game_to_json_dict(game)), beta, s0)
+    reference = _star2_scan(gb, reduction, DEFAULT_ENUMERATION_CAP)
+    assert (canonical_dumps(report_to_json_dict(report))
+            == canonical_dumps(report_to_json_dict(reference)))
+
+
+def test_the_records_report_as_the_scan_on_every_acceptance_instance():
+    for _, reduction, _, _ in mirror_instances():
+        _assert_the_records_report_as_the_scan(reduction.game, reduction.beta, reduction.s0)
+
+
+@pytest.mark.parametrize("beta", [F(0), F(1, 3), F(9, 10)])
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda: _three_state_game(), id="three-states"),
+    pytest.param(lambda: _interleaved_game(), id="interleaved-ids"),
+])
+def test_the_records_report_as_the_scan(make_game, beta):
+    game = make_game()
+    for s0 in game.state_order:
+        _assert_the_records_report_as_the_scan(game, beta, s0)
+
+
+@settings(max_examples=40, deadline=None)
+@small_reductions
+def test_the_records_report_as_the_scan_on_generated_games(seed, states, beta):
+    game = _small_generated_game(seed, states)
+    for s0 in game.state_order:
+        _assert_the_records_report_as_the_scan(game, beta, s0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1339,15 +1497,9 @@ def test_what_a_game_keeps_does_not_refer_back_to_it():
     assert kept == 3 and freed
 
 
-def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
-    """At each (beta, s0), verify_star, verify_star2 and the pipeline share
-    the reset game, the source memo and the double game's tables that
-    the game keeps.  On the three-state game (8 source pairs, 3 start
-    states) the op builds 3 reset games, no double game (verify_star2 and
-    the pipeline's oracle read the tables' menus), and 3 sets of tables,
-    one common_rows pass each; it solves each of the 3 x 8 source pairs
-    once, plus the recovered pair, and sums each one's residual once per
-    copy, into its kept record; no doubled chain is solved."""
+def _counted(monkeypatch, *targets):
+    """A Counter of the calls, from now on, to each (module, name) in
+    ``targets``, keyed by name."""
     counts = Counter()
 
     def count(module, name):
@@ -1359,11 +1511,36 @@ def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(smpg.transforms, "build_game")
-    count(smpg.transforms, "common_rows")  # once per set of tables
-    count(smpg.solvers, "mean_values")
-    count(smpg.solvers, "unichain_stationary")
-    count(smpg.solvers, "stationary_residual")  # once per (source pair, copy)
+    for module, name in targets:
+        count(module, name)
+    return counts
+
+
+def test_verify_star_makes_no_mirror_parts(monkeypatch):
+    """verify_star never reads a source record's mirror parts, so from
+    each of the three-state game's start states it makes no double game's
+    tables (no common_rows pass) and sums no residual."""
+    counts = _counted(monkeypatch, (smpg.transforms, "common_rows"),
+                      (smpg.solvers, "stationary_residual"))
+    game = _three_state_game()
+    for s0 in game.state_order:
+        assert verify_star(game, F(1, 3), s0).ok
+    assert (counts["common_rows"], counts["stationary_residual"]) == (0, 0)
+
+
+def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
+    """At each (beta, s0), verify_star, verify_star2 and the pipeline share
+    the reset game, the source memo and the double game's tables that
+    the game keeps.  On the three-state game (8 source pairs, 3 start
+    states) the op builds 3 reset games, no double game (verify_star2 and
+    the pipeline's oracle read the tables' menus), and 3 sets of tables,
+    one common_rows pass each; it solves each of the 3 x 8 source pairs
+    once, plus the recovered pair, and sums each one's residual once per
+    copy, into its kept record; no doubled chain is solved."""
+    counts = _counted(monkeypatch, (smpg.transforms, "build_game"),
+                      (smpg.transforms, "common_rows"),  # once per set of tables
+                      (smpg.solvers, "mean_values"), (smpg.solvers, "unichain_stationary"),
+                      (smpg.solvers, "stationary_residual"))  # once per (source pair, copy)
     _reduction_op(_three_state_game(), F(1, 3))
     assert counts == {"build_game": 3, "common_rows": 3, "mean_values": 25,
                       "unichain_stationary": 24, "stationary_residual": 3 * 8 * 2}
@@ -1565,9 +1742,10 @@ def test_verify_star2_reads_only_the_tables(monkeypatch, fault):
     game = _three_state_game()
     gb, _ = beta_recurrent(game, F(1, 3), s0)
     solved = _spy_doubled_solves(monkeypatch, len(game.state_order))
+    scanned = _spy_scan(monkeypatch)
     report = verify_star2(gb, _WithoutDoubleGame(game, F(1, 3), s0))
     assert report.pairs_checked == 64 and report.violations == expected
-    assert len(solved) == (0 if report.ok else 64)
+    assert len(solved) == len(scanned) * 64 == (0 if report.ok else 64)
 
 
 @pytest.mark.parametrize("beta", [F(0), F(1, 3)])
@@ -1601,12 +1779,12 @@ def _interleaved_game():
     pytest.param(lambda g2: _interleaved_game(), id="interleaved-ids"),
 ])
 def test_the_action_tuple_scan_is_enumerate_strategies_order(monkeypatch, g2, make_game):
-    """verify_star2 scans the doubled pairs without the double game: the
-    evaluator gets each pair's actions as pair_actions reads them off the
-    built double game, in the order enumerate_strategies gives over it, and
-    a violation names the pair with its choices in that order too.  Every
-    pair is made to break the mirror identity at every state, by one added
-    to its values."""
+    """verify_star2's scan of every doubled pair (``_star2_scan``) runs
+    without the double game: the evaluator gets each pair's actions as
+    pair_actions reads them off the built double game, in the order
+    enumerate_strategies gives over it, and a violation names the pair with
+    its choices in that order too.  Every pair is made to break the mirror
+    identity at every state, by one added to its values."""
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     played = []
@@ -1617,7 +1795,7 @@ def test_the_action_tuple_scan_is_enumerate_strategies_order(monkeypatch, g2, ma
         return (d, tuple(v + d for v in y)), chain, sources
 
     monkeypatch.setattr(smpg.solvers, "_mirror", shifted)
-    report = verify_star2(gb, reduction)
+    report = _star2_scan(gb, reduction, DEFAULT_ENUMERATION_CAP)
     assert "doubled" not in reduction.__dict__
     doubled = reduction.doubled
     pairs = [StrategyPair(sigma, tau) for sigma in enumerate_strategies(doubled, MAX)
@@ -1631,15 +1809,18 @@ def test_the_action_tuple_scan_is_enumerate_strategies_order(monkeypatch, g2, ma
 
 
 def test_verify_star2_checks_the_cap_before_evaluating(monkeypatch):
-    """The scan's cap is checked on the doubled strategy counts, before any
-    pair is evaluated, with the report the other pair scans give."""
+    """The cap is checked on the doubled strategy counts, before any pair is
+    evaluated or any source record made, with the report the other pair
+    scans give."""
     game = _three_state_game()
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
-    evaluated = []
+    evaluated, made = [], []
     monkeypatch.setattr(smpg.solvers, "_mirror", lambda reduction, actions: evaluated.append(1))
+    monkeypatch.setattr(smpg.solvers, "_source", lambda reduction, actions: made.append(1))
     with pytest.raises(CombinatorialLimitExceeded) as info:
         verify_star2(gb, reduction, cap=63)
-    assert evaluated == []
+    assert evaluated == [] and made == []
+    assert reduction.kept["sources"] == {}
     assert info.value.to_json_dict() == {
         "error": "CombinatorialLimitExceeded", "message": "8 x 8 strategy pairs exceed cap 63",
         "count": 64, "cap": 63}
