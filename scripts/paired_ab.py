@@ -13,11 +13,14 @@ and exits 1 when an output fails its check, or when the two sides' outputs
 of one op differ in their canonical bytes (``Workload.canonical``), naming
 the first such op: one run checks a byte-identity claim with the timing.
 
-After the timed ops, one untimed pass per side measures retained memory:
-it makes ``HELD`` inputs, runs their ops while holding every input, as
+After the timed ops, two untimed passes per side measure memory: each
+makes ``HELD`` inputs, runs their ops while holding every input, as
 ``bench/run.py`` holds a batch, and prints the KB per input that
-``tracemalloc`` still finds allocated after a full collection: what each
-input keeps once its op is done.  A time ratio does not show what the
+``tracemalloc`` still finds allocated after a full collection.  The
+"retained" pass traces from after the inputs are made: what each input
+keeps once its op is done.  The "held" pass traces from before: what an
+input costs in total, itself included, so memory that moves from an op
+into making its input shows there.  A time ratio does not show what the
 inputs keep; a benchmark's peak RSS does, over a whole run.
 
 Last it prints each tree's code lines as ``scripts/loc.py`` counts them,
@@ -87,22 +90,26 @@ def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path
     return times
 
 
-def retained_kb(lib, workload: str, seed: int, directory: Path) -> float:
+def traced_kb(lib, workload: str, seed: int, directory: Path, with_inputs: bool) -> float:
     """KB per input still allocated after the ops of ``HELD`` held inputs
-    and a full collection; the inputs are made before tracing starts."""
+    and a full collection, traced from before the inputs are made
+    (``with_inputs``) or from after."""
     wl = WORKLOADS[workload]
     directory.mkdir(exist_ok=True)
-    inputs = [wl.make_input(lib, seed, index, directory) for index in range(HELD)]
     gc.collect()
     tracemalloc.start()
     try:
+        inputs = [wl.make_input(lib, seed, index, directory) for index in range(HELD)]
+        gc.collect()
+        if not with_inputs:
+            tracemalloc.clear_traces()  # what the inputs hold is not counted
         for inp in inputs:
             wl.op(lib, inp)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
+        traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return retained / HELD / 1024
+    return traced / HELD / 1024
 
 
 def main(argv=None) -> int:
@@ -120,16 +127,18 @@ def main(argv=None) -> int:
     libs = {side: import_tree(getattr(args, side).resolve(), f"smpg_{side}") for side in SIDES}
     with tempfile.TemporaryDirectory() as directory:
         times = paired_times(libs, args.workload, args.ops, args.seed, Path(directory))
-        retained = {side: retained_kb(libs[side], args.workload, args.seed,
-                                      Path(directory) / f"held-{side}") for side in SIDES}
+        memory = {kind: {side: traced_kb(libs[side], args.workload, args.seed,
+                                         Path(directory) / f"{kind}-{side}", kind == "held")
+                         for side in SIDES} for kind in ("retained", "held")}
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     for side in SIDES:
         print(f"{side}: median op {statistics.median(times[side]) * 1e3:.3f} ms "
               f"({args.ops} ops, {args.workload}, seed {args.seed})")
     print(f"change/parent per-op ratio: median {statistics.median(ratios):.4f}, "
           f"range {min(ratios):.4f}..{max(ratios):.4f}")
-    print("retained per input: " + ", ".join(f"{side} {retained[side]:.1f} KB" for side in SIDES)
-          + f" ({HELD} inputs held, tracemalloc)")
+    for kind, traced in memory.items():
+        print(f"{kind} per input: " + ", ".join(f"{side} {traced[side]:.1f} KB" for side in SIDES)
+              + f" ({HELD} inputs held, tracemalloc)")
     lines = {side: sum(code_lines(path.read_text())
                        for path in (getattr(args, side) / "smpg").glob("*.py")) for side in SIDES}
     print("code lines: " + ", ".join(f"{side} {lines[side]}" for side in SIDES)

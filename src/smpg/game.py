@@ -5,8 +5,9 @@ players (``max`` or ``min``); the owner picks an available action, the action
 pays a rational reward, and the successor is drawn from the action's exact
 transition probabilities.  Multi-edges and self-loops are allowed, sinks are
 not.  Every probability and reward is a ``fractions.Fraction``; nothing in
-this module ever rounds.  Probabilities are checked in integers, and each
-chain row once, where ``Game.chain_row`` builds it.
+this module ever rounds.  ``build_game`` checks the probabilities in
+integers, in the loop that makes each (state, action) chain row once; every
+chain reads those rows.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ class Game:
 
     @cached_property
     def outgoing(self) -> dict[tuple[str, str], tuple[tuple[str, Fraction], ...]]:
-        """(state, action) -> ((target, prob), ...) in canonical order."""
+        """(state, action) -> ((target, prob), ...) in canonical order, built
+        on first read.  No computation reads it; it stays as a view for
+        tests and the benchmark."""
         out: dict[tuple[str, str], list[tuple[str, Fraction]]] = {}
         for t in self.transitions:
             out.setdefault((t.source, t.action), []).append((t.target, t.prob))
@@ -139,16 +142,9 @@ class Game:
 
     def chain_row(self, state: str, action: str) -> tuple[int, tuple[tuple[int, int], ...]]:
         """The InducedChain row (den, ((j, num), ...)) of ``action`` at
-        ``state``, den the lcm of its probability denominators; built and
-        checked on first use and kept on the game, like its properties."""
-        rows = self.__dict__.setdefault("_chain_rows", {})
-        row = rows.get((state, action))
-        if row is None:
-            out, index = self.outgoing[(state, action)], self.state_index
-            den, nums = scale([p for _, p in out])
-            row = rows[(state, action)] = _checked_row(state, den, tuple(
-                (index[t], num) for (t, _), num in zip(out, nums)), len(index))
-        return row
+        ``state``, den the lcm of its probability denominators, targets
+        ascending: made and checked once by ``build_game``, only read here."""
+        return self._chain_rows[(state, action)]
 
     def chain(self, actions) -> InducedChain:
         """The chain of the pair that plays ``actions``, one per state in
@@ -188,7 +184,7 @@ class StrategyPair:
 
 
 class _CheckedRow(tuple):
-    """A chain row (den, entries) that passed _checked_row."""
+    """A chain row (den, entries) that passed _checked_row or that build_game made."""
     __slots__ = ()
 
 
@@ -211,9 +207,9 @@ class InducedChain:
     Each row is stored once, in integers: ``rows[i] = (den, ((j, num), ...))``
     with targets j ascending and distinct and every num positive, so that
     P_ij = num / den.  ``rewards[i]`` is the reward of the action chosen at
-    state i.  A row from ``Game.chain_row`` was checked where it was built
-    and needs only its last target below n here; any other row is checked
-    in full.
+    state i.  A row from ``Game.chain_row`` was checked where ``build_game``
+    made it and needs only its last target below n here; any other row is
+    checked in full.
     """
 
     state_order: tuple[str, ...]
@@ -248,7 +244,8 @@ def build_game(states, actions, transitions) -> Game:
     The one input form: ``states`` is a sequence of State, ``actions`` maps
     action id to reward, ``transitions`` is a sequence of (source, action,
     target, prob) tuples.  Parallel transitions with the same (source,
-    action, target) are merged by summing their probabilities.  Raises
+    action, target) are merged by summing their probabilities, and each
+    (state, action) row is kept on the game for ``Game.chain_row``.  Raises
     ParseError, SinkState, ProbabilitySumMismatch, ProbabilityOutOfRange or
     UnknownReference.
     """
@@ -263,8 +260,7 @@ def build_game(states, actions, transitions) -> Game:
     # state and action ids live in separate namespaces; collisions are legal
     action_map = dict(actions)
     index = {s.id: i for i, s in enumerate(state_tuple)}
-    merged: dict[tuple[str, str, str], Fraction] = {}
-    rows: dict[tuple[str, str], list[Fraction]] = {}
+    merged: dict[tuple[str, str], dict[int, Fraction]] = {}  # parallel edges summed per target
     for source, action, target, prob in transitions:
         if source not in index:
             raise UnknownReference(f"transition from unknown state {source!r}", kind="state", id=source)
@@ -278,26 +274,33 @@ def build_game(states, actions, transitions) -> Game:
             raise ProbabilityOutOfRange(
                 f"probability {rational_text(prob)} of {source}-{action}->{target} outside (0, 1]",
                 source=source, action=action, target=target, prob=prob)
-        key = (source, action, target)
-        merged[key] = merged[key] + prob if key in merged else prob
-        rows.setdefault((source, action), []).append(prob)
+        row, j = merged.setdefault((source, action), {}), index[target]
+        row[j] = row[j] + prob if j in row else prob
 
-    for (source, action), probs in rows.items():
-        den, nums = scale(probs)  # the sum in integers, over the lcm of the denominators
+    rows = {}
+    for (source, action), row in merged.items():
+        targets = sorted(row)
+        # the sum in integers, over the lcm of the merged probabilities' denominators
+        den, nums = scale([row[j] for j in targets])
         if sum(nums) != den:
             total = Fraction(sum(nums), den)
             raise ProbabilitySumMismatch(
                 f"probabilities of action {action!r} at state {source!r} sum to {rational_text(total)}",
                 state=source, action=action, total=total)
+        # positive nums over ascending, distinct targets, summing to den: a checked row
+        rows[(source, action)] = _CheckedRow((den, tuple(zip(targets, nums))))
 
     has_action = {source for source, _ in rows}
     for s in state_tuple:
         if s.id not in has_action:
             raise SinkState(f"state {s.id!r} has no outgoing action", state=s.id)
 
-    canonical = sorted(merged.items(), key=lambda kv: (index[kv[0][0]], kv[0][1], index[kv[0][2]]))
-    transition_tuple = tuple(Transition(s, a, t, p) for (s, a, t), p in canonical)
-    return Game(state_tuple, action_map, transition_tuple)
+    canonical = sorted(merged, key=lambda key: (index[key[0]], key[1]))
+    game = Game(state_tuple, action_map, tuple(
+        Transition(s, a, state_tuple[j].id, merged[s, a][j]) for s, a in canonical
+        for j, _ in rows[s, a][1]))
+    game.__dict__["_chain_rows"] = rows
+    return game
 
 
 def validate_game(raw: dict) -> Game:

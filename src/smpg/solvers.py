@@ -285,40 +285,36 @@ class _Lookahead:
     every action, in integers.
 
     With beta = b/c, each state s has one positive integer L_s, the lcm of
-    the reward and probability denominators of its actions, so R_a = L_s r_a
-    and w_j = L_s p_j are integers.  A value vector is read through its
-    integer view ``ValueVector.scaled``: D, the lcm of its denominators, and
-    the integers y_j = D v_j.  Then c L_s D q(a) = (c - b) D R_a + b sum_j
+    the reward denominators and the row denominators of its actions (the
+    rows ``Game.chain_row`` reads), so R_a = L_s r_a and w_j = L_s p_j are
+    integers.  A value vector is read through its integer view
+    ``ValueVector.scaled``: D, the lcm of its denominators, and the
+    integers y_j = D v_j.  Then c L_s D q(a) = (c - b) D R_a + b sum_j
     w_j y_j is an integer, so at one state these integers compare exactly as
     the q values do, and the state's own value scales to c L_s y_s.
     """
 
     def __init__(self, game: Game, beta: Fraction):
         b, c = beta.numerator, beta.denominator
-        index = game.state_index
         self.unit: dict[str, int] = {}  # s -> c L_s
         # s -> ((action, (c - b) R_a, ((j, b w_j), ...)), ...) in sorted action order
         self.rows: dict[str, tuple] = {}
         for s in game.state_order:
             available = game.available_actions[s]
-            scale = lcm(*(game.actions[a].denominator for a in available),
-                        *(p.denominator for a in available for _, p in game.outgoing[(s, a)]))
+            rewards = [game.actions[a] for a in available]
+            rows = [game.chain_row(s, a) for a in available]
+            scale = lcm(*(r.denominator for r in rewards), *(den for den, _ in rows))
             self.unit[s] = c * scale
             self.rows[s] = tuple(
-                (a, (c - b) * _times(scale, game.actions[a]),
-                 tuple((index[t], b * _times(scale, p)) for t, p in game.outgoing[(s, a)]))
-                for a in available)
+                (a, (c - b) * r.numerator * (scale // r.denominator),
+                 tuple((j, b * num * (scale // den)) for j, num in entries))
+                for a, r, (den, entries) in zip(available, rewards, rows))
 
     def q(self, s: str, scaled: tuple[int, tuple[int, ...]]) -> dict[str, int]:
         """c L_s D q(a) for every action available at s, in sorted order."""
         d, y = scaled
         return {a: d * reward + sum(w * y[j] for j, w in successors)
                 for a, reward, successors in self.rows[s]}
-
-
-def _times(multiple: int, x: Fraction) -> int:
-    """multiple * x, for a multiple of x's denominator."""
-    return x.numerator * (multiple // x.denominator)
 
 
 def _first_extreme(q: dict[str, int], maximize: bool) -> str:

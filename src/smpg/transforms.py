@@ -30,9 +30,9 @@ only for output: ``mirror`` and the pipeline's artifacts.
 What does not depend on the pair is made once per (game, beta, s0), not
 once per ``Reduction``: the source game keeps, per (beta, s0), the reset
 game, the source memo of the reduction checks and the tables
-(``Reduction.kept``), as ``Game.chain_row`` keeps its rows, so every
-``Reduction`` of it at that (beta, s0), and every verifier that makes one,
-shares them.  Nothing kept refers back to the source game: a
+(``Reduction.kept``), as the game keeps the rows ``build_game`` made,
+so every ``Reduction`` of it at that (beta, s0), and every verifier that
+makes one, shares them.  Nothing kept refers back to the source game: a
 ``Reduction`` kept there would make a reference cycle through the game,
 so the game would outlive its last reference until a full collection.
 The menus and the double ``Game`` are not kept: each ``Reduction``
@@ -154,25 +154,25 @@ class Reduction:
         doubled state (copy 1's states in source order, then copy 2's), a
         dict action -> ((j, num), ...) with targets ascending, P = num / L
         over the one common denominator L.  A source row (den, entries)
-        from ``Game.chain_row``, checked there, becomes two rows over c den,
-        beta = b/c: b num stays at each target inside the copy (none at beta
-        = 0) and (c - b) den goes to the other copy's start, which ends copy
-        1's rows and starts copy 2's.  ``rewards`` maps every action, then
-        every primed twin with the negated reward, to its numerator over
-        one denominator R.  ``certifiable`` says whether every state reaches
+        from ``Game.chain_row``, checked where ``build_game`` made it,
+        becomes two rows over c den, beta = b/c: b num stays at each target
+        inside the copy (none at beta = 0) and (c - b) den goes to the other
+        copy's start, which ends copy 1's rows and starts copy 2's.
+        ``rewards`` maps every action, then every primed twin with the
+        negated reward, to its numerator over one denominator R.  ``certifiable`` says whether every state reaches
         copy 1's start in every pair's chain (``evaluate.attractor``)."""
         kept = self.kept
         if "mirror" not in kept:
             game, b, c = self.game, self.beta.numerator, self.beta.denominator
             n, start, action_map = len(game.states), game.state_index[self.s0], self.action_map
             menus = [{} for _ in range(2 * n)]
-            for s, a in game.outgoing:
-                den, entries = game.chain_row(s, a)
-                stay, back = tuple((j, b * num) for j, num in entries if b), (c - b) * den
-                i = game.state_index[s]
-                menus[i][a] = (c * den, stay + ((n + start, back),))
-                menus[n + i][action_map[a][1]] = (c * den, ((start, back),) + tuple(
-                    (n + j, num) for j, num in stay))
+            for i, s in enumerate(game.state_order):
+                for a in game.available_actions[s]:
+                    den, entries = game.chain_row(s, a)
+                    stay, back = tuple((j, b * num) for j, num in entries if b), (c - b) * den
+                    menus[i][a] = (c * den, stay + ((n + start, back),))
+                    menus[n + i][action_map[a][1]] = (c * den, ((start, back),) + tuple(
+                        (n + j, num) for j, num in stay))
             common, scaled = common_rows(row for menu in menus for row in menu.values())
             scaled = iter(scaled)
             actions = {**game.actions, **{action_map[a][1]: -r for a, r in game.actions.items()}}

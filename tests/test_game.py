@@ -32,6 +32,7 @@ from smpg.game import (
     State,
     StrategyPair,
     Transition,
+    _CheckedRow,
     build_game,
     check_pair,
     enumerate_strategies,
@@ -278,26 +279,39 @@ def test_chain_matrix_is_the_dense_outgoing_rows(seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_chain_rows_are_built_once_from_the_outgoing_rows(seed):
-    """Each (state, action) row is built on first use, from nothing but
-    that action's outgoing transitions, and every chain that picks the
-    action shares that one row."""
+    """build_game makes exactly one checked row per (state, action), equal
+    to the row scaled from that action's outgoing transitions, before any
+    chain is built; every chain of every pair shares those rows by
+    identity, and no chain makes another row."""
     g = generate_game(GeneratorConfig(
         states=(seed % 4) + 1, actions_per_state=(1, 3), transitions_per_action=(1, 4),
         reward_bound=3, denominator_bound=6, max_states_fraction=F(1, 2), seed=seed))
-    first = pair_of(*(next(enumerate_strategies(g, player)).choices for player in (MAX, MIN)))
-    chain = induced_chain(g, first)
-    # one chain builds one row per state and no other
-    assert len(g.__dict__["_chain_rows"]) == len(g.states)
+    rows = g.__dict__["_chain_rows"]
+    made = dict(rows)
+    assert "outgoing" not in g.__dict__
+    assert sorted(rows) == sorted(g.outgoing)
     for (state, action), out in g.outgoing.items():
-        den = 1
-        for _, prob in out:
-            den = den * prob.denominator // gcd(den, prob.denominator)
-        expected = (den, tuple((g.state_index[t], int(prob * den)) for t, prob in out))
-        assert g.chain_row(state, action) == expected
-        assert g.chain_row(state, action) is g.chain_row(state, action)
-    choices = {**first.max_strategy.choices, **first.min_strategy.choices}
-    for i, state in enumerate(g.state_order):
-        assert chain.rows[i] is g.chain_row(state, choices[state])
+        assert type(rows[state, action]) is _CheckedRow
+        assert rows[state, action] == _row_from_outgoing(g, out)
+        assert g.chain_row(state, action) is rows[state, action]
+    for smax in enumerate_strategies(g, MAX):
+        for smin in enumerate_strategies(g, MIN):
+            chain = induced_chain(g, pair_of(smax.choices, smin.choices))
+            choices = {**smax.choices, **smin.choices}
+            for i, state in enumerate(g.state_order):
+                assert chain.rows[i] is rows[state, choices[state]]
+    assert g.__dict__["_chain_rows"] is rows and rows.keys() == made.keys()
+    assert all(rows[key] is row for key, row in made.items())
+
+
+def _row_from_outgoing(game, out):
+    """The integer row (den, ((j, num), ...)) of one action, scaled here
+    from its Fraction (target, prob) pairs: den the lcm of their
+    denominators."""
+    den = 1
+    for _, prob in out:
+        den = den * prob.denominator // gcd(den, prob.denominator)
+    return den, tuple((game.state_index[t], int(prob * den)) for t, prob in out)
 
 
 def test_check_pair_rejects_wrong_player_label(g2):
@@ -586,11 +600,16 @@ _probs = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(edges=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["X", "Y"]),
                                 st.sampled_from(["a", "b"]), _probs), max_size=7))
+# parallel edges whose merged probability has a smaller denominator: the row is over 3, not 6
+@example(edges=[("a", "X", "b", F(1, 6)), ("b", "Y", "a", F(1)), ("a", "X", "b", F(1, 6)),
+                ("a", "X", "a", F(2, 3))])
 def test_build_game_integer_checks_match_the_fraction_checks(edges):
     """Random transition lists over two states and two actions, with
     probabilities in and out of (0, 1], repeated edges and rows that sum
     to 1 or not: build_game's integer checks give the old Fraction checks'
-    verdict, class, message and payload, and the same merged game."""
+    verdict, class, message and payload, and the same merged game, whose
+    rows are exactly the rows scaled from the reference game's merged
+    transitions, one per (state, action)."""
     # half the time complete each (state, action) row that already has an edge
     complete = list(edges)
     for source, action in dict.fromkeys((s, a) for s, a, _, _ in edges):
@@ -605,3 +624,7 @@ def test_build_game_integer_checks_match_the_fraction_checks(edges):
         assert got == expected
         if got[0] == "accepted":
             assert all(type(t.prob) is F for t in got[1].transitions)
+            reference = expected[1].outgoing
+            assert got[1].__dict__["_chain_rows"].keys() == reference.keys()
+            assert {key: got[1].chain_row(*key) for key in reference} == {
+                key: _row_from_outgoing(got[1], out) for key, out in reference.items()}

@@ -44,20 +44,26 @@ def test_traced_benchmark_ops_pass_the_output_gate(workload):
 def test_paired_ab_runs_one_tree_against_itself():
     """The paired timing script imports the same src tree under both
     package names, runs two reduction-n3 ops on each side and checks them,
-    then reports each side's retained memory per held input and each
-    tree's code lines, which scripts/loc.py totals alike."""
+    then reports each side's retained and held memory per held input and
+    each tree's code lines, which scripts/loc.py totals alike.  An input
+    holds at least what its op retains: the held pass also counts the
+    input itself."""
     src = str(REPO / "src")
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / "paired_ab.py"),
                            "--parent", src, "--change", src, "--workload", "reduction-n3",
                            "--ops", "2"], capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
-    parent, change, ratio, retained, size = proc.stdout.splitlines()
+    parent, change, ratio, retained, held, size = proc.stdout.splitlines()
     assert parent.startswith("parent: median op ") and parent.endswith("(2 ops, reduction-n3, seed 0)")
     assert change.startswith("change: median op ")
     assert ratio.startswith("change/parent per-op ratio: median ")
     match = re.fullmatch(r"retained per input: parent (\d+\.\d) KB, change (\d+\.\d) KB "
                          r"\(16 inputs held, tracemalloc\)", retained)
     assert match and abs(float(match[1]) - float(match[2])) <= 1  # one tree on both sides
+    held_kb = re.fullmatch(r"held per input: parent (\d+\.\d) KB, change (\d+\.\d) KB "
+                           r"\(16 inputs held, tracemalloc\)", held)
+    assert held_kb and abs(float(held_kb[1]) - float(held_kb[2])) <= 1
+    assert all(float(held_kb[i]) > float(match[i]) for i in (1, 2))
     total = run_script("loc.py").stdout.splitlines()[-1].removeprefix("total ")
     assert size == f"code lines: parent {total}, change {total} (+0, scripts/loc.py)"
 

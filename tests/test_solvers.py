@@ -814,11 +814,12 @@ def test_verify_star2_builds_and_decomposes_each_chain_once(monkeypatch, g2, mak
     pytest.param(lambda g2: _three_state_game(), id="three-states"),
 ])
 def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
-    """Rows are checked where they are built: once per distinct (state,
-    action) row of the reset game and of the source game (``Game.chain_row``),
-    whose rows the double game's tables are made from, not once per pair
-    and state (64 pairs of 6 states on the three-state game).  The tables
-    hold one row per (state, action) of the double game."""
+    """Rows are checked once, where ``build_game`` makes them: one row per
+    (state, action) of the source game and of the reset game, both made
+    before ``verify_star2`` runs, which then checks no row at all, not once
+    per pair and state (64 pairs of 6 states on the three-state game).  The
+    double game's tables are made from the source game's rows and hold one
+    row per (state, action) of the double game."""
     game = make_game(g2)
     gb, reduction = beta_recurrent(game, F(1, 3), game.state_order[0])
     checked = []
@@ -831,9 +832,9 @@ def test_verify_star2_checks_each_chain_row_once(monkeypatch, g2, make_game):
     monkeypatch.setattr(smpg.game, "_checked_row", spy_check)
     report = verify_star2(gb, reduction)
     assert report.ok
-    assert len(checked) == len(gb.outgoing) + len(game.outgoing)
-    assert ({(state, n_states) for state, _, _, n_states in checked}
-            == {(s, len(gb.states)) for s, _ in gb.outgoing})
+    assert checked == []
+    for made in (game, gb):
+        assert made.__dict__["_chain_rows"].keys() == made.outgoing.keys()
     table_rows = [(state.id, len(menu)) for state, menu in zip(reduction.menus.states,
                                                                reduction.tables[1])]
     doubled = reduction.doubled
@@ -1526,6 +1527,29 @@ def test_verify_star_makes_no_mirror_parts(monkeypatch):
     for s0 in game.state_order:
         assert verify_star(game, F(1, 3), s0).ok
     assert (counts["common_rows"], counts["stationary_residual"]) == (0, 0)
+
+
+@pytest.mark.parametrize("make_game", [
+    pytest.param(lambda g2: g2, id="g2"),
+    pytest.param(lambda g2: _three_state_game(), id="three-states"),
+])
+def test_no_computation_path_builds_the_outgoing_view(g2, make_game):
+    """Every solver, evaluator and verifier reads a game's rows through
+    ``Game.chain_row``: after all of them have run, neither the source game
+    nor any reset game it keeps has built the Fraction view ``outgoing``."""
+    game, beta = make_game(g2), F(1, 3)
+    solution = strategy_iteration_discounted(game, beta)
+    for criterion, at in ((DISCOUNTED, beta), (MEAN, None)):
+        evaluate_pair(game, solution.optimal_pair, criterion, at)
+    greedy_recovery_discounted(game, beta, solution.values)
+    for s0 in game.state_order:
+        assert verify_star(game, beta, s0).ok
+        assert verify_star2(*beta_recurrent(game, beta, s0)).ok
+    strategic_via_recovery(game, beta, reference_recovery_oracle)
+    kept = game.__dict__["_reductions"]
+    assert len(kept) == len(game.state_order)
+    for made in (game, *(entry["reset"] for entry in kept.values())):
+        assert "outgoing" not in made.__dict__
 
 
 def test_a_reduction_op_solves_each_source_pair_once(monkeypatch):
