@@ -8,10 +8,12 @@ workload of ``bench/workloads.py``: for op i, each side makes input i with
 its own package, runs the op once and checks its output exactly.  The sides
 alternate op by op, and the side that runs first swaps every op, so a drift
 in machine speed over seconds slows both alike.  The script prints each
-side's median op time and the median of the per-op ratios change / parent,
-and exits 1 when an output fails its check, or when the two sides' outputs
-of one op differ in their canonical bytes (``Workload.canonical``), naming
-the first such op: one run checks a byte-identity claim with the timing.
+side's median op time, the median of the per-op ratios change / parent
+and the generation-0 and generation-2 collections that started inside each
+side's timed ops (counted through ``gc.callbacks``).  It exits 1 when an
+output fails its check, or when the two sides' outputs of one op differ in
+their canonical bytes (``Workload.canonical``), naming the first such op:
+one run checks a byte-identity claim with the timing.
 
 After the timed ops, two untimed passes per side measure memory: each
 makes ``HELD`` inputs, runs their ops while holding every input, as
@@ -65,29 +67,43 @@ def import_tree(src: Path, name: str):
     return lib
 
 
-def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path) -> dict:
-    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn; exits
-    at the first op whose output fails its check or whose canonical bytes
-    differ between the sides."""
+def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path):
+    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn, and the
+    collections per generation that started inside that side's timed ops;
+    exits at the first op whose output fails its check or whose canonical
+    bytes differ between the sides."""
     wl = WORKLOADS[workload]
     times = {side: [] for side in SIDES}
-    for index in range(ops):
-        canonical = {}
-        for side in (SIDES if index % 2 == 0 else SIDES[::-1]):
-            lib = libs[side]
-            folder = directory / side
-            folder.mkdir(exist_ok=True)
-            inp = wl.make_input(lib, seed, index, folder)
-            start = time.perf_counter()
-            output = wl.op(lib, inp)
-            times[side].append(time.perf_counter() - start)
-            problems = wl.check(lib, inp, output)
-            if problems:
-                raise SystemExit(f"paired_ab: {side} op {index}: {problems[0]}")
-            canonical[side] = wl.canonical(lib, output)
-        if canonical["parent"] != canonical["change"]:
-            raise SystemExit(f"paired_ab: op {index}: the canonical output bytes differ")
-    return times
+    collections = {side: [0, 0, 0] for side in SIDES}
+    timed = []  # the side whose op is being timed, while it runs
+
+    def count(phase, info):
+        if phase == "start" and timed:
+            collections[timed[0]][info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        for index in range(ops):
+            canonical = {}
+            for side in (SIDES if index % 2 == 0 else SIDES[::-1]):
+                lib = libs[side]
+                folder = directory / side
+                folder.mkdir(exist_ok=True)
+                inp = wl.make_input(lib, seed, index, folder)
+                timed.append(side)
+                start = time.perf_counter()
+                output = wl.op(lib, inp)
+                times[side].append(time.perf_counter() - start)
+                timed.clear()
+                problems = wl.check(lib, inp, output)
+                if problems:
+                    raise SystemExit(f"paired_ab: {side} op {index}: {problems[0]}")
+                canonical[side] = wl.canonical(lib, output)
+            if canonical["parent"] != canonical["change"]:
+                raise SystemExit(f"paired_ab: op {index}: the canonical output bytes differ")
+    finally:
+        gc.callbacks.remove(count)
+    return times, collections
 
 
 def traced_kb(lib, workload: str, seed: int, directory: Path, with_inputs: bool) -> float:
@@ -126,7 +142,8 @@ def main(argv=None) -> int:
 
     libs = {side: import_tree(getattr(args, side).resolve(), f"smpg_{side}") for side in SIDES}
     with tempfile.TemporaryDirectory() as directory:
-        times = paired_times(libs, args.workload, args.ops, args.seed, Path(directory))
+        times, collections = paired_times(libs, args.workload, args.ops, args.seed,
+                                          Path(directory))
         memory = {kind: {side: traced_kb(libs[side], args.workload, args.seed,
                                          Path(directory) / f"{kind}-{side}", kind == "held")
                          for side in SIDES} for kind in ("retained", "held")}
@@ -136,6 +153,8 @@ def main(argv=None) -> int:
               f"({args.ops} ops, {args.workload}, seed {args.seed})")
     print(f"change/parent per-op ratio: median {statistics.median(ratios):.4f}, "
           f"range {min(ratios):.4f}..{max(ratios):.4f}")
+    print("collections in timed ops: " + ", ".join(
+        f"{side} {collections[side][0]} gen-0 {collections[side][2]} gen-2" for side in SIDES))
     for kind, traced in memory.items():
         print(f"{kind} per input: " + ", ".join(f"{side} {traced[side]:.1f} KB" for side in SIDES)
               + f" ({HELD} inputs held, tracemalloc)")

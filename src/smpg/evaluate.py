@@ -147,7 +147,9 @@ def check_beta(beta: Fraction | None) -> Fraction:
 def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
     """Normalised discounted value (1 - beta) * sum_i beta^i r_i, exactly.
 
-    Solves the fixed point v = (1 - beta) r + beta P v.
+    Solves the fixed point v = (1 - beta) r + beta P v.  Each row's scale
+    and right-hand side are made in integers: t = (c - b) den_i r_i in
+    lowest terms by one gcd, the integers the Fraction product would give.
     """
     beta = check_beta(beta)
     # with beta = b/c, row i of I - beta P times c * den_i is integral, and
@@ -156,13 +158,15 @@ def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
     matrix = []
     rhs_rows = []
     for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
-        t = (c - b) * den * r
+        top = (c - b) * den * r.numerator
+        common = gcd(top, r.denominator)
+        t_den = r.denominator // common
         row = [0] * len(chain.rows)
         for j, num in entries:
-            row[j] = -b * num * t.denominator
-        row[i] += c * den * t.denominator
+            row[j] = -b * num * t_den
+        row[i] += c * den * t_den
         matrix.append(row)
-        rhs_rows.append([t.numerator])
+        rhs_rows.append([top // common])
     return ValueVector(chain.state_order, tuple(v for v, in linalg.solve_columns(matrix, rhs_rows)))
 
 

@@ -5,8 +5,10 @@ players (``max`` or ``min``); the owner picks an available action, the action
 pays a rational reward, and the successor is drawn from the action's exact
 transition probabilities.  Multi-edges and self-loops are allowed, sinks are
 not.  Every probability and reward is a ``fractions.Fraction``; nothing in
-this module ever rounds.  ``build_game`` checks the probabilities in
-integers, in the loop that makes each (state, action) chain row once; every
+this module ever rounds.  ``validate_game`` parses each distinct literal
+string of a game once.  ``build_game`` checks the probabilities in
+integers, in the loop that makes each (state, action) chain row once; a row
+with one target is its probability's own terms, made straight, and every
 chain reads those rows.
 """
 
@@ -62,10 +64,12 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Lowest-terms "p/q", or "n" when the denominator is one.  Past the
+    """Lowest-terms "p/q", or "n" when the denominator is one.  A Fraction
+    is formatted as it is; any other rational is made one first.  Past the
     interpreter's int-string digit limit, raises RationalTooLong with the
     digit count, not the value."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError as exc:
@@ -245,9 +249,11 @@ def build_game(states, actions, transitions) -> Game:
     action id to reward, ``transitions`` is a sequence of (source, action,
     target, prob) tuples.  Parallel transitions with the same (source,
     action, target) are merged by summing their probabilities, and each
-    (state, action) row is kept on the game for ``Game.chain_row``.  Raises
-    ParseError, SinkState, ProbabilitySumMismatch, ProbabilityOutOfRange or
-    UnknownReference.
+    (state, action) row is kept on the game for ``Game.chain_row``: a row
+    with one merged target p is (p.denominator, ((j, p.numerator),)) as it
+    stands, any other is scaled to the lcm of its denominators, and either
+    passes the same sum check.  Raises ParseError, SinkState,
+    ProbabilitySumMismatch, ProbabilityOutOfRange or UnknownReference.
     """
     state_tuple = tuple(states)
     seen = set()
@@ -279,16 +285,21 @@ def build_game(states, actions, transitions) -> Game:
 
     rows = {}
     for (source, action), row in merged.items():
-        targets = sorted(row)
-        # the sum in integers, over the lcm of the merged probabilities' denominators
-        den, nums = scale([row[j] for j in targets])
-        if sum(nums) != den:
-            total = Fraction(sum(nums), den)
+        if len(row) == 1:  # one target: the row is its probability's own terms
+            ((j, prob),) = row.items()
+            den, total, entries = prob.denominator, prob.numerator, ((j, prob.numerator),)
+        else:
+            targets = sorted(row)
+            # the sum in integers, over the lcm of the merged probabilities' denominators
+            den, nums = scale([row[j] for j in targets])
+            total, entries = sum(nums), tuple(zip(targets, nums))
+        if total != den:
+            total = Fraction(total, den)
             raise ProbabilitySumMismatch(
                 f"probabilities of action {action!r} at state {source!r} sum to {rational_text(total)}",
                 state=source, action=action, total=total)
         # positive nums over ascending, distinct targets, summing to den: a checked row
-        rows[(source, action)] = _CheckedRow((den, tuple(zip(targets, nums))))
+        rows[(source, action)] = _CheckedRow((den, entries))
 
     has_action = {source for source, _ in rows}
     for s in state_tuple:
@@ -304,17 +315,33 @@ def build_game(states, actions, transitions) -> Game:
 
 
 def validate_game(raw: dict) -> Game:
-    """Parse a raw game description (decoded JSON) and enforce all invariants."""
+    """Parse a raw game description (decoded JSON) and enforce all invariants.
+
+    Each distinct literal string is parsed once per call, through a dict
+    that lives only as long as the call; a literal that is not a string (a
+    JSON number, or ``true``, which as a dict key is one with ``1``) goes
+    through ``parse_rational`` each time.  The first bad literal raises
+    where it stands, as when every literal is parsed."""
     if not isinstance(raw, dict):
         raise ParseError("game description must be a JSON object")
     for key in ("states", "actions", "transitions"):
         if key not in raw or not isinstance(raw[key], list):
             raise ParseError(f"game description needs a {key!r} array", field=key)
+    parsed: dict[str, Fraction] = {}  # each distinct literal string, parsed once
+
+    def rational(text) -> Fraction:
+        if type(text) is not str:  # not kept: as keys, JSON true and 1 would be one
+            return parse_rational(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        return value
+
     try:
         states = [State(str(s["id"]), str(s["owner"]).lower()) for s in raw["states"]]
-        actions = {str(a["id"]): parse_rational(a["reward"]) for a in raw["actions"]}
+        actions = {str(a["id"]): rational(a["reward"]) for a in raw["actions"]}
         transitions = [
-            (str(t["from"]), str(t["action"]), str(t["to"]), parse_rational(t["prob"]))
+            (str(t["from"]), str(t["action"]), str(t["to"]), rational(t["prob"]))
             for t in raw["transitions"]
         ]
     except (KeyError, TypeError) as exc:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smpg import linalg
@@ -760,6 +760,58 @@ def test_reduction_chains_have_one_recurrent_class(seed, beta):
     for game in (reduction.reset_game, reduction.doubled):
         for chain in pair_chains(game):
             assert len(recurrent_stationary(chain).classes) == 1
+
+
+def fraction_discounted_system(chain, beta):
+    """The integer system discounted_values solved when each row's scale
+    came from the Fraction product t = (c - b) den r, kept as the reference."""
+    b, c = beta.numerator, beta.denominator
+    matrix, rhs_rows = [], []
+    for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
+        t = (c - b) * den * r
+        row = [0] * len(chain.rows)
+        for j, num in entries:
+            row[j] = -b * num * t.denominator
+        row[i] += c * den * t.denominator
+        matrix.append(row)
+        rhs_rows.append([t.numerator])
+    return matrix, rhs_rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    states=st.integers(min_value=1, max_value=4),
+    # 0; 1/2, 1/3 and 3/4, whose c - b or c share a factor with rewards over 2, 3 and 4
+    beta=st.sampled_from([F(0), F(1, 2), F(1, 3), F(3, 4), F(9, 10)]),
+)
+@example(seed=1, states=3, beta=F(0))
+@example(seed=1, states=3, beta=F(1, 3))
+def test_discounted_system_is_the_fraction_products_integers(seed, states, beta):
+    """On seeded games and their reset and doubled games (whose second copy
+    negates every reward), discounted_values hands linalg.solve_scaled
+    exactly the matrix and right-hand side the Fraction product gives."""
+    g, reduction = reduction_of(seed, states, beta)
+    negative = cancelled = False
+    seen = []
+    solve = linalg.solve_scaled
+
+    def solve_scaled(matrix, rhs_rows):
+        seen.append((matrix, rhs_rows))
+        return solve(matrix, rhs_rows)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("smpg.evaluate.linalg.solve_scaled", solve_scaled)
+        for game in (g, reduction.reset_game, reduction.doubled):
+            for chain in pair_chains(game, limit=8):
+                seen.clear()
+                discounted_values(chain, beta)
+                assert seen == [fraction_discounted_system(chain, beta)]
+                negative |= any(r < 0 for r in chain.rewards)
+                cancelled |= any(((1 - beta) * beta.denominator * den * r).denominator < r.denominator
+                                 for (den, _), r in zip(chain.rows, chain.rewards))
+    if (seed, states, beta) == (1, 3, F(1, 3)):  # the pinned example reaches both
+        assert negative and cancelled
 
 
 def counted_solves(monkeypatch, chain, evaluation=mean_values):

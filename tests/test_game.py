@@ -213,6 +213,85 @@ def test_missing_key_rejected():
         validate_game(raw)
 
 
+def _repeated_literals():
+    """raw_g2 with a third action and literals that repeat: the strings "1"
+    and "1/2" three times each and the JSON number 1 twice."""
+    raw = raw_g2()
+    raw["actions"] = [{"id": "X", "reward": "1"}, {"id": "Y", "reward": 1},
+                      {"id": "Z", "reward": "1/2"}]
+    raw["transitions"] = [
+        {"from": "a", "action": "X", "to": "b", "prob": "1/2"},
+        {"from": "a", "action": "X", "to": "a", "prob": "1/2"},
+        {"from": "a", "action": "Z", "to": "b", "prob": "1"},
+        {"from": "b", "action": "Y", "to": "a", "prob": 1},
+        {"from": "b", "action": "Z", "to": "b", "prob": "1"},
+    ]
+    return raw
+
+
+def test_validate_game_parses_each_literal_string_once(monkeypatch):
+    """One parse per distinct literal string and one per literal that is
+    not a string, into the game that parsing every literal builds."""
+    raw = _repeated_literals()
+    literals = [a["reward"] for a in raw["actions"]] + [t["prob"] for t in raw["transitions"]]
+    expected = build_game(
+        [State(s["id"], s["owner"]) for s in raw["states"]],
+        {a["id"]: parse_rational(a["reward"]) for a in raw["actions"]},
+        [(t["from"], t["action"], t["to"], parse_rational(t["prob"])) for t in raw["transitions"]])
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr("smpg.game.parse_rational", spy)
+    game = validate_game(raw)
+    strings = [text for text in literals if type(text) is str]
+    assert len(calls) == len(set(strings)) + len(literals) - len(strings) == 4
+    assert sorted(map(repr, calls)) == ["'1'", "'1/2'", "1", "1"]
+    assert game == expected
+    assert game.__dict__["_chain_rows"] == expected.__dict__["_chain_rows"]
+
+
+def _bad_literal(bad, reward=True):
+    """_repeated_literals with its second and third transitions'
+    probabilities, and with ``reward`` the last action's reward, set to
+    ``bad``, which stands after the literals parsed before it."""
+    raw = _repeated_literals()
+    for t in raw["transitions"][1:3]:
+        t["prob"] = bad
+    if reward:
+        raw["actions"][-1]["reward"] = bad
+    return raw
+
+
+@pytest.mark.parametrize("raw, report", [
+    # a bad string repeated: the first place it stands raises, the reward before the probs
+    (_bad_literal("1.5"), {
+        "error": "ParseError", "message": "not a rational literal: '1.5'", "value": "'1.5'"}),
+    # a bad probability repeated, after every reward parsed
+    (_bad_literal("1/0", reward=False), {
+        "error": "ParseError", "message": "not a rational literal: '1/0'", "value": "'1/0'"}),
+    # JSON true as a probability, after the strings "1" and "1/2" and the number 1 are parsed
+    (_bad_literal(True, reward=False), {
+        "error": "ParseError", "message": "not a rational literal: True", "value": "True"}),
+])
+def test_a_bad_literal_raises_where_it_first_stands(raw, report):
+    with pytest.raises(ParseError) as info:
+        validate_game(raw)
+    assert info.value.to_json_dict() == report
+
+
+def test_a_number_and_its_string_load_to_equal_games():
+    raw = raw_g2()
+    numbers = raw_g2()
+    numbers["actions"][0]["reward"] = 1
+    numbers["transitions"][1]["prob"] = 1
+    strings = validate_game(raw)
+    assert validate_game(numbers) == strings
+    assert validate_game(numbers).__dict__["_chain_rows"] == strings.__dict__["_chain_rows"]
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_serialization_round_trip_is_identity(seed):
@@ -603,6 +682,10 @@ _probs = st.one_of(
 # parallel edges whose merged probability has a smaller denominator: the row is over 3, not 6
 @example(edges=[("a", "X", "b", F(1, 6)), ("b", "Y", "a", F(1)), ("a", "X", "b", F(1, 6)),
                 ("a", "X", "a", F(2, 3))])
+# one-target rows: probability 1, parallel edges merging to 1, and 1/2 alone, which must fail
+@example(edges=[("a", "X", "b", F(1)), ("b", "Y", "a", F(1))])
+@example(edges=[("a", "X", "b", F(1, 2)), ("b", "Y", "b", F(1)), ("a", "X", "b", F(1, 2))])
+@example(edges=[("a", "X", "b", F(1, 2)), ("b", "Y", "a", F(1))])
 def test_build_game_integer_checks_match_the_fraction_checks(edges):
     """Random transition lists over two states and two actions, with
     probabilities in and out of (0, 1], repeated edges and rows that sum

@@ -44,19 +44,22 @@ def test_traced_benchmark_ops_pass_the_output_gate(workload):
 def test_paired_ab_runs_one_tree_against_itself():
     """The paired timing script imports the same src tree under both
     package names, runs two reduction-n3 ops on each side and checks them,
-    then reports each side's retained and held memory per held input and
-    each tree's code lines, which scripts/loc.py totals alike.  An input
-    holds at least what its op retains: the held pass also counts the
-    input itself."""
+    then reports the collections that started inside each side's timed
+    ops, each side's retained and held memory per held input and each
+    tree's code lines, which scripts/loc.py totals alike.  An input holds
+    at least what its op retains: the held pass also counts the input
+    itself."""
     src = str(REPO / "src")
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / "paired_ab.py"),
                            "--parent", src, "--change", src, "--workload", "reduction-n3",
                            "--ops", "2"], capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
-    parent, change, ratio, retained, held, size = proc.stdout.splitlines()
+    parent, change, ratio, collections, retained, held, size = proc.stdout.splitlines()
     assert parent.startswith("parent: median op ") and parent.endswith("(2 ops, reduction-n3, seed 0)")
     assert change.startswith("change: median op ")
     assert ratio.startswith("change/parent per-op ratio: median ")
+    assert re.fullmatch(r"collections in timed ops: parent \d+ gen-0 \d+ gen-2, "
+                        r"change \d+ gen-0 \d+ gen-2", collections)
     match = re.fullmatch(r"retained per input: parent (\d+\.\d) KB, change (\d+\.\d) KB "
                          r"\(16 inputs held, tracemalloc\)", retained)
     assert match and abs(float(match[1]) - float(match[2])) <= 1  # one tree on both sides
