@@ -10,10 +10,14 @@ alternate op by op, and the side that runs first swaps every op, so a drift
 in machine speed over seconds slows both alike.  The script prints each
 side's median op time, the median of the per-op ratios change / parent
 and the generation-0 and generation-2 collections that started inside each
-side's timed ops (counted through ``gc.callbacks``).  It exits 1 when an
-output fails its check, or when the two sides' outputs of one op differ in
-their canonical bytes (``Workload.canonical``), naming the first such op:
-one run checks a byte-identity claim with the timing.
+side's timed ops (counted through ``gc.callbacks``).  It then prints each
+side's op time at ``bench/run.py``'s tail rank (``TAIL_BEYOND`` ops beyond
+it, ranked by the runner's own ``tail``) and how many timed ops held a
+generation-2 collection: a full collection inside an op is what moves that
+tail.  It exits 1 when an output fails its check, or when the two sides'
+outputs of one op differ in their canonical bytes (``Workload.canonical``),
+naming the first such op: one run checks a byte-identity claim with the
+timing.
 
 After the timed ops, two untimed passes per side measure memory: each
 makes ``HELD`` inputs, runs their ops while holding every input, as
@@ -44,6 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "scripts")]
 
 from loc import code_lines  # noqa: E402
+from run import TAIL_BEYOND, tail  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 MODULES = ("linalg", "game", "evaluate", "transforms", "solvers", "generate", "serialize", "cli")
@@ -68,13 +73,15 @@ def import_tree(src: Path, name: str):
 
 
 def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path):
-    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn, and the
-    collections per generation that started inside that side's timed ops;
+    """Per side, the op times in seconds, ops 0 .. ops - 1 in turn, the
+    collections per generation that started inside that side's timed ops,
+    and the number of those ops in which a generation-2 collection started;
     exits at the first op whose output fails its check or whose canonical
     bytes differ between the sides."""
     wl = WORKLOADS[workload]
     times = {side: [] for side in SIDES}
     collections = {side: [0, 0, 0] for side in SIDES}
+    full_ops = dict.fromkeys(SIDES, 0)
     timed = []  # the side whose op is being timed, while it runs
 
     def count(phase, info):
@@ -90,11 +97,13 @@ def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path
                 folder = directory / side
                 folder.mkdir(exist_ok=True)
                 inp = wl.make_input(lib, seed, index, folder)
+                full = collections[side][2]
                 timed.append(side)
                 start = time.perf_counter()
                 output = wl.op(lib, inp)
                 times[side].append(time.perf_counter() - start)
                 timed.clear()
+                full_ops[side] += collections[side][2] > full
                 problems = wl.check(lib, inp, output)
                 if problems:
                     raise SystemExit(f"paired_ab: {side} op {index}: {problems[0]}")
@@ -103,7 +112,7 @@ def paired_times(libs: dict, workload: str, ops: int, seed: int, directory: Path
                 raise SystemExit(f"paired_ab: op {index}: the canonical output bytes differ")
     finally:
         gc.callbacks.remove(count)
-    return times, collections
+    return times, collections, full_ops
 
 
 def traced_kb(lib, workload: str, seed: int, directory: Path, with_inputs: bool) -> float:
@@ -142,8 +151,8 @@ def main(argv=None) -> int:
 
     libs = {side: import_tree(getattr(args, side).resolve(), f"smpg_{side}") for side in SIDES}
     with tempfile.TemporaryDirectory() as directory:
-        times, collections = paired_times(libs, args.workload, args.ops, args.seed,
-                                          Path(directory))
+        times, collections, full_ops = paired_times(libs, args.workload, args.ops, args.seed,
+                                                    Path(directory))
         memory = {kind: {side: traced_kb(libs[side], args.workload, args.seed,
                                          Path(directory) / f"{kind}-{side}", kind == "held")
                          for side in SIDES} for kind in ("retained", "held")}
@@ -155,6 +164,10 @@ def main(argv=None) -> int:
           f"range {min(ratios):.4f}..{max(ratios):.4f}")
     print("collections in timed ops: " + ", ".join(
         f"{side} {collections[side][0]} gen-0 {collections[side][2]} gen-2" for side in SIDES))
+    print(f"tail op ({TAIL_BEYOND} ops beyond, bench/run.py's rank): " + ", ".join(
+        f"{side} {tail([t * 1e3 for t in times[side]])[0]:.3f} ms" for side in SIDES)
+          + "; ops with a gen-2 collection: "
+          + ", ".join(f"{side} {full_ops[side]}" for side in SIDES))
     for kind, traced in memory.items():
         print(f"{kind} per input: " + ", ".join(f"{side} {traced[side]:.1f} KB" for side in SIDES)
               + f" ({HELD} inputs held, tracemalloc)")

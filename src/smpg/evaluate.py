@@ -1,10 +1,12 @@
 """Exact evaluation of induced Markov chains.
 
-Discounted values solve (I - beta P) v = (1 - beta) r directly.  Mean
-payoffs are true long-run averages: the chain is decomposed into recurrent
-classes and transient states, each class gets the gain of its exact
-stationary distribution, and transient states mix class gains by exact
-absorption probabilities.  One closed class takes no absorption system:
+Discounted values solve (I - beta P) v = (1 - beta) r directly, in the
+smallest integers that system needs, and their vector keeps the solve's
+integer view and makes its Fractions only when read.  Mean payoffs are
+true long-run averages: the chain is decomposed into recurrent classes
+and transient states, each class gets the gain of its exact stationary
+distribution, and transient states mix class gains by exact absorption
+probabilities.  One closed class takes no absorption system:
 every state is absorbed into it, so every state gets its gain (Puterman
 1994, ch. 8).  Each system is built in integers straight from the chain's
 rows, every row scaled by the denominators it reads.  The reset identity
@@ -26,9 +28,10 @@ stationary masses, absorption sums and gains stay integers over one
 denominator, and Fractions are only views (discounted values, gains,
 ``Distribution.mass``); the solvers compare value vectors through their
 integer view ``ValueVector.scaled``, the one form in which a pair's
-values pass between them.  The Monte
-Carlo simulator at the bottom is the single floating-point component of the
-package and is never consulted by any exactness check.
+values pass between them, and a discounted vector is made from that view
+(``ValueVector.from_scaled``).  The Monte Carlo simulator at the bottom is
+the single floating-point component of the package and is never consulted
+by any exactness check.
 """
 
 from __future__ import annotations
@@ -57,15 +60,42 @@ from .game import Game, InducedChain, StrategyPair, induced_chain, scale
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Per-state rational values, aligned with a fixed state order."""
+    """Per-state rational values, aligned with a fixed state order.
+
+    Made from Fractions, ``ValueVector(state_order, values)``, or from an
+    integer view by ``from_scaled``, which keeps the view as ``scaled`` and
+    makes ``values`` from it only on first read (``__getattr__``).  Either
+    way ``scaled`` is ``game.scale(values)``, and equality, hash and repr
+    are those of (state_order, values)."""
 
     state_order: tuple[str, ...]
     values: tuple[Fraction, ...]
 
+    @classmethod
+    def from_scaled(cls, state_order: tuple[str, ...], d: int, y) -> ValueVector:
+        """The values y_i / d, d > 0: ``scaled`` is (d, y) over g = gcd(d, *y),
+        which is ``scale(values)``, since lcm_i(d / gcd(d, y_i)) = d / g."""
+        common = gcd(d, *y)
+        vector = object.__new__(cls)
+        vector.__dict__.update(state_order=state_order,
+                               scaled=(d // common, tuple(v // common for v in y)))
+        vector.__post_init__()
+        return vector
+
     def __post_init__(self):
-        if len(self.state_order) != len(self.values):
-            raise UnknownState(f"{len(self.values)} values for {len(self.state_order)} states",
+        given = self.__dict__.get("values")
+        count = len(self.scaled[1] if given is None else given)
+        if len(self.state_order) != count:
+            raise UnknownState(f"{count} values for {len(self.state_order)} states",
                                states=len(self.state_order))
+
+    def __getattr__(self, name: str):
+        """``values`` of a vector made by ``from_scaled``, made on first read."""
+        if name != "values" or "scaled" not in self.__dict__:
+            raise AttributeError(name)
+        d, y = self.scaled
+        values = self.__dict__["values"] = tuple(Fraction(v, d) for v in y)
+        return values
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -147,27 +177,26 @@ def check_beta(beta: Fraction | None) -> Fraction:
 def discounted_values(chain: InducedChain, beta: Fraction) -> ValueVector:
     """Normalised discounted value (1 - beta) * sum_i beta^i r_i, exactly.
 
-    Solves the fixed point v = (1 - beta) r + beta P v.  Each row's scale
-    and right-hand side are made in integers: t = (c - b) den_i r_i in
-    lowest terms by one gcd, the integers the Fraction product would give.
+    Solves the fixed point v = (1 - beta) r + beta P v in integers: with
+    beta = b/c and T the lcm of the reward denominators, row i of I - beta
+    P times c den_i, and its right-hand side (c - b) den_i r_i times T, so
+    that x = T v.  The vector keeps the integer view (det T, y), and its
+    Fractions are made only when read (``ValueVector.from_scaled``).
     """
     beta = check_beta(beta)
-    # with beta = b/c, row i of I - beta P times c * den_i is integral, and
-    # times the denominator of its right-hand side t = (c - b) den_i r_i too
     b, c = beta.numerator, beta.denominator
+    common = lcm(*(r.denominator for r in chain.rewards))
     matrix = []
     rhs_rows = []
     for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
-        top = (c - b) * den * r.numerator
-        common = gcd(top, r.denominator)
-        t_den = r.denominator // common
         row = [0] * len(chain.rows)
         for j, num in entries:
-            row[j] = -b * num * t_den
-        row[i] += c * den * t_den
+            row[j] = -b * num
+        row[i] += c * den
         matrix.append(row)
-        rhs_rows.append([top // common])
-    return ValueVector(chain.state_order, tuple(v for v, in linalg.solve_columns(matrix, rhs_rows)))
+        rhs_rows.append([(c - b) * den * r.numerator * (common // r.denominator)])
+    det, y = linalg.solve_scaled(matrix, rhs_rows)
+    return ValueVector.from_scaled(chain.state_order, det * common, [v for v, in y])
 
 
 def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     CombinatorialLimitExceeded,
@@ -86,14 +86,12 @@ def scale(values) -> tuple[int, tuple[int, ...]]:
     return d, tuple(v.numerator * (d // den) for v, den in zip(values, dens))
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     id: str
     owner: str
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     action: str
     target: str

@@ -29,7 +29,7 @@ Every division is an exact integer division, checked as such, so a rational
 entry that is not an integer ends in InexactDivision or in the exact answer,
 never in a wrong one.  ``solve_scaled`` is the one elimination and returns
 the integers (det, y); ``solve_columns`` is its Fraction view, each entry
-built once as y / det.
+built once as y / det, which no module of the package calls.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import itertools
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -426,6 +426,55 @@ def test_value_vector_guards_its_length_and_its_states():
                                          "message": "no state 'z' in value vector", "state": "z"}
 
 
+def test_both_value_vector_constructors_make_one_vector():
+    """A vector made from its integer view, in lowest terms or not, equals
+    the one made from its Fractions, with the same hash, repr and view, and
+    makes no Fraction until read; its length is guarded alike."""
+    states, values = ("a", "b", "c"), (F(-3, 4), F(5, 6), F(0))
+    d, y = scale(values)
+    for made in (ValueVector.from_scaled(states, d, y),
+                 ValueVector.from_scaled(states, 7 * d, [7 * v for v in y])):
+        assert made.scaled == (d, y) and "values" not in made.__dict__
+        plain = ValueVector(states, values)
+        assert (made, hash(made), repr(made)) == (plain, hash(plain), repr(plain))
+        assert made.scaled == plain.scaled
+    with pytest.raises(UnknownState) as info:
+        ValueVector.from_scaled(states, 1, (0, 1))
+    assert info.value.payload == {"states": 3} and str(info.value) == "2 values for 3 states"
+
+
+@st.composite
+def discounted_chains(draw):
+    """A chain on one to five states, rewards in [-5, 5] over denominators up
+    to 12, and a beta in [0, 99/100] over denominators up to 100."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n):
+        targets = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        nums = [draw(st.integers(1, 6)) for _ in targets]
+        rows.append((sum(nums), tuple(zip(targets, nums))))
+    rewards = draw(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=n, max_size=n))
+    beta = draw(st.fractions(0, F(99, 100), max_denominator=100))
+    return InducedChain(tuple(f"s{i}" for i in range(n)), tuple(rows), tuple(rewards)), beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(discounted_chains())
+def test_discounted_integer_view_is_the_scale_of_its_values(drawn):
+    """discounted_values keeps its integer view in lowest terms, that view
+    is game.scale of its values, and the values solve (I - beta P) v =
+    (1 - beta) r by a Fraction Gauss-Jordan reference."""
+    chain, beta = drawn
+    got = discounted_values(chain, beta)
+    d, y = got.scaled
+    assert d > 0 and gcd(d, *y) == 1
+    assert got.scaled == scale(got.values)
+    n = len(chain.rows)
+    matrix = [[int(i == j) - beta * F(dict(entries).get(j, 0), den) for j in range(n)]
+              for i, (den, entries) in enumerate(chain.rows)]
+    assert [[v] for v in got.values] == gauss_jordan(matrix, [[(1 - beta) * r] for r in chain.rewards])
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -763,8 +812,27 @@ def test_reduction_chains_have_one_recurrent_class(seed, beta):
 
 
 def fraction_discounted_system(chain, beta):
-    """The integer system discounted_values solved when each row's scale
-    came from the Fraction product t = (c - b) den r, kept as the reference."""
+    """The integer system discounted_values solves, from Fraction products:
+    row i of I - beta P times c den_i, beta = b/c, and its right-hand side
+    (1 - beta) r_i c den_i times T, the lcm of the reward denominators,
+    every entry checked integral."""
+    c, n = beta.denominator, len(chain.rows)
+    common = lcm(*(r.denominator for r in chain.rewards))
+    matrix, rhs_rows = [], []
+    for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
+        p = {j: F(num, den) for j, num in entries}
+        row = [(int(i == j) - beta * p.get(j, 0)) * c * den for j in range(n)]
+        rhs = (1 - beta) * r * c * den * common
+        assert all(x.denominator == 1 for x in (*row, rhs))
+        matrix.append([x.numerator for x in row])
+        rhs_rows.append([rhs.numerator])
+    return matrix, rhs_rows
+
+
+def reward_scaled_system(chain, beta):
+    """The system discounted_values solved before it dropped each row's
+    reward factor: each row's scale from the Fraction product t = (c - b)
+    den r, kept as the reference for the values."""
     b, c = beta.numerator, beta.denominator
     matrix, rhs_rows = [], []
     for i, ((den, entries), r) in enumerate(zip(chain.rows, chain.rewards)):
@@ -787,12 +855,14 @@ def fraction_discounted_system(chain, beta):
 )
 @example(seed=1, states=3, beta=F(0))
 @example(seed=1, states=3, beta=F(1, 3))
+@example(seed=1, states=3, beta=F(1, 2))
 def test_discounted_system_is_the_fraction_products_integers(seed, states, beta):
     """On seeded games and their reset and doubled games (whose second copy
     negates every reward), discounted_values hands linalg.solve_scaled
-    exactly the matrix and right-hand side the Fraction product gives."""
+    exactly the matrix and right-hand side the Fraction products give, and
+    its values solve the system it solved before (``reward_scaled_system``)."""
     g, reduction = reduction_of(seed, states, beta)
-    negative = cancelled = False
+    negative = shared = False
     seen = []
     solve = linalg.solve_scaled
 
@@ -805,13 +875,13 @@ def test_discounted_system_is_the_fraction_products_integers(seed, states, beta)
         for game in (g, reduction.reset_game, reduction.doubled):
             for chain in pair_chains(game, limit=8):
                 seen.clear()
-                discounted_values(chain, beta)
+                got = discounted_values(chain, beta)
                 assert seen == [fraction_discounted_system(chain, beta)]
+                assert [[v] for v in got.values] == gauss_jordan(*reward_scaled_system(chain, beta))
                 negative |= any(r < 0 for r in chain.rewards)
-                cancelled |= any(((1 - beta) * beta.denominator * den * r).denominator < r.denominator
-                                 for (den, _), r in zip(chain.rows, chain.rewards))
-    if (seed, states, beta) == (1, 3, F(1, 3)):  # the pinned example reaches both
-        assert negative and cancelled
+                shared |= any(gcd(r.denominator, beta.denominator) > 1 for r in chain.rewards)
+    if (seed, states, beta) == (1, 3, F(1, 2)):  # rewards -3/4: both are reached
+        assert negative and shared
 
 
 def counted_solves(monkeypatch, chain, evaluation=mean_values):

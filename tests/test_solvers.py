@@ -1358,6 +1358,23 @@ def test_strategy_iteration_evaluates_each_pair_once(monkeypatch, g2, make_game,
     assert rows[-1] == induced_chain(game, solution.optimal_pair).rows
 
 
+def test_strategy_iteration_makes_fractions_only_for_its_returned_values(monkeypatch):
+    """Each round reads only its values' integer view: of the nine vectors
+    discounted_values hands strategy iteration on the seeded 40-state game,
+    only the last, the one returned, ever makes its Fractions."""
+    made = []
+    real = smpg.solvers.discounted_values
+
+    def spy(chain, beta):
+        made.append(real(chain, beta))
+        return made[-1]
+
+    monkeypatch.setattr(smpg.solvers, "discounted_values", spy)
+    solution = strategy_iteration_discounted(_seeded_40_state_game(), F(99, 100))
+    assert solution.values is made[-1]
+    assert ["values" in vector.__dict__ for vector in made] == [False] * 8 + [True]
+
+
 def test_strategy_iteration_raises_on_a_repeated_pair(monkeypatch):
     """A lookahead that alternates between the two loops of a one-state game
     makes the switch rule cycle; strategy iteration must raise, not hang."""
